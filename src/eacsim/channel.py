@@ -8,19 +8,24 @@ The process runs for at most M slots.  This module is the empirical
 counterpart of the closed forms in `markov`: the two are kept strictly
 independent so Monte Carlo results can validate the analytics.
 
+A node's first successful slot is Geometric(1 - q), so the node is
+connected by slot m exactly when one uniform U < 1 - q^m (inverse-transform
+sampling).  Every sampler therefore draws one uniform per (trial, node) per
+process instead of one per slot.
+
 Reproducibility: experiments key a counter-based Philox stream by the master
 seed.  `split_rng(seed, i)` yields the i-th trial's private stream (disjoint
-counter blocks), and the vectorized estimators draw one rectangular block of
-uniforms whose row t belongs to trial t, so results are bit-identical for a
-given master seed no matter how trials would be scheduled.
+counter blocks), and the vectorized estimators draw one (trials, n) block of
+uniforms per process whose row t belongs to trial t, so results are
+bit-identical for a given master seed no matter how trials would be scheduled.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 DEFAULT_TRIALS = 100_000
 CONFIDENCE_LEVEL = 0.99
@@ -102,6 +107,16 @@ def split_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=master_seed).jumped(trial_index))
 
 
+def _connect_prob(q: float, M: int) -> np.ndarray:
+    """P(a node is connected by slot m) = 1 - q^m, for m = 1..M (0 at q=1, 1 at q=0)."""
+    return 1.0 - q ** np.arange(1, M + 1)
+
+
+def _connected_by(n: int, q: float, m: int, trials: int, rng) -> np.ndarray:
+    """(trials, n) boolean connection status after slot m: one uniform per (trial, node)."""
+    return rng.random((trials, n)) < 1.0 - q**m
+
+
 def simulate_distribution(n: int, q: float, M: int, rng) -> DistributionTrace:
     """Run one heralded distribution process for n nodes over at most M slots."""
     if n < 1:
@@ -110,54 +125,20 @@ def simulate_distribution(n: int, q: float, M: int, rng) -> DistributionTrace:
         raise ValueError(f"q={q} must be in [0, 1]")
     if M < 1:
         raise ValueError(f"M={M} must be >= 1")
-    pending = list(range(1, n + 1))
-    connected: list[int] = []
-    slots: list[int] = []
-    sets: list[tuple[int, ...]] = []
-    for _ in range(M):
-        if not pending:
-            break
-        draws = rng.random(len(pending)) < (1.0 - q)
-        mask = 0
-        still = []
-        for node, ok in zip(pending, draws):
-            if ok:
-                mask |= 1 << (node - 1)
-                connected.append(node)
-            else:
-                still.append(node)
-        pending = still
-        slots.append(mask)
-        sets.append(tuple(sorted(connected)))
-    return DistributionTrace(n=n, slots=tuple(slots), connected_sets=tuple(sets))
-
-
-def _connected_after(n: int, q: float, slots: int, trials: int, rng,
-                     snapshot_slot: int | None = None) -> np.ndarray:
-    """Vectorized per-slot process: (trials, n) boolean connection status.
-
-    With ``snapshot_slot`` set, the whole process still runs for ``slots``
-    slots but the status returned is the one after the snapshot slot.
-    """
-    connected = np.zeros((trials, n), dtype=bool)
-    snap = connected
-    for m in range(1, slots + 1):
-        attempts = rng.random((trials, n)) < (1.0 - q)
-        connected = connected | (~connected & attempts)
-        if m == snapshot_slot:
-            snap = connected
-    return snap if snapshot_slot is not None and snapshot_slot <= slots else connected
+    # first-success slot per node; M + 1 means "not connected by slot M"
+    first = np.searchsorted(_connect_prob(q, M), rng.random(n), side="right") + 1
+    nodes = np.arange(1, n + 1)
+    horizon = range(1, min(M, int(first.max())) + 1)
+    slots = tuple(sum(1 << (i - 1) for i in nodes[first == m].tolist()) for m in horizon)
+    sets = tuple(tuple(nodes[first <= m].tolist()) for m in horizon)
+    return DistributionTrace(n=n, slots=slots, connected_sets=sets)
 
 
 def empirical_full_connection_by_slot(n: int, q: float, M: int, trials: int, rng) -> np.ndarray:
     """Fraction of trials with all n nodes connected by slot m, for m = 1..M."""
-    connected = np.zeros((trials, n), dtype=bool)
-    out = np.empty(M)
-    for m in range(M):
-        attempts = rng.random((trials, n)) < (1.0 - q)
-        connected |= ~connected & attempts
-        out[m] = connected.all(axis=1).mean()
-    return out
+    # every node is connected by slot m iff the largest of its trial's uniforms is < 1 - q^m
+    last = np.sort(rng.random((trials, n)).max(axis=1))
+    return np.searchsorted(last, _connect_prob(q, M), side="left") / trials
 
 
 def empirical_state_distribution(
@@ -168,7 +149,7 @@ def empirical_state_distribution(
         raise ValueError(f"trials={trials} must be >= 1")
     if rng is None:
         rng = make_rng(0)
-    connected = _connected_after(n, q, M, trials, rng)
+    connected = _connected_by(n, q, M, trials, rng)
     counts = np.bincount(connected.sum(axis=1), minlength=n + 1)
     return counts / trials
 
@@ -191,9 +172,9 @@ def empirical_contention_success(
 ) -> float:
     """Fraction of trials in which the winner set is fully connected.
 
-    Per trial: draw a uniform weight-k winner set, run the two distribution
-    processes independently (to their own horizons), and count success when
-    every winner holds both ebits at the common horizon m_bar.
+    Per trial: draw a uniform weight-k winner set, sample each node's status
+    in the two independent distribution processes at the common horizon
+    m_bar, and count success when every winner holds both ebits.
     """
     if trials < 1:
         raise ValueError(f"trials={trials} must be >= 1")
@@ -202,9 +183,9 @@ def empirical_contention_success(
     if rng is None:
         rng = make_rng(0)
     m_bar = params.m_bar
-    # both processes run to their own horizons; the decision reads slot m_bar
-    conn_cr = _connected_after(n, params.q_cr, params.M_cr, trials, rng, snapshot_slot=m_bar)
-    conn_e = _connected_after(n, params.q_e, params.M_e, trials, rng, snapshot_slot=m_bar)
+    # the decision reads slot m_bar; slots past it cannot change the outcome
+    conn_cr = _connected_by(n, params.q_cr, m_bar, trials, rng)
+    conn_e = _connected_by(n, params.q_e, m_bar, trials, rng)
     winners = sample_winner_sets(n, k, trials, rng) - 1
     ok_cr = np.take_along_axis(conn_cr, winners, axis=1).all(axis=1)
     ok_e = np.take_along_axis(conn_e, winners, axis=1).all(axis=1)
@@ -213,7 +194,7 @@ def empirical_contention_success(
 
 def normal_ci(p_hat: float, trials: int, level: float = CONFIDENCE_LEVEL) -> tuple[float, float]:
     """Normal-approximation confidence interval for a Bernoulli mean."""
-    z = float(norm.ppf(0.5 + level / 2.0))
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
     half = z * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
     return max(0.0, float(p_hat) - half), min(1.0, float(p_hat) + half)
 

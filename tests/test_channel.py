@@ -1,6 +1,7 @@
 """Monte Carlo distribution model: traces, invariants, empirical laws."""
 import io
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -26,6 +27,28 @@ def binom_pmf(n, j, p):
     return math.comb(n, j) * p**j * (1 - p) ** (n - j)
 
 
+def slot_by_slot(n, q, M, trials, rng):
+    """Reference sampler: one attempt per unconnected node per slot.
+
+    Returns the (M, trials, n) connection status after each slot; the
+    production samplers draw one uniform per (trial, node) instead.
+    """
+    connected = np.zeros((trials, n), dtype=bool)
+    history = np.empty((M, trials, n), dtype=bool)
+    for m in range(M):
+        connected |= rng.random((trials, n)) < 1.0 - q
+        history[m] = connected
+    return history
+
+
+def assert_same_law(counts_a, counts_b):
+    """Chi-square homogeneity of two histograms over the same categories."""
+    table = np.array([counts_a, counts_b])
+    table = table[:, table.sum(axis=0) > 0]  # categories neither sample reached
+    _, p_value, _, _ = chi2_contingency(table)
+    assert p_value > 0.001
+
+
 # ---------------------------------------------------------------- params
 
 def test_channel_params_validation():
@@ -49,13 +72,14 @@ def test_slot_timeline_validation():
 def test_noiseless_connects_everyone_in_one_slot():
     trace = simulate_distribution(6, 0.0, 5, make_rng(0))
     assert trace.connected_sets[0] == (1, 2, 3, 4, 5, 6)
-    assert len(trace.slots) == 1  # heralded: nothing left to attempt
+    assert trace.slots == (0b111111,)  # heralded: nothing left to attempt
 
 
 def test_fully_absorbing_channel_connects_nobody():
     trace = simulate_distribution(4, 1.0, 3, make_rng(0))
     assert len(trace.connected_sets) == 3
     assert all(s == () for s in trace.connected_sets)
+    assert trace.slots == (0, 0, 0)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -145,6 +169,11 @@ def test_state_distribution_noiseless_point_mass():
     assert hist[5] == 1.0 and hist[:5].sum() == 0.0
 
 
+def test_state_distribution_absorbing_point_mass():
+    hist = empirical_state_distribution(5, 1.0, 3, 1000, make_rng(0))
+    assert hist[0] == 1.0 and hist[1:].sum() == 0.0
+
+
 def test_state_distribution_single_slot_binomial():
     n, q, trials = 6, 0.35, 100_000
     hist = empirical_state_distribution(n, q, 1, trials, make_rng(3))
@@ -178,10 +207,43 @@ def test_full_connection_near_certain_at_reference_point():
 def test_full_connection_trajectory():
     n, q, m, trials = 4, 0.4, 8, 50_000
     traj = empirical_full_connection_by_slot(n, q, m, trials, make_rng(2))
+    assert traj.shape == (m,)
     assert np.all(np.diff(traj) >= 0)
     p_final = (1 - q**m) ** n
     sigma = math.sqrt(p_final * (1 - p_final) / trials)
     assert abs(traj[-1] - p_final) < 3 * sigma
+    # every slot against (1 - q^m)^n: Bonferroni over the m points keeps the
+    # family-wise false-alarm rate at the two-sided 3-sigma level
+    z = NormalDist().inv_cdf(1 - 0.0027 / (2 * m))
+    p = (1 - q ** np.arange(1, m + 1)) ** n
+    assert np.all(np.abs(traj - p) < z * np.sqrt(p * (1 - p) / trials))
+
+
+@pytest.mark.parametrize("q, expected", [(0.0, 1.0), (1.0, 0.0)])
+def test_full_connection_trajectory_deterministic_channels(q, expected):
+    traj = empirical_full_connection_by_slot(5, q, 4, 1000, make_rng(0))
+    np.testing.assert_array_equal(traj, np.full(4, expected))
+
+
+@pytest.mark.parametrize("n, q, m_oracle, m", [(5, 0.5, 3, 3), (8, 0.3, 2, 2), (4, 0.7, 9, 4)])
+def test_state_distribution_matches_slot_by_slot_oracle(n, q, m_oracle, m):
+    # the oracle runs to its own horizon and is read at slot m
+    trials = 20_000
+    oracle = slot_by_slot(n, q, m_oracle, trials, make_rng(40))[m - 1]
+    counts_oracle = np.bincount(oracle.sum(axis=1), minlength=n + 1)
+    hist = empirical_state_distribution(n, q, m, trials, make_rng(41))
+    assert_same_law(counts_oracle, np.rint(hist * trials).astype(int))
+
+
+@pytest.mark.parametrize("n, q, m", [(4, 0.4, 8), (10, 0.2, 5), (3, 0.8, 12)])
+def test_full_connection_matches_slot_by_slot_oracle(n, q, m):
+    # compare the law of the slot in which the last node connects (m + 1: not by m)
+    trials = 20_000
+    oracle = slot_by_slot(n, q, m, trials, make_rng(42)).all(axis=2).sum(axis=0)
+    traj = empirical_full_connection_by_slot(n, q, m, trials, make_rng(43))
+    cdf = np.concatenate(([0], np.rint(traj * trials).astype(int), [trials]))
+    counts_oracle = np.bincount(m + 1 - oracle, minlength=m + 2)[1:]
+    assert_same_law(counts_oracle, np.diff(cdf))
 
 
 def test_winner_sets_uniform_and_sorted():
@@ -220,6 +282,12 @@ def test_contention_success_noise_free():
     assert empirical_contention_success(6, 2, params, 2000, make_rng(0)) == 1.0
 
 
+@pytest.mark.parametrize("q_cr, q_e", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+def test_contention_success_absorbing_channel(q_cr, q_e):
+    params = ChannelParams(q_cr=q_cr, q_e=q_e, M_cr=3, M_e=3)
+    assert empirical_contention_success(6, 2, params, 2000, make_rng(0)) == 0.0
+
+
 def test_contention_success_single_noisy_resource():
     # expected value from direct arithmetic: (1 - 0.3^3)^2
     params = ChannelParams(q_cr=0.3, q_e=0.0, M_cr=3, M_e=3)
@@ -249,6 +317,24 @@ def test_contention_success_mismatched_horizons():
     expected = ((1 - a) * (1 - a)) ** 2
     sigma = math.sqrt(expected * (1 - expected) / trials)
     assert abs(est - expected) < 3 * sigma
+
+
+@pytest.mark.parametrize("params", [
+    ChannelParams(q_cr=0.4, q_e=0.4, M_cr=2, M_e=9),
+    ChannelParams(q_cr=0.5, q_e=0.2, M_cr=6, M_e=3),
+    ChannelParams(q_cr=0.3, q_e=0.0, M_cr=3, M_e=3),
+])
+def test_contention_success_matches_slot_by_slot_oracle(params):
+    # the oracle runs both processes to their own horizons and reads slot m_bar
+    n, k, trials = 6, 3, 20_000
+    rng = make_rng(44)
+    conn_cr = slot_by_slot(n, params.q_cr, params.M_cr, trials, rng)[params.m_bar - 1]
+    conn_e = slot_by_slot(n, params.q_e, params.M_e, trials, rng)[params.m_bar - 1]
+    winners = sample_winner_sets(n, k, trials, rng) - 1
+    ok = (np.take_along_axis(conn_cr & conn_e, winners, axis=1).all(axis=1)).sum()
+    est = empirical_contention_success(n, k, params, trials, make_rng(45))
+    hits = round(est * trials)
+    assert_same_law([ok, trials - ok], [hits, trials - hits])
 
 
 def test_contention_success_independent_of_n():

@@ -2,9 +2,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import eacsim
 from eacsim.cli import UsageError, main, parse_sweep_config
 
 GOLDEN_CIRCUIT_4_2 = """encoder linear n=4 k=2 ell=3
@@ -285,3 +290,12 @@ def test_out_dir_env_var(tmp_path, monkeypatch, capsys):
     assert main(["encode", "--n", "4", "--k", "2"]) == 0
     capsys.readouterr()
     assert (tmp_path / "envout" / "encoder_linear_n4_k2.txt").exists()
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test-only dependency: the runtime must not import it
+    src = str(Path(eacsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, eacsim.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
