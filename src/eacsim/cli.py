@@ -1,17 +1,19 @@
 """Command-line front end.
 
 Subcommands wrap the library: ``encode`` emits encoder circuits and
-codebooks, ``contend`` runs contention rounds and writes a JSON-lines
-transcript, ``analytics`` tabulates the closed-form quantities, ``reproduce``
-regenerates the figure datasets (analytic curves plus Monte Carlo overlays
-with confidence intervals), and ``sweep`` runs a Cartesian parameter grid
-from a config file.
+codebooks, ``contend`` samples contention rounds classically (no
+statevector) and writes a JSON-lines transcript, ``analytics`` tabulates
+the closed-form quantities, ``reproduce`` regenerates the figure datasets
+(analytic curves plus Monte Carlo overlays with confidence intervals), and
+``sweep`` runs a Cartesian parameter grid from a config file.
 
 Conventions: output is deterministic for a given (command, flags, seed);
 the master seed defaults to 0 and is echoed in emitted metadata; CSV uses a
 header row and '.' decimals.  Exit codes: 0 success, 2 usage error,
-3 encoder synthesis failure, 4 register capacity exceeded.  The environment
-variable EACSIM_OUT_DIR overrides the default output directory.
+3 encoder synthesis failure, 4 capacity exceeded (``encode`` and
+``contend`` refuse a weight-k slice whose C(n,k) outcomes and ancilla words
+would pass ``encoder.SLICE_BYTES_CAP``, 256 MiB).  The environment variable
+EACSIM_OUT_DIR overrides the default output directory.
 """
 from __future__ import annotations
 
@@ -101,10 +103,9 @@ def cmd_contend(args) -> int:
         spec = DickeSpec(args.n, args.k)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    circuit = _build_encoder(spec, args.kind, args.seed, None)
-    verify_injectivity(circuit, spec)
     if args.runs < 1:
         raise UsageError(f"--runs must be >= 1, got {args.runs}")
+    circuit = _build_encoder(spec, args.kind, args.seed, None)
     rng = make_rng(args.seed)
     d_bits, a_bits = protocol.sample_contention_outcomes(spec, circuit, args.runs, rng)
     if spec.k == 2:
@@ -115,24 +116,9 @@ def cmd_contend(args) -> int:
     out_path = Path(args.out) if args.out else _out_dir(args) / f"contend_n{args.n}_k{args.k}.jsonl"
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", newline="\n") as fh:
-        for r in range(args.runs):
-            d = d_bits[r]
-            record = {
-                "d_vector": [int(b) for b in d],
-                "ancilla_word": [int(b) for b in a_bits[r]],
-                "winners": [int(i) + 1 for i in np.flatnonzero(d)],
-                "g": None if g_matrix is None else [int(g) if g >= 0 else None for g in g_matrix[r]],
-                "g_parity": None if parity is None else int(parity[r]),
-                "bell_state": None if parity is None
-                else ("phi_minus" if parity[r] else "phi_plus"),
-                "seed": args.seed,
-            }
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+        protocol.write_transcript_arrays(d_bits, a_bits, g_matrix, parity, args.seed, fh)
 
-    subset_counts: dict[str, int] = {}
-    for r in range(args.runs):
-        key = " ".join(str(int(i) + 1) for i in np.flatnonzero(d_bits[r]))
-        subset_counts[key] = subset_counts.get(key, 0) + 1
+    subsets, _, counts = protocol.unique_rows(d_bits)
     summary = {
         "n": spec.n,
         "k": spec.k,
@@ -141,7 +127,10 @@ def cmd_contend(args) -> int:
         "seed": args.seed,
         "transcript": str(out_path),
         "node_win_rates": [float(d_bits[:, i].mean()) for i in range(spec.n)],
-        "subset_rates": {key: subset_counts[key] / args.runs for key in sorted(subset_counts)},
+        "subset_rates": {
+            " ".join(str(i + 1) for i in np.flatnonzero(row)): count / args.runs
+            for row, count in zip(subsets, counts.tolist())
+        },
     }
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0

@@ -5,8 +5,12 @@ ell x n binary matrix whose entry G[j][i-1] is 1 iff the circuit contains
 CNOT(data qubit i -> ancilla j), the ancilla word read out after the
 encoder is a = G.d mod 2, where d is the data measurement outcome.  Encoder
 design therefore reduces to finding G injective on the weight-k slice of
-{0,1}^n, which is what `verify_injectivity` certifies; the resulting
-word -> winner-subset bijection is the codebook the orchestrator decodes.
+{0,1}^n, which is what `outcome_table` certifies while it tabulates every
+outcome and word (the classical contention sampler draws from that table);
+the word -> winner-subset bijection is the codebook the orchestrator
+decodes (`verify_injectivity`).  The slice and word matrices take
+C(n,k)*(n+ell) bytes and are refused with CapacityError past
+SLICE_BYTES_CAP.
 
 Two constructions are provided:
 
@@ -24,10 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevector import StateVector, apply_cnot
-from .states import DickeSpec, index_bits, weight_k_indices
+from .statevector import CapacityError, StateVector, apply_cnot
+from .states import DickeSpec
 
 SEARCH_BUDGET = 10_000  # candidate matrices tried per ell before giving up
+SLICE_BYTES_CAP = 256 * 2**20  # slice + word matrices; the dense cap's 2^24 x 16 B
+CODEBOOK_CHUNK_ROWS = 4096  # rows turned into Python tuples at a time
 
 
 class SynthesisFailed(Exception):
@@ -123,26 +129,77 @@ def build_linear_encoder(spec: DickeSpec) -> EncoderCircuit:
     return EncoderCircuit(n=n, k=spec.k, ell=n - 1, cnots=cnots, kind="linear")
 
 
-def _slice_bit_matrix(n: int, k: int) -> np.ndarray:
-    """C(n,k) x n matrix whose rows are the weight-k outcomes (d_1..d_n)."""
-    rows = [index_bits(idx, n) for idx in weight_k_indices(n, k)]
-    return np.array(rows, dtype=np.uint8)
+def _slice_columns(n: int, k: int, ell: int) -> list[np.ndarray]:
+    """Column of the i-th one (i = 1..k) of every weight-k outcome.
+
+    Rows run in ascending basis-index order, the order of `weight_k_indices`:
+    row r is unranked in the combinatorial number system, whose rank order is
+    the numeric order of the bitmask.  Raises CapacityError before allocating
+    when the slice and word matrices, C(n,k)*(n+ell) bytes, would exceed
+    SLICE_BYTES_CAP.
+    """
+    total = math.comb(n, k)
+    if total * (n + ell) > SLICE_BYTES_CAP:
+        raise CapacityError(
+            f"the weight-{k} slice of n={n} with ell={ell} needs {total * (n + ell)} bytes, "
+            f"above the {SLICE_BYTES_CAP}-byte cap"
+        )
+    # binomials[i][e] = C(e, i) for exponents e = 0..n-1, clipped at total
+    # (Pascal's rule stays exact under the clip, and no rank reaches total)
+    binomials = [np.ones(n, dtype=np.int64)]
+    for _ in range(k):
+        running = np.cumsum(binomials[-1])
+        binomials.append(np.minimum(np.concatenate(([0], running[:-1])), total))
+    ranks = np.arange(total, dtype=np.int64)
+    columns = []
+    for i in range(k, 0, -1):
+        exponent = np.searchsorted(binomials[i], ranks, side="right") - 1
+        ranks -= binomials[i][exponent]
+        # bit 2^e is data qubit n-e; n <= 2^14 whenever C(n,k)*n fits the cap
+        columns.append((n - 1 - exponent).astype(np.uint16))
+    return columns
 
 
-def _injective_on_slice(g: np.ndarray, slice_bits: np.ndarray) -> bool:
-    words = (slice_bits @ g.T) & 1
-    packed = words @ (1 << np.arange(g.shape[0], dtype=np.int64))
-    return len(np.unique(packed)) == len(packed)
+def _packed_words(g: np.ndarray, columns: list[np.ndarray]) -> np.ndarray:
+    """Words G.d mod 2 of the slice, each packed 64 bits to a uint64 block."""
+    ell = g.shape[0]
+    blocks = -(-ell // 64)
+    packed = np.zeros((g.shape[1], 8 * blocks), dtype=np.uint8)
+    packed[:, : -(-ell // 8)] = np.packbits(g.T, axis=1)
+    rows = packed.view(np.uint64)
+    words = rows[columns[0]]
+    for col in columns[1:]:
+        words ^= rows[col]
+    return words
+
+
+def _first_collision(words: np.ndarray) -> tuple[int, int] | None:
+    """The pair of rows a sequential scan would first find sharing a word.
+
+    Returns (i, j), i < j, with j the smallest row repeating an earlier
+    word and i that word's first row; None when all rows differ.
+    """
+    order = np.lexsort(words.T)  # stable: equal words keep ascending rows
+    ordered = words[order]
+    same = np.flatnonzero((ordered[1:] == ordered[:-1]).all(axis=1)) + 1
+    if not same.size:
+        return None
+    pos = same[np.argmin(order[same])]
+    return int(order[pos - 1]), int(order[pos])
+
+
+def _injective_on_slice(g: np.ndarray, columns: list[np.ndarray]) -> bool:
+    return _first_collision(_packed_words(g, columns)) is None
 
 
 def _search_matrix(spec: DickeSpec, ell: int, rng) -> np.ndarray | None:
     """Seeded random search for an injective ell x n matrix; None on failure."""
     if 2**ell < spec.num_outcomes:
         return None  # pigeonhole: not enough distinct words
-    slice_bits = _slice_bit_matrix(spec.n, spec.k)
+    columns = _slice_columns(spec.n, spec.k, ell)
     for _ in range(SEARCH_BUDGET):
         g = rng.integers(0, 2, size=(ell, spec.n), dtype=np.uint8)
-        if _injective_on_slice(g, slice_bits):
+        if _injective_on_slice(g, columns):
             return g
     return None
 
@@ -186,24 +243,43 @@ def build_binary_encoder(spec: DickeSpec, rng=None, ell: int | None = None) -> E
     return EncoderCircuit(n=n, k=k, ell=target_ell, cnots=_matrix_to_cnots(g), kind="binary")
 
 
-def verify_injectivity(circuit: EncoderCircuit, spec: DickeSpec) -> Codebook:
-    """Enumerate every weight-k outcome, check all ancilla words differ.
+def outcome_table(circuit: EncoderCircuit, spec: DickeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Every weight-k outcome and its ancilla word, once injectivity holds.
 
-    Returns the codebook mapping each word to its winner subset; raises
-    NotInjective naming the two colliding outcomes otherwise.
+    Returns the (C(n,k) x n) data bits d, rows in ascending basis-index
+    order, and the (C(n,k) x ell) words G.d mod 2, both uint8.  Raises
+    NotInjective naming the first colliding pair in that order, and
+    CapacityError when the two matrices would exceed SLICE_BYTES_CAP.
     """
     if circuit.n != spec.n:
         raise ValueError(f"circuit built for n={circuit.n}, spec has n={spec.n}")
-    g = circuit.matrix()
-    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
+    columns = _slice_columns(spec.n, spec.k, circuit.ell)
+    bits = np.zeros((spec.num_outcomes, spec.n), dtype=np.uint8)
+    rows = np.arange(spec.num_outcomes)
+    for col in columns:
+        bits[rows, col] = 1
+    packed = _packed_words(circuit.matrix(), columns)
+    collision = _first_collision(packed)
+    if collision is not None:
+        i, j = collision
+        raise NotInjective(tuple(bits[i].tolist()), tuple(bits[j].tolist()))
+    words = np.unpackbits(packed.view(np.uint8), axis=1, count=circuit.ell)
+    return bits, words
+
+
+def verify_injectivity(circuit: EncoderCircuit, spec: DickeSpec) -> Codebook:
+    """Check that all weight-k outcomes get distinct ancilla words.
+
+    Returns the codebook mapping each word to its winner subset; raises
+    NotInjective naming two colliding outcomes otherwise (see
+    `outcome_table`).
+    """
+    bits, words = outcome_table(circuit, spec)
     entries: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for idx in weight_k_indices(spec.n, spec.k):
-        d = index_bits(idx, spec.n)
-        word = tuple(int(b) for b in (g @ np.array(d, dtype=np.uint8)) & 1)
-        if word in seen:
-            raise NotInjective(seen[word], d)
-        seen[word] = d
-        entries[word] = tuple(i for i in range(1, spec.n + 1) if d[i - 1])
+    for lo in range(0, len(bits), CODEBOOK_CHUNK_ROWS):
+        chunk = slice(lo, lo + CODEBOOK_CHUNK_ROWS)
+        winners = np.nonzero(bits[chunk])[1].reshape(-1, spec.k) + 1
+        entries.update(zip(map(tuple, words[chunk].tolist()), map(tuple, winners.tolist())))
     return Codebook(n=spec.n, k=spec.k, ell=circuit.ell, entries=entries)
 
 
@@ -248,7 +324,7 @@ def apply_encoder(dicke: StateVector, circuit: EncoderCircuit) -> StateVector:
 
     Returns the (n+ell)-qubit contention-resolution state.  Gates are applied
     through the statevector simulator, so this is the quantum counterpart of
-    the classical GF(2) path used by `verify_injectivity`.
+    the classical GF(2) path of `outcome_table`.
     """
     if dicke.num_qubits != circuit.n:
         raise ValueError(f"state has {dicke.num_qubits} qubits, circuit expects {circuit.n}")

@@ -8,18 +8,26 @@ its own bit.  For k = 2 the contended resource is an n-qubit GHZ state from
 which the two winners distill an EPR pair: losers measure in the Hadamard
 basis and "safely leave", and the parity of their outcomes tells the
 orchestrator which Bell state the winners now share.
+
+Two paths produce rounds.  `run_contention`/`run_round` run them on the
+dense statevector simulator (n + ell <= 24 qubits); they are the quantum
+reference.  `sample_contention_outcomes` and `sample_loser_outcomes` sample
+the same laws classically, since every readout is in the computational
+basis (after the losers' Hadamards) and CNOTs only permute basis states;
+`cli contend` uses them and `write_transcript_arrays` for its transcript.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import statevector as sv
-from .encoder import Codebook, EncoderCircuit, apply_encoder, decode, verify_injectivity
-from .states import DickeSpec, dicke_state, ghz_state, index_bits
+from .encoder import EncoderCircuit, apply_encoder, decode, outcome_table, verify_injectivity
+from .states import DickeSpec, dicke_state, ghz_state
 
 
 class WrongWinnerCount(ValueError):
@@ -200,22 +208,24 @@ def run_round(
 def sample_contention_outcomes(
     spec: DickeSpec, encoder: EncoderCircuit, runs: int, rng
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized contention rounds: sample the joint Born distribution.
+    """Vectorized contention rounds, sampled classically.
 
-    All measurements are computational-basis and commute, so a round's
-    (d, a) outcome is one categorical draw from |amplitude|^2 of the
-    contention-resolution state.  Returns (runs x n) data bits and
-    (runs x ell) ancilla bits.  Cross-validated against `run_contention`
-    in the test suite; use this path for large empirical studies.
+    Every measurement is in the computational basis and the encoder only
+    permutes basis states, so a round's (d, a) outcome is one of the C(n,k)
+    weight-k strings d, each with Born weight 1/C(n,k), and a = G.d mod 2.
+    The draw is the dense path's inverse-CDF draw over 2^(n+ell) amplitudes
+    restricted to its nonzero entries: it consumes the same ``runs``
+    doubles from ``rng`` and returns the same outcomes.  Returns (runs x n)
+    data bits and (runs x ell) ancilla bits, both uint8.  Raises
+    NotInjective for an encoder that is not injective on the slice, and
+    CapacityError past `encoder.SLICE_BYTES_CAP`.
     """
-    state = apply_encoder(dicke_state(spec), encoder)
-    probs = np.abs(state.amplitudes) ** 2
+    d_slice, words = outcome_table(encoder, spec)
+    amplitudes = np.full(len(d_slice), 1.0 / math.sqrt(len(d_slice)), dtype=complex)
+    probs = np.abs(amplitudes) ** 2
     probs /= probs.sum()
-    indices = rng.choice(len(probs), size=runs, p=probs)
-    total = spec.n + encoder.ell
-    shifts = np.arange(total - 1, -1, -1)
-    bits = (indices[:, None] >> shifts[None, :]) & 1
-    return bits[:, : spec.n], bits[:, spec.n :]
+    picks = rng.choice(len(probs), size=runs, p=probs)
+    return d_slice[picks], words[picks]
 
 
 def sample_loser_outcomes(n: int, d_matrix: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -251,6 +261,92 @@ def write_transcript(records, stream) -> None:
     """Emit one JSON object per line (JSON-lines) to an open text stream."""
     for record in records:
         stream.write(json.dumps(record, separators=(",", ":")) + "\n")
+
+
+def unique_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(bits, axis=0, return_inverse=True, return_counts=True)`` for 0/1 rows.
+
+    Sorts the rows' packed bytes with lexsort, which is far faster than
+    np.unique's row-by-row comparisons; same rows, order and counts.
+    """
+    packed = np.packbits(bits, axis=1)
+    order = np.lexsort(packed.T[::-1])  # first byte is the primary key
+    ordered = packed[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    counts = np.diff(np.append(np.flatnonzero(starts), len(order)))
+    return bits[order[starts]], inverse, counts
+
+
+TRANSCRIPT_CHUNK_ROWS = 16_384  # rows joined per write; bounds the text held at once
+
+
+def _json(value) -> str:
+    return json.dumps(value, separators=(",", ":"))
+
+
+def _g_fragments(g_matrix: np.ndarray) -> list[bytes]:
+    """JSON text of each row of ``g_matrix``, with -1 (winner) written as null."""
+    rows, n = g_matrix.shape
+    null = g_matrix < 0
+    width = np.where(null, 4, 1)
+    start = np.cumsum(width + 1, axis=1) - width  # '[' then token, ',' pairs
+    buf = np.zeros((rows, 5 * n + 1), dtype=np.uint8)  # trailing NULs are dropped below
+    every = np.arange(rows)[:, None]
+    buf[:, 0] = ord("[")
+    buf[every, start] = np.where(null, ord("n"), g_matrix + ord("0"))
+    row, col = np.nonzero(null)
+    for offset, char in enumerate(b"ull", start=1):
+        buf[row, start[row, col] + offset] = char
+    end = start + width
+    buf[every, end] = ord(",")
+    buf[every[:, 0], end[:, -1]] = ord("]")
+    return buf.view(f"S{buf.shape[1]}").ravel().tolist()
+
+
+def write_transcript_arrays(d_bits, a_bits, g_matrix, parity, seed, stream) -> None:
+    """Bulk JSON-lines transcript of sampled rounds to an open text stream.
+
+    Row r holds the keys of `transcript_record` in its order, written as
+    ``json.dumps(..., separators=(",", ":"))`` writes them.  ``g_matrix``
+    (-1 for winners) and ``parity`` come from `sample_loser_outcomes`; when
+    they are None (k != 2), ``g``, ``g_parity`` and ``bell_state`` are null.
+    Each distinct (d, a) row is formatted once; rows are joined and written
+    TRANSCRIPT_CHUNK_ROWS at a time.
+    """
+    n = d_bits.shape[1]
+    outcomes, which, _ = unique_rows(np.hstack([d_bits, a_bits]))
+    prefixes = []
+    for row in outcomes.tolist():
+        d = row[:n]
+        winners = [i + 1 for i, bit in enumerate(d) if bit]
+        prefixes.append(
+            f'{{"d_vector":{_json(d)},"ancilla_word":{_json(row[n:])},'
+            f'"winners":{_json(winners)},"g":'.encode()
+        )
+    seed_tail = f'"seed":{_json(seed)}}}\n'
+    if g_matrix is None:
+        tail = f'null,"g_parity":null,"bell_state":null,{seed_tail}'.encode()
+        lines = [prefix + tail for prefix in prefixes]
+    else:
+        tails = [
+            f',"g_parity":{p},"bell_state":"{bell.value}",{seed_tail}'.encode()
+            for p, bell in ((0, BellState.PHI_PLUS), (1, BellState.PHI_MINUS))
+        ]
+    for lo in range(0, len(which), TRANSCRIPT_CHUNK_ROWS):
+        hi = lo + TRANSCRIPT_CHUNK_ROWS
+        if g_matrix is None:
+            chunk = [lines[u] for u in which[lo:hi].tolist()]
+        else:
+            chunk = [
+                prefixes[u] + fragment + tails[p]
+                for u, fragment, p in zip(
+                    which[lo:hi].tolist(), _g_fragments(g_matrix[lo:hi]), parity[lo:hi].tolist()
+                )
+            ]
+        stream.write(b"".join(chunk).decode("ascii"))
 
 
 def bell_pair(sign: int) -> sv.StateVector:

@@ -103,8 +103,31 @@ def test_contend_summary_rates(tmp_path, capsys):
 
 
 def test_contend_capacity_exit(tmp_path):
-    assert main(["contend", "--n", "13", "--k", "2", "--runs", "1",
+    # C(40,20) * (40 + 39) bytes of slice and words exceed the 256 MiB cap
+    assert main(["contend", "--n", "40", "--k", "20", "--runs", "1",
                  "--out", str(tmp_path / "t.jsonl")]) == 4
+
+
+def test_encode_capacity_exit(tmp_path):
+    assert main(["encode", "--n", "40", "--k", "20", "--out-dir", str(tmp_path)]) == 4
+
+
+def test_contend_past_dense_register(tmp_path):
+    # n=13 needs a 25-qubit register, past the dense cap; the classical path runs it
+    out = tmp_path / "t.jsonl"
+    assert main(["contend", "--n", "13", "--k", "2", "--runs", "50", "--out", str(out)]) == 0
+    for line in out.read_text().splitlines():
+        record = json.loads(line)
+        d = record["d_vector"]
+        assert sum(d) == 2
+        assert record["ancilla_word"] == d[:12]  # linear encoder: a_i = d_{i+1}
+
+
+def test_contend_runs_checked_before_synthesis(tmp_path, capsys):
+    # a binary (16,2) synthesis would exhaust its search first
+    assert main(["contend", "--n", "16", "--k", "2", "--kind", "binary", "--runs", "0",
+                 "--out", str(tmp_path / "t.jsonl")]) == 2
+    assert "--runs" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- analytics

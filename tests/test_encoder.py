@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from eacsim import statevector as sv
+from eacsim import encoder as enc, statevector as sv
 from eacsim.encoder import (
     Codebook,
     EncoderCircuit,
@@ -20,10 +20,11 @@ from eacsim.encoder import (
     decode,
     format_circuit,
     format_codebook_csv,
+    outcome_table,
     recover_last_bit_linear,
     verify_injectivity,
 )
-from eacsim.states import DickeSpec, dicke_state
+from eacsim.states import DickeSpec, dicke_state, index_bits, weight_k_indices
 
 # published measurement table for the linear encoder at n=4, k=2
 TABLE_4_2 = {
@@ -145,6 +146,69 @@ def test_all_zero_matrix_not_injective():
         verify_injectivity(circuit, DickeSpec(4, 2))
     assert sum(err.value.d1) == 2 and sum(err.value.d2) == 2
     assert err.value.d1 != err.value.d2
+
+
+def scan_for_collision(g, n, k):
+    """Reference: walk the slice in ascending index order, stop at the first repeated word."""
+    seen = {}
+    for idx in weight_k_indices(n, k):
+        d = index_bits(idx, n)
+        word = tuple(int(b) for b in (g @ np.array(d, dtype=np.uint8)) & 1)
+        if word in seen:
+            return seen[word], d
+        seen[word] = d
+    return None
+
+
+def test_collision_matches_sequential_scan():
+    rng = np.random.default_rng(4)
+    found = 0
+    for _ in range(150):
+        n = int(rng.integers(3, 11))
+        k = int(rng.integers(1, n))
+        ell = int(rng.choice([1, 3, 6, 62, 70]))
+        g = rng.integers(0, 2, size=(ell, n), dtype=np.uint8)
+        if ell > 60:
+            g[:, rng.integers(0, n)] = g[:, rng.integers(0, n)]  # maybe two equal columns
+        circuit = EncoderCircuit(n=n, k=k, ell=ell, cnots=enc._matrix_to_cnots(g), kind="binary")
+        expected = scan_for_collision(g, n, k)
+        if expected is None:
+            bits, words = outcome_table(circuit, DickeSpec(n, k))
+            np.testing.assert_array_equal(words, (bits @ g.T) & 1)
+        else:
+            found += 1
+            with pytest.raises(NotInjective) as err:
+                verify_injectivity(circuit, DickeSpec(n, k))
+            assert (err.value.d1, err.value.d2) == expected
+    assert found > 20
+
+
+@pytest.mark.parametrize("n,k", [(5, 2), (9, 4), (12, 11), (13, 1), (14, 7)])
+def test_outcome_table_rows_in_basis_index_order(n, k):
+    spec = DickeSpec(n, k)
+    bits, words = outcome_table(build_linear_encoder(spec), spec)
+    expected = np.array([index_bits(idx, n) for idx in weight_k_indices(n, k)], dtype=np.uint8)
+    np.testing.assert_array_equal(bits, expected)
+    np.testing.assert_array_equal(words, expected[:, :-1])
+
+
+def test_words_wider_than_64_bits():
+    # linear n=70: distinct outcomes whose words differ only in bits 64..68
+    spec = DickeSpec(70, 2)
+    circuit = build_linear_encoder(spec)
+    assert enc._injective_on_slice(circuit.matrix(), enc._slice_columns(70, 2, 69))
+    assert len(verify_injectivity(circuit, spec).entries) == math.comb(70, 2)
+
+
+def test_slice_capacity_checked_before_enumeration():
+    # linear k=2: C(645,2)*(645+644) bytes fit in 256 MiB, C(646,2)*(646+645) do not
+    assert math.comb(645, 2) * 1289 <= enc.SLICE_BYTES_CAP < math.comb(646, 2) * 1291
+    for spec in (DickeSpec(646, 2), DickeSpec(40, 20)):
+        with pytest.raises(sv.CapacityError):
+            outcome_table(build_linear_encoder(spec), spec)
+    spec = DickeSpec(40, 20)
+    with pytest.raises(sv.CapacityError):
+        build_binary_encoder(spec, np.random.default_rng(0))
 
 
 def test_verify_rejects_mismatched_spec():

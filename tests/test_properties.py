@@ -1,0 +1,71 @@
+"""Property tests: the classical contention sampler and the bulk transcript, n <= 40."""
+import io
+import json
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from eacsim.encoder import build_binary_encoder, build_linear_encoder
+from eacsim.protocol import (
+    sample_contention_outcomes,
+    sample_loser_outcomes,
+    write_transcript_arrays,
+)
+from eacsim.states import DickeSpec
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@st.composite
+def contention_cases(draw):
+    """(spec, encoder, runs, seed): linear encoders, or the k=1 binary encoder.
+
+    k stays within 3 of 0 or n so the weight-k slice is at most C(40,3) rows.
+    """
+    n = draw(st.integers(2, 40))
+    if draw(st.booleans()):
+        spec = DickeSpec(n, 1)
+        encoder = build_binary_encoder(spec)
+    else:
+        j = draw(st.integers(1, min(3, n - 1)))
+        spec = DickeSpec(n, draw(st.sampled_from((j, n - j))))
+        encoder = build_linear_encoder(spec)
+    return spec, encoder, draw(st.integers(1, 500)), draw(st.integers(0, 2**32))
+
+
+@PROPERTY_SETTINGS
+@given(contention_cases())
+def test_rows_have_weight_k_and_word_g_d(case):
+    spec, encoder, runs, seed = case
+    d_bits, a_bits = sample_contention_outcomes(spec, encoder, runs, np.random.default_rng(seed))
+    assert d_bits.shape == (runs, spec.n) and a_bits.shape == (runs, encoder.ell)
+    assert (d_bits.sum(axis=1) == spec.k).all()
+    np.testing.assert_array_equal(a_bits, (d_bits.astype(np.int64) @ encoder.matrix().T) % 2)
+
+
+@PROPERTY_SETTINGS
+@given(contention_cases())
+def test_bulk_transcript_parses_back(case):
+    spec, encoder, runs, seed = case
+    rng = np.random.default_rng(seed)
+    d_bits, a_bits = sample_contention_outcomes(spec, encoder, runs, rng)
+    g_matrix = parity = None
+    if spec.k == 2:
+        g_matrix, parity = sample_loser_outcomes(spec.n, d_bits, rng)
+    buf = io.StringIO()
+    write_transcript_arrays(d_bits, a_bits, g_matrix, parity, seed, buf)
+    records = [json.loads(line) for line in buf.getvalue().splitlines()]
+    assert len(records) == runs
+    np.testing.assert_array_equal([r["d_vector"] for r in records], d_bits)
+    np.testing.assert_array_equal([r["ancilla_word"] for r in records], a_bits)
+    for record, d in zip(records, d_bits):
+        assert record["winners"] == [int(i) + 1 for i in np.flatnonzero(d)]
+        assert record["seed"] == seed
+    if g_matrix is None:
+        assert all(r["g"] is None and r["g_parity"] is None for r in records)
+    else:
+        g = [[-1 if x is None else x for x in r["g"]] for r in records]
+        np.testing.assert_array_equal(g, g_matrix)
+        np.testing.assert_array_equal([r["g_parity"] for r in records], parity)
+        assert all(r["bell_state"] == ("phi_minus" if r["g_parity"] else "phi_plus")
+                   for r in records)

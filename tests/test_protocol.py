@@ -10,7 +10,13 @@ import pytest
 from conftest import force_bits
 
 from eacsim import protocol, statevector as sv
-from eacsim.encoder import build_binary_encoder, build_linear_encoder, verify_injectivity
+from eacsim.encoder import (
+    SynthesisFailed,
+    apply_encoder,
+    build_binary_encoder,
+    build_linear_encoder,
+    verify_injectivity,
+)
 from eacsim.protocol import (
     BellState,
     NodeView,
@@ -25,9 +31,11 @@ from eacsim.protocol import (
     sample_contention_outcomes,
     sample_loser_outcomes,
     transcript_record,
+    unique_rows,
     write_transcript,
+    write_transcript_arrays,
 )
-from eacsim.states import DickeSpec
+from eacsim.states import DickeSpec, dicke_state
 
 
 # ---------------------------------------------------------------- contention
@@ -207,6 +215,48 @@ def test_batch_sampler_agrees_with_single_runs():
         assert abs(count / single_runs - 1 / 6) < 4 * sigma_single
 
 
+def dense_born_sampler(spec, encoder, runs, rng):
+    """Reference: one categorical draw over the 2^(n+ell) amplitudes per round."""
+    state = apply_encoder(dicke_state(spec), encoder)
+    probs = np.abs(state.amplitudes) ** 2
+    probs /= probs.sum()
+    indices = rng.choice(len(probs), size=runs, p=probs)
+    total = spec.n + encoder.ell
+    bits = (indices[:, None] >> np.arange(total - 1, -1, -1)) & 1
+    return bits[:, : spec.n], bits[:, spec.n:]
+
+
+def _oracle_encoders():
+    """Every (n, k) and encoder kind whose dense register has n + ell <= 16 qubits."""
+    cases = []
+    for n in range(2, 13):
+        for k in range(1, n):
+            if 2 * n - 1 <= 16:
+                cases.append((n, k, "linear"))
+            if n + max(1, math.ceil(math.log2(math.comb(n, k)))) <= 16:
+                cases.append((n, k, "binary"))
+    return cases
+
+
+@pytest.mark.parametrize("n,k,kind", _oracle_encoders())
+def test_classical_sampler_matches_dense_draws(n, k, kind):
+    spec = DickeSpec(n, k)
+    if kind == "linear":
+        encoder = build_linear_encoder(spec)
+    else:
+        try:
+            encoder = build_binary_encoder(spec, np.random.default_rng(0))
+        except SynthesisFailed as exc:
+            encoder = build_binary_encoder(spec, np.random.default_rng(0), ell=exc.best_ell)
+    for seed in (0, 1):
+        dense_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        d_ref, a_ref = dense_born_sampler(spec, encoder, 500, dense_rng)
+        d_bits, a_bits = sample_contention_outcomes(spec, encoder, 500, rng)
+        np.testing.assert_array_equal(d_bits, d_ref)
+        np.testing.assert_array_equal(a_bits, a_ref)
+        assert rng.random() == dense_rng.random()  # same stream position afterwards
+
+
 @pytest.mark.parametrize("n,k", [(4, 2), (6, 2), (5, 3), (6, 1)])
 def test_winner_subset_uniformity_chi_square(n, k):
     # goodness of fit against the uniform subset law at significance 0.001
@@ -259,6 +309,69 @@ def test_transcript_round_trip():
     assert len(g) == 4
     for i, view in enumerate(sorted(views, key=lambda v: v.node_id)):
         assert g[i] == view.g
+
+
+def per_row_transcript(d_bits, a_bits, g_matrix, parity, seed):
+    """Reference: one dict and one json.dumps per row."""
+    lines = []
+    for r in range(len(d_bits)):
+        d = d_bits[r]
+        record = {
+            "d_vector": [int(b) for b in d],
+            "ancilla_word": [int(b) for b in a_bits[r]],
+            "winners": [int(i) + 1 for i in np.flatnonzero(d)],
+            "g": None if g_matrix is None else [int(g) if g >= 0 else None for g in g_matrix[r]],
+            "g_parity": None if parity is None else int(parity[r]),
+            "bell_state": None if parity is None
+            else ("phi_minus" if parity[r] else "phi_plus"),
+            "seed": seed,
+        }
+        lines.append(json.dumps(record, separators=(",", ":")) + "\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("n,k,runs", [(4, 2, 300), (5, 3, 300), (12, 2, 20_000), (11, 4, 500)])
+def test_bulk_transcript_matches_per_row_dumps(n, k, runs):
+    # k=3 and k=4 have null g; n >= 10 has two-digit winners; 20k rows span two chunks
+    spec = DickeSpec(n, k)
+    rng = np.random.default_rng(n + k)
+    d_bits, a_bits = sample_contention_outcomes(spec, build_linear_encoder(spec), runs, rng)
+    g_matrix = parity = None
+    if k == 2:
+        g_matrix, parity = sample_loser_outcomes(n, d_bits, rng)
+    buf = io.StringIO()
+    write_transcript_arrays(d_bits, a_bits, g_matrix, parity, 11, buf)
+    got = buf.getvalue().splitlines(keepends=True)
+    want = per_row_transcript(d_bits, a_bits, g_matrix, parity, 11).splitlines(keepends=True)
+    assert len(got) == runs == len(want)
+    mismatch = next((r for r in range(runs) if got[r] != want[r]), None)
+    assert mismatch is None, (mismatch, got[mismatch], want[mismatch])
+
+
+def test_bulk_transcript_matches_transcript_record():
+    # the k=2 rows carry the keys of the per-round record, in its order
+    spec = DickeSpec(5, 2)
+    outcome, views, _ = run_round(spec, build_linear_encoder(spec), np.random.default_rng(2))
+    expected = io.StringIO()
+    write_transcript([transcript_record(outcome, views, seed=2)], expected)
+    g_matrix = np.array([[-1 if v.g is None else v.g for v in views]])
+    buf = io.StringIO()
+    write_transcript_arrays(np.array([outcome.d_vector]), np.array([outcome.ancilla_word]),
+                            g_matrix, np.array([outcome.g_parity]), 2, buf)
+    assert buf.getvalue() == expected.getvalue()
+
+
+def test_unique_rows_matches_numpy():
+    rng = np.random.default_rng(5)
+    for width in (3, 8, 15, 70):
+        bits = (rng.random((400, width)) < 0.3).astype(np.uint8)
+        bits = np.vstack([bits, bits[rng.integers(0, 400, size=400)]])
+        rows, inverse, counts = unique_rows(bits)
+        ref_rows, ref_inverse, ref_counts = np.unique(
+            bits, axis=0, return_inverse=True, return_counts=True)
+        np.testing.assert_array_equal(rows, ref_rows)
+        np.testing.assert_array_equal(inverse, ref_inverse.reshape(-1))
+        np.testing.assert_array_equal(counts, ref_counts)
 
 
 def test_run_round_k1_has_no_pair():
