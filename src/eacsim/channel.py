@@ -27,7 +27,6 @@ from statistics import NormalDist
 
 import numpy as np
 
-DEFAULT_TRIALS = 100_000
 CONFIDENCE_LEVEL = 0.99
 
 
@@ -136,19 +135,17 @@ def simulate_distribution(n: int, q: float, M: int, rng) -> DistributionTrace:
 
 def empirical_full_connection_by_slot(n: int, q: float, M: int, trials: int, rng) -> np.ndarray:
     """Fraction of trials with all n nodes connected by slot m, for m = 1..M."""
+    if trials < 1:
+        raise ValueError(f"trials={trials} must be >= 1")
     # every node is connected by slot m iff the largest of its trial's uniforms is < 1 - q^m
     last = np.sort(rng.random((trials, n)).max(axis=1))
     return np.searchsorted(last, _connect_prob(q, M), side="left") / trials
 
 
-def empirical_state_distribution(
-    n: int, q: float, M: int, trials: int = DEFAULT_TRIALS, rng=None
-) -> np.ndarray:
+def empirical_state_distribution(n: int, q: float, M: int, trials: int, rng) -> np.ndarray:
     """Frequency of ending with j connected nodes, j = 0..n (sums to 1)."""
     if trials < 1:
         raise ValueError(f"trials={trials} must be >= 1")
-    if rng is None:
-        rng = make_rng(0)
     connected = _connected_by(n, q, M, trials, rng)
     counts = np.bincount(connected.sum(axis=1), minlength=n + 1)
     return counts / trials
@@ -167,9 +164,7 @@ def sample_winner_sets(n: int, k: int, trials: int, rng) -> np.ndarray:
     return np.sort(order[:, :k], axis=1) + 1
 
 
-def empirical_contention_success(
-    n: int, k: int, params: ChannelParams, trials: int = DEFAULT_TRIALS, rng=None
-) -> float:
+def empirical_contention_success(n: int, k: int, params: ChannelParams, trials: int, rng) -> float:
     """Fraction of trials in which the winner set is fully connected.
 
     Per trial: draw a uniform weight-k winner set, sample each node's status
@@ -180,8 +175,6 @@ def empirical_contention_success(
         raise ValueError(f"trials={trials} must be >= 1")
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if rng is None:
-        rng = make_rng(0)
     m_bar = params.m_bar
     # the decision reads slot m_bar; slots past it cannot change the outcome
     conn_cr = _connected_by(n, params.q_cr, m_bar, trials, rng)
@@ -192,38 +185,15 @@ def empirical_contention_success(
     return float((ok_cr & ok_e).mean())
 
 
-def normal_ci(p_hat: float, trials: int, level: float = CONFIDENCE_LEVEL) -> tuple[float, float]:
-    """Normal-approximation confidence interval for a Bernoulli mean."""
-    z = NormalDist().inv_cdf(0.5 + level / 2.0)
-    half = z * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
-    return max(0.0, float(p_hat) - half), min(1.0, float(p_hat) + half)
+def normal_ci(p_hat: float, trials: int) -> tuple[float, float]:
+    """Wilson score interval at CONFIDENCE_LEVEL for a Bernoulli mean.
 
-
-SUCCESS_CSV_COLUMNS = ("n", "k", "q_cr", "q_e", "M", "estimate", "ci_low", "ci_high", "trials", "seed")
-
-
-def success_csv_row(
-    n: int, k: int, params: ChannelParams, estimate: float, trials: int, seed: int
-) -> dict:
-    """One result row in the module's CSV schema (M is the decision horizon)."""
-    lo, hi = normal_ci(estimate, trials)
-    return {
-        "n": n,
-        "k": k,
-        "q_cr": params.q_cr,
-        "q_e": params.q_e,
-        "M": params.m_bar,
-        "estimate": estimate,
-        "ci_low": lo,
-        "ci_high": hi,
-        "trials": trials,
-        "seed": seed,
-    }
-
-
-def write_success_csv(rows, stream) -> None:
-    """Emit result rows with the fixed column set, '.'-decimal, header first."""
-    stream.write(",".join(SUCCESS_CSV_COLUMNS) + "\n")
-    for row in rows:
-        stream.write(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c])
-                              for c in SUCCESS_CSV_COLUMNS) + "\n")
+    Unlike the normal approximation it keeps a positive width at p_hat in
+    {0, 1} (Wilson 1927; Brown, Cai & DasGupta 2001).  The result is clamped
+    so that 0 <= lo <= p_hat <= hi <= 1 holds exactly in floating point.
+    """
+    p_hat = float(p_hat)
+    z2 = NormalDist().inv_cdf(0.5 + CONFIDENCE_LEVEL / 2.0) ** 2 / trials
+    center = (p_hat + z2 / 2.0) / (1.0 + z2)
+    half = math.sqrt(z2 * p_hat * (1.0 - p_hat) + z2 * z2 / 4.0) / (1.0 + z2)
+    return min(max(0.0, center - half), p_hat), max(min(1.0, center + half), p_hat)

@@ -226,6 +226,8 @@ def build_binary_encoder(spec: DickeSpec, rng=None, ell: int | None = None) -> E
         )
         return EncoderCircuit(n=n, k=1, ell=ell, cnots=cnots, kind="binary")
 
+    if ell is not None and ell < 1:
+        raise ValueError(f"binary encoder needs ell >= 1, got {ell}")
     target_ell = ell if ell is not None else math.ceil(math.log2(spec.num_outcomes))
     if rng is None:
         rng = np.random.default_rng()

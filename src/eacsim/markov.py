@@ -3,8 +3,8 @@
 The number of connected nodes evolves as a discrete-time Markov chain with
 no backward transitions: from i connected nodes, the next slot adds a
 Binomial(n-i, 1-q) batch of new connections.  Everything here is an exact
-formula or a deterministic root-find; the Monte Carlo counterparts live in
-`channel` and the two are cross-checked, never merged.
+closed form; the Monte Carlo counterparts live in `channel` and the two are
+cross-checked, never merged.
 """
 from __future__ import annotations
 
@@ -27,7 +27,24 @@ def binom(n: int, k: int) -> float:
         return 0.0
     if n <= EXACT_BINOM_LIMIT:
         return float(math.comb(n, k))
-    return float(math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)))
+    return math.exp(_log_binom(n, k))
+
+
+def _log_binom(n: int, k: int) -> float:
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+
+
+def _binom_mass(n: int, j: int, p_fail: float) -> float:
+    """C(n, j) (1 - p_fail)^j p_fail^(n - j): Binomial(n, 1 - p_fail) mass at j.
+
+    Exact product up to EXACT_BINOM_LIMIT; above it the whole term is taken
+    in log space, so it stays finite where C(n, j) alone overflows.
+    """
+    if n <= EXACT_BINOM_LIMIT:
+        return binom(n, j) * (1.0 - p_fail) ** j * p_fail ** (n - j)
+    if p_fail == 0.0 or p_fail == 1.0:  # point mass at j = n or at j = 0
+        return float(j == (n if p_fail == 0.0 else 0))
+    return math.exp(_log_binom(n, j) + j * math.log1p(-p_fail) + (n - j) * math.log(p_fail))
 
 
 def time_horizon(t: SlotTimeline) -> int:
@@ -65,7 +82,7 @@ def transition_prob(n: int, i: int, j: int, q: float) -> float:
         raise ValueError(f"states must lie in 0..{n}, got i={i}, j={j}")
     if j < i:
         return 0.0
-    return binom(n - i, j - i) * (1.0 - q) ** (j - i) * q ** (n - j)
+    return _binom_mass(n - i, j - i, q)
 
 
 def transition_matrix(n: int, q: float) -> np.ndarray:
@@ -84,8 +101,7 @@ def state_prob(n: int, j: int, q: float, m: int) -> float:
         raise ValueError(f"j={j} must lie in 0..{n}")
     if m < 1:
         raise ValueError(f"m={m} must be >= 1")
-    p_fail = q**m
-    return binom(n, j) * (1.0 - p_fail) ** j * p_fail ** (n - j)
+    return _binom_mass(n, j, q**m)
 
 
 def success_prob(k: int, q: float, M: int) -> float:
@@ -126,36 +142,25 @@ def success_prob_fully_noisy(k: int, params: ChannelParams) -> float:
 def absorbing_threshold(n: int, M: int, epsilon: float = 1e-5) -> float:
     """Largest failure probability below which full connection stays near-certain.
 
-    The unique q solving P[all n connected after M slots] = 1 - epsilon,
-    found by bisection (full-connection probability is strictly decreasing
-    in q); for every q below the threshold the probability exceeds
-    1 - epsilon.
+    The unique q with P[all n connected after M slots] = (1 - q^M)^n = 1 - epsilon,
+    in closed form q = (1 - (1 - epsilon)^(1/n))^(1/M); expm1/log1p keep it
+    accurate for tiny epsilon.  Full connection is strictly decreasing in q,
+    so every q below the threshold gives a probability above 1 - epsilon.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon={epsilon} must be in (0, 1)")
     if n < 1 or M < 1:
         raise ValueError("need n >= 1 and M >= 1")
-    target = 1.0 - epsilon
-
-    def gap(q: float) -> float:
-        return state_prob(n, n, q, M) - target
-
-    lo, hi = 0.0, 1.0  # gap(0) = epsilon > 0 > gap(1) = -(1 - epsilon)
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return (-math.expm1(math.log1p(-epsilon) / n)) ** (1.0 / M)
 
 
 def absorbing_threshold_worst_case(ns, M: int, epsilon: float = 1e-5) -> float:
-    """Minimum threshold over a family of node counts (largest n dominates)."""
-    ns = list(ns)
-    if not ns:
-        raise ValueError("need at least one n")
-    return min(absorbing_threshold(n, M, epsilon) for n in ns)
+    """Minimum threshold over a family of node counts.
+
+    The threshold strictly decreases in n, so this is the threshold at the
+    largest n; an empty family raises ValueError.
+    """
+    return absorbing_threshold(max(ns), M, epsilon)
 
 
 def dicke_outcome_probability(n: int, k: int) -> tuple[float, float]:
@@ -163,7 +168,9 @@ def dicke_outcome_probability(n: int, k: int) -> tuple[float, float]:
     probability 1/C(n,k) and each node wins with probability k/n."""
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    return 1.0 / binom(n, k), k / n
+    if n <= EXACT_BINOM_LIMIT:
+        return 1.0 / binom(n, k), k / n
+    return math.exp(-_log_binom(n, k)), k / n
 
 
 def _check_q(q: float) -> None:

@@ -1,5 +1,4 @@
 """Monte Carlo distribution model: traces, invariants, empirical laws."""
-import io
 import math
 from statistics import NormalDist
 
@@ -18,8 +17,6 @@ from eacsim.channel import (
     sample_winner_sets,
     simulate_distribution,
     split_rng,
-    success_csv_row,
-    write_success_csv,
 )
 
 
@@ -370,17 +367,9 @@ def test_estimator_bit_reproducible():
 def test_normal_ci_brackets():
     lo, hi = normal_ci(0.5, 10_000)
     assert lo < 0.5 < hi
-    assert hi - lo == pytest.approx(2 * 2.5758293035489004 * math.sqrt(0.25 / 10_000), rel=1e-9)
-    assert normal_ci(0.0, 100) == (0.0, 0.0)
-
-
-def test_success_csv_output():
-    params = ChannelParams(q_cr=0.3, q_e=0.0, M_cr=3, M_e=3)
-    row = success_csv_row(8, 2, params, estimate=0.95, trials=1000, seed=4)
-    assert row["M"] == 3 and row["ci_low"] < 0.95 < row["ci_high"]
-    buf = io.StringIO()
-    write_success_csv([row], buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "n,k,q_cr,q_e,M,estimate,ci_low,ci_high,trials,seed"
-    assert len(lines) == 2
-    assert lines[1].startswith("8,2,0.3,0.0,3,0.95,")
+    z2 = 2.5758293035489004**2 / 10_000  # Wilson score interval, z at 99 %
+    assert hi - lo == pytest.approx(2 * math.sqrt(z2 * 0.25 + z2 * z2 / 4) / (1 + z2), rel=1e-9)
+    lo, hi = normal_ci(0.0, 100)
+    assert lo == 0.0 < hi
+    z2 = 2.5758293035489004**2 / 100
+    assert hi == pytest.approx(z2 / (1 + z2), rel=1e-9)  # Wilson upper bound at p_hat = 0

@@ -62,6 +62,14 @@ def test_encode_synthesis_failure_exit_code(tmp_path, capsys):
     assert "ell=3" in capsys.readouterr().err  # diagnostic names the workable width
 
 
+@pytest.mark.parametrize("ell", ["0", "-1"])
+def test_encode_ell_below_one_is_usage_error(tmp_path, capsys, ell):
+    code = main(["encode", "--kind", "binary", "--n", "4", "--k", "2",
+                 "--ell", ell, "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "ell >= 1" in capsys.readouterr().err
+
+
 def test_encode_binary_6_2_succeeds(tmp_path):
     assert main(["encode", "--n", "6", "--k", "2", "--kind", "binary",
                  "--seed", "1", "--out-dir", str(tmp_path)]) == 0
@@ -166,6 +174,17 @@ def test_analytics_csv_state_row(tmp_path):
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n,k", [(1100, 2), (1100, 550), (100_000, 2)])
+def test_analytics_finite_at_large_n(tmp_path, n, k):
+    out = tmp_path / "a.csv"
+    assert main(["analytics", "--n", str(n), "--k", str(k), "--q-cr", "0.3",
+                 "--M-cr", "3", "--format", "csv", "--out", str(out)]) == 0
+    rows = {r["quantity"]: float(r["value"]) for r in read_csv(out)}
+    assert all(math.isfinite(v) for v in rows.values())
+    total = math.fsum(rows[f"state_prob_cr[j={j}]"] for j in range(n + 1))
+    assert total == pytest.approx(1.0, abs=1e-9)
+
+
 def test_analytics_usage_error(capsys):
     assert main(["analytics", "--n", "8", "--k", "2", "--q-cr", "1.5", "--M-cr", "3"]) == 2
 
@@ -238,6 +257,13 @@ def test_reproduce_deterministic(tmp_path):
     assert (a / "fig8l_mc.csv").read_bytes() == (b / "fig8l_mc.csv").read_bytes()
 
 
+@pytest.mark.parametrize("figure", ["fig8", "fig8l", "fig9", "fig10", "fig11"])
+def test_reproduce_zero_trials_is_usage_error(tmp_path, capsys, figure):
+    assert main(["reproduce", "--figure", figure, "--trials", "0",
+                 "--out-dir", str(tmp_path)]) == 2
+    assert "trials=0" in capsys.readouterr().err
+
+
 def test_reproduce_unknown_figure():
     with pytest.raises(SystemExit) as err:
         main(["reproduce", "--figure", "fig99"])
@@ -263,6 +289,9 @@ def test_sweep_grid_size_and_ci(tmp_path):
     cfg.write_text(SWEEP_CFG)
     out = tmp_path / "out.csv"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0] == (
+        "n,k,q_cr,q_e,M,analytic,estimate,ci_low,ci_high,trials,seed"
+    )
     rows = read_csv(out)
     assert len(rows) == 6  # 3 k-values x 2 q-values
     inside = sum(

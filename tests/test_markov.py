@@ -85,6 +85,24 @@ def test_state_prob_noiseless():
     assert state_prob(7, 7, 0.0, 9) == 1.0
 
 
+@pytest.mark.parametrize("n", [1100, 100_000])
+def test_state_prob_finite_past_binomial_overflow(n):
+    # C(n, n/2) alone overflows a double from n ~ 1030
+    for q, m in ((0.3, 3), (0.9, 1), (0.999, 2)):
+        pmf = [state_prob(n, j, q, m) for j in range(n + 1)]
+        assert all(math.isfinite(p) and p >= 0.0 for p in pmf)
+        assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-9)
+    assert state_prob(n, n, 0.0, 3) == 1.0 and state_prob(n, n - 1, 0.0, 3) == 0.0
+    assert state_prob(n, 0, 1.0, 3) == 1.0 and state_prob(n, 1, 1.0, 3) == 0.0
+
+
+def test_transition_rows_sum_to_one_at_large_n():
+    n = 1100
+    for i in (0, 500, 1099):
+        row = [transition_prob(n, i, j, 0.4) for j in range(n + 1)]
+        assert math.fsum(row) == pytest.approx(1.0, abs=1e-9)
+
+
 def test_chain_consistency_matrix_power_oracle():
     # evolving the start distribution through the transition matrix must
     # reproduce the closed form
@@ -209,6 +227,8 @@ def test_threshold_validation():
 
 def test_dicke_outcome_probability():
     assert dicke_outcome_probability(4, 2) == (pytest.approx(1 / 6), pytest.approx(0.5))
+    assert dicke_outcome_probability(1100, 2)[0] == pytest.approx(1 / math.comb(1100, 2), rel=1e-12)
+    assert dicke_outcome_probability(2000, 1000) == (0.0, 0.5)  # C(2000, 1000) overflows a double
     for n in (3, 7):
         joint, marginal = dicke_outcome_probability(n, 1)
         assert joint == pytest.approx(1 / n) and marginal == pytest.approx(1 / n)

@@ -1,11 +1,14 @@
-"""Property tests: the classical contention sampler and the bulk transcript, n <= 40."""
+"""Property tests: the classical contention sampler and the bulk transcript (n <= 40),
+the confidence interval and the absorbing threshold."""
 import io
 import json
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from eacsim.channel import normal_ci
 from eacsim.encoder import build_binary_encoder, build_linear_encoder
+from eacsim.markov import absorbing_threshold, state_prob
 from eacsim.protocol import (
     sample_contention_outcomes,
     sample_loser_outcomes,
@@ -69,3 +72,21 @@ def test_bulk_transcript_parses_back(case):
         np.testing.assert_array_equal([r["g_parity"] for r in records], parity)
         assert all(r["bell_state"] == ("phi_minus" if r["g_parity"] else "phi_plus")
                    for r in records)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 10**6).flatmap(lambda t: st.tuples(st.integers(0, t), st.just(t))))
+def test_interval_brackets_estimate_with_positive_width(case):
+    count, trials = case
+    p_hat = count / trials
+    lo, hi = normal_ci(p_hat, trials)
+    assert 0.0 <= lo <= p_hat <= hi <= 1.0
+    assert hi > lo
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 10**4), st.integers(1, 64), st.floats(1e-9, 0.5))
+def test_threshold_inverts_full_connection(n, M, epsilon):
+    q_bar = absorbing_threshold(n, M, epsilon)
+    assert abs(state_prob(n, n, q_bar, M) - (1.0 - epsilon)) < 1e-9
+    assert absorbing_threshold(n + 1, M, epsilon) <= q_bar
