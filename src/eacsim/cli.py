@@ -9,11 +9,11 @@ the closed-form quantities, ``reproduce`` regenerates the figure datasets
 
 Conventions: output is deterministic for a given (command, flags, seed);
 the master seed defaults to 0 and is echoed in emitted metadata; CSV uses a
-header row and '.' decimals.  Exit codes: 0 success, 2 usage error,
-3 encoder synthesis failure, 4 capacity exceeded (``encode`` and
-``contend`` refuse a weight-k slice whose C(n,k) outcomes and ancilla words
-would pass ``encoder.SLICE_BYTES_CAP``, 256 MiB).  The environment variable
-EACSIM_OUT_DIR overrides the default output directory.
+header row and '.' decimals.  Exit codes: 0 success, 2 usage error or a path
+that cannot be read or written, 3 encoder synthesis failure, 4 capacity
+exceeded (``encode`` and ``contend`` refuse a weight-k slice whose C(n,k)
+outcomes and ancilla words would pass ``encoder.SLICE_BYTES_CAP``, 256
+MiB).  The environment variable EACSIM_OUT_DIR overrides the output directory.
 """
 from __future__ import annotations
 
@@ -24,12 +24,11 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import channel, markov, protocol
 from .channel import ChannelParams, make_rng, normal_ci
 from .encoder import (
     SynthesisFailed,
+    _format_int_rows,
     build_binary_encoder,
     build_linear_encoder,
     format_circuit,
@@ -91,7 +90,7 @@ def cmd_encode(args) -> int:
     circuit_path.write_text(format_circuit(circuit))
     codebook_path.write_text(format_codebook_csv(codebook))
     print(f"encoder: {circuit_path}")
-    print(f"codebook: {codebook_path} ({len(codebook.entries)} words)")
+    print(f"codebook: {codebook_path} ({len(codebook.words)} words)")
     print(f"cnots: {len(circuit.cnots)} ell: {circuit.ell} seed: {args.seed}")
     return 0
 
@@ -119,6 +118,7 @@ def cmd_contend(args) -> int:
         protocol.write_transcript_arrays(d_bits, a_bits, g_matrix, parity, args.seed, fh)
 
     subsets, _, counts = protocol.unique_rows(d_bits)
+    keys = b"".join(_format_int_rows([(subsets != 0, b" "), b"\n"])).decode("ascii").splitlines()
     summary = {
         "n": spec.n,
         "k": spec.k,
@@ -127,10 +127,7 @@ def cmd_contend(args) -> int:
         "seed": args.seed,
         "transcript": str(out_path),
         "node_win_rates": [float(d_bits[:, i].mean()) for i in range(spec.n)],
-        "subset_rates": {
-            " ".join(str(i + 1) for i in np.flatnonzero(row)): count / args.runs
-            for row, count in zip(subsets, counts.tolist())
-        },
+        "subset_rates": {key: count / args.runs for key, count in zip(keys, counts.tolist())},
     }
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
@@ -330,6 +327,8 @@ _FIGURES = {
 
 
 def cmd_reproduce(args) -> int:
+    if args.trials < 1:
+        raise UsageError(f"trials={args.trials} must be >= 1")
     out = _out_dir(args)
     paths = _FIGURES[args.figure](out, args.trials, args.seed)
     for path in paths:
@@ -385,6 +384,8 @@ def parse_sweep_config(text: str) -> dict:
             raise UsageError(f"missing required key '{key}'")
     config.setdefault("trials", 0)
     config.setdefault("seed", DEFAULT_SEED)
+    if config["trials"] < 0:
+        raise UsageError(f"trials must be >= 0 (0 = analytic only), got {config['trials']}")
     return config
 
 
@@ -494,7 +495,7 @@ def main(argv=None) -> int:
     except SynthesisFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,9 +8,9 @@ design therefore reduces to finding G injective on the weight-k slice of
 {0,1}^n, which is what `outcome_table` certifies while it tabulates every
 outcome and word (the classical contention sampler draws from that table);
 the word -> winner-subset bijection is the codebook the orchestrator
-decodes (`verify_injectivity`).  The slice and word matrices take
-C(n,k)*(n+ell) bytes and are refused with CapacityError past
-SLICE_BYTES_CAP.
+decodes (`verify_injectivity`, that table sorted by word).  The slice and
+word matrices take C(n,k)*(n+ell) bytes (CapacityError past SLICE_BYTES_CAP).
+`_format_int_rows` writes the codebook CSV and transcripts via byte matrices.
 
 Two constructions are provided:
 
@@ -22,8 +22,9 @@ Two constructions are provided:
 """
 from __future__ import annotations
 
-import io
+import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ from .states import DickeSpec
 
 SEARCH_BUDGET = 10_000  # candidate matrices tried per ell before giving up
 SLICE_BYTES_CAP = 256 * 2**20  # slice + word matrices; the dense cap's 2^24 x 16 B
-CODEBOOK_CHUNK_ROWS = 4096  # rows turned into Python tuples at a time
+FORMAT_CHUNK_BYTES = 1 << 20  # text formatted at a time; bounds the memory held at once
 
 
 class SynthesisFailed(Exception):
@@ -102,17 +103,29 @@ class EncoderCircuit:
         return tuple(int(b) for b in (self.matrix() @ d) & 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Codebook:
-    """Bijection between ancilla words and winner subsets of size k."""
+    """Bijection between ancilla words and winner subsets of size k.
+
+    Row r of ``bits`` is the outcome whose word is row r of ``words``, rows
+    ascending by word; iteration yields (word, winners) tuples in that order.
+    ``entries``, the word -> winners dict that `decode` reads, is built on
+    first access.
+    """
 
     n: int
     k: int
     ell: int
-    entries: dict  # word tuple -> sorted winner tuple
+    words: np.ndarray  # (C(n,k) x ell) uint8
+    bits: np.ndarray  # (C(n,k) x n) uint8, each row of weight k
 
     def __iter__(self):
-        return iter(sorted(self.entries.items()))
+        winners = np.nonzero(self.bits)[1].reshape(-1, self.k) + 1
+        return zip(map(tuple, self.words.tolist()), map(tuple, winners.tolist()))
+
+    @functools.cached_property
+    def entries(self) -> dict:
+        return dict(self)
 
 
 def _matrix_to_cnots(g: np.ndarray) -> tuple[tuple[int, int], ...]:
@@ -272,17 +285,12 @@ def outcome_table(circuit: EncoderCircuit, spec: DickeSpec) -> tuple[np.ndarray,
 def verify_injectivity(circuit: EncoderCircuit, spec: DickeSpec) -> Codebook:
     """Check that all weight-k outcomes get distinct ancilla words.
 
-    Returns the codebook mapping each word to its winner subset; raises
-    NotInjective naming two colliding outcomes otherwise (see
-    `outcome_table`).
+    Returns the codebook (the `outcome_table` arrays sorted by word); raises
+    NotInjective naming two colliding outcomes otherwise.
     """
     bits, words = outcome_table(circuit, spec)
-    entries: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for lo in range(0, len(bits), CODEBOOK_CHUNK_ROWS):
-        chunk = slice(lo, lo + CODEBOOK_CHUNK_ROWS)
-        winners = np.nonzero(bits[chunk])[1].reshape(-1, spec.k) + 1
-        entries.update(zip(map(tuple, words[chunk].tolist()), map(tuple, winners.tolist())))
-    return Codebook(n=spec.n, k=spec.k, ell=circuit.ell, entries=entries)
+    order = np.lexsort(np.packbits(words, axis=1).T[::-1])  # first byte is the primary key
+    return Codebook(n=spec.n, k=spec.k, ell=circuit.ell, words=words[order], bits=bits[order])
 
 
 def decode(codebook: Codebook, word) -> tuple[int, ...]:
@@ -348,12 +356,44 @@ def format_circuit(circuit: EncoderCircuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _format_int_rows(pieces) -> Iterator[bytes]:
+    """ASCII text of integer rows, yielded in chunks of about FORMAT_CHUNK_BYTES.
+
+    A piece is constant text (bytes); or (matrix, sep, labels), writing
+    labels[v] for each value v of an integer matrix; or (matrix, sep),
+    writing the 1-based column numbers of a boolean matrix's True entries.
+    Tokens are sep-separated.  Each fills a fixed-width, NUL-padded slot of a
+    (rows x width) uint8 matrix; a chunk's NULs are dropped in one pass.
+    """
+    rows = next(len(piece[0]) for piece in pieces if not isinstance(piece, bytes))
+    slots, width = [], 0  # (matrix, token table, separator length, column numbers)
+    for piece in pieces:
+        if isinstance(piece, bytes):  # one token, the same on every row
+            piece = (np.zeros((rows, 1), dtype=np.uint8), b"", [piece])
+        matrix, sep, *labels = piece
+        columns = matrix.shape[1]
+        if matrix.dtype == bool:  # token index = column number, 0 = no token
+            labels = [[b""] + [b"%d" % j for j in range(1, columns + 1)]]
+        table = np.array([sep + label if label else b"" for label in labels[0]])
+        numbers = np.arange(1, columns + 1, dtype=np.min_scalar_type(columns))
+        slots.append((matrix, table.view(np.uint8).reshape(len(table), -1), len(sep), numbers))
+        width += columns * table.itemsize
+    step = max(1, FORMAT_CHUNK_BYTES // width)
+    for start in range(0, rows, step):
+        parts = []
+        for matrix, table, cut, numbers in slots:
+            block, first = matrix[start : start + step], 0
+            if block.dtype == bool:
+                first, block = block.argmax(axis=1), block * numbers
+            tokens = table.take(block, axis=0)
+            tokens[np.arange(len(tokens)), first, :cut] = 0  # no separator before the first token
+            parts.append(tokens.reshape(len(tokens), -1))
+        yield np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
+
+
 def format_codebook_csv(codebook: Codebook) -> str:
     """Codebook as CSV: one column per ancilla bit, winners space-separated."""
-    buf = io.StringIO()
-    header = [f"a_{j}" for j in range(codebook.ell)] + ["winners"]
-    buf.write(",".join(header) + "\n")
-    for word, winners in codebook:
-        buf.write(",".join(str(b) for b in word))
-        buf.write("," + " ".join(str(w) for w in winners) + "\n")
-    return buf.getvalue()
+    header = ",".join([f"a_{j}" for j in range(codebook.ell)] + ["winners"]) + "\n"
+    body = _format_int_rows(
+        [(codebook.words, b",", (b"0", b"1")), b",", (codebook.bits.view(bool), b" "), b"\n"])
+    return b"".join([header.encode(), *body]).decode("ascii")

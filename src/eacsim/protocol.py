@@ -14,7 +14,7 @@ dense statevector simulator (n + ell <= 24 qubits); they are the quantum
 reference.  `sample_contention_outcomes` and `sample_loser_outcomes` sample
 the same laws classically, since every readout is in the computational
 basis (after the losers' Hadamards) and CNOTs only permute basis states;
-`cli contend` uses them and `write_transcript_arrays` for its transcript.
+`cli contend` uses them and the byte-matrix writer `write_transcript_arrays`.
 """
 from __future__ import annotations
 
@@ -26,7 +26,8 @@ from enum import Enum
 import numpy as np
 
 from . import statevector as sv
-from .encoder import EncoderCircuit, apply_encoder, decode, outcome_table, verify_injectivity
+from .encoder import (EncoderCircuit, _format_int_rows, apply_encoder, decode, outcome_table,
+                      verify_injectivity)
 from .states import DickeSpec, dicke_state, ghz_state
 
 
@@ -280,32 +281,6 @@ def unique_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return bits[order[starts]], inverse, counts
 
 
-TRANSCRIPT_CHUNK_ROWS = 16_384  # rows joined per write; bounds the text held at once
-
-
-def _json(value) -> str:
-    return json.dumps(value, separators=(",", ":"))
-
-
-def _g_fragments(g_matrix: np.ndarray) -> list[bytes]:
-    """JSON text of each row of ``g_matrix``, with -1 (winner) written as null."""
-    rows, n = g_matrix.shape
-    null = g_matrix < 0
-    width = np.where(null, 4, 1)
-    start = np.cumsum(width + 1, axis=1) - width  # '[' then token, ',' pairs
-    buf = np.zeros((rows, 5 * n + 1), dtype=np.uint8)  # trailing NULs are dropped below
-    every = np.arange(rows)[:, None]
-    buf[:, 0] = ord("[")
-    buf[every, start] = np.where(null, ord("n"), g_matrix + ord("0"))
-    row, col = np.nonzero(null)
-    for offset, char in enumerate(b"ull", start=1):
-        buf[row, start[row, col] + offset] = char
-    end = start + width
-    buf[every, end] = ord(",")
-    buf[every[:, 0], end[:, -1]] = ord("]")
-    return buf.view(f"S{buf.shape[1]}").ravel().tolist()
-
-
 def write_transcript_arrays(d_bits, a_bits, g_matrix, parity, seed, stream) -> None:
     """Bulk JSON-lines transcript of sampled rounds to an open text stream.
 
@@ -313,40 +288,21 @@ def write_transcript_arrays(d_bits, a_bits, g_matrix, parity, seed, stream) -> N
     ``json.dumps(..., separators=(",", ":"))`` writes them.  ``g_matrix``
     (-1 for winners) and ``parity`` come from `sample_loser_outcomes`; when
     they are None (k != 2), ``g``, ``g_parity`` and ``bell_state`` are null.
-    Each distinct (d, a) row is formatted once; rows are joined and written
-    TRANSCRIPT_CHUNK_ROWS at a time.
+    Written a chunk of about `encoder.FORMAT_CHUNK_BYTES` at a time.
     """
-    n = d_bits.shape[1]
-    outcomes, which, _ = unique_rows(np.hstack([d_bits, a_bits]))
-    prefixes = []
-    for row in outcomes.tolist():
-        d = row[:n]
-        winners = [i + 1 for i, bit in enumerate(d) if bit]
-        prefixes.append(
-            f'{{"d_vector":{_json(d)},"ancilla_word":{_json(row[n:])},'
-            f'"winners":{_json(winners)},"g":'.encode()
-        )
-    seed_tail = f'"seed":{_json(seed)}}}\n'
+    seed_tail = f',"seed":{json.dumps(seed)}}}\n'.encode()
+    bits = (b"0", b"1")
+    pieces = [b'{"d_vector":[', (d_bits, b",", bits), b'],"ancilla_word":[', (a_bits, b",", bits),
+              b'],"winners":[', (d_bits != 0, b","), b"]"]
     if g_matrix is None:
-        tail = f'null,"g_parity":null,"bell_state":null,{seed_tail}'.encode()
-        lines = [prefix + tail for prefix in prefixes]
+        pieces.append(b',"g":null,"g_parity":null,"bell_state":null' + seed_tail)
     else:
-        tails = [
-            f',"g_parity":{p},"bell_state":"{bell.value}",{seed_tail}'.encode()
-            for p, bell in ((0, BellState.PHI_PLUS), (1, BellState.PHI_MINUS))
-        ]
-    for lo in range(0, len(which), TRANSCRIPT_CHUNK_ROWS):
-        hi = lo + TRANSCRIPT_CHUNK_ROWS
-        if g_matrix is None:
-            chunk = [lines[u] for u in which[lo:hi].tolist()]
-        else:
-            chunk = [
-                prefixes[u] + fragment + tails[p]
-                for u, fragment, p in zip(
-                    which[lo:hi].tolist(), _g_fragments(g_matrix[lo:hi]), parity[lo:hi].tolist()
-                )
-            ]
-        stream.write(b"".join(chunk).decode("ascii"))
+        tails = [f'],"g_parity":{p},"bell_state":"{bell.value}"'.encode() + seed_tail
+                 for p, bell in ((0, BellState.PHI_PLUS), (1, BellState.PHI_MINUS))]
+        # a winner's -1 picks the last label
+        pieces += [b',"g":[', (g_matrix, b",", bits + (b"null",)), (parity[:, None], b"", tails)]
+    for text in _format_int_rows(pieces):
+        stream.write(text.decode("ascii"))
 
 
 def bell_pair(sign: int) -> sv.StateVector:

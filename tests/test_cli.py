@@ -138,6 +138,11 @@ def test_contend_runs_checked_before_synthesis(tmp_path, capsys):
     assert "--runs" in capsys.readouterr().err
 
 
+def test_contend_out_is_directory(tmp_path, capsys):
+    assert main(["contend", "--n", "4", "--k", "2", "--runs", "5", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # ---------------------------------------------------------------- analytics
 
 def test_analytics_table_shows_success_value(capsys):
@@ -259,9 +264,11 @@ def test_reproduce_deterministic(tmp_path):
 
 @pytest.mark.parametrize("figure", ["fig8", "fig8l", "fig9", "fig10", "fig11"])
 def test_reproduce_zero_trials_is_usage_error(tmp_path, capsys, figure):
-    assert main(["reproduce", "--figure", figure, "--trials", "0",
-                 "--out-dir", str(tmp_path)]) == 2
-    assert "trials=0" in capsys.readouterr().err
+    for trials in ("0", "-1"):
+        assert main(["reproduce", "--figure", figure, "--trials", trials,
+                     "--out-dir", str(tmp_path)]) == 2
+        assert f"trials={trials}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # checked before any file is written
 
 
 def test_reproduce_unknown_figure():
@@ -335,6 +342,13 @@ def test_parse_sweep_config_units():
         parse_sweep_config("trials = [1, 2]\n")
     with pytest.raises(UsageError):
         parse_sweep_config("n 4\n")
+    with pytest.raises(UsageError, match="trials"):
+        parse_sweep_config("n = 4\nk = 1\nq_cr = 0.5\nq_e = 0\nM_cr = 2\nM_e = 2\ntrials = -3\n")
+
+
+def test_sweep_config_is_directory(tmp_path, capsys):
+    assert main(["sweep", "--config", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_out_dir_env_var(tmp_path, monkeypatch, capsys):

@@ -379,3 +379,31 @@ def test_format_codebook_csv():
     assert len(lines) == 7
     assert "1,1,0,1 2" in lines
     assert "0,0,1,3 4" in lines
+
+
+def per_entry_codebook_csv(circuit, spec):
+    """Reference: the word -> winners dict, sorted by word, one formatted line per entry."""
+    entries = {}
+    for winners in combinations(range(1, spec.n + 1), spec.k):
+        d = [1 if i in winners else 0 for i in range(1, spec.n + 1)]
+        entries[circuit.encode_word(d)] = winners
+    out = ",".join([f"a_{j}" for j in range(circuit.ell)] + ["winners"]) + "\n"
+    for word, winners in sorted(entries.items()):
+        out += ",".join(str(b) for b in word) + "," + " ".join(str(w) for w in winners) + "\n"
+    return entries, out
+
+
+@pytest.mark.parametrize("n,k,kind", [(10, 5, "linear"), (9, 3, "binary"), (70, 2, "linear"),
+                                      (2, 1, "linear")])
+def test_codebook_csv_matches_per_entry_loop(n, k, kind):
+    # (70,2) has ell = 69 > 64; (2,1) has ell = 1
+    spec = DickeSpec(n, k)
+    if kind == "linear":
+        circuit = build_linear_encoder(spec)
+    else:
+        circuit = build_binary_encoder(spec, np.random.default_rng(0))
+    codebook = verify_injectivity(circuit, spec)
+    entries, want = per_entry_codebook_csv(circuit, spec)
+    assert format_codebook_csv(codebook) == want
+    assert list(codebook) == sorted(entries.items())
+    assert codebook.entries == entries

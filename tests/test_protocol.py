@@ -330,9 +330,12 @@ def per_row_transcript(d_bits, a_bits, g_matrix, parity, seed):
     return "".join(lines)
 
 
-@pytest.mark.parametrize("n,k,runs", [(4, 2, 300), (5, 3, 300), (12, 2, 20_000), (11, 4, 500)])
+@pytest.mark.parametrize("n,k,runs", [(4, 2, 300), (5, 3, 300), (12, 2, 20_000), (11, 4, 500),
+                                      (120, 2, 300), (22, 11, 3000), (2, 1, 5)])
 def test_bulk_transcript_matches_per_row_dumps(n, k, runs):
-    # k=3 and k=4 have null g; n >= 10 has two-digit winners; 20k rows span two chunks
+    # k=3 and k=4 have null g; n >= 10 has two-digit winners, n=120 three-digit ones
+    # (and ell = 119); 20k rows span several chunks; at (22,11) nearly every row is
+    # distinct; (2,1) has one ancilla
     spec = DickeSpec(n, k)
     rng = np.random.default_rng(n + k)
     d_bits, a_bits = sample_contention_outcomes(spec, build_linear_encoder(spec), runs, rng)
