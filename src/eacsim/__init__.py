@@ -4,7 +4,8 @@ Subpackages:
 
 * ``statevector`` - minimal dense statevector simulator (H/X/Z/I, CNOT,
   measurement, joint probabilities, fidelity).
-* ``states`` - Dicke, W and GHZ resource states.
+* ``states`` - Dicke, W and GHZ resource states, and the order of the weight-k
+  slice.
 * ``encoder`` - linear and binary contention-resolution encoders as GF(2)
   maps realized by CNOT lists, plus codebooks and parity recovery.
 * ``protocol`` - end-to-end noise-free rounds: contention, EPR extraction
@@ -28,7 +29,7 @@ from .statevector import (
     outcome_probability,
     states_equal,
 )
-from .states import DickeSpec, dicke_state, ghz_state, per_node_win_probability
+from .states import DickeSpec, dicke_state, ghz_state
 from .encoder import (
     Codebook,
     EncoderCircuit,

@@ -155,8 +155,8 @@ def sample_winner_sets(n: int, k: int, trials: int, rng) -> np.ndarray:
     """(trials, k) node indices: uniform weight-k winner sets.
 
     Classical sampling of the contention outcome law (every k-subset equally
-    likely); cross-validated against the statevector path in the tests so
-    noise experiments can scale past the qubit cap.
+    likely); the tests check it and `protocol.sample_contention_outcomes`
+    against the same law.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")

@@ -13,7 +13,8 @@ header row and '.' decimals.  Exit codes: 0 success, 2 usage error or a path
 that cannot be read or written, 3 encoder synthesis failure, 4 capacity
 exceeded (``encode`` and ``contend`` refuse a weight-k slice whose C(n,k)
 outcomes and ancilla words would pass ``encoder.SLICE_BYTES_CAP``, 256
-MiB).  The environment variable EACSIM_OUT_DIR overrides the output directory.
+MiB; any command whose arrays cannot be allocated, e.g. 10**15 trials, exits
+4 too).  The environment variable EACSIM_OUT_DIR overrides the output directory.
 """
 from __future__ import annotations
 
@@ -32,8 +33,8 @@ from .encoder import (
     build_binary_encoder,
     build_linear_encoder,
     format_circuit,
-    format_codebook_csv,
     verify_injectivity,
+    write_codebook_csv,
 )
 from .statevector import CapacityError
 from .states import DickeSpec
@@ -88,7 +89,8 @@ def cmd_encode(args) -> int:
     circuit_path = out / f"encoder_{tag}.txt"
     codebook_path = out / f"codebook_{tag}.csv"
     circuit_path.write_text(format_circuit(circuit))
-    codebook_path.write_text(format_codebook_csv(codebook))
+    with open(codebook_path, "w", newline="\n") as fh:
+        write_codebook_csv(codebook, fh)
     print(f"encoder: {circuit_path}")
     print(f"codebook: {codebook_path} ({len(codebook.words)} words)")
     print(f"cnots: {len(circuit.cnots)} ell: {circuit.ell} seed: {args.seed}")
@@ -489,7 +491,7 @@ def main(argv=None) -> int:
         args.m_e = args.m_cr
     try:
         return args.func(args)
-    except CapacityError as exc:
+    except (CapacityError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except SynthesisFailed as exc:

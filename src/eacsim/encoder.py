@@ -8,8 +8,9 @@ design therefore reduces to finding G injective on the weight-k slice of
 {0,1}^n, which is what `outcome_table` certifies while it tabulates every
 outcome and word (the classical contention sampler draws from that table);
 the word -> winner-subset bijection is the codebook the orchestrator
-decodes (`verify_injectivity`, that table sorted by word).  The slice and
-word matrices take C(n,k)*(n+ell) bytes (CapacityError past SLICE_BYTES_CAP).
+decodes (`verify_injectivity`, that table sorted by word).  The table's rows
+follow the slice order of `states._slice_columns`; the slice and word
+matrices take C(n,k)*(n+ell) bytes (CapacityError past SLICE_BYTES_CAP).
 `_format_int_rows` writes the codebook CSV and transcripts via byte matrices.
 
 Two constructions are provided:
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import states
 from .statevector import CapacityError, StateVector, apply_cnot
 from .states import DickeSpec
 
@@ -143,13 +145,10 @@ def build_linear_encoder(spec: DickeSpec) -> EncoderCircuit:
 
 
 def _slice_columns(n: int, k: int, ell: int) -> list[np.ndarray]:
-    """Column of the i-th one (i = 1..k) of every weight-k outcome.
+    """`states._slice_columns`, once the slice and word matrices fit the cap.
 
-    Rows run in ascending basis-index order, the order of `weight_k_indices`:
-    row r is unranked in the combinatorial number system, whose rank order is
-    the numeric order of the bitmask.  Raises CapacityError before allocating
-    when the slice and word matrices, C(n,k)*(n+ell) bytes, would exceed
-    SLICE_BYTES_CAP.
+    Raises CapacityError before allocating when they, C(n,k)*(n+ell) bytes,
+    would exceed SLICE_BYTES_CAP (which also keeps n below 2^14).
     """
     total = math.comb(n, k)
     if total * (n + ell) > SLICE_BYTES_CAP:
@@ -157,20 +156,7 @@ def _slice_columns(n: int, k: int, ell: int) -> list[np.ndarray]:
             f"the weight-{k} slice of n={n} with ell={ell} needs {total * (n + ell)} bytes, "
             f"above the {SLICE_BYTES_CAP}-byte cap"
         )
-    # binomials[i][e] = C(e, i) for exponents e = 0..n-1, clipped at total
-    # (Pascal's rule stays exact under the clip, and no rank reaches total)
-    binomials = [np.ones(n, dtype=np.int64)]
-    for _ in range(k):
-        running = np.cumsum(binomials[-1])
-        binomials.append(np.minimum(np.concatenate(([0], running[:-1])), total))
-    ranks = np.arange(total, dtype=np.int64)
-    columns = []
-    for i in range(k, 0, -1):
-        exponent = np.searchsorted(binomials[i], ranks, side="right") - 1
-        ranks -= binomials[i][exponent]
-        # bit 2^e is data qubit n-e; n <= 2^14 whenever C(n,k)*n fits the cap
-        columns.append((n - 1 - exponent).astype(np.uint16))
-    return columns
+    return states._slice_columns(n, k)
 
 
 def _packed_words(g: np.ndarray, columns: list[np.ndarray]) -> np.ndarray:
@@ -391,9 +377,11 @@ def _format_int_rows(pieces) -> Iterator[bytes]:
         yield np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
 
 
-def format_codebook_csv(codebook: Codebook) -> str:
-    """Codebook as CSV: one column per ancilla bit, winners space-separated."""
-    header = ",".join([f"a_{j}" for j in range(codebook.ell)] + ["winners"]) + "\n"
+def write_codebook_csv(codebook: Codebook, stream) -> None:
+    """Codebook as CSV to an open text stream: one column per ancilla bit,
+    winners space-separated; written a chunk of about FORMAT_CHUNK_BYTES at a time."""
+    stream.write(",".join([f"a_{j}" for j in range(codebook.ell)] + ["winners"]) + "\n")
     body = _format_int_rows(
         [(codebook.words, b",", (b"0", b"1")), b",", (codebook.bits.view(bool), b" "), b"\n"])
-    return b"".join([header.encode(), *body]).decode("ascii")
+    for text in body:
+        stream.write(text.decode("ascii"))

@@ -21,15 +21,6 @@ class NonPositiveHorizon(ValueError):
     """The slot timeline leaves no room for even one distribution attempt."""
 
 
-def binom(n: int, k: int) -> float:
-    """Binomial coefficient, exact for small n, log-gamma for large."""
-    if k < 0 or k > n:
-        return 0.0
-    if n <= EXACT_BINOM_LIMIT:
-        return float(math.comb(n, k))
-    return math.exp(_log_binom(n, k))
-
-
 def _log_binom(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
@@ -41,7 +32,7 @@ def _binom_mass(n: int, j: int, p_fail: float) -> float:
     in log space, so it stays finite where C(n, j) alone overflows.
     """
     if n <= EXACT_BINOM_LIMIT:
-        return binom(n, j) * (1.0 - p_fail) ** j * p_fail ** (n - j)
+        return math.comb(n, j) * (1.0 - p_fail) ** j * p_fail ** (n - j)
     if p_fail == 0.0 or p_fail == 1.0:  # point mass at j = n or at j = 0
         return float(j == (n if p_fail == 0.0 else 0))
     return math.exp(_log_binom(n, j) + j * math.log1p(-p_fail) + (n - j) * math.log(p_fail))
@@ -169,7 +160,7 @@ def dicke_outcome_probability(n: int, k: int) -> tuple[float, float]:
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     if n <= EXACT_BINOM_LIMIT:
-        return 1.0 / binom(n, k), k / n
+        return 1.0 / math.comb(n, k), k / n
     return math.exp(-_log_binom(n, k)), k / n
 
 

@@ -243,27 +243,6 @@ def sample_loser_outcomes(n: int, d_matrix: np.ndarray, rng) -> tuple[np.ndarray
     return g, parity
 
 
-def transcript_record(
-    outcome: ContentionOutcome, views: list[NodeView], seed
-) -> dict:
-    """JSON-serializable record of one round for the run transcript."""
-    return {
-        "d_vector": list(outcome.d_vector),
-        "ancilla_word": list(outcome.ancilla_word) if outcome.ancilla_word is not None else None,
-        "winners": list(outcome.winners),
-        "g": [view.g for view in sorted(views, key=lambda v: v.node_id)],
-        "g_parity": outcome.g_parity,
-        "bell_state": outcome.bell_state.value if outcome.bell_state is not None else None,
-        "seed": seed,
-    }
-
-
-def write_transcript(records, stream) -> None:
-    """Emit one JSON object per line (JSON-lines) to an open text stream."""
-    for record in records:
-        stream.write(json.dumps(record, separators=(",", ":")) + "\n")
-
-
 def unique_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``np.unique(bits, axis=0, return_inverse=True, return_counts=True)`` for 0/1 rows.
 
@@ -284,7 +263,8 @@ def unique_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def write_transcript_arrays(d_bits, a_bits, g_matrix, parity, seed, stream) -> None:
     """Bulk JSON-lines transcript of sampled rounds to an open text stream.
 
-    Row r holds the keys of `transcript_record` in its order, written as
+    Row r holds the keys d_vector, ancilla_word, winners, g, g_parity,
+    bell_state and seed, in that order, written as
     ``json.dumps(..., separators=(",", ":"))`` writes them.  ``g_matrix``
     (-1 for winners) and ``parity`` come from `sample_loser_outcomes`; when
     they are None (k != 2), ``g``, ``g_parity`` and ``bell_state`` are null.

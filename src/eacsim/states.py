@@ -1,10 +1,11 @@
 """Entangled resource states: Dicke (including W) and GHZ.
 
 States are built by direct amplitude assignment rather than gate synthesis.
-The weight-k basis strings of a Dicke state are enumerated in lexicographic
-order of their big-endian bitstrings (i.e. ascending basis index); this fixes
-the index convention used by the binary contention-resolution encoder, and
-codebooks are always emitted explicitly so consumers never depend on it.
+The weight-k basis strings of a Dicke state are enumerated by one unranker,
+`_slice_columns`, in lexicographic order of their big-endian bitstrings (i.e.
+ascending basis index); this fixes the row order of the encoder's outcome
+tables and the index convention of the binary contention-resolution encoder,
+and codebooks are always emitted explicitly so consumers never depend on it.
 """
 from __future__ import annotations
 
@@ -34,30 +35,27 @@ class DickeSpec:
         return math.comb(self.n, self.k)
 
 
-def weight_k_indices(n: int, k: int) -> list[int]:
-    """Basis indices of all n-bit strings of Hamming weight k, ascending.
+def _slice_columns(n: int, k: int) -> list[np.ndarray]:
+    """Column of the i-th one (i = 1..k) of every n-bit string of weight k.
 
-    Ascending index order equals lexicographic order of the big-endian
-    bitstrings.  Uses Gosper's hack to step between same-weight integers.
+    Rows run in ascending basis-index order: row r is unranked in the
+    combinatorial number system, whose rank order is the numeric order of
+    the bitmask.  Columns are uint16, so n stays below 2^16.
     """
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    if k == 0:
-        return [0]
-    x = (1 << k) - 1
-    limit = 1 << n
-    out = []
-    while x < limit:
-        out.append(x)
-        u = x & -x
-        v = x + u
-        x = v | (((v ^ x) // u) >> 2)
-    return out
-
-
-def index_bits(index: int, n: int) -> tuple[int, ...]:
-    """Big-endian bit tuple (d_1, ..., d_n) of a basis index."""
-    return tuple((index >> (n - i)) & 1 for i in range(1, n + 1))
+    total = math.comb(n, k)
+    # binomials[i][e] = C(e, i) for exponents e = 0..n-1, clipped at total
+    # (Pascal's rule stays exact under the clip, and no rank reaches total)
+    binomials = [np.ones(n, dtype=np.int64)]
+    for _ in range(k):
+        running = np.cumsum(binomials[-1])
+        binomials.append(np.minimum(np.concatenate(([0], running[:-1])), total))
+    ranks = np.arange(total, dtype=np.int64)
+    columns = []
+    for i in range(k, 0, -1):
+        exponent = np.searchsorted(binomials[i], ranks, side="right") - 1
+        ranks -= binomials[i][exponent]
+        columns.append((n - 1 - exponent).astype(np.uint16))  # bit 2^e is column n-1-e
+    return columns
 
 
 def dicke_state(spec: DickeSpec) -> StateVector:
@@ -65,8 +63,8 @@ def dicke_state(spec: DickeSpec) -> StateVector:
     if spec.n > MAX_QUBITS:
         raise CapacityError(f"n={spec.n} exceeds the {MAX_QUBITS}-qubit cap")
     amps = np.zeros(2**spec.n, dtype=complex)
-    amp = 1.0 / math.sqrt(spec.num_outcomes)
-    amps[weight_k_indices(spec.n, spec.k)] = amp
+    support = sum(1 << (spec.n - 1 - col.astype(np.int64)) for col in _slice_columns(spec.n, spec.k))
+    amps[support] = 1.0 / math.sqrt(spec.num_outcomes)
     return StateVector(spec.n, amps)
 
 
@@ -79,8 +77,3 @@ def ghz_state(n: int) -> StateVector:
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
     return StateVector(n, amps)
-
-
-def per_node_win_probability(spec: DickeSpec) -> float:
-    """Probability that any given node reads outcome 1: C(n-1,k-1)/C(n,k) = k/n."""
-    return spec.k / spec.n

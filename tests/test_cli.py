@@ -143,6 +143,23 @@ def test_contend_out_is_directory(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["reproduce", "contend", "sweep"])
+def test_oversized_trial_count_is_capacity_exit(tmp_path, command):
+    # 10**15 trials ask numpy for petabytes, past the address space: refused before allocating
+    huge = str(10**15)
+    argv = {"reproduce": ["reproduce", "--figure", "fig9", "--trials", huge],
+            "contend": ["contend", "--n", "8", "--k", "2", "--runs", huge],
+            "sweep": ["sweep", "--config", str(tmp_path / "huge.cfg")]}[command]
+    (tmp_path / "huge.cfg").write_text(SWEEP_CFG.replace("trials = 4000", f"trials = {huge}"))
+    src = str(Path(eacsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-m", "eacsim.cli", *argv, "--out-dir", str(tmp_path)],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 4
+    assert out.stderr.startswith("error: ")
+    assert "Traceback" not in out.stderr
+
+
 # ---------------------------------------------------------------- analytics
 
 def test_analytics_table_shows_success_value(capsys):

@@ -1,9 +1,12 @@
 """Encoders: golden codebooks, injectivity, gate counts, emission formats."""
+import io
 import math
 from itertools import combinations
 
 import numpy as np
 import pytest
+
+from conftest import index_bits, weight_k_indices
 
 from eacsim import encoder as enc, statevector as sv
 from eacsim.encoder import (
@@ -19,12 +22,12 @@ from eacsim.encoder import (
     cnot_count_bound,
     decode,
     format_circuit,
-    format_codebook_csv,
     outcome_table,
     recover_last_bit_linear,
     verify_injectivity,
+    write_codebook_csv,
 )
-from eacsim.states import DickeSpec, dicke_state, index_bits, weight_k_indices
+from eacsim.states import DickeSpec, dicke_state
 
 # published measurement table for the linear encoder at n=4, k=2
 TABLE_4_2 = {
@@ -371,10 +374,16 @@ def test_format_circuit_text():
     assert lines[1:] == ["CNOT d1 a0", "CNOT d2 a1", "CNOT d3 a2"]
 
 
+def codebook_csv(codebook):
+    buf = io.StringIO()
+    write_codebook_csv(codebook, buf)
+    return buf.getvalue()
+
+
 def test_format_codebook_csv():
     spec = DickeSpec(4, 2)
     codebook = verify_injectivity(build_linear_encoder(spec), spec)
-    lines = format_codebook_csv(codebook).strip().splitlines()
+    lines = codebook_csv(codebook).strip().splitlines()
     assert lines[0] == "a_0,a_1,a_2,winners"
     assert len(lines) == 7
     assert "1,1,0,1 2" in lines
@@ -395,7 +404,7 @@ def per_entry_codebook_csv(circuit, spec):
 
 @pytest.mark.parametrize("n,k,kind", [(10, 5, "linear"), (9, 3, "binary"), (70, 2, "linear"),
                                       (2, 1, "linear")])
-def test_codebook_csv_matches_per_entry_loop(n, k, kind):
+def test_codebook_csv_matches_per_entry_loop(n, k, kind, monkeypatch):
     # (70,2) has ell = 69 > 64; (2,1) has ell = 1
     spec = DickeSpec(n, k)
     if kind == "linear":
@@ -404,6 +413,9 @@ def test_codebook_csv_matches_per_entry_loop(n, k, kind):
         circuit = build_binary_encoder(spec, np.random.default_rng(0))
     codebook = verify_injectivity(circuit, spec)
     entries, want = per_entry_codebook_csv(circuit, spec)
-    assert format_codebook_csv(codebook) == want
+    assert codebook_csv(codebook) == want
+    # 300-byte chunks hold one row or a few, so many chunks follow the header
+    monkeypatch.setattr(enc, "FORMAT_CHUNK_BYTES", 300)
+    assert codebook_csv(codebook) == want
     assert list(codebook) == sorted(entries.items())
     assert codebook.entries == entries

@@ -9,7 +9,6 @@ from eacsim.markov import (
     NonPositiveHorizon,
     absorbing_threshold,
     absorbing_threshold_worst_case,
-    binom,
     dicke_outcome_probability,
     indicator_pmf,
     state_prob,
@@ -243,12 +242,6 @@ def test_dicke_marginal_counting_identity():
         for i in range(n):
             total = sum(joint for c in combinations(range(n), k) if i in c)
             assert abs(total - marginal) < 1e-12
-
-
-def test_binom_exact_and_loggamma():
-    assert binom(24, 12) == math.comb(24, 12)
-    assert binom(100, 3) == pytest.approx(math.comb(100, 3), rel=1e-12)
-    assert binom(5, 7) == 0.0 and binom(5, -1) == 0.0
 
 
 def test_markov_validation_errors():

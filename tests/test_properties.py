@@ -1,7 +1,8 @@
-"""Property tests: the classical contention sampler and the bulk transcript (n <= 40),
-the confidence interval and the absorbing threshold."""
+"""Property tests: the weight-k slice unranker, the classical contention sampler and the
+bulk transcript (n <= 40), the confidence interval and the absorbing threshold."""
 import io
 import json
+import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -14,9 +15,24 @@ from eacsim.protocol import (
     sample_loser_outcomes,
     write_transcript_arrays,
 )
-from eacsim.states import DickeSpec
+from eacsim.states import DickeSpec, _slice_columns
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n)))
+       .filter(lambda nk: math.comb(*nk) <= 2 * 10**5))
+def test_slice_unranker_is_the_ascending_weight_k_slice(nk):
+    n, k = nk
+    columns = _slice_columns(n, k)
+    bits = np.zeros((math.comb(n, k), n), dtype=np.uint8)
+    for col in columns:
+        bits[np.arange(len(bits)), col] = 1
+    assert len(columns) == k and (bits.sum(axis=1) == k).all()
+    # packed big-endian bytes compare as the bitstrings do, also past 64 bits
+    rows = [row.tobytes() for row in np.packbits(bits, axis=1)]
+    assert all(a < b for a, b in zip(rows, rows[1:]))  # strictly ascending, hence distinct
 
 
 @st.composite

@@ -30,9 +30,7 @@ from eacsim.protocol import (
     run_round,
     sample_contention_outcomes,
     sample_loser_outcomes,
-    transcript_record,
     unique_rows,
-    write_transcript,
     write_transcript_arrays,
 )
 from eacsim.states import DickeSpec, dicke_state
@@ -292,6 +290,25 @@ def test_loser_parity_is_balanced():
 
 
 # ---------------------------------------------------------------- transcripts
+
+def transcript_record(outcome, views, seed):
+    """Reference: JSON-serializable record of one round, keys in transcript order."""
+    return {
+        "d_vector": list(outcome.d_vector),
+        "ancilla_word": list(outcome.ancilla_word) if outcome.ancilla_word is not None else None,
+        "winners": list(outcome.winners),
+        "g": [view.g for view in sorted(views, key=lambda v: v.node_id)],
+        "g_parity": outcome.g_parity,
+        "bell_state": outcome.bell_state.value if outcome.bell_state is not None else None,
+        "seed": seed,
+    }
+
+
+def write_transcript(records, stream):
+    """Reference: one JSON object per line (JSON-lines) to an open text stream."""
+    for record in records:
+        stream.write(json.dumps(record, separators=(",", ":")) + "\n")
+
 
 def test_transcript_round_trip():
     spec = DickeSpec(4, 2)

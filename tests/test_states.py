@@ -5,14 +5,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from eacsim.states import (
-    DickeSpec,
-    dicke_state,
-    ghz_state,
-    index_bits,
-    per_node_win_probability,
-    weight_k_indices,
-)
+from conftest import index_bits, weight_k_indices
+
+from eacsim.markov import dicke_outcome_probability
+from eacsim.states import DickeSpec, _slice_columns, dicke_state, ghz_state
 
 
 def test_dicke_4_2_support():
@@ -67,10 +63,10 @@ def test_uniform_joint_law(n, k):
 
 
 def test_per_node_win_probability():
-    assert per_node_win_probability(DickeSpec(4, 2)) == pytest.approx(0.5)
+    assert dicke_outcome_probability(4, 2)[1] == pytest.approx(0.5)
     for n in (3, 5, 9):
-        assert per_node_win_probability(DickeSpec(n, n - 1)) == pytest.approx((n - 1) / n)
-    assert per_node_win_probability(DickeSpec(10, 3)) == pytest.approx(0.3, abs=1e-12)
+        assert dicke_outcome_probability(n, n - 1)[1] == pytest.approx((n - 1) / n)
+    assert dicke_outcome_probability(10, 3)[1] == pytest.approx(0.3, abs=1e-12)
 
 
 def test_ghz_small():
@@ -100,6 +96,8 @@ def test_weight_k_enumeration_is_ascending():
     # lexicographic order of big-endian bitstrings == ascending integers
     strings = ["".join(map(str, index_bits(i, 5))) for i in idxs]
     assert strings == sorted(strings)
+    # the unranker walks the slice in the same order
+    assert list(sum(1 << (4 - col.astype(int)) for col in _slice_columns(5, 2))) == idxs
 
 
 def test_index_bits_round_trip():
