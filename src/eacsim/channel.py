@@ -156,7 +156,8 @@ def sample_winner_sets(n: int, k: int, trials: int, rng) -> np.ndarray:
 
     Classical sampling of the contention outcome law (every k-subset equally
     likely); the tests check it and `protocol.sample_contention_outcomes`
-    against the same law.
+    against the same law.  It argsorts, where unranking one double would
+    reach only 2^53 subsets, fewer than the C(60,30) a sweep may ask for.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")

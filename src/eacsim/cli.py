@@ -11,10 +11,12 @@ Conventions: output is deterministic for a given (command, flags, seed);
 the master seed defaults to 0 and is echoed in emitted metadata; CSV uses a
 header row and '.' decimals.  Exit codes: 0 success, 2 usage error or a path
 that cannot be read or written, 3 encoder synthesis failure, 4 capacity
-exceeded (``encode`` and ``contend`` refuse a weight-k slice whose C(n,k)
-outcomes and ancilla words would pass ``encoder.SLICE_BYTES_CAP``, 256
-MiB; any command whose arrays cannot be allocated, e.g. 10**15 trials, exits
-4 too).  The environment variable EACSIM_OUT_DIR overrides the output directory.
+exceeded (``encode`` refuses a weight-k slice whose C(n,k) outcomes and
+ancilla words would pass ``encoder.SLICE_BYTES_CAP``, 256 MiB; ``contend``
+builds no such table and refuses C(n,k) > 2**53 or an ell x n encoder
+matrix past that cap; any command whose arrays cannot be allocated, e.g.
+10**15 trials, exits 4 too).  The environment variable EACSIM_OUT_DIR
+overrides the output directory.
 """
 from __future__ import annotations
 
@@ -203,20 +205,15 @@ def _mc_row(prefix: tuple, estimate: float, trials: int, seed: int) -> tuple:
     return prefix + (estimate, lo, hi, trials, seed)
 
 
-def _reproduce_fig8(out: Path, trials: int, seed: int) -> list[Path]:
+def _reproduce_fig8(trials: int, seed: int) -> list[tuple]:
     rows = [
         (m, n, q, markov.state_prob(n, n, q, m), markov.state_prob(n, n, q, 1))
         for m in FIG8_M for n in FIG8_N for q in FIG8_Q
     ]
-    p_curves = out / "fig8.csv"
-    _write_csv(p_curves, ("M", "n", "q", "p_full", "p_one_shot"), rows)
-
     thr_rows = [
         (m, DEFAULT_EPSILON, max(FIG8_N), markov.absorbing_threshold_worst_case(FIG8_N, m))
         for m in FIG8_M
     ]
-    p_thr = out / "fig8_thresholds.csv"
-    _write_csv(p_thr, ("M", "epsilon", "n", "q_bar"), thr_rows)
 
     rng = make_rng(seed)
     mc_rows = []
@@ -225,37 +222,32 @@ def _reproduce_fig8(out: Path, trials: int, seed: int) -> list[Path]:
             for q in FIG8_MC_Q:
                 hist = channel.empirical_state_distribution(n, q, m, trials, rng)
                 mc_rows.append(_mc_row((m, n, q), float(hist[n]), trials, seed))
-    p_mc = out / "fig8_mc.csv"
-    _write_csv(p_mc, ("M", "n", "q", "estimate", "ci_low", "ci_high", "trials", "seed"), mc_rows)
-    return [p_curves, p_thr, p_mc]
+    return [("fig8.csv", ("M", "n", "q", "p_full", "p_one_shot"), rows),
+            ("fig8_thresholds.csv", ("M", "epsilon", "n", "q_bar"), thr_rows),
+            ("fig8_mc.csv", ("M", "n", "q", "estimate", "ci_low", "ci_high", "trials", "seed"),
+             mc_rows)]
 
 
-def _reproduce_fig8l(out: Path, trials: int, seed: int) -> list[Path]:
+def _reproduce_fig8l(trials: int, seed: int) -> list[tuple]:
     n = 10
     rows = [
         (n, q, m, markov.state_prob(n, n, q, m))
         for q in FIG8L_Q for m in range(1, FIG8L_M_MAX + 1)
     ]
-    p_curves = out / "fig8l.csv"
-    _write_csv(p_curves, ("n", "q", "m", "p_full"), rows)
-
     rng = make_rng(seed)
     mc_rows = []
     for q in (0.2, 0.4):
         traj = channel.empirical_full_connection_by_slot(n, q, FIG8L_M_MAX, trials, rng)
         for m in range(1, FIG8L_M_MAX + 1):
             mc_rows.append(_mc_row((n, q, m), float(traj[m - 1]), trials, seed))
-    p_mc = out / "fig8l_mc.csv"
-    _write_csv(p_mc, ("n", "q", "m", "estimate", "ci_low", "ci_high", "trials", "seed"), mc_rows)
-    return [p_curves, p_mc]
+    return [("fig8l.csv", ("n", "q", "m", "p_full"), rows),
+            ("fig8l_mc.csv", ("n", "q", "m", "estimate", "ci_low", "ci_high", "trials", "seed"),
+             mc_rows)]
 
 
-def _reproduce_fig9(out: Path, trials: int, seed: int) -> list[Path]:
+def _reproduce_fig9(trials: int, seed: int) -> list[tuple]:
     n, m = 10, 3
     rows = [(n, m, q, k, markov.success_prob(k, q, m)) for q in FIG9_Q for k in range(1, n + 1)]
-    p_curves = out / "fig9.csv"
-    _write_csv(p_curves, ("n", "M", "q", "k", "p_s"), rows)
-
     rng = make_rng(seed)
     mc_rows = []
     for q in FIG9_Q:
@@ -263,20 +255,17 @@ def _reproduce_fig9(out: Path, trials: int, seed: int) -> list[Path]:
             params = ChannelParams(q_cr=q, q_e=0.0, M_cr=m, M_e=m)
             est = channel.empirical_contention_success(n, k, params, trials, rng)
             mc_rows.append(_mc_row((n, m, q, k), est, trials, seed))
-    p_mc = out / "fig9_mc.csv"
-    _write_csv(p_mc, ("n", "M", "q", "k", "estimate", "ci_low", "ci_high", "trials", "seed"), mc_rows)
-    return [p_curves, p_mc]
+    return [("fig9.csv", ("n", "M", "q", "k", "p_s"), rows),
+            ("fig9_mc.csv", ("n", "M", "q", "k", "estimate", "ci_low", "ci_high", "trials", "seed"),
+             mc_rows)]
 
 
-def _reproduce_fig10(out: Path, trials: int, seed: int) -> list[Path]:
+def _reproduce_fig10(trials: int, seed: int) -> list[tuple]:
     m = 3
     rows = [
         (m, n, q, j, markov.state_prob(n, j, q, m))
         for n in FIG10_N for q in FIG10_Q for j in range(n + 1)
     ]
-    p_curves = out / "fig10.csv"
-    _write_csv(p_curves, ("M", "n", "q", "j", "p_state"), rows)
-
     rng = make_rng(seed)
     mc_rows = []
     for n in (5, 10):
@@ -284,12 +273,12 @@ def _reproduce_fig10(out: Path, trials: int, seed: int) -> list[Path]:
             hist = channel.empirical_state_distribution(n, q, m, trials, rng)
             for j in range(n + 1):
                 mc_rows.append(_mc_row((m, n, q, j), float(hist[j]), trials, seed))
-    p_mc = out / "fig10_mc.csv"
-    _write_csv(p_mc, ("M", "n", "q", "j", "estimate", "ci_low", "ci_high", "trials", "seed"), mc_rows)
-    return [p_curves, p_mc]
+    return [("fig10.csv", ("M", "n", "q", "j", "p_state"), rows),
+            ("fig10_mc.csv", ("M", "n", "q", "j", "estimate", "ci_low", "ci_high", "trials", "seed"),
+             mc_rows)]
 
 
-def _reproduce_fig11(out: Path, trials: int, seed: int) -> list[Path]:
+def _reproduce_fig11(trials: int, seed: int) -> list[tuple]:
     n = 8
     rows = []
     for m in (3, 10):
@@ -298,9 +287,6 @@ def _reproduce_fig11(out: Path, trials: int, seed: int) -> list[Path]:
                 params = ChannelParams(q_cr=q_cr, q_e=q_e, M_cr=m, M_e=m)
                 for k in range(1, n + 1):
                     rows.append((n, m, q_cr, q_e, k, markov.success_prob_fully_noisy(k, params)))
-    p_curves = out / "fig11.csv"
-    _write_csv(p_curves, ("n", "M", "q_cr", "q_e", "k", "p_s"), rows)
-
     rng = make_rng(seed)
     mc_rows = []
     for m in (3, 10):
@@ -310,13 +296,9 @@ def _reproduce_fig11(out: Path, trials: int, seed: int) -> list[Path]:
                 for k in (2, 4, 6, 8):
                     est = channel.empirical_contention_success(n, k, params, trials, rng)
                     mc_rows.append(_mc_row((n, m, q_cr, q_e, k), est, trials, seed))
-    p_mc = out / "fig11_mc.csv"
-    _write_csv(
-        p_mc,
-        ("n", "M", "q_cr", "q_e", "k", "estimate", "ci_low", "ci_high", "trials", "seed"),
-        mc_rows,
-    )
-    return [p_curves, p_mc]
+    return [("fig11.csv", ("n", "M", "q_cr", "q_e", "k", "p_s"), rows),
+            ("fig11_mc.csv", ("n", "M", "q_cr", "q_e", "k", "estimate", "ci_low", "ci_high",
+                              "trials", "seed"), mc_rows)]
 
 
 _FIGURES = {
@@ -332,9 +314,10 @@ def cmd_reproduce(args) -> int:
     if args.trials < 1:
         raise UsageError(f"trials={args.trials} must be >= 1")
     out = _out_dir(args)
-    paths = _FIGURES[args.figure](out, args.trials, args.seed)
-    for path in paths:
-        print(f"wrote {path}")
+    # every table is computed before any is written, so a failed run leaves no file
+    for name, header, rows in _FIGURES[args.figure](args.trials, args.seed):
+        _write_csv(out / name, header, rows)
+        print(f"wrote {out / name}")
     return 0
 
 

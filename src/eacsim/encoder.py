@@ -6,12 +6,13 @@ CNOT(data qubit i -> ancilla j), the ancilla word read out after the
 encoder is a = G.d mod 2, where d is the data measurement outcome.  Encoder
 design therefore reduces to finding G injective on the weight-k slice of
 {0,1}^n, which is what `outcome_table` certifies while it tabulates every
-outcome and word (the classical contention sampler draws from that table);
-the word -> winner-subset bijection is the codebook the orchestrator
-decodes (`verify_injectivity`, that table sorted by word).  The table's rows
-follow the slice order of `states._slice_columns`; the slice and word
-matrices take C(n,k)*(n+ell) bytes (CapacityError past SLICE_BYTES_CAP).
-`_format_int_rows` writes the codebook CSV and transcripts via byte matrices.
+outcome and word; the word -> winner-subset bijection is the codebook the
+orchestrator decodes (`verify_injectivity`, that table sorted by word).  The
+table's rows follow the slice order of `states._slice_columns`; the slice
+and word matrices take C(n,k)*(n+ell) bytes (CapacityError past
+SLICE_BYTES_CAP).  `_outcome_rows` builds the rows and words of the table
+and of the classical contention sampler's draws alike.  `_format_int_rows`
+writes the codebook CSV and transcripts via byte matrices.
 
 Two constructions are provided:
 
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import states
-from .statevector import CapacityError, StateVector, apply_cnot
+from .statevector import MAX_QUBITS, CapacityError, StateVector, apply_cnot
 from .states import DickeSpec
 
 SEARCH_BUDGET = 10_000  # candidate matrices tried per ell before giving up
@@ -42,9 +43,9 @@ FORMAT_CHUNK_BYTES = 1 << 20  # text formatted at a time; bounds the memory held
 class SynthesisFailed(Exception):
     """No injective matrix found at the target ancilla count.
 
-    ``best_ell`` is the smallest ancilla count above the target known to admit
-    an injective map: either the escalated search succeeded there, or it is
-    n-1, where the linear construction always works.
+    ``best_ell`` is the first count above the target where the escalated random
+    search found an injective map, or n-1, where the linear construction always
+    works: an upper bound on the smallest workable count, not a proof of it.
     """
 
     def __init__(self, target_ell: int, best_ell: int):
@@ -52,7 +53,7 @@ class SynthesisFailed(Exception):
         self.best_ell = best_ell
         super().__init__(
             f"no injective encoder found with ell={target_ell} "
-            f"within {SEARCH_BUDGET} candidates; smallest workable ell={best_ell}"
+            f"within {SEARCH_BUDGET} candidates; the search found ell={best_ell} workable"
         )
 
 
@@ -148,7 +149,7 @@ def _slice_columns(n: int, k: int, ell: int) -> list[np.ndarray]:
     """`states._slice_columns`, once the slice and word matrices fit the cap.
 
     Raises CapacityError before allocating when they, C(n,k)*(n+ell) bytes,
-    would exceed SLICE_BYTES_CAP (which also keeps n below 2^14).
+    would exceed SLICE_BYTES_CAP.
     """
     total = math.comb(n, k)
     if total * (n + ell) > SLICE_BYTES_CAP:
@@ -170,6 +171,15 @@ def _packed_words(g: np.ndarray, columns: list[np.ndarray]) -> np.ndarray:
     for col in columns[1:]:
         words ^= rows[col]
     return words
+
+
+def _outcome_rows(circuit: EncoderCircuit, columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Data bits d (uint8) and packed words G.d mod 2 of the outcomes `states._slice_columns` gave."""
+    bits = np.zeros((len(columns[0]), circuit.n), dtype=np.uint8)
+    rows = np.arange(len(bits))
+    for col in columns:
+        bits[rows, col] = 1
+    return bits, _packed_words(circuit.matrix(), columns)
 
 
 def _first_collision(words: np.ndarray) -> tuple[int, int] | None:
@@ -254,12 +264,7 @@ def outcome_table(circuit: EncoderCircuit, spec: DickeSpec) -> tuple[np.ndarray,
     """
     if circuit.n != spec.n:
         raise ValueError(f"circuit built for n={circuit.n}, spec has n={spec.n}")
-    columns = _slice_columns(spec.n, spec.k, circuit.ell)
-    bits = np.zeros((spec.num_outcomes, spec.n), dtype=np.uint8)
-    rows = np.arange(spec.num_outcomes)
-    for col in columns:
-        bits[rows, col] = 1
-    packed = _packed_words(circuit.matrix(), columns)
+    bits, packed = _outcome_rows(circuit, _slice_columns(spec.n, spec.k, circuit.ell))
     collision = _first_collision(packed)
     if collision is not None:
         i, j = collision
@@ -325,10 +330,11 @@ def apply_encoder(dicke: StateVector, circuit: EncoderCircuit) -> StateVector:
     if dicke.num_qubits != circuit.n:
         raise ValueError(f"state has {dicke.num_qubits} qubits, circuit expects {circuit.n}")
     total = circuit.n + circuit.ell
+    if total > MAX_QUBITS:  # before allocating the 2^(n+ell) amplitudes
+        raise CapacityError(f"n + ell = {total} exceeds the {MAX_QUBITS}-qubit cap")
     amps = np.zeros(2**total, dtype=complex)
-    amps[np.flatnonzero(dicke.amplitudes) << circuit.ell] = dicke.amplitudes[
-        np.flatnonzero(dicke.amplitudes)
-    ]
+    support = np.flatnonzero(dicke.amplitudes)
+    amps[support << circuit.ell] = dicke.amplitudes[support]
     state = StateVector(total, amps)
     for control, target in circuit.cnots:
         state = apply_cnot(state, control, circuit.n + 1 + target)

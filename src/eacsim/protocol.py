@@ -14,21 +14,21 @@ dense statevector simulator (n + ell <= 24 qubits); they are the quantum
 reference.  `sample_contention_outcomes` and `sample_loser_outcomes` sample
 the same laws classically, since every readout is in the computational
 basis (after the losers' Hadamards) and CNOTs only permute basis states;
-`cli contend` uses them and the byte-matrix writer `write_transcript_arrays`.
+the contention sampler unranks only the weight-k strings it draws.  `cli
+contend` uses both and the byte-matrix writer `write_transcript_arrays`.
 """
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import statevector as sv
-from .encoder import (EncoderCircuit, _format_int_rows, apply_encoder, decode, outcome_table,
-                      verify_injectivity)
-from .states import DickeSpec, dicke_state, ghz_state
+from .encoder import (SLICE_BYTES_CAP, EncoderCircuit, _format_int_rows, _outcome_rows,
+                      apply_encoder, decode, verify_injectivity)
+from .states import DickeSpec, _slice_columns, dicke_state, ghz_state
 
 
 class WrongWinnerCount(ValueError):
@@ -214,19 +214,26 @@ def sample_contention_outcomes(
     Every measurement is in the computational basis and the encoder only
     permutes basis states, so a round's (d, a) outcome is one of the C(n,k)
     weight-k strings d, each with Born weight 1/C(n,k), and a = G.d mod 2.
-    The draw is the dense path's inverse-CDF draw over 2^(n+ell) amplitudes
-    restricted to its nonzero entries: it consumes the same ``runs``
-    doubles from ``rng`` and returns the same outcomes.  Returns (runs x n)
-    data bits and (runs x ell) ancilla bits, both uint8.  Raises
-    NotInjective for an encoder that is not injective on the slice, and
-    CapacityError past `encoder.SLICE_BYTES_CAP`.
+    Round r takes the string of rank floor(U_r * C(n,k)), U_r the r-th of
+    ``runs`` doubles from ``rng``, and unranks only it: no C(n,k)-row table,
+    memory grows with ``runs``.  That is the dense path's inverse-CDF draw,
+    which rounds its cumulative sum, so rare draws differ for large C(n,k).
+    Returns (runs x n) data bits and (runs x ell) ancilla bits, both uint8;
+    injectivity is `verify_injectivity`'s to check.  Raises CapacityError
+    before allocating past 2^53 outcomes (the ranks one double can address)
+    or an ell x n encoder matrix past `encoder.SLICE_BYTES_CAP` bytes.
     """
-    d_slice, words = outcome_table(encoder, spec)
-    amplitudes = np.full(len(d_slice), 1.0 / math.sqrt(len(d_slice)), dtype=complex)
-    probs = np.abs(amplitudes) ** 2
-    probs /= probs.sum()
-    picks = rng.choice(len(probs), size=runs, p=probs)
-    return d_slice[picks], words[picks]
+    if encoder.n != spec.n:
+        raise ValueError(f"encoder built for n={encoder.n}, spec has n={spec.n}")
+    if spec.num_outcomes > 2**53:
+        raise sv.CapacityError(f"C({spec.n},{spec.k}) = {spec.num_outcomes} outcomes exceed the "
+                               "2^53 ranks one double can address")
+    if encoder.ell * spec.n > SLICE_BYTES_CAP:
+        raise sv.CapacityError(f"the {encoder.ell} x {spec.n} encoder matrix needs "
+                               f"{encoder.ell * spec.n} bytes, above the {SLICE_BYTES_CAP}-byte cap")
+    ranks = (rng.random(runs) * spec.num_outcomes).astype(np.int64)
+    bits, packed = _outcome_rows(encoder, _slice_columns(spec.n, spec.k, ranks))
+    return bits, np.unpackbits(packed.view(np.uint8), axis=1, count=encoder.ell)
 
 
 def sample_loser_outcomes(n: int, d_matrix: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:

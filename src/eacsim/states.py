@@ -4,8 +4,8 @@ States are built by direct amplitude assignment rather than gate synthesis.
 The weight-k basis strings of a Dicke state are enumerated by one unranker,
 `_slice_columns`, in lexicographic order of their big-endian bitstrings (i.e.
 ascending basis index); this fixes the row order of the encoder's outcome
-tables and the index convention of the binary contention-resolution encoder,
-and codebooks are always emitted explicitly so consumers never depend on it.
+tables, what a contention draw's rank names, and the binary encoder's index
+convention; codebooks are emitted explicitly so consumers never depend on it.
 """
 from __future__ import annotations
 
@@ -35,26 +35,26 @@ class DickeSpec:
         return math.comb(self.n, self.k)
 
 
-def _slice_columns(n: int, k: int) -> list[np.ndarray]:
-    """Column of the i-th one (i = 1..k) of every n-bit string of weight k.
+def _slice_columns(n: int, k: int, ranks: np.ndarray | None = None) -> list[np.ndarray]:
+    """Column of the i-th one (i = 1..k) of the n-bit strings of weight k at ``ranks``.
 
-    Rows run in ascending basis-index order: row r is unranked in the
-    combinatorial number system, whose rank order is the numeric order of
-    the bitmask.  Columns are uint16, so n stays below 2^16.
+    Rank r is the r-th string in ascending basis-index order: it is unranked
+    in the combinatorial number system, whose rank order is the numeric
+    order of the bitmask.  ``ranks`` (int64, each below C(n,k)) defaults to
+    every rank in turn.  Columns take the smallest unsigned dtype holding n-1.
     """
-    total = math.comb(n, k)
-    # binomials[i][e] = C(e, i) for exponents e = 0..n-1, clipped at total
-    # (Pascal's rule stays exact under the clip, and no rank reaches total)
-    binomials = [np.ones(n, dtype=np.int64)]
-    for _ in range(k):
-        running = np.cumsum(binomials[-1])
-        binomials.append(np.minimum(np.concatenate(([0], running[:-1])), total))
-    ranks = np.arange(total, dtype=np.int64)
+    # the i-th one from the right sits at an exponent e in i-1..n-k+i-1, where
+    # binomials[i-1][e-i+1] = C(e, i) (hockey-stick rule), all below C(n,k)
+    binomials = [np.arange(n - k + 1, dtype=np.int64)]
+    for _ in range(k - 1):
+        binomials.append(np.cumsum(binomials[-1]))
+    ranks = (np.arange(math.comb(n, k), dtype=np.int64) if ranks is None
+             else ranks.astype(np.int64))  # a copy: reduced in place below
     columns = []
     for i in range(k, 0, -1):
-        exponent = np.searchsorted(binomials[i], ranks, side="right") - 1
-        ranks -= binomials[i][exponent]
-        columns.append((n - 1 - exponent).astype(np.uint16))  # bit 2^e is column n-1-e
+        offset = np.searchsorted(binomials[i - 1], ranks, side="right") - 1
+        ranks -= binomials[i - 1][offset]
+        columns.append((n - i - offset).astype(np.min_scalar_type(n - 1)))  # bit 2^e is column n-1-e
     return columns
 
 

@@ -111,8 +111,8 @@ def test_contend_summary_rates(tmp_path, capsys):
 
 
 def test_contend_capacity_exit(tmp_path):
-    # C(40,20) * (40 + 39) bytes of slice and words exceed the 256 MiB cap
-    assert main(["contend", "--n", "40", "--k", "20", "--runs", "1",
+    # C(57,28) > 2^53, the ranks one double can address: the first such case at k = n/2
+    assert main(["contend", "--n", "57", "--k", "28", "--runs", "1",
                  "--out", str(tmp_path / "t.jsonl")]) == 4
 
 
@@ -129,6 +129,19 @@ def test_contend_past_dense_register(tmp_path):
         d = record["d_vector"]
         assert sum(d) == 2
         assert record["ancilla_word"] == d[:12]  # linear encoder: a_i = d_{i+1}
+
+
+@pytest.mark.parametrize("n,k", [(40, 20), (56, 28)])
+def test_contend_without_slice_table(tmp_path, n, k):
+    # C(40,20) * (40 + 39) bytes of slice and words exceed the 256 MiB cap, and C(56,28)
+    # is just below 2^53: contend unranks only the rows it draws
+    out = tmp_path / "t.jsonl"
+    assert main(["contend", "--n", str(n), "--k", str(k), "--runs", "200", "--out", str(out)]) == 0
+    for line in out.read_text().splitlines():
+        record = json.loads(line)
+        d = record["d_vector"]
+        assert len(d) == n and sum(d) == k
+        assert record["ancilla_word"] == d[: n - 1]  # linear encoder: a_i = d_{i+1}
 
 
 def test_contend_runs_checked_before_synthesis(tmp_path, capsys):
@@ -158,6 +171,7 @@ def test_oversized_trial_count_is_capacity_exit(tmp_path, command):
     assert out.returncode == 4
     assert out.stderr.startswith("error: ")
     assert "Traceback" not in out.stderr
+    assert [path.name for path in tmp_path.iterdir()] == ["huge.cfg"]  # e.g. no fig9*.csv
 
 
 # ---------------------------------------------------------------- analytics

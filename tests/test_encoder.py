@@ -346,9 +346,11 @@ def test_orthogonality_iff_injectivity():
 
 
 def test_apply_encoder_capacity():
-    spec = DickeSpec(13, 2)
-    with pytest.raises(sv.CapacityError):
-        apply_encoder(dicke_state(spec), build_linear_encoder(spec))
+    # (20,2) would need 2^39 amplitudes (8 TiB): refused before allocating
+    for n in (13, 20):
+        spec = DickeSpec(n, 2)
+        with pytest.raises(sv.CapacityError):
+            apply_encoder(dicke_state(spec), build_linear_encoder(spec))
 
 
 # ---------------------------------------------------------------- structure & emission

@@ -1,14 +1,15 @@
-"""Property tests: the weight-k slice unranker, the classical contention sampler and the
-bulk transcript (n <= 40), the confidence interval and the absorbing threshold."""
+"""Property tests: the weight-k slice unranker, the classical contention sampler (up to
+C(n,k) = 2^53) and the bulk transcript (n <= 40), the confidence interval and the
+absorbing threshold."""
 import io
 import json
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eacsim.channel import normal_ci
-from eacsim.encoder import build_binary_encoder, build_linear_encoder
+from eacsim.encoder import EncoderCircuit, build_binary_encoder, build_linear_encoder
 from eacsim.markov import absorbing_threshold, state_prob
 from eacsim.protocol import (
     sample_contention_outcomes,
@@ -33,6 +34,36 @@ def test_slice_unranker_is_the_ascending_weight_k_slice(nk):
     # packed big-endian bytes compare as the bitstrings do, also past 64 bits
     rows = [row.tobytes() for row in np.packbits(bits, axis=1)]
     assert all(a < b for a, b in zip(rows, rows[1:]))  # strictly ascending, hence distinct
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n)))
+       .filter(lambda nk: math.comb(*nk) <= 2 * 10**5), st.data())
+def test_slice_unranker_at_ranks_is_the_full_enumeration_there(nk, data):
+    n, k = nk
+    rank = st.integers(0, math.comb(n, k) - 1)
+    ranks = np.array(data.draw(st.lists(rank, min_size=1, max_size=200)), dtype=np.int64)
+    drawn = ranks.copy()
+    for got, want in zip(_slice_columns(n, k, ranks), _slice_columns(n, k), strict=True):
+        np.testing.assert_array_equal(got, want[ranks])
+    np.testing.assert_array_equal(ranks, drawn)  # the caller's ranks are not consumed
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(2, 62).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1)))
+       .filter(lambda nk: math.comb(*nk) <= 2**53),
+       st.integers(1, 70), st.integers(1, 300), st.integers(0, 2**32))
+@example((56, 28), 65, 300, 0)  # C(56,28) is just below 2^53; 65 ancillas span two words
+def test_sampled_rows_past_the_slice_table_have_weight_k_and_word_g_d(nk, ell, runs, seed):
+    # a random G, injective or not: the sampler draws (d, G.d) without tabulating the slice
+    n, k = nk
+    rng = np.random.default_rng(seed)
+    g = rng.integers(0, 2, size=(ell, n))
+    cnots = tuple((i + 1, j) for j in range(ell) for i in range(n) if g[j, i])
+    encoder = EncoderCircuit(n=n, k=k, ell=ell, cnots=cnots, kind="binary")
+    d_bits, a_bits = sample_contention_outcomes(DickeSpec(n, k), encoder, runs, rng)
+    assert d_bits.shape == (runs, n) and (d_bits.sum(axis=1) == k).all()
+    np.testing.assert_array_equal(a_bits, (d_bits.astype(np.int64) @ g.T) % 2)
 
 
 @st.composite

@@ -213,6 +213,12 @@ def test_batch_sampler_agrees_with_single_runs():
         assert abs(count / single_runs - 1 / 6) < 4 * sigma_single
 
 
+def test_batch_sampler_rejects_encoder_for_another_n():
+    encoder = build_linear_encoder(DickeSpec(5, 2))
+    with pytest.raises(ValueError, match="n=5"):
+        sample_contention_outcomes(DickeSpec(4, 2), encoder, 10, np.random.default_rng(0))
+
+
 def dense_born_sampler(spec, encoder, runs, rng):
     """Reference: one categorical draw over the 2^(n+ell) amplitudes per round."""
     state = apply_encoder(dicke_state(spec), encoder)
