@@ -9,14 +9,14 @@ the closed-form quantities, ``reproduce`` regenerates the figure datasets
 
 Conventions: output is deterministic for a given (command, flags, seed);
 the master seed defaults to 0 and is echoed in emitted metadata; CSV uses a
-header row and '.' decimals.  Exit codes: 0 success, 2 usage error or a path
-that cannot be read or written, 3 encoder synthesis failure, 4 capacity
-exceeded (``encode`` refuses a weight-k slice whose C(n,k) outcomes and
-ancilla words would pass ``encoder.SLICE_BYTES_CAP``, 256 MiB; ``contend``
-builds no such table and refuses C(n,k) > 2**53 or an ell x n encoder
-matrix past that cap; any command whose arrays cannot be allocated, e.g.
-10**15 trials, exits 4 too).  The environment variable EACSIM_OUT_DIR
-overrides the output directory.
+header row and '.' decimals.  Exit codes: 0 success, 2 usage error, a path
+that cannot be read or written or a stdout its reader closed, 3 encoder
+synthesis failure, 4 capacity exceeded (``encode`` refuses a weight-k slice
+whose C(n,k) outcomes and ancilla words would pass
+``encoder.SLICE_BYTES_CAP``, 256 MiB; ``contend`` builds no such table and
+refuses C(n,k) > 2**53 or an ell x n encoder matrix past that cap; any
+command whose arrays cannot be allocated, e.g. 10**15 trials, exits 4
+too).  The environment variable EACSIM_OUT_DIR overrides the output directory.
 """
 from __future__ import annotations
 
@@ -71,10 +71,10 @@ def _write_csv(path: Path, header, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _build_encoder(spec: DickeSpec, kind: str, seed: int, ell: int | None):
+def _build_encoder(spec: DickeSpec, kind: str, ell: int | None):
     if kind == "linear":
         return build_linear_encoder(spec)
-    return build_binary_encoder(spec, make_rng(seed), ell=ell)
+    return build_binary_encoder(spec, ell=ell)
 
 
 # ---------------------------------------------------------------- encode
@@ -84,7 +84,7 @@ def cmd_encode(args) -> int:
         spec = DickeSpec(args.n, args.k)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    circuit = _build_encoder(spec, args.kind, args.seed, args.ell)
+    circuit = _build_encoder(spec, args.kind, args.ell)
     codebook = verify_injectivity(circuit, spec)
     out = _out_dir(args)
     tag = f"{args.kind}_n{args.n}_k{args.k}"
@@ -108,7 +108,7 @@ def cmd_contend(args) -> int:
         raise UsageError(str(exc)) from None
     if args.runs < 1:
         raise UsageError(f"--runs must be >= 1, got {args.runs}")
-    circuit = _build_encoder(spec, args.kind, args.seed, None)
+    circuit = _build_encoder(spec, args.kind, None)
     rng = make_rng(args.seed)
     d_bits, a_bits = protocol.sample_contention_outcomes(spec, circuit, args.runs, rng)
     if spec.k == 2:
@@ -425,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--kind", choices=("linear", "binary"), default="linear")
     p.add_argument("--ell", type=int, default=None, help="override the binary ancilla count")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="echoed; circuits ignore it")
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_encode)
 
@@ -473,7 +473,12 @@ def main(argv=None) -> int:
     if args.command == "analytics" and args.m_e is None:
         args.m_e = args.m_cr
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # quiet flush at exit
+        return 2
     except (CapacityError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -18,9 +18,9 @@ Two constructions are provided:
 
 * linear: ell = n-1 ancillas, one CNOT each, a_i = d_{i+1}; always injective.
   The missing last bit is recoverable from the word's parity.
-* binary: ell = ceil(log2 C(n,k)) ancillas.  For k = 1 the map is the
-  deterministic "write the winner index in binary" circuit; for k > 1 a
-  seeded random search looks for an injective matrix at the target width.
+* binary: ell = ceil(log2 C(n,k)) ancillas where a code allows it.  G's
+  columns are the parity checks of a length-(n-1) code of distance 2t+1,
+  t = min(k, n-k), built greedily and without a seed (`_greedy_columns`).
 """
 from __future__ import annotations
 
@@ -35,26 +35,19 @@ from . import states
 from .statevector import MAX_QUBITS, CapacityError, StateVector, apply_cnot
 from .states import DickeSpec
 
-SEARCH_BUDGET = 10_000  # candidate matrices tried per ell before giving up
 SLICE_BYTES_CAP = 256 * 2**20  # slice + word matrices; the dense cap's 2^24 x 16 B
 FORMAT_CHUNK_BYTES = 1 << 20  # text formatted at a time; bounds the memory held at once
 
 
 class SynthesisFailed(Exception):
-    """No injective matrix found at the target ancilla count.
+    """The construction needs best_ell > target_ell ancillas; none has under lower_bound."""
 
-    ``best_ell`` is the first count above the target where the escalated random
-    search found an injective map, or n-1, where the linear construction always
-    works: an upper bound on the smallest workable count, not a proof of it.
-    """
-
-    def __init__(self, target_ell: int, best_ell: int):
-        self.target_ell = target_ell
-        self.best_ell = best_ell
-        super().__init__(
-            f"no injective encoder found with ell={target_ell} "
-            f"within {SEARCH_BUDGET} candidates; the search found ell={best_ell} workable"
-        )
+    def __init__(self, target_ell: int, best_ell: int, lower_bound: int):
+        self.target_ell, self.best_ell, self.lower_bound = target_ell, best_ell, lower_bound
+        reason = "no encoder exists" if target_ell < lower_bound else "the construction gives no encoder"
+        found = "the smallest workable" if best_ell == lower_bound else "workable"
+        super().__init__(f"{reason} with ell={target_ell}; ell={best_ell} is {found} "
+                         f"(every encoder needs ell >= {lower_bound})")
 
 
 class NotInjective(Exception):
@@ -132,10 +125,8 @@ class Codebook:
 
 
 def _matrix_to_cnots(g: np.ndarray) -> tuple[tuple[int, int], ...]:
-    ell, n = g.shape
-    return tuple(
-        (i + 1, j) for j in range(ell) for i in range(n) if g[j, i]
-    )
+    """CNOT(i, j) for each entry G[j, i-1] = 1, ordered by control, then target."""
+    return tuple((int(i) + 1, int(j)) for i, j in np.argwhere(g.T))
 
 
 def build_linear_encoder(spec: DickeSpec) -> EncoderCircuit:
@@ -160,12 +151,14 @@ def _slice_columns(n: int, k: int, ell: int) -> list[np.ndarray]:
     return states._slice_columns(n, k)
 
 
-def _packed_words(g: np.ndarray, columns: list[np.ndarray]) -> np.ndarray:
-    """Words G.d mod 2 of the slice, each packed 64 bits to a uint64 block."""
-    ell = g.shape[0]
-    blocks = -(-ell // 64)
-    packed = np.zeros((g.shape[1], 8 * blocks), dtype=np.uint8)
-    packed[:, : -(-ell // 8)] = np.packbits(g.T, axis=1)
+def _packed_words(circuit: EncoderCircuit, columns: list[np.ndarray]) -> np.ndarray:
+    """Words G.d mod 2 of the slice, each packed 64 bits to a uint64 block.
+
+    Row i-1 of G.T, packed as np.packbits would, gets one bit per CNOT(i, j);
+    a repeated gate cancels."""
+    packed = np.zeros((circuit.n, 8 * -(-circuit.ell // 64)), dtype=np.uint8)
+    control, target = np.array(circuit.cnots, dtype=np.int64).reshape(-1, 2).T
+    np.bitwise_xor.at(packed, (control - 1, target >> 3), (128 >> (target & 7)).astype(np.uint8))
     rows = packed.view(np.uint64)
     words = rows[columns[0]]
     for col in columns[1:]:
@@ -179,7 +172,7 @@ def _outcome_rows(circuit: EncoderCircuit, columns: list[np.ndarray]) -> tuple[n
     rows = np.arange(len(bits))
     for col in columns:
         bits[rows, col] = 1
-    return bits, _packed_words(circuit.matrix(), columns)
+    return bits, _packed_words(circuit, columns)
 
 
 def _first_collision(words: np.ndarray) -> tuple[int, int] | None:
@@ -197,61 +190,70 @@ def _first_collision(words: np.ndarray) -> tuple[int, int] | None:
     return int(order[pos - 1]), int(order[pos])
 
 
-def _injective_on_slice(g: np.ndarray, columns: list[np.ndarray]) -> bool:
-    return _first_collision(_packed_words(g, columns)) is None
+def _injective_on_slice(circuit: EncoderCircuit, columns: list[np.ndarray]) -> bool:
+    return _first_collision(_packed_words(circuit, columns)) is None
 
 
-def _search_matrix(spec: DickeSpec, ell: int, rng) -> np.ndarray | None:
-    """Seeded random search for an injective ell x n matrix; None on failure."""
-    if 2**ell < spec.num_outcomes:
-        return None  # pigeonhole: not enough distinct words
-    columns = _slice_columns(spec.n, spec.k, ell)
-    for _ in range(SEARCH_BUDGET):
-        g = rng.integers(0, 2, size=(ell, spec.n), dtype=np.uint8)
-        if _injective_on_slice(g, columns):
-            return g
-    return None
+def lower_bound(n: int, k: int) -> int:
+    """Fewest ancillas any injective CNOT encoder for (n, k) can have: the most of
+    pigeonhole ceil(log2 C(n,k)) and, for its length-(n-1) distance-(2t+1) code,
+    sphere packing and Griesmer (n-1 when 2t >= n-1); t = min(k, n-k)."""
+    t, length = min(k, n - k), n - 1
+    # Griesmer: a dimension-K code needs sum_{i<K} ceil((2t+1)/2^i) <= n-1 positions
+    dim = next(K for K in range(n) if sum(-(-(2 * t + 1) // 2**i) for i in range(K + 1)) > length)
+    ball = sum(math.comb(length, i) for i in range(t + 1))
+    return max((math.comb(n, k) - 1).bit_length(), (ball - 1).bit_length(), length - dim)
+
+
+def _greedy_columns(n: int, t: int) -> list[int]:
+    """Ascending parity-check columns, h_1 = 0 and each later h_i the least word
+    not the XOR of 2t-1 or fewer earlier ones (Varshamov; Conway and Sloane's
+    lexicodes).  dist[w], the fewest columns XORing to w capped at 2t, doubles
+    when full.  Closed forms: h_i = i-1 at t = 1, unit vectors at 2t >= n-1
+    and, width n-1, when dist and two temporaries would pass SLICE_BYTES_CAP."""
+    if t == 1:
+        return list(range(n))
+    dist = np.zeros(1, dtype=np.uint8)
+    columns = [0]
+    while len(columns) < n:
+        h = int(np.argmax(dist >= 2 * t)) or len(dist)  # dist[0] = 0: 0 means none is free
+        if h == len(dist):
+            if 2 * t >= n - 1 or 3 * 2 * h > SLICE_BYTES_CAP:  # dist, its shift and a mask
+                return [0] + [1 << i for i in range(n - 1)]
+            dist = np.concatenate([dist, np.full(h, 2 * t, dtype=np.uint8)])
+        width = len(dist).bit_length() - 1
+        cube = dist.reshape((2,) * width)  # axis a holds bit width-1-a of w
+        shifted = np.flip(cube, [width - 1 - b for b in range(width) if h >> b & 1])  # w -> w ^ h
+        np.minimum(cube, shifted + 1, out=cube)
+        columns.append(h)
+    return columns
 
 
 def build_binary_encoder(spec: DickeSpec, rng=None, ell: int | None = None) -> EncoderCircuit:
     """Encoder with the compressed ancilla count ell = ceil(log2 C(n,k)).
 
-    k = 1 is deterministic: the state in which node i+1 holds the excitation
-    is mapped to the binary representation of i, one CNOT per set bit
-    (ancilla 0 being the least significant).  For k > 1 a random search over
-    GF(2) matrices is run at the target width; ``rng`` (a numpy Generator)
-    seeds it.  Pass ``ell`` to override the target width, e.g. after a
-    SynthesisFailed suggested a larger one.
+    Data qubit i flips the bits of column h_i of `_greedy_columns` (ancilla 0
+    least significant): for k = 1, the node index i-1 in binary.  ``rng`` is
+    ignored.  ``ell`` overrides the target; rows above the construction stay
+    zero.  Raises SynthesisFailed if the construction is wider, CapacityError
+    first if the slice that certifies it would pass SLICE_BYTES_CAP.
     """
     n, k = spec.n, spec.k
-    if k == 1:
-        min_ell = max(1, math.ceil(math.log2(n)))
-        if ell is None:
-            ell = min_ell
-        elif ell < min_ell:
-            raise ValueError(f"k=1 binary encoder needs ell >= {min_ell}, got {ell}")
-        cnots = tuple(
-            (i + 1, j) for i in range(n) for j in range(ell) if (i >> j) & 1
-        )
-        return EncoderCircuit(n=n, k=1, ell=ell, cnots=cnots, kind="binary")
-
-    if ell is not None and ell < 1:
-        raise ValueError(f"binary encoder needs ell >= 1, got {ell}")
-    target_ell = ell if ell is not None else math.ceil(math.log2(spec.num_outcomes))
-    if rng is None:
-        rng = np.random.default_rng()
-    g = _search_matrix(spec, target_ell, rng)
-    if g is None:
-        best = target_ell
-        while True:
-            best += 1
-            if best >= n - 1:
-                best = n - 1  # linear map always works here
-                break
-            if _search_matrix(spec, best, rng) is not None:
-                break
-        raise SynthesisFailed(target_ell, best)
-    return EncoderCircuit(n=n, k=k, ell=target_ell, cnots=_matrix_to_cnots(g), kind="binary")
+    target_ell = (spec.num_outcomes - 1).bit_length() if ell is None else ell
+    floor = (n - 1).bit_length() if k == 1 else 1  # below it, a usage error
+    if target_ell < floor:
+        raise ValueError(f"binary encoder for k={k} needs ell >= {floor}, got {target_ell}")
+    slice_columns = _slice_columns(n, k, target_ell)
+    columns = _greedy_columns(n, min(k, n - k))
+    width = columns[-1].bit_length()
+    if width > target_ell:
+        raise SynthesisFailed(target_ell, width, lower_bound(n, k))
+    g = np.zeros((target_ell, n), dtype=np.uint8)
+    g[:width] = [[h >> j & 1 for h in columns] for j in range(width)]
+    circuit = EncoderCircuit(n=n, k=k, ell=target_ell, cnots=_matrix_to_cnots(g), kind="binary")
+    if not _injective_on_slice(circuit, slice_columns):
+        raise RuntimeError(f"the greedy encoder for n={n}, k={k} is not injective")
+    return circuit
 
 
 def outcome_table(circuit: EncoderCircuit, spec: DickeSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,60 @@ def test_encode_synthesis_failure_exit_code(tmp_path, capsys):
                  "--ell", "2", "--out-dir", str(tmp_path)])
     assert code == 3
     assert "ell=3" in capsys.readouterr().err  # diagnostic names the workable width
+
+
+def test_encode_binary_16_8_fails_fast(tmp_path, capsys):
+    # 2t = 16 >= n-1: only the 15-ancilla map separates the slice, and the bound proves it
+    started = time.perf_counter()
+    code = main(["encode", "--n", "16", "--k", "8", "--kind", "binary", "--out-dir", str(tmp_path)])
+    assert time.perf_counter() - started < 1.0
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "ell=15 is the smallest workable" in err and "ell >= 15" in err
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_exits_quietly(tmp_path, monkeypatch, capsys):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+        code = main(["contend", "--n", "20", "--k", "2", "--runs", "10", "--out-dir", str(tmp_path)])
+    finally:
+        os.close(fd)
+    assert code == 2
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_exits_quietly():
+    # a real pipe with no reader, stdout block-buffered: the write fails at main's flush, not
+    # in the interpreter's flush at exit, which would print a traceback and exit 120
+    read, write = os.pipe()
+    os.close(read)
+    src = str(Path(eacsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    try:
+        out = subprocess.run([sys.executable, "-m", "eacsim.cli", "analytics", "--n", "8", "--k", "2",
+                              "--q-cr", "0.3", "--M-cr", "3"], env=env, stdout=write,
+                             stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert (out.returncode, out.stderr) == (2, "")
 
 
 @pytest.mark.parametrize("ell", ["0", "-1"])
@@ -145,7 +200,7 @@ def test_contend_without_slice_table(tmp_path, n, k):
 
 
 def test_contend_runs_checked_before_synthesis(tmp_path, capsys):
-    # a binary (16,2) synthesis would exhaust its search first
+    # a binary (16,2) synthesis would fail with exit 3 were --runs not checked first
     assert main(["contend", "--n", "16", "--k", "2", "--kind", "binary", "--runs", "0",
                  "--out", str(tmp_path / "t.jsonl")]) == 2
     assert "--runs" in capsys.readouterr().err

@@ -1,5 +1,7 @@
-"""Encoders: golden codebooks, injectivity, gate counts, emission formats."""
+"""Encoders: golden codebooks, injectivity, the greedy construction and its widths, gate counts,
+emission formats."""
 import io
+import itertools
 import math
 from itertools import combinations
 
@@ -22,6 +24,7 @@ from eacsim.encoder import (
     cnot_count_bound,
     decode,
     format_circuit,
+    lower_bound,
     outcome_table,
     recover_last_bit_linear,
     verify_injectivity,
@@ -127,6 +130,112 @@ def test_binary_synthesis_failure_reports_best_ell():
     verify_injectivity(retry, DickeSpec(4, 2))
 
 
+def reference_greedy(n, t):
+    """Varshamov's greedy on explicit sets: reach[j] holds the XORs of j or fewer columns."""
+    columns, reach = [0], [{0}] * (2 * t)
+    for _ in range(n - 1):
+        h = next(w for w in itertools.count(1) if w not in reach[-1])
+        reach = [reach[0]] + [reach[j] | {x ^ h for x in reach[j - 1]} for j in range(1, 2 * t)]
+        columns.append(h)
+    return columns
+
+
+@pytest.mark.parametrize("n", range(2, 65))
+def test_greedy_t1_closed_form_is_the_greedy(n):
+    assert enc._greedy_columns(n, 1) == reference_greedy(n, 1) == list(range(n))
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_greedy_table_matches_reference(n):
+    for t in range(2, n // 2 + 1):  # 2t >= n-1 takes the unit-vector closed form
+        assert enc._greedy_columns(n, t) == reference_greedy(n, t)
+
+
+def test_greedy_stops_at_the_memory_cap(monkeypatch):
+    # (12,3) needs a 2^9-word table; with room for 2^6 words the greedy gives unit vectors
+    monkeypatch.setattr(enc, "SLICE_BYTES_CAP", 3 * 2**6)
+    assert enc._greedy_columns(12, 3) == [0] + [1 << i for i in range(11)]
+
+
+@pytest.mark.parametrize("n,k,best", [(8, 2, 6), (10, 3, 8), (12, 3, 9), (12, 6, 11),
+                                      (16, 2, 8), (22, 2, 9)])
+def test_binary_widths_above_the_target(n, k, best):
+    with pytest.raises(SynthesisFailed) as err:
+        build_binary_encoder(DickeSpec(n, k))
+    assert err.value.target_ell == math.ceil(math.log2(math.comb(n, k)))
+    assert err.value.best_ell == best
+    assert err.value.lower_bound == lower_bound(n, k)
+    spec = DickeSpec(n, k)
+    assert len(verify_injectivity(build_binary_encoder(spec, ell=best), spec).entries) == math.comb(n, k)
+
+
+@pytest.mark.parametrize("n,k,ell", [(12, 2, 7), (24, 3, 11)])
+def test_binary_widths_at_the_target(n, k, ell):
+    spec = DickeSpec(n, k)
+    circuit = build_binary_encoder(spec)
+    assert circuit.ell == ell
+    assert len(verify_injectivity(circuit, spec).entries) == math.comb(n, k)
+
+
+def test_binary_width_is_the_lower_bound_up_to_n12():
+    for n in range(2, 13):
+        for k in range(1, n):
+            spec = DickeSpec(n, k)
+            width = max(enc._greedy_columns(n, min(k, n - k))).bit_length()
+            assert width == lower_bound(n, k), (n, k)
+            try:
+                circuit = build_binary_encoder(spec)
+            except SynthesisFailed as exc:
+                assert exc.best_ell == width > exc.target_ell
+                circuit = build_binary_encoder(spec, ell=width)
+            verify_injectivity(circuit, spec)
+
+
+def test_lower_bound_values():
+    assert lower_bound(8, 2) == 6  # Griesmer: no [7,2,5] code
+    assert lower_bound(16, 2) == 7  # sphere packing: 1 + 15 + 105 = 121 > 64
+    assert lower_bound(24, 2) == 9  # pigeonhole: C(24,2) = 276 > 256
+    assert lower_bound(16, 8) == 15  # 2t >= n-1: no code but the zero word
+    assert lower_bound(16, 7) == 14  # Griesmer: the repetition code [15,1,15] at most
+
+
+@pytest.mark.parametrize("n,k,ell,exists,smallest", [
+    (8, 2, 5, True, True),  # bound 6 = construction 6
+    (16, 2, 7, False, False),  # bound 7 < construction 8
+    (24, 2, 9, False, False),  # bound 9 < construction 10
+    (16, 2, 6, True, False),
+])
+def test_synthesis_failed_message_claims_only_what_is_proven(n, k, ell, exists, smallest):
+    with pytest.raises(SynthesisFailed) as err:
+        build_binary_encoder(DickeSpec(n, k), ell=ell)
+    message = str(err.value)
+    assert ("no encoder exists" in message) == exists
+    assert ("smallest workable" in message) == smallest
+    assert f"ell={err.value.best_ell}" in message
+    assert f"ell >= {err.value.lower_bound}" in message
+
+
+def test_binary_circuit_ignores_rng():
+    spec = DickeSpec(10, 2)
+    first = build_binary_encoder(spec, np.random.default_rng(0), ell=8)
+    assert build_binary_encoder(spec, np.random.default_rng(1), ell=8) == first
+    assert build_binary_encoder(spec, ell=8) == first
+
+
+def test_binary_wider_ell_leaves_upper_rows_zero():
+    spec = DickeSpec(9, 3)
+    narrow, wide = build_binary_encoder(spec), build_binary_encoder(spec, ell=12)
+    assert narrow.ell == 7 and wide.ell == 12
+    assert wide.cnots == narrow.cnots
+    verify_injectivity(wide, spec)
+
+
+def test_binary_construction_is_certified(monkeypatch):
+    monkeypatch.setattr(enc, "_greedy_columns", lambda n, t: [1] * n)  # every word the same
+    with pytest.raises(RuntimeError):
+        build_binary_encoder(DickeSpec(6, 2))
+
+
 def test_binary_k1_rejects_too_small_ell():
     with pytest.raises(ValueError):
         build_binary_encoder(DickeSpec(4, 1), ell=1)
@@ -199,7 +308,7 @@ def test_words_wider_than_64_bits():
     # linear n=70: distinct outcomes whose words differ only in bits 64..68
     spec = DickeSpec(70, 2)
     circuit = build_linear_encoder(spec)
-    assert enc._injective_on_slice(circuit.matrix(), enc._slice_columns(70, 2, 69))
+    assert enc._injective_on_slice(circuit, enc._slice_columns(70, 2, 69))
     assert len(verify_injectivity(circuit, spec).entries) == math.comb(70, 2)
 
 

@@ -1,6 +1,6 @@
-"""Property tests: the weight-k slice unranker, the classical contention sampler (up to
-C(n,k) = 2^53) and the bulk transcript (n <= 40), the confidence interval and the
-absorbing threshold."""
+"""Property tests: the weight-k slice unranker, the encoder rows packed from CNOT lists, the
+classical contention sampler (up to C(n,k) = 2^53) and the bulk transcript (n <= 40), the
+confidence interval and the absorbing threshold."""
 import io
 import json
 import math
@@ -9,7 +9,8 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from eacsim.channel import normal_ci
-from eacsim.encoder import EncoderCircuit, build_binary_encoder, build_linear_encoder
+from eacsim.encoder import (EncoderCircuit, _packed_words, build_binary_encoder,
+                            build_linear_encoder)
 from eacsim.markov import absorbing_threshold, state_prob
 from eacsim.protocol import (
     sample_contention_outcomes,
@@ -64,6 +65,19 @@ def test_sampled_rows_past_the_slice_table_have_weight_k_and_word_g_d(nk, ell, r
     d_bits, a_bits = sample_contention_outcomes(DickeSpec(n, k), encoder, runs, rng)
     assert d_bits.shape == (runs, n) and (d_bits.sum(axis=1) == k).all()
     np.testing.assert_array_equal(a_bits, (d_bits.astype(np.int64) @ g.T) % 2)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 12), st.integers(1, 130), st.integers(0, 400), st.integers(0, 2**32))
+@example(3, 70, 400, 0)  # many repeated gates; 70 ancillas span two uint64 blocks
+def test_packed_rows_from_cnots_are_packbits_of_the_matrix(n, ell, gates, seed):
+    rng = np.random.default_rng(seed)
+    cnots = tuple(zip(rng.integers(1, n + 1, gates).tolist(), rng.integers(0, ell, gates).tolist()))
+    circuit = EncoderCircuit(n=n, k=1, ell=ell, cnots=cnots, kind="binary")
+    rows = _packed_words(circuit, [np.arange(n)]).view(np.uint8)  # G.e_i is row i itself
+    want = np.zeros_like(rows)
+    want[:, : -(-ell // 8)] = np.packbits(circuit.matrix().T, axis=1)  # repeats cancel in matrix()
+    np.testing.assert_array_equal(rows, want)
 
 
 @st.composite
