@@ -11,10 +11,10 @@ Conventions: output is deterministic for a given (command, flags, seed);
 the master seed defaults to 0 and is echoed in emitted metadata; CSV uses a
 header row and '.' decimals.  Exit codes: 0 success, 2 usage error, a path
 that cannot be read or written or a stdout its reader closed, 3 encoder
-synthesis failure, 4 capacity exceeded (``encode`` refuses a weight-k slice
-whose C(n,k) outcomes and ancilla words would pass
-``encoder.SLICE_BYTES_CAP``, 256 MiB; ``contend`` builds no such table and
-refuses C(n,k) > 2**53 or an ell x n encoder matrix past that cap; any
+synthesis failure, 4 capacity exceeded (``encode`` refuses a codebook whose
+C(n,k) outcomes and ancilla words would pass ``encoder.SLICE_BYTES_CAP``,
+256 MiB; ``contend`` builds no codebook and refuses C(n,k) > 2**53 or n
+packed encoder rows past that cap, for the linear encoder n > 46,337; any
 command whose arrays cannot be allocated, e.g. 10**15 trials, exits 4
 too).  The environment variable EACSIM_OUT_DIR overrides the output directory.
 """
@@ -121,7 +121,7 @@ def cmd_contend(args) -> int:
     with open(out_path, "w", newline="\n") as fh:
         protocol.write_transcript_arrays(d_bits, a_bits, g_matrix, parity, args.seed, fh)
 
-    subsets, _, counts = protocol.unique_rows(d_bits)
+    subsets, counts = protocol.unique_rows(d_bits)
     keys = b"".join(_format_int_rows([(subsets != 0, b" "), b"\n"])).decode("ascii").splitlines()
     summary = {
         "n": spec.n,

@@ -5,14 +5,15 @@ ell x n binary matrix whose entry G[j][i-1] is 1 iff the circuit contains
 CNOT(data qubit i -> ancilla j), the ancilla word read out after the
 encoder is a = G.d mod 2, where d is the data measurement outcome.  Encoder
 design therefore reduces to finding G injective on the weight-k slice of
-{0,1}^n, which is what `outcome_table` certifies while it tabulates every
-outcome and word; the word -> winner-subset bijection is the codebook the
-orchestrator decodes (`verify_injectivity`, that table sorted by word).  The
-table's rows follow the slice order of `states._slice_columns`; the slice
-and word matrices take C(n,k)*(n+ell) bytes (CapacityError past
-SLICE_BYTES_CAP).  `_outcome_rows` builds the rows and words of the table
-and of the classical contention sampler's draws alike.  `_format_int_rows`
-writes the codebook CSV and transcripts via byte matrices.
+{0,1}^n, which `verify_injectivity` certifies while it builds the word ->
+winner-subset bijection the orchestrator decodes (the codebook).  It packs
+the words of the slice, rows in the order of `states._slice_columns`, once
+and sorts them once: the stable sort gives the codebook's order and the
+first collision a scan in slice order would meet.  The codebook takes
+C(n,k)*(n+ell) bytes (CapacityError past SLICE_BYTES_CAP).  `_data_bits`
+and `_packed_words` also build the rows of the classical contention
+sampler's draws.  `_format_int_rows` writes the codebook CSV and
+transcripts via byte matrices.
 
 Two constructions are provided:
 
@@ -32,10 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import states
-from .statevector import MAX_QUBITS, CapacityError, StateVector, apply_cnot
+from .statevector import CapacityError, StateVector, _zero_amplitudes, apply_cnot
 from .states import DickeSpec
 
-SLICE_BYTES_CAP = 256 * 2**20  # slice + word matrices; the dense cap's 2^24 x 16 B
+SLICE_BYTES_CAP = 256 * 2**20  # tables over the slice; the dense cap's 2^24 x 16 B
 FORMAT_CHUNK_BYTES = 1 << 20  # text formatted at a time; bounds the memory held at once
 
 
@@ -136,16 +137,14 @@ def build_linear_encoder(spec: DickeSpec) -> EncoderCircuit:
     return EncoderCircuit(n=n, k=spec.k, ell=n - 1, cnots=cnots, kind="linear")
 
 
-def _slice_columns(n: int, k: int, ell: int) -> list[np.ndarray]:
-    """`states._slice_columns`, once the slice and word matrices fit the cap.
+def _slice_columns(n: int, k: int, ell: int, need: int) -> list[np.ndarray]:
+    """`states._slice_columns`, once the ``need`` bytes of the caller's tables fit the cap.
 
-    Raises CapacityError before allocating when they, C(n,k)*(n+ell) bytes,
-    would exceed SLICE_BYTES_CAP.
+    Raises CapacityError before allocating when they would exceed SLICE_BYTES_CAP.
     """
-    total = math.comb(n, k)
-    if total * (n + ell) > SLICE_BYTES_CAP:
+    if need > SLICE_BYTES_CAP:
         raise CapacityError(
-            f"the weight-{k} slice of n={n} with ell={ell} needs {total * (n + ell)} bytes, "
+            f"the weight-{k} slice of n={n} with ell={ell} needs {need} bytes, "
             f"above the {SLICE_BYTES_CAP}-byte cap"
         )
     return states._slice_columns(n, k)
@@ -166,32 +165,34 @@ def _packed_words(circuit: EncoderCircuit, columns: list[np.ndarray]) -> np.ndar
     return words
 
 
-def _outcome_rows(circuit: EncoderCircuit, columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Data bits d (uint8) and packed words G.d mod 2 of the outcomes `states._slice_columns` gave."""
-    bits = np.zeros((len(columns[0]), circuit.n), dtype=np.uint8)
+def _data_bits(n: int, columns: list[np.ndarray]) -> np.ndarray:
+    """(rows x n) uint8 data bits d of the outcomes `states._slice_columns` gave."""
+    bits = np.zeros((len(columns[0]), n), dtype=np.uint8)
     rows = np.arange(len(bits))
     for col in columns:
         bits[rows, col] = 1
-    return bits, _packed_words(circuit, columns)
+    return bits
 
 
-def _first_collision(words: np.ndarray) -> tuple[int, int] | None:
-    """The pair of rows a sequential scan would first find sharing a word.
+def _word_order(words: np.ndarray) -> tuple[np.ndarray, tuple[int, int] | None]:
+    """Stable order of packed words by word, a_0 most significant; and the first collision.
 
-    Returns (i, j), i < j, with j the smallest row repeating an earlier
-    word and i that word's first row; None when all rows differ.
+    The collision is the pair of rows (i, j), i < j, a scan in row order would
+    first find sharing a word: j the smallest row repeating an earlier word
+    and i that word's first row; None when all rows differ.
     """
-    order = np.lexsort(words.T)  # stable: equal words keep ascending rows
-    ordered = words[order]
+    keys = words.view(">u8").astype(np.uint64)  # block byte 0, bits a_0..a_7, most significant
+    order = np.lexsort(keys.T[::-1])  # stable: equal words keep ascending rows
+    ordered = keys[order]
     same = np.flatnonzero((ordered[1:] == ordered[:-1]).all(axis=1)) + 1
     if not same.size:
-        return None
+        return order, None
     pos = same[np.argmin(order[same])]
-    return int(order[pos - 1]), int(order[pos])
+    return order, (int(order[pos - 1]), int(order[pos]))
 
 
 def _injective_on_slice(circuit: EncoderCircuit, columns: list[np.ndarray]) -> bool:
-    return _first_collision(_packed_words(circuit, columns)) is None
+    return _word_order(_packed_words(circuit, columns))[1] is None
 
 
 def lower_bound(n: int, k: int) -> int:
@@ -236,14 +237,16 @@ def build_binary_encoder(spec: DickeSpec, rng=None, ell: int | None = None) -> E
     least significant): for k = 1, the node index i-1 in binary.  ``rng`` is
     ignored.  ``ell`` overrides the target; rows above the construction stay
     zero.  Raises SynthesisFailed if the construction is wider, CapacityError
-    first if the slice that certifies it would pass SLICE_BYTES_CAP.
+    first if the injectivity certificate's arrays would pass SLICE_BYTES_CAP.
     """
     n, k = spec.n, spec.k
     target_ell = (spec.num_outcomes - 1).bit_length() if ell is None else ell
     floor = (n - 1).bit_length() if k == 1 else 1  # below it, a usage error
     if target_ell < floor:
         raise ValueError(f"binary encoder for k={k} needs ell >= {floor}, got {target_ell}")
-    slice_columns = _slice_columns(n, k, target_ell)
+    # the certificate holds the k index columns, the packed words, their sort order and G
+    row_bytes = k * np.min_scalar_type(n - 1).itemsize + 8 * -(-target_ell // 64) + 8
+    slice_columns = _slice_columns(n, k, target_ell, spec.num_outcomes * row_bytes + target_ell * n)
     columns = _greedy_columns(n, min(k, n - k))
     width = columns[-1].bit_length()
     if width > target_ell:
@@ -256,34 +259,25 @@ def build_binary_encoder(spec: DickeSpec, rng=None, ell: int | None = None) -> E
     return circuit
 
 
-def outcome_table(circuit: EncoderCircuit, spec: DickeSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Every weight-k outcome and its ancilla word, once injectivity holds.
-
-    Returns the (C(n,k) x n) data bits d, rows in ascending basis-index
-    order, and the (C(n,k) x ell) words G.d mod 2, both uint8.  Raises
-    NotInjective naming the first colliding pair in that order, and
-    CapacityError when the two matrices would exceed SLICE_BYTES_CAP.
-    """
-    if circuit.n != spec.n:
-        raise ValueError(f"circuit built for n={circuit.n}, spec has n={spec.n}")
-    bits, packed = _outcome_rows(circuit, _slice_columns(spec.n, spec.k, circuit.ell))
-    collision = _first_collision(packed)
-    if collision is not None:
-        i, j = collision
-        raise NotInjective(tuple(bits[i].tolist()), tuple(bits[j].tolist()))
-    words = np.unpackbits(packed.view(np.uint8), axis=1, count=circuit.ell)
-    return bits, words
-
-
 def verify_injectivity(circuit: EncoderCircuit, spec: DickeSpec) -> Codebook:
     """Check that all weight-k outcomes get distinct ancilla words.
 
-    Returns the codebook (the `outcome_table` arrays sorted by word); raises
-    NotInjective naming two colliding outcomes otherwise.
+    Returns the codebook; raises NotInjective naming the first colliding pair
+    in slice order, and CapacityError when the codebook's C(n,k) x (n+ell)
+    bytes would exceed SLICE_BYTES_CAP.
     """
-    bits, words = outcome_table(circuit, spec)
-    order = np.lexsort(np.packbits(words, axis=1).T[::-1])  # first byte is the primary key
-    return Codebook(n=spec.n, k=spec.k, ell=circuit.ell, words=words[order], bits=bits[order])
+    if circuit.n != spec.n:
+        raise ValueError(f"circuit built for n={circuit.n}, spec has n={spec.n}")
+    need = spec.num_outcomes * (spec.n + circuit.ell)
+    columns = _slice_columns(spec.n, spec.k, circuit.ell, need)
+    packed = _packed_words(circuit, columns)
+    order, collision = _word_order(packed)
+    if collision is not None:
+        d1, d2 = _data_bits(spec.n, [col[list(collision)] for col in columns]).tolist()
+        raise NotInjective(tuple(d1), tuple(d2))
+    words = np.unpackbits(packed[order].view(np.uint8), axis=1, count=circuit.ell)
+    bits = _data_bits(spec.n, [col[order] for col in columns])
+    return Codebook(n=spec.n, k=spec.k, ell=circuit.ell, words=words, bits=bits)
 
 
 def decode(codebook: Codebook, word) -> tuple[int, ...]:
@@ -327,17 +321,14 @@ def apply_encoder(dicke: StateVector, circuit: EncoderCircuit) -> StateVector:
 
     Returns the (n+ell)-qubit contention-resolution state.  Gates are applied
     through the statevector simulator, so this is the quantum counterpart of
-    the classical GF(2) path of `outcome_table`.
+    the classical GF(2) path of `verify_injectivity`.
     """
     if dicke.num_qubits != circuit.n:
         raise ValueError(f"state has {dicke.num_qubits} qubits, circuit expects {circuit.n}")
-    total = circuit.n + circuit.ell
-    if total > MAX_QUBITS:  # before allocating the 2^(n+ell) amplitudes
-        raise CapacityError(f"n + ell = {total} exceeds the {MAX_QUBITS}-qubit cap")
-    amps = np.zeros(2**total, dtype=complex)
+    amps = _zero_amplitudes(circuit.n + circuit.ell)
     support = np.flatnonzero(dicke.amplitudes)
     amps[support << circuit.ell] = dicke.amplitudes[support]
-    state = StateVector(total, amps)
+    state = StateVector(circuit.n + circuit.ell, amps)
     for control, target in circuit.cnots:
         state = apply_cnot(state, control, circuit.n + 1 + target)
     return state

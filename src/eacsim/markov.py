@@ -159,9 +159,7 @@ def dicke_outcome_probability(n: int, k: int) -> tuple[float, float]:
     probability 1/C(n,k) and each node wins with probability k/n."""
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    if n <= EXACT_BINOM_LIMIT:
-        return 1.0 / math.comb(n, k), k / n
-    return math.exp(-_log_binom(n, k)), k / n
+    return 1 / math.comb(n, k), k / n  # int / int: correctly rounded, 0.0 on underflow
 
 
 def _check_q(q: float) -> None:

@@ -26,8 +26,8 @@ from enum import Enum
 import numpy as np
 
 from . import statevector as sv
-from .encoder import (SLICE_BYTES_CAP, EncoderCircuit, _format_int_rows, _outcome_rows,
-                      apply_encoder, decode, verify_injectivity)
+from .encoder import (SLICE_BYTES_CAP, EncoderCircuit, _data_bits, _format_int_rows,
+                      _packed_words, apply_encoder, decode, verify_injectivity)
 from .states import DickeSpec, _slice_columns, dicke_state, ghz_state
 
 
@@ -221,19 +221,22 @@ def sample_contention_outcomes(
     Returns (runs x n) data bits and (runs x ell) ancilla bits, both uint8;
     injectivity is `verify_injectivity`'s to check.  Raises CapacityError
     before allocating past 2^53 outcomes (the ranks one double can address)
-    or an ell x n encoder matrix past `encoder.SLICE_BYTES_CAP` bytes.
+    or when G's n packed rows, n * 8 * ceil(ell/64) bytes, would pass
+    `encoder.SLICE_BYTES_CAP`.
     """
     if encoder.n != spec.n:
         raise ValueError(f"encoder built for n={encoder.n}, spec has n={spec.n}")
     if spec.num_outcomes > 2**53:
         raise sv.CapacityError(f"C({spec.n},{spec.k}) = {spec.num_outcomes} outcomes exceed the "
                                "2^53 ranks one double can address")
-    if encoder.ell * spec.n > SLICE_BYTES_CAP:
-        raise sv.CapacityError(f"the {encoder.ell} x {spec.n} encoder matrix needs "
-                               f"{encoder.ell * spec.n} bytes, above the {SLICE_BYTES_CAP}-byte cap")
+    packed_bytes = spec.n * 8 * -(-encoder.ell // 64)
+    if packed_bytes > SLICE_BYTES_CAP:
+        raise sv.CapacityError(f"the {spec.n} packed rows of the encoder matrix need "
+                               f"{packed_bytes} bytes, above the {SLICE_BYTES_CAP}-byte cap")
     ranks = (rng.random(runs) * spec.num_outcomes).astype(np.int64)
-    bits, packed = _outcome_rows(encoder, _slice_columns(spec.n, spec.k, ranks))
-    return bits, np.unpackbits(packed.view(np.uint8), axis=1, count=encoder.ell)
+    columns = _slice_columns(spec.n, spec.k, ranks)
+    words = np.unpackbits(_packed_words(encoder, columns).view(np.uint8), axis=1, count=encoder.ell)
+    return _data_bits(spec.n, columns), words
 
 
 def sample_loser_outcomes(n: int, d_matrix: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -250,8 +253,8 @@ def sample_loser_outcomes(n: int, d_matrix: np.ndarray, rng) -> tuple[np.ndarray
     return g, parity
 
 
-def unique_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``np.unique(bits, axis=0, return_inverse=True, return_counts=True)`` for 0/1 rows.
+def unique_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(bits, axis=0, return_counts=True)`` for 0/1 rows.
 
     Sorts the rows' packed bytes with lexsort, which is far faster than
     np.unique's row-by-row comparisons; same rows, order and counts.
@@ -261,10 +264,8 @@ def unique_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ordered = packed[order]
     starts = np.ones(len(order), dtype=bool)
     starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(len(order), dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
     counts = np.diff(np.append(np.flatnonzero(starts), len(order)))
-    return bits[order[starts]], inverse, counts
+    return bits[order[starts]], counts
 
 
 def write_transcript_arrays(d_bits, a_bits, g_matrix, parity, seed, stream) -> None:

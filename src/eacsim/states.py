@@ -3,9 +3,10 @@
 States are built by direct amplitude assignment rather than gate synthesis.
 The weight-k basis strings of a Dicke state are enumerated by one unranker,
 `_slice_columns`, in lexicographic order of their big-endian bitstrings (i.e.
-ascending basis index); this fixes the row order of the encoder's outcome
-tables, what a contention draw's rank names, and the binary encoder's index
-convention; codebooks are emitted explicitly so consumers never depend on it.
+ascending basis index); this fixes which collision the encoder's
+injectivity check names first, what a contention draw's rank names, and the
+binary encoder's index convention; codebooks are emitted explicitly so
+consumers never depend on it.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevector import MAX_QUBITS, CapacityError, StateVector
+from .statevector import StateVector, _zero_amplitudes
 
 
 @dataclass(frozen=True)
@@ -60,9 +61,7 @@ def _slice_columns(n: int, k: int, ranks: np.ndarray | None = None) -> list[np.n
 
 def dicke_state(spec: DickeSpec) -> StateVector:
     """Even superposition of every weight-k computational basis state."""
-    if spec.n > MAX_QUBITS:
-        raise CapacityError(f"n={spec.n} exceeds the {MAX_QUBITS}-qubit cap")
-    amps = np.zeros(2**spec.n, dtype=complex)
+    amps = _zero_amplitudes(spec.n)
     support = sum(1 << (spec.n - 1 - col.astype(np.int64)) for col in _slice_columns(spec.n, spec.k))
     amps[support] = 1.0 / math.sqrt(spec.num_outcomes)
     return StateVector(spec.n, amps)
@@ -72,8 +71,6 @@ def ghz_state(n: int) -> StateVector:
     """(|0...0> + |1...1>)/sqrt(2) on n qubits."""
     if n < 2:
         raise ValueError(f"GHZ state needs n >= 2, got {n}")
-    if n > MAX_QUBITS:
-        raise CapacityError(f"n={n} exceeds the {MAX_QUBITS}-qubit cap")
-    amps = np.zeros(2**n, dtype=complex)
+    amps = _zero_amplitudes(n)
     amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
     return StateVector(n, amps)

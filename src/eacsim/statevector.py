@@ -74,6 +74,13 @@ def _check_qubit(state: StateVector, qubit: int) -> int:
     return qubit - 1  # tensor axis
 
 
+def _zero_amplitudes(num_qubits: int) -> np.ndarray:
+    """2^num_qubits zero amplitudes; CapacityError before allocating past MAX_QUBITS."""
+    if not 1 <= num_qubits <= MAX_QUBITS:
+        raise CapacityError(f"num_qubits={num_qubits} outside supported range 1..{MAX_QUBITS}")
+    return np.zeros(2**num_qubits, dtype=complex)
+
+
 def basis_state(num_qubits: int, bitstring) -> StateVector:
     """Computational-basis state |b1 b2 ... bq> with bit 1 most significant."""
     bits = list(bitstring)
@@ -81,12 +88,10 @@ def basis_state(num_qubits: int, bitstring) -> StateVector:
         raise ValueError(f"bitstring length {len(bits)} != num_qubits {num_qubits}")
     if any(b not in (0, 1) for b in bits):
         raise ValueError("bitstring entries must be 0 or 1")
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise CapacityError(f"num_qubits={num_qubits} outside supported range 1..{MAX_QUBITS}")
+    amps = _zero_amplitudes(num_qubits)
     index = 0
     for b in bits:
         index = (index << 1) | b
-    amps = np.zeros(2**num_qubits, dtype=complex)
     amps[index] = 1.0
     return StateVector(num_qubits, amps)
 

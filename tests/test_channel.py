@@ -14,7 +14,6 @@ from eacsim.channel import (
     empirical_state_distribution,
     make_rng,
     normal_ci,
-    sample_winner_sets,
     simulate_distribution,
     split_rng,
 )
@@ -22,6 +21,16 @@ from eacsim.channel import (
 
 def binom_pmf(n, j, p):
     return math.comb(n, j) * p**j * (1 - p) ** (n - j)
+
+
+def sample_winner_sets(n, k, trials, rng):
+    """Reference: (trials, k) uniform weight-k winner sets, 1-based and ascending.
+
+    Argsorts one uniform per (trial, node); `empirical_contention_success`
+    takes the same k smallest from the same draw without building the sets.
+    """
+    order = np.argsort(rng.random((trials, n)), axis=1)
+    return np.sort(order[:, :k], axis=1) + 1
 
 
 def slot_by_slot(n, q, M, trials, rng):

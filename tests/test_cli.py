@@ -171,6 +171,17 @@ def test_contend_capacity_exit(tmp_path):
                  "--out", str(tmp_path / "t.jsonl")]) == 4
 
 
+@pytest.mark.parametrize("argv", [["--kind", "binary", "--n", "16378", "--k", "1", "--runs", "5"],
+                                  ["--n", "16385", "--k", "2", "--runs", "10"]])
+def test_contend_charges_only_what_it_builds(tmp_path, argv):
+    # C(16378,1) * (16378 + 14) and 16384 * 16385 bytes pass the 256 MiB cap, but the binary
+    # certificate holds packed words and the sampler packed encoder rows, far below it
+    out = tmp_path / "t.jsonl"
+    assert main(["contend", *argv, "--out", str(out)]) == 0
+    n = int(argv[argv.index("--n") + 1])
+    assert all(len(json.loads(line)["d_vector"]) == n for line in out.read_text().splitlines())
+
+
 def test_encode_capacity_exit(tmp_path):
     assert main(["encode", "--n", "40", "--k", "20", "--out-dir", str(tmp_path)]) == 4
 

@@ -25,7 +25,6 @@ from eacsim.encoder import (
     decode,
     format_circuit,
     lower_bound,
-    outcome_table,
     recover_last_bit_linear,
     verify_injectivity,
     write_codebook_csv,
@@ -285,8 +284,9 @@ def test_collision_matches_sequential_scan():
         circuit = EncoderCircuit(n=n, k=k, ell=ell, cnots=enc._matrix_to_cnots(g), kind="binary")
         expected = scan_for_collision(g, n, k)
         if expected is None:
-            bits, words = outcome_table(circuit, DickeSpec(n, k))
-            np.testing.assert_array_equal(words, (bits @ g.T) & 1)
+            codebook = verify_injectivity(circuit, DickeSpec(n, k))
+            assert len(codebook.bits) == math.comb(n, k)
+            np.testing.assert_array_equal(codebook.words, (codebook.bits @ g.T) & 1)
         else:
             found += 1
             with pytest.raises(NotInjective) as err:
@@ -297,18 +297,24 @@ def test_collision_matches_sequential_scan():
 
 @pytest.mark.parametrize("n,k", [(5, 2), (9, 4), (12, 11), (13, 1), (14, 7)])
 def test_outcome_table_rows_in_basis_index_order(n, k):
+    # codebook rows are the slice sorted by word; a linear word d_1..d_{n-1} fixes d_n,
+    # so for the linear encoder that is also ascending basis-index order
     spec = DickeSpec(n, k)
-    bits, words = outcome_table(build_linear_encoder(spec), spec)
-    expected = np.array([index_bits(idx, n) for idx in weight_k_indices(n, k)], dtype=np.uint8)
-    np.testing.assert_array_equal(bits, expected)
-    np.testing.assert_array_equal(words, expected[:, :-1])
+    codebook = verify_injectivity(build_linear_encoder(spec), spec)
+    words = codebook.words.tolist()
+    assert all(a < b for a, b in zip(words, words[1:]))  # strictly ascending by word
+    slice_rows = [index_bits(idx, n) for idx in weight_k_indices(n, k)]
+    by_word = sorted(slice_rows, key=lambda d: d[:-1])
+    assert by_word == slice_rows
+    np.testing.assert_array_equal(codebook.bits, np.array(by_word, dtype=np.uint8))
+    np.testing.assert_array_equal(codebook.words, codebook.bits[:, :-1])
 
 
 def test_words_wider_than_64_bits():
     # linear n=70: distinct outcomes whose words differ only in bits 64..68
     spec = DickeSpec(70, 2)
     circuit = build_linear_encoder(spec)
-    assert enc._injective_on_slice(circuit, enc._slice_columns(70, 2, 69))
+    assert enc._injective_on_slice(circuit, enc.states._slice_columns(70, 2))
     assert len(verify_injectivity(circuit, spec).entries) == math.comb(70, 2)
 
 
@@ -317,7 +323,7 @@ def test_slice_capacity_checked_before_enumeration():
     assert math.comb(645, 2) * 1289 <= enc.SLICE_BYTES_CAP < math.comb(646, 2) * 1291
     for spec in (DickeSpec(646, 2), DickeSpec(40, 20)):
         with pytest.raises(sv.CapacityError):
-            outcome_table(build_linear_encoder(spec), spec)
+            verify_injectivity(build_linear_encoder(spec), spec)
     spec = DickeSpec(40, 20)
     with pytest.raises(sv.CapacityError):
         build_binary_encoder(spec, np.random.default_rng(0))

@@ -1,6 +1,7 @@
 """Property tests: the weight-k slice unranker, the encoder rows packed from CNOT lists, the
 classical contention sampler (up to C(n,k) = 2^53) and the bulk transcript (n <= 40), the
-confidence interval and the absorbing threshold."""
+noisy contention estimator against its argsort reference, the confidence interval and the
+absorbing threshold."""
 import io
 import json
 import math
@@ -8,7 +9,7 @@ import math
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from eacsim.channel import normal_ci
+from eacsim.channel import ChannelParams, empirical_contention_success, make_rng, normal_ci
 from eacsim.encoder import (EncoderCircuit, _packed_words, build_binary_encoder,
                             build_linear_encoder)
 from eacsim.markov import absorbing_threshold, state_prob
@@ -18,6 +19,8 @@ from eacsim.protocol import (
     write_transcript_arrays,
 )
 from eacsim.states import DickeSpec, _slice_columns
+
+from test_channel import sample_winner_sets
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -133,6 +136,22 @@ def test_bulk_transcript_parses_back(case):
         np.testing.assert_array_equal([r["g_parity"] for r in records], parity)
         assert all(r["bell_state"] == ("phi_minus" if r["g_parity"] else "phi_plus")
                    for r in records)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 64).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+       st.floats(0, 1), st.floats(0, 1), st.integers(1, 20), st.integers(1, 20),
+       st.integers(1, 500), st.integers(0, 2**32))
+@example((60, 30), 0.3, 0.1, 3, 5, 500, 0)  # C(60,30) > 2^53: no rank could name the set
+def test_contention_estimator_is_the_argsort_reference(nk, q_cr, q_e, m_cr, m_e, trials, seed):
+    n, k = nk
+    params = ChannelParams(q_cr=q_cr, q_e=q_e, M_cr=m_cr, M_e=m_e)
+    rng = make_rng(seed)  # the reference reads the same draws in the same order
+    conn_cr = rng.random((trials, n)) < 1.0 - q_cr**params.m_bar
+    conn_e = rng.random((trials, n)) < 1.0 - q_e**params.m_bar
+    winners = sample_winner_sets(n, k, trials, rng) - 1
+    ok = np.take_along_axis(conn_cr & conn_e, winners, axis=1).all(axis=1)
+    assert empirical_contention_success(n, k, params, trials, make_rng(seed)) == float(ok.mean())
 
 
 @PROPERTY_SETTINGS

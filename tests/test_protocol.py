@@ -392,11 +392,9 @@ def test_unique_rows_matches_numpy():
     for width in (3, 8, 15, 70):
         bits = (rng.random((400, width)) < 0.3).astype(np.uint8)
         bits = np.vstack([bits, bits[rng.integers(0, 400, size=400)]])
-        rows, inverse, counts = unique_rows(bits)
-        ref_rows, ref_inverse, ref_counts = np.unique(
-            bits, axis=0, return_inverse=True, return_counts=True)
+        rows, counts = unique_rows(bits)
+        ref_rows, ref_counts = np.unique(bits, axis=0, return_counts=True)
         np.testing.assert_array_equal(rows, ref_rows)
-        np.testing.assert_array_equal(inverse, ref_inverse.reshape(-1))
         np.testing.assert_array_equal(counts, ref_counts)
 
 
