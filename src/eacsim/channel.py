@@ -15,11 +15,13 @@ process instead of one per slot.  The contention estimator draws one more per
 (trial, node) and takes the nodes with the k smallest as the winners: every
 k-subset equally likely, for any C(n,k), with no winner list built.
 
-Reproducibility: experiments key a counter-based Philox stream by the master
-seed.  `split_rng(seed, i)` yields the i-th trial's private stream (disjoint
-counter blocks), and the vectorized estimators draw one (trials, n) block of
-uniforms per process whose row t belongs to trial t, so results are
-bit-identical for a given master seed no matter how trials would be scheduled.
+Reproducibility: experiments seed a PCG64DXSM stream with the master seed
+(any non-negative integer).  `split_rng(seed, i)` yields the i-th point's
+private stream: the master stream jumped i times, each jump as far as
+(phi - 1)·2^128 draws, so substreams start far apart in the 2^128 period.
+The vectorized estimators draw one node-major (n, trials) block of uniforms
+per process whose column t belongs to trial t, and reduce over nodes, so
+results are bit-identical for a given seed.
 """
 from __future__ import annotations
 
@@ -100,12 +102,12 @@ class DistributionTrace:
 
 
 def make_rng(master_seed: int) -> np.random.Generator:
-    """Counter-based stream for a whole experiment."""
-    return np.random.Generator(np.random.Philox(key=master_seed))
+    """PCG64DXSM stream for a whole experiment, seeded with a non-negative integer."""
+    return np.random.Generator(np.random.PCG64DXSM(master_seed))
 
 def split_rng(master_seed: int, trial_index: int) -> np.random.Generator:
-    """Private stream for one trial: disjoint counter block of the master stream."""
-    return np.random.Generator(np.random.Philox(key=master_seed).jumped(trial_index))
+    """Private stream for one point: the master stream jumped ``trial_index`` times."""
+    return np.random.Generator(np.random.PCG64DXSM(master_seed).jumped(trial_index))
 
 
 def _connect_prob(q: float, M: int) -> np.ndarray:
@@ -114,8 +116,8 @@ def _connect_prob(q: float, M: int) -> np.ndarray:
 
 
 def _connected_by(n: int, q: float, m: int, trials: int, rng) -> np.ndarray:
-    """(trials, n) boolean connection status after slot m: one uniform per (trial, node)."""
-    return rng.random((trials, n)) < 1.0 - q**m
+    """(n, trials) boolean connection status after slot m: one uniform per (node, trial)."""
+    return rng.random((n, trials)) < 1.0 - q**m
 
 
 def simulate_distribution(n: int, q: float, M: int, rng) -> DistributionTrace:
@@ -140,7 +142,7 @@ def empirical_full_connection_by_slot(n: int, q: float, M: int, trials: int, rng
     if trials < 1:
         raise ValueError(f"trials={trials} must be >= 1")
     # every node is connected by slot m iff the largest of its trial's uniforms is < 1 - q^m
-    last = np.sort(rng.random((trials, n)).max(axis=1))
+    last = np.sort(rng.random((n, trials)).max(axis=0))
     return np.searchsorted(last, _connect_prob(q, M), side="left") / trials
 
 
@@ -149,7 +151,7 @@ def empirical_state_distribution(n: int, q: float, M: int, trials: int, rng) -> 
     if trials < 1:
         raise ValueError(f"trials={trials} must be >= 1")
     connected = _connected_by(n, q, M, trials, rng)
-    counts = np.bincount(connected.sum(axis=1), minlength=n + 1)
+    counts = np.bincount(connected.sum(axis=0), minlength=n + 1)
     return counts / trials
 
 
@@ -169,10 +171,12 @@ def empirical_contention_success(n: int, k: int, params: ChannelParams, trials: 
     # the decision reads slot m_bar; slots past it cannot change the outcome
     both = (_connected_by(n, params.q_cr, m_bar, trials, rng)
             & _connected_by(n, params.q_e, m_bar, trials, rng))
-    uniforms = rng.random((trials, n))
-    kth = np.partition(uniforms, k - 1, axis=1)[:, [k - 1]]  # a copy: the partition is freed
-    # winners hold uniforms <= kth: k of them unless two tie, odds ~n^2 2^-54 per row
-    return float((both | (uniforms > kth)).all(axis=1).mean())
+    uniforms = rng.random((n, trials))
+    # winners (u <= the k-th smallest, ties included) all hold both ebits iff at least k
+    # nodes drew below `bad`, the smallest uniform of a node lacking one: adding `both`
+    # lifts the others to [1, 2), past every uniform, so `bad` >= 1 when there is none
+    bad = (uniforms + both).min(axis=0)
+    return float(((uniforms < bad).sum(axis=0) >= k).mean())
 
 
 def normal_ci(p_hat: float, trials: int) -> tuple[float, float]:

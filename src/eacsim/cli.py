@@ -8,8 +8,11 @@ the closed-form quantities, ``reproduce`` regenerates the figure datasets
 ``sweep`` runs a Cartesian parameter grid from a config file.
 
 Conventions: output is deterministic for a given (command, flags, seed);
-the master seed defaults to 0 and is echoed in emitted metadata; CSV uses a
-header row and '.' decimals.  Exit codes: 0 success, 2 usage error, a path
+the master seed defaults to 0, may be any non-negative integer, and is
+echoed in emitted metadata; each Monte Carlo estimator call of
+``reproduce`` and ``sweep`` reads ``split_rng(seed, index)``, index being
+the call's position in the loop order; CSV uses a header row and '.'
+decimals.  Exit codes: 0 success, 2 usage error, a path
 that cannot be read or written or a stdout its reader closed, 3 encoder
 synthesis failure, 4 capacity exceeded (``encode`` refuses a codebook whose
 C(n,k) outcomes and ancilla words would pass ``encoder.SLICE_BYTES_CAP``,
@@ -28,7 +31,7 @@ import sys
 from pathlib import Path
 
 from . import channel, markov, protocol
-from .channel import ChannelParams, make_rng, normal_ci
+from .channel import ChannelParams, make_rng, normal_ci, split_rng
 from .encoder import (
     SynthesisFailed,
     _format_int_rows,
@@ -71,6 +74,11 @@ def _write_csv(path: Path, header, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _check_seed(seed: int, name: str) -> None:
+    if seed < 0:
+        raise UsageError(f"{name} must be a non-negative integer, got {seed}")
+
+
 def _build_encoder(spec: DickeSpec, kind: str, ell: int | None):
     if kind == "linear":
         return build_linear_encoder(spec)
@@ -108,6 +116,7 @@ def cmd_contend(args) -> int:
         raise UsageError(str(exc)) from None
     if args.runs < 1:
         raise UsageError(f"--runs must be >= 1, got {args.runs}")
+    _check_seed(args.seed, "--seed")
     circuit = _build_encoder(spec, args.kind, None)
     rng = make_rng(args.seed)
     d_bits, a_bits = protocol.sample_contention_outcomes(spec, circuit, args.runs, rng)
@@ -215,13 +224,10 @@ def _reproduce_fig8(trials: int, seed: int) -> list[tuple]:
         for m in FIG8_M
     ]
 
-    rng = make_rng(seed)
     mc_rows = []
-    for m in (3, 20):
-        for n in (10, 20):
-            for q in FIG8_MC_Q:
-                hist = channel.empirical_state_distribution(n, q, m, trials, rng)
-                mc_rows.append(_mc_row((m, n, q), float(hist[n]), trials, seed))
+    for index, (m, n, q) in enumerate(itertools.product((3, 20), (10, 20), FIG8_MC_Q)):
+        hist = channel.empirical_state_distribution(n, q, m, trials, split_rng(seed, index))
+        mc_rows.append(_mc_row((m, n, q), float(hist[n]), trials, seed))
     return [("fig8.csv", ("M", "n", "q", "p_full", "p_one_shot"), rows),
             ("fig8_thresholds.csv", ("M", "epsilon", "n", "q_bar"), thr_rows),
             ("fig8_mc.csv", ("M", "n", "q", "estimate", "ci_low", "ci_high", "trials", "seed"),
@@ -234,10 +240,10 @@ def _reproduce_fig8l(trials: int, seed: int) -> list[tuple]:
         (n, q, m, markov.state_prob(n, n, q, m))
         for q in FIG8L_Q for m in range(1, FIG8L_M_MAX + 1)
     ]
-    rng = make_rng(seed)
     mc_rows = []
-    for q in (0.2, 0.4):
-        traj = channel.empirical_full_connection_by_slot(n, q, FIG8L_M_MAX, trials, rng)
+    for index, q in enumerate((0.2, 0.4)):
+        traj = channel.empirical_full_connection_by_slot(n, q, FIG8L_M_MAX, trials,
+                                                          split_rng(seed, index))
         for m in range(1, FIG8L_M_MAX + 1):
             mc_rows.append(_mc_row((n, q, m), float(traj[m - 1]), trials, seed))
     return [("fig8l.csv", ("n", "q", "m", "p_full"), rows),
@@ -248,13 +254,11 @@ def _reproduce_fig8l(trials: int, seed: int) -> list[tuple]:
 def _reproduce_fig9(trials: int, seed: int) -> list[tuple]:
     n, m = 10, 3
     rows = [(n, m, q, k, markov.success_prob(k, q, m)) for q in FIG9_Q for k in range(1, n + 1)]
-    rng = make_rng(seed)
     mc_rows = []
-    for q in FIG9_Q:
-        for k in range(1, n + 1):
-            params = ChannelParams(q_cr=q, q_e=0.0, M_cr=m, M_e=m)
-            est = channel.empirical_contention_success(n, k, params, trials, rng)
-            mc_rows.append(_mc_row((n, m, q, k), est, trials, seed))
+    for index, (q, k) in enumerate(itertools.product(FIG9_Q, range(1, n + 1))):
+        params = ChannelParams(q_cr=q, q_e=0.0, M_cr=m, M_e=m)
+        est = channel.empirical_contention_success(n, k, params, trials, split_rng(seed, index))
+        mc_rows.append(_mc_row((n, m, q, k), est, trials, seed))
     return [("fig9.csv", ("n", "M", "q", "k", "p_s"), rows),
             ("fig9_mc.csv", ("n", "M", "q", "k", "estimate", "ci_low", "ci_high", "trials", "seed"),
              mc_rows)]
@@ -266,13 +270,11 @@ def _reproduce_fig10(trials: int, seed: int) -> list[tuple]:
         (m, n, q, j, markov.state_prob(n, j, q, m))
         for n in FIG10_N for q in FIG10_Q for j in range(n + 1)
     ]
-    rng = make_rng(seed)
     mc_rows = []
-    for n in (5, 10):
-        for q in (0.3, 0.7):
-            hist = channel.empirical_state_distribution(n, q, m, trials, rng)
-            for j in range(n + 1):
-                mc_rows.append(_mc_row((m, n, q, j), float(hist[j]), trials, seed))
+    for index, (n, q) in enumerate(itertools.product((5, 10), (0.3, 0.7))):
+        hist = channel.empirical_state_distribution(n, q, m, trials, split_rng(seed, index))
+        for j in range(n + 1):
+            mc_rows.append(_mc_row((m, n, q, j), float(hist[j]), trials, seed))
     return [("fig10.csv", ("M", "n", "q", "j", "p_state"), rows),
             ("fig10_mc.csv", ("M", "n", "q", "j", "estimate", "ci_low", "ci_high", "trials", "seed"),
              mc_rows)]
@@ -287,15 +289,12 @@ def _reproduce_fig11(trials: int, seed: int) -> list[tuple]:
                 params = ChannelParams(q_cr=q_cr, q_e=q_e, M_cr=m, M_e=m)
                 for k in range(1, n + 1):
                     rows.append((n, m, q_cr, q_e, k, markov.success_prob_fully_noisy(k, params)))
-    rng = make_rng(seed)
     mc_rows = []
-    for m in (3, 10):
-        for q_cr in (0.3, 0.7):
-            for q_e in (0.0, 0.3, 0.7):
-                params = ChannelParams(q_cr=q_cr, q_e=q_e, M_cr=m, M_e=m)
-                for k in (2, 4, 6, 8):
-                    est = channel.empirical_contention_success(n, k, params, trials, rng)
-                    mc_rows.append(_mc_row((n, m, q_cr, q_e, k), est, trials, seed))
+    grid = itertools.product((3, 10), (0.3, 0.7), (0.0, 0.3, 0.7), (2, 4, 6, 8))
+    for index, (m, q_cr, q_e, k) in enumerate(grid):
+        params = ChannelParams(q_cr=q_cr, q_e=q_e, M_cr=m, M_e=m)
+        est = channel.empirical_contention_success(n, k, params, trials, split_rng(seed, index))
+        mc_rows.append(_mc_row((n, m, q_cr, q_e, k), est, trials, seed))
     return [("fig11.csv", ("n", "M", "q_cr", "q_e", "k", "p_s"), rows),
             ("fig11_mc.csv", ("n", "M", "q_cr", "q_e", "k", "estimate", "ci_low", "ci_high",
                               "trials", "seed"), mc_rows)]
@@ -313,6 +312,7 @@ _FIGURES = {
 def cmd_reproduce(args) -> int:
     if args.trials < 1:
         raise UsageError(f"trials={args.trials} must be >= 1")
+    _check_seed(args.seed, "--seed")
     out = _out_dir(args)
     # every table is computed before any is written, so a failed run leaves no file
     for name, header, rows in _FIGURES[args.figure](args.trials, args.seed):
@@ -371,6 +371,7 @@ def parse_sweep_config(text: str) -> dict:
     config.setdefault("seed", DEFAULT_SEED)
     if config["trials"] < 0:
         raise UsageError(f"trials must be >= 0 (0 = analytic only), got {config['trials']}")
+    _check_seed(config["seed"], "seed")
     return config
 
 
@@ -389,8 +390,7 @@ def sweep_rows(config: dict) -> list[tuple]:
         params = ChannelParams(q_cr=q_cr, q_e=q_e, M_cr=m_cr, M_e=m_e)
         analytic = markov.success_prob_fully_noisy(k, params)
         if trials > 0:
-            rng = channel.split_rng(seed, index)
-            est = channel.empirical_contention_success(n, k, params, trials, rng)
+            est = channel.empirical_contention_success(n, k, params, trials, split_rng(seed, index))
             lo, hi = normal_ci(est, trials)
         else:
             est = lo = hi = None

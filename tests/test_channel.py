@@ -26,10 +26,11 @@ def binom_pmf(n, j, p):
 def sample_winner_sets(n, k, trials, rng):
     """Reference: (trials, k) uniform weight-k winner sets, 1-based and ascending.
 
-    Argsorts one uniform per (trial, node); `empirical_contention_success`
-    takes the same k smallest from the same draw without building the sets.
+    Argsorts one uniform per (node, trial), drawn node-major like the estimators;
+    `empirical_contention_success` takes the same k smallest from the same draw
+    without building the sets.
     """
-    order = np.argsort(rng.random((trials, n)), axis=1)
+    order = np.argsort(rng.random((n, trials)).T, axis=1)
     return np.sort(order[:, :k], axis=1) + 1
 
 
@@ -364,6 +365,23 @@ def test_split_rng_reproducible_and_disjoint():
     c = split_rng(5, 3).random(4)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("estimator, per_node_trial", [
+    (lambda n, trials, rng: empirical_contention_success(
+        n, 2, ChannelParams(q_cr=0.3, q_e=0.2, M_cr=3, M_e=4), trials, rng), 3),
+    (lambda n, trials, rng: empirical_state_distribution(n, 0.4, 3, trials, rng), 1),
+    (lambda n, trials, rng: empirical_full_connection_by_slot(n, 0.4, 5, trials, rng), 1),
+])
+def test_estimator_draw_budget(estimator, per_node_trial):
+    # one uniform per node per trial per process: the stream ends where a fresh
+    # one stands after exactly that many doubles
+    n, trials = 7, 301
+    used = make_rng(12)
+    estimator(n, trials, used)
+    fresh = make_rng(12)
+    fresh.random(per_node_trial * n * trials)
+    assert used.bit_generator.state == fresh.bit_generator.state
 
 
 def test_estimator_bit_reproducible():

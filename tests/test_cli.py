@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import eacsim
+from eacsim.channel import ChannelParams, empirical_contention_success, normal_ci, split_rng
 from eacsim.cli import UsageError, main, parse_sweep_config
 
 GOLDEN_CIRCUIT_4_2 = """encoder linear n=4 k=2 ell=3
@@ -357,6 +358,48 @@ def test_reproduce_deterministic(tmp_path):
     main(["reproduce", "--figure", "fig8l", "--trials", "500", "--out-dir", str(a)])
     main(["reproduce", "--figure", "fig8l", "--trials", "500", "--out-dir", str(b)])
     assert (a / "fig8l_mc.csv").read_bytes() == (b / "fig8l_mc.csv").read_bytes()
+
+
+@pytest.mark.parametrize("figure, index, n, k, m, q_cr, q_e", [
+    ("fig9", 17, 10, 8, 3, 0.3, 0.0),  # q loop outside the k = 1..10 loop
+    ("fig11", 37, 8, 4, 10, 0.7, 0.0),  # m, q_cr, q_e, k = (2, 4, 6, 8) loops
+])
+def test_reproduce_row_recomputed_from_its_substream(tmp_path, figure, index, n, k, m, q_cr, q_e):
+    # each MC row reads only split_rng(seed, its position in the figure's loop order)
+    trials, seed = 2000, 5
+    assert main(["reproduce", "--figure", figure, "--trials", str(trials), "--seed", str(seed),
+                 "--out-dir", str(tmp_path)]) == 0
+    params = ChannelParams(q_cr=q_cr, q_e=q_e, M_cr=m, M_e=m)
+    est = empirical_contention_success(n, k, params, trials, split_rng(seed, index))
+    point = (n, m, q_cr, k) if figure == "fig9" else (n, m, q_cr, q_e, k)
+    line = ",".join(map(str, point + (est, *normal_ci(est, trials), trials, seed)))
+    assert (tmp_path / f"{figure}_mc.csv").read_text().splitlines()[1 + index] == line
+
+
+@pytest.mark.parametrize("command", ["contend", "reproduce", "sweep"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, command):
+    (tmp_path / "cfg").write_text(SWEEP_CFG.replace("seed = 2", "seed = -1"))
+    argv = {"contend": ["contend", "--n", "4", "--k", "2", "--runs", "5", "--seed", "-1"],
+            "reproduce": ["reproduce", "--figure", "fig9", "--trials", "10", "--seed", "-1"],
+            "sweep": ["sweep", "--config", str(tmp_path / "cfg")]}[command]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-negative" in err
+    assert ("seed" if command == "sweep" else "--seed") in err
+    assert not (tmp_path / "out").exists()  # checked before any file is written
+
+
+@pytest.mark.parametrize("seed", [0, 2**128])
+def test_seed_edges_run(tmp_path, seed):
+    # any non-negative integer seeds the stream, also past 128 bits
+    (tmp_path / "cfg").write_text(SWEEP_CFG.replace("seed = 2", f"seed = {seed}"))
+    assert main(["contend", "--n", "4", "--k", "2", "--runs", "5", "--seed", str(seed),
+                 "--out-dir", str(tmp_path)]) == 0
+    assert main(["reproduce", "--figure", "fig8l", "--trials", "10", "--seed", str(seed),
+                 "--out-dir", str(tmp_path)]) == 0
+    assert main(["sweep", "--config", str(tmp_path / "cfg"), "--out-dir", str(tmp_path)]) == 0
+    assert read_csv(tmp_path / "sweep.csv")[0]["seed"] == str(seed)
+    assert read_csv(tmp_path / "fig8l_mc.csv")[0]["seed"] == str(seed)
 
 
 @pytest.mark.parametrize("figure", ["fig8", "fig8l", "fig9", "fig10", "fig11"])

@@ -1,7 +1,7 @@
 """Property tests: the weight-k slice unranker, the encoder rows packed from CNOT lists, the
 classical contention sampler (up to C(n,k) = 2^53) and the bulk transcript (n <= 40), the
-noisy contention estimator against its argsort reference, the confidence interval and the
-absorbing threshold."""
+noisy contention estimator against its argsort reference and, on tied uniforms, its
+partition rule, the confidence interval and the absorbing threshold."""
 import io
 import json
 import math
@@ -146,12 +146,45 @@ def test_bulk_transcript_parses_back(case):
 def test_contention_estimator_is_the_argsort_reference(nk, q_cr, q_e, m_cr, m_e, trials, seed):
     n, k = nk
     params = ChannelParams(q_cr=q_cr, q_e=q_e, M_cr=m_cr, M_e=m_e)
-    rng = make_rng(seed)  # the reference reads the same draws in the same order
-    conn_cr = rng.random((trials, n)) < 1.0 - q_cr**params.m_bar
-    conn_e = rng.random((trials, n)) < 1.0 - q_e**params.m_bar
+    rng = make_rng(seed)  # the reference reads the same node-major draws in the same order
+    conn_cr = rng.random((n, trials)).T < 1.0 - q_cr**params.m_bar
+    conn_e = rng.random((n, trials)).T < 1.0 - q_e**params.m_bar
     winners = sample_winner_sets(n, k, trials, rng) - 1
     ok = np.take_along_axis(conn_cr & conn_e, winners, axis=1).all(axis=1)
     assert empirical_contention_success(n, k, params, trials, make_rng(seed)) == float(ok.mean())
+
+
+class _Blocks:
+    """A stand-in generator that hands out fixed (n, trials) blocks in order."""
+
+    def __init__(self, *blocks):
+        self._blocks = iter(blocks)
+
+    def random(self, shape):
+        block = next(self._blocks)
+        assert block.shape == shape
+        return block
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+       st.integers(1, 40), st.integers(1, 4), st.integers(0, 2**32))
+@example((3, 1), 1, 1, 0)  # one level: every node ties with every other
+def test_contention_rule_with_ties_is_the_partition_rule(nk, trials, levels, seed):
+    # uniforms from a few distinct values tie often, also at the k-th smallest;
+    # "at least k drew below the smallest unconnected" must still read as
+    # "every node with u <= the k-th smallest is connected", trial by trial
+    n, k = nk
+    draws = np.random.default_rng(seed)
+    status = np.where(draws.random((2, n, trials)) < 0.8, 0.25, 0.75)  # connected iff 0.25
+    uniforms = draws.integers(0, levels, (n, trials)) / levels
+    kth = np.partition(uniforms, k - 1, axis=0)[k - 1]
+    expected = ((status.max(axis=0) == 0.25) | (uniforms > kth)).all(axis=0)
+    params = ChannelParams(q_cr=0.5, q_e=0.5, M_cr=1, M_e=1)  # connected iff u < 0.5
+    for t in range(trials):
+        column = np.s_[:, t:t + 1]
+        blocks = _Blocks(status[0][column], status[1][column], uniforms[column])
+        assert empirical_contention_success(n, k, params, 1, blocks) == expected[t]
 
 
 @PROPERTY_SETTINGS
