@@ -1,5 +1,6 @@
 """Command-line front end: files, formats, determinism, exit codes."""
 import csv
+import hashlib
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy
 import pytest
 
 import eacsim
@@ -496,6 +498,42 @@ def test_out_dir_env_var(tmp_path, monkeypatch, capsys):
     assert main(["encode", "--n", "4", "--k", "2"]) == 0
     capsys.readouterr()
     assert (tmp_path / "envout" / "encoder_linear_n4_k2.txt").exists()
+
+
+# ---------------------------------------------------------------- pinned bytes
+
+# SHA-256 of every file `reproduce` (trials 300, seed 4) and `sweep` (SWEEP_CFG at
+# trials 300 and 0) write; any change to a row builder that alters one byte fails here
+PINNED_DIGESTS = {
+    "fig10.csv": "3211927da6342f5a40ec73b05fe804e0f55774902338a4551136a26afb724dab",
+    "fig10_mc.csv": "476946b36f32f613fc7a322cedad4a111cffafec4f5240f0700abcbbc236b187",
+    "fig11.csv": "034be8033ef7e70b13fee664623c09ff6d39037ef30c6246bd9ce3fb2b2657d3",
+    "fig11_mc.csv": "6b3c0f9f47e10cac17707beacaa192ae0f94d13510aedd574ae3bd3d03aa3fb8",
+    "fig8.csv": "8481747fd33d77402ffc3f10cefad8aba69a3a9581e31f998f59106e6124887b",
+    "fig8_mc.csv": "28d633c1be6fda4d6fd6574e383709c750e6c1c8ab69e04d112b80f07352a94a",
+    "fig8_thresholds.csv": "d4c84f53a85c40f55e2c48732a147bdc604b491f13ebc61ea39679f8425c4d70",
+    "fig8l.csv": "b95e7334a4240c0d889dceff1378a9002cd0960f1978c0f573cf176a86968870",
+    "fig8l_mc.csv": "009cd976771892df394b7944579587947b773eb5c614f3fb44980411bb974114",
+    "fig9.csv": "234b6e68a74ea21343038eea76602e4f9b10b3d79264f8d8ab1946eb5aeaa91d",
+    "fig9_mc.csv": "485fbc332eee0261d7a3e5a1bc4fe9abbabba63bfa21bf6ed1510de6264f14f1",
+    "sweep_analytic.csv": "688d47e5d6366e8207b3869cd9ecbb46b772abe089394dce743c3ece6f4b864a",
+    "sweep_mc.csv": "29e957d8a0e5bbea8b71c35cdd04d0cab03a6c84b29dcc20862f5cc4a1ead8e7",
+}
+
+
+def test_output_bytes_pinned(tmp_path, capsys):
+    for figure in ("fig8", "fig8l", "fig9", "fig10", "fig11"):
+        assert main(["reproduce", "--figure", figure, "--trials", "300", "--seed", "4",
+                     "--out-dir", str(tmp_path)]) == 0
+    for name, trials in (("sweep_mc.csv", 300), ("sweep_analytic.csv", 0)):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CFG.replace("trials = 4000", f"trials = {trials}"))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(tmp_path.glob("*.csv"))}
+    # NEP 19 does not promise Generator streams stay the same across numpy versions
+    assert digests == PINNED_DIGESTS, f"numpy {numpy.__version__}, new digests: {digests}"
 
 
 def test_cli_import_leaves_scipy_out():
