@@ -9,17 +9,17 @@ the closed-form quantities, ``reproduce`` regenerates the figure datasets
 
 Conventions: output is deterministic for a given (command, flags, seed);
 the master seed defaults to 0, may be any non-negative integer, and is
-echoed in emitted metadata; each Monte Carlo estimator call of
-``reproduce`` and ``sweep`` reads ``split_rng(seed, index)``, index being
-the call's position in the loop order; CSV uses a header row and '.'
-decimals.  Exit codes: 0 success, 2 usage error, a path
-that cannot be read or written or a stdout its reader closed, 3 encoder
-synthesis failure, 4 capacity exceeded (``encode`` refuses a codebook whose
-C(n,k) outcomes and ancilla words would pass ``encoder.SLICE_BYTES_CAP``,
-256 MiB; ``contend`` builds no codebook and refuses C(n,k) > 2**53 or n
-packed encoder rows past that cap, for the linear encoder n > 46,337; any
-command whose arrays cannot be allocated, e.g. 10**15 trials, exits 4
-too).  The environment variable EACSIM_OUT_DIR overrides the output directory.
+echoed in emitted metadata; one builder, ``_mc_rows``, writes every Monte
+Carlo row of ``reproduce`` and ``sweep``, and grid point i (in loop order)
+reads ``split_rng(seed, i)``; CSV uses a header row and '.' decimals.
+Exit codes: 0 success, 2 usage error, a path that cannot be read or
+written or a stdout its reader closed, 3 encoder synthesis failure, 4
+capacity exceeded (``encode`` refuses a codebook whose C(n,k) outcomes and
+ancilla words would pass ``encoder.SLICE_BYTES_CAP``, 256 MiB; ``contend``
+builds no codebook and refuses C(n,k) > 2**53 or n packed encoder rows
+past that cap, for the linear encoder n > 46,337; any command whose arrays
+cannot be allocated, e.g. 10**15 trials, exits 4 too).  The environment
+variable EACSIM_OUT_DIR overrides the output directory.
 """
 from __future__ import annotations
 
@@ -80,9 +80,11 @@ def _check_seed(seed: int, name: str) -> None:
 
 
 def _build_encoder(spec: DickeSpec, kind: str, ell: int | None):
-    if kind == "linear":
-        return build_linear_encoder(spec)
-    return build_binary_encoder(spec, ell=ell)
+    if kind == "binary":
+        return build_binary_encoder(spec, ell=ell)
+    if ell is not None:  # the linear encoder's width is always n - 1
+        raise UsageError("--ell applies only to --kind binary")
+    return build_linear_encoder(spec)
 
 
 # ---------------------------------------------------------------- encode
@@ -149,12 +151,13 @@ def cmd_contend(args) -> int:
 # ---------------------------------------------------------------- analytics
 
 def _analytics_rows(args) -> list[tuple]:
-    params = ChannelParams(q_cr=args.q_cr, q_e=args.q_e, M_cr=args.m_cr, M_e=args.m_e)
+    m_e = args.m_cr if args.m_e is None else args.m_e
+    params = ChannelParams(q_cr=args.q_cr, q_e=args.q_e, M_cr=args.m_cr, M_e=m_e)
     m_bar = params.m_bar
     rows = [
         ("m_bar", m_bar),
         ("success_cr", markov.success_prob(args.k, args.q_cr, args.m_cr)),
-        ("success_e", markov.success_prob(args.k, args.q_e, args.m_e)),
+        ("success_e", markov.success_prob(args.k, args.q_e, m_e)),
         ("success_fully_noisy", markov.success_prob_fully_noisy(args.k, params)),
         ("absorbing_threshold", markov.absorbing_threshold(args.n, m_bar, args.epsilon)),
         ("dicke_joint", markov.dicke_outcome_probability(args.n, args.k)[0]),
@@ -209,9 +212,18 @@ FIG11_QCR = (0.3, 0.5, 0.7)
 FIG11_QE = (0.0, 0.1, 0.3, 0.5, 0.7)
 
 
-def _mc_row(prefix: tuple, estimate: float, trials: int, seed: int) -> tuple:
-    lo, hi = normal_ci(estimate, trials)
-    return prefix + (estimate, lo, hi, trials, seed)
+_MC_COLUMNS = ("estimate", "ci_low", "ci_high", "trials", "seed")
+
+
+def _mc_rows(grid, estimator, trials: int, seed: int) -> list[tuple]:
+    """Monte Carlo rows: point i of ``grid`` calls ``estimator(*point, split_rng(seed, i))``,
+    and each (row prefix, estimate) pair it returns becomes one row ending in _MC_COLUMNS."""
+    rows = []
+    for index, point in enumerate(grid):
+        for prefix, estimate in estimator(*point, split_rng(seed, index)):
+            estimate = float(estimate)  # a numpy scalar would print as np.float64(...)
+            rows.append(prefix + (estimate, *normal_ci(estimate, trials), trials, seed))
+    return rows
 
 
 def _reproduce_fig8(trials: int, seed: int) -> list[tuple]:
@@ -223,45 +235,38 @@ def _reproduce_fig8(trials: int, seed: int) -> list[tuple]:
         (m, DEFAULT_EPSILON, max(FIG8_N), markov.absorbing_threshold_worst_case(FIG8_N, m))
         for m in FIG8_M
     ]
-
-    mc_rows = []
-    for index, (m, n, q) in enumerate(itertools.product((3, 20), (10, 20), FIG8_MC_Q)):
-        hist = channel.empirical_state_distribution(n, q, m, trials, split_rng(seed, index))
-        mc_rows.append(_mc_row((m, n, q), float(hist[n]), trials, seed))
+    mc_rows = _mc_rows(
+        itertools.product((3, 20), (10, 20), FIG8_MC_Q),
+        lambda m, n, q, rng: [((m, n, q),
+                               channel.empirical_state_distribution(n, q, m, trials, rng)[n])],
+        trials, seed)
     return [("fig8.csv", ("M", "n", "q", "p_full", "p_one_shot"), rows),
             ("fig8_thresholds.csv", ("M", "epsilon", "n", "q_bar"), thr_rows),
-            ("fig8_mc.csv", ("M", "n", "q", "estimate", "ci_low", "ci_high", "trials", "seed"),
-             mc_rows)]
+            ("fig8_mc.csv", ("M", "n", "q") + _MC_COLUMNS, mc_rows)]
 
 
 def _reproduce_fig8l(trials: int, seed: int) -> list[tuple]:
-    n = 10
-    rows = [
-        (n, q, m, markov.state_prob(n, n, q, m))
-        for q in FIG8L_Q for m in range(1, FIG8L_M_MAX + 1)
-    ]
-    mc_rows = []
-    for index, q in enumerate((0.2, 0.4)):
-        traj = channel.empirical_full_connection_by_slot(n, q, FIG8L_M_MAX, trials,
-                                                          split_rng(seed, index))
-        for m in range(1, FIG8L_M_MAX + 1):
-            mc_rows.append(_mc_row((n, q, m), float(traj[m - 1]), trials, seed))
+    n, slots = 10, range(1, FIG8L_M_MAX + 1)
+    rows = [(n, q, m, markov.state_prob(n, n, q, m)) for q in FIG8L_Q for m in slots]
+    mc_rows = _mc_rows(
+        itertools.product((0.2, 0.4)),
+        lambda q, rng: zip([(n, q, m) for m in slots], channel.empirical_full_connection_by_slot(
+            n, q, FIG8L_M_MAX, trials, rng)),
+        trials, seed)
     return [("fig8l.csv", ("n", "q", "m", "p_full"), rows),
-            ("fig8l_mc.csv", ("n", "q", "m", "estimate", "ci_low", "ci_high", "trials", "seed"),
-             mc_rows)]
+            ("fig8l_mc.csv", ("n", "q", "m") + _MC_COLUMNS, mc_rows)]
 
 
 def _reproduce_fig9(trials: int, seed: int) -> list[tuple]:
     n, m = 10, 3
     rows = [(n, m, q, k, markov.success_prob(k, q, m)) for q in FIG9_Q for k in range(1, n + 1)]
-    mc_rows = []
-    for index, (q, k) in enumerate(itertools.product(FIG9_Q, range(1, n + 1))):
-        params = ChannelParams(q_cr=q, q_e=0.0, M_cr=m, M_e=m)
-        est = channel.empirical_contention_success(n, k, params, trials, split_rng(seed, index))
-        mc_rows.append(_mc_row((n, m, q, k), est, trials, seed))
+    mc_rows = _mc_rows(
+        itertools.product(FIG9_Q, range(1, n + 1)),
+        lambda q, k, rng: [((n, m, q, k), channel.empirical_contention_success(
+            n, k, ChannelParams(q_cr=q, q_e=0.0, M_cr=m, M_e=m), trials, rng))],
+        trials, seed)
     return [("fig9.csv", ("n", "M", "q", "k", "p_s"), rows),
-            ("fig9_mc.csv", ("n", "M", "q", "k", "estimate", "ci_low", "ci_high", "trials", "seed"),
-             mc_rows)]
+            ("fig9_mc.csv", ("n", "M", "q", "k") + _MC_COLUMNS, mc_rows)]
 
 
 def _reproduce_fig10(trials: int, seed: int) -> list[tuple]:
@@ -270,14 +275,13 @@ def _reproduce_fig10(trials: int, seed: int) -> list[tuple]:
         (m, n, q, j, markov.state_prob(n, j, q, m))
         for n in FIG10_N for q in FIG10_Q for j in range(n + 1)
     ]
-    mc_rows = []
-    for index, (n, q) in enumerate(itertools.product((5, 10), (0.3, 0.7))):
-        hist = channel.empirical_state_distribution(n, q, m, trials, split_rng(seed, index))
-        for j in range(n + 1):
-            mc_rows.append(_mc_row((m, n, q, j), float(hist[j]), trials, seed))
+    mc_rows = _mc_rows(
+        itertools.product((5, 10), (0.3, 0.7)),
+        lambda n, q, rng: zip([(m, n, q, j) for j in range(n + 1)],
+                              channel.empirical_state_distribution(n, q, m, trials, rng)),
+        trials, seed)
     return [("fig10.csv", ("M", "n", "q", "j", "p_state"), rows),
-            ("fig10_mc.csv", ("M", "n", "q", "j", "estimate", "ci_low", "ci_high", "trials", "seed"),
-             mc_rows)]
+            ("fig10_mc.csv", ("M", "n", "q", "j") + _MC_COLUMNS, mc_rows)]
 
 
 def _reproduce_fig11(trials: int, seed: int) -> list[tuple]:
@@ -289,15 +293,13 @@ def _reproduce_fig11(trials: int, seed: int) -> list[tuple]:
                 params = ChannelParams(q_cr=q_cr, q_e=q_e, M_cr=m, M_e=m)
                 for k in range(1, n + 1):
                     rows.append((n, m, q_cr, q_e, k, markov.success_prob_fully_noisy(k, params)))
-    mc_rows = []
-    grid = itertools.product((3, 10), (0.3, 0.7), (0.0, 0.3, 0.7), (2, 4, 6, 8))
-    for index, (m, q_cr, q_e, k) in enumerate(grid):
-        params = ChannelParams(q_cr=q_cr, q_e=q_e, M_cr=m, M_e=m)
-        est = channel.empirical_contention_success(n, k, params, trials, split_rng(seed, index))
-        mc_rows.append(_mc_row((n, m, q_cr, q_e, k), est, trials, seed))
+    mc_rows = _mc_rows(
+        itertools.product((3, 10), (0.3, 0.7), (0.0, 0.3, 0.7), (2, 4, 6, 8)),
+        lambda m, q_cr, q_e, k, rng: [((n, m, q_cr, q_e, k), channel.empirical_contention_success(
+            n, k, ChannelParams(q_cr=q_cr, q_e=q_e, M_cr=m, M_e=m), trials, rng))],
+        trials, seed)
     return [("fig11.csv", ("n", "M", "q_cr", "q_e", "k", "p_s"), rows),
-            ("fig11_mc.csv", ("n", "M", "q_cr", "q_e", "k", "estimate", "ci_low", "ci_high",
-                              "trials", "seed"), mc_rows)]
+            ("fig11_mc.csv", ("n", "M", "q_cr", "q_e", "k") + _MC_COLUMNS, mc_rows)]
 
 
 _FIGURES = {
@@ -375,27 +377,27 @@ def parse_sweep_config(text: str) -> dict:
     return config
 
 
-SWEEP_COLUMNS = ("n", "k", "q_cr", "q_e", "M", "analytic",
-                 "estimate", "ci_low", "ci_high", "trials", "seed")
+SWEEP_COLUMNS = ("n", "k", "q_cr", "q_e", "M", "analytic") + _MC_COLUMNS
 
 
 def sweep_rows(config: dict) -> list[tuple]:
     grids = [config[key] if isinstance(config[key], list) else [config[key]]
              for key in _GRID_KEYS]
     trials, seed = config["trials"], config["seed"]
-    rows = []
-    for index, (n, k, q_cr, q_e, m_cr, m_e) in enumerate(itertools.product(*grids)):
+    points = []
+    for n, k, q_cr, q_e, m_cr, m_e in itertools.product(*grids):
         if not 1 <= k <= n:
             raise UsageError(f"grid point has k={k} outside 1..n={n}")
         params = ChannelParams(q_cr=q_cr, q_e=q_e, M_cr=m_cr, M_e=m_e)
         analytic = markov.success_prob_fully_noisy(k, params)
-        if trials > 0:
-            est = channel.empirical_contention_success(n, k, params, trials, split_rng(seed, index))
-            lo, hi = normal_ci(est, trials)
-        else:
-            est = lo = hi = None
-        rows.append((n, k, q_cr, q_e, params.m_bar, analytic, est, lo, hi, trials, seed))
-    return rows
+        points.append(((n, k, q_cr, q_e, params.m_bar, analytic), n, k, params))
+    if trials == 0:  # analytic only
+        return [prefix + (None, None, None, trials, seed) for prefix, *_ in points]
+    return _mc_rows(
+        points,
+        lambda prefix, n, k, params, rng: [
+            (prefix, channel.empirical_contention_success(n, k, params, trials, rng))],
+        trials, seed)
 
 
 def cmd_sweep(args) -> int:
@@ -470,8 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "analytics" and args.m_e is None:
-        args.m_e = args.m_cr
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout shows here, not in the flush at exit

@@ -15,6 +15,7 @@ import pytest
 import eacsim
 from eacsim.channel import ChannelParams, empirical_contention_success, normal_ci, split_rng
 from eacsim.cli import UsageError, main, parse_sweep_config
+from eacsim.markov import success_prob_fully_noisy
 
 GOLDEN_CIRCUIT_4_2 = """encoder linear n=4 k=2 ell=3
 CNOT d1 a0
@@ -126,6 +127,15 @@ def test_encode_ell_below_one_is_usage_error(tmp_path, capsys, ell):
                  "--ell", ell, "--out-dir", str(tmp_path)])
     assert code == 2
     assert "ell >= 1" in capsys.readouterr().err
+
+
+def test_encode_ell_with_linear_is_usage_error(tmp_path, capsys):
+    # the linear encoder's width is always n - 1, so an --ell it would ignore is refused
+    assert main(["encode", "--kind", "linear", "--n", "6", "--k", "2", "--ell", "3",
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--ell" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_encode_binary_6_2_succeeds(tmp_path):
@@ -447,6 +457,19 @@ def test_sweep_grid_size_and_ci(tmp_path):
         1 for r in rows if float(r["ci_low"]) <= float(r["analytic"]) <= float(r["ci_high"])
     )
     assert inside >= 5
+
+
+def test_sweep_row_recomputed_from_its_substream(tmp_path):
+    # row 3 is k = 2, q_cr = 0.3: index 3 in (k, q_cr) order, 4 were q_cr the outer loop
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 0
+    trials, seed = 4000, 2
+    params = ChannelParams(q_cr=0.3, q_e=0.0, M_cr=3, M_e=3)
+    est = empirical_contention_success(8, 2, params, trials, split_rng(seed, 3))
+    point = (8, 2, 0.3, 0.0, 3, success_prob_fully_noisy(2, params))
+    line = ",".join(map(str, point + (est, *normal_ci(est, trials), trials, seed)))
+    assert (tmp_path / "out.csv").read_text().splitlines()[1 + 3] == line
 
 
 def test_sweep_single_point_matches_analytics(tmp_path):
