@@ -11,7 +11,7 @@ one winner apply a Z to standardize on |Phi+>.
 import numpy as np
 
 from eacsim import canonicalize_bell, extract_epr, fidelity, ghz_state
-from eacsim.protocol import bell_pair
+from eacsim.statevector import bell_pair
 
 n = 4
 print(f"Contended resource: GHZ state on n={n} qubits")

@@ -1,15 +1,19 @@
 """Simulator and analytics toolkit for quantum-genuine entanglement access control.
 
-Subpackages:
+Modules:
 
-* ``statevector`` - minimal dense statevector simulator (H/X/Z/I, CNOT,
-  measurement, joint probabilities, fidelity).
-* ``states`` - Dicke, W and GHZ resource states, and the order of the weight-k
-  slice.
+* ``states`` - contention instances (``DickeSpec``) and the order of the
+  weight-k slice.
 * ``encoder`` - linear and binary contention-resolution encoders as GF(2)
-  maps realized by CNOT lists, plus codebooks and parity recovery.
-* ``protocol`` - end-to-end noise-free rounds: contention, EPR extraction
-  from GHZ, Bell-state disambiguation, anonymity audit.
+  maps realized by CNOT lists, plus codebooks, parity recovery and the caps
+  (``CapacityError``).
+* ``protocol`` - the records of a noise-free round, the anonymity audit, and
+  the classical samplers and transcript writer that ``contend`` runs.
+* ``statevector`` - the dense reference and test oracle: a minimal
+  statevector simulator (H/X/Z/I, CNOT, measurement, fidelity), the Dicke
+  and GHZ states, the encoder run on a register, and the reference rounds
+  (contention, EPR extraction from GHZ, Bell-state disambiguation).  No CLI
+  command runs it.
 * ``channel`` - Monte Carlo model of heralded, slotted, noisy entanglement
   distribution.
 * ``markov`` - closed-form transition/state/success probabilities and the
@@ -18,26 +22,29 @@ Subpackages:
 """
 
 from .statevector import (
-    CapacityError,
     MeasurementRecord,
     StateVector,
     apply_1q,
     apply_cnot,
-    basis_state,
+    apply_encoder,
+    canonicalize_bell,
+    dicke_state,
+    extract_epr,
     fidelity,
+    ghz_state,
     measure,
-    outcome_probability,
-    states_equal,
+    run_contention,
+    run_round,
 )
-from .states import DickeSpec, dicke_state, ghz_state
+from .states import DickeSpec
 from .encoder import (
+    CapacityError,
     Codebook,
     EncoderCircuit,
     InvalidParity,
     NotInjective,
     SynthesisFailed,
     UnknownWord,
-    apply_encoder,
     build_binary_encoder,
     build_linear_encoder,
     cnot_count_bound,
@@ -52,10 +59,6 @@ from .protocol import (
     WrongWinnerCount,
     anonymity_audit,
     build_u_d,
-    canonicalize_bell,
-    extract_epr,
-    run_contention,
-    run_round,
 )
 from .channel import (
     ChannelParams,

@@ -33,6 +33,7 @@ from pathlib import Path
 from . import channel, markov, protocol
 from .channel import ChannelParams, make_rng, normal_ci, split_rng
 from .encoder import (
+    CapacityError,
     SynthesisFailed,
     _format_int_rows,
     build_binary_encoder,
@@ -41,7 +42,6 @@ from .encoder import (
     verify_injectivity,
     write_codebook_csv,
 )
-from .statevector import CapacityError
 from .states import DickeSpec
 
 DEFAULT_SEED = 0

@@ -13,7 +13,8 @@ first collision a scan in slice order would meet.  The codebook takes
 C(n,k)*(n+ell) bytes (CapacityError past SLICE_BYTES_CAP).  `_data_bits`
 and `_packed_words` also build the rows of the classical contention
 sampler's draws.  `_format_int_rows` writes the codebook CSV and
-transcripts via byte matrices.
+transcripts via byte matrices.  Everything here is classical; the CNOT list
+run on a dense register is `statevector.apply_encoder`.
 
 Two constructions are provided:
 
@@ -33,11 +34,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import states
-from .statevector import CapacityError, StateVector, _zero_amplitudes, apply_cnot
 from .states import DickeSpec
 
 SLICE_BYTES_CAP = 256 * 2**20  # tables over the slice; the dense cap's 2^24 x 16 B
 FORMAT_CHUNK_BYTES = 1 << 20  # text formatted at a time; bounds the memory held at once
+
+
+class CapacityError(ValueError):
+    """A run would pass a cap, refused before allocating.
+
+    The caps: SLICE_BYTES_CAP bytes for the tables over the weight-k slice
+    (codebook, injectivity certificate) and for the contention sampler's
+    packed encoder rows; 2^53 outcomes, the ranks one double can address,
+    for that sampler; and `statevector.MAX_QUBITS` qubits for a dense
+    register.
+    """
 
 
 class SynthesisFailed(Exception):
@@ -91,13 +102,6 @@ class EncoderCircuit:
         for control, target in self.cnots:
             g[target, control - 1] ^= 1
         return g
-
-    def encode_word(self, d_bits) -> tuple[int, ...]:
-        """Ancilla word G.d mod 2 for a data outcome (d_1, ..., d_n)."""
-        d = np.asarray(list(d_bits), dtype=np.uint8)
-        if d.shape != (self.n,):
-            raise ValueError(f"expected {self.n} data bits, got {d.shape}")
-        return tuple(int(b) for b in (self.matrix() @ d) & 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,14 +234,14 @@ def _greedy_columns(n: int, t: int) -> list[int]:
     return columns
 
 
-def build_binary_encoder(spec: DickeSpec, rng=None, ell: int | None = None) -> EncoderCircuit:
+def build_binary_encoder(spec: DickeSpec, *, ell: int | None = None) -> EncoderCircuit:
     """Encoder with the compressed ancilla count ell = ceil(log2 C(n,k)).
 
     Data qubit i flips the bits of column h_i of `_greedy_columns` (ancilla 0
-    least significant): for k = 1, the node index i-1 in binary.  ``rng`` is
-    ignored.  ``ell`` overrides the target; rows above the construction stay
-    zero.  Raises SynthesisFailed if the construction is wider, CapacityError
-    first if the injectivity certificate's arrays would pass SLICE_BYTES_CAP.
+    least significant): for k = 1, the node index i-1 in binary.  ``ell``
+    overrides the target; rows above the construction stay zero.  Raises
+    SynthesisFailed if the construction is wider, CapacityError first if the
+    injectivity certificate's arrays would pass SLICE_BYTES_CAP.
     """
     n, k = spec.n, spec.k
     target_ell = (spec.num_outcomes - 1).bit_length() if ell is None else ell
@@ -314,24 +318,6 @@ def cnot_count_bound(n: int) -> int:
         raise ValueError(f"need n >= 2, got {n}")
     ell = math.ceil(math.log2(n))
     return ell * 2 ** (ell - 1)
-
-
-def apply_encoder(dicke: StateVector, circuit: EncoderCircuit) -> StateVector:
-    """Attach ell |0> ancillas to a Dicke state and run the CNOT list.
-
-    Returns the (n+ell)-qubit contention-resolution state.  Gates are applied
-    through the statevector simulator, so this is the quantum counterpart of
-    the classical GF(2) path of `verify_injectivity`.
-    """
-    if dicke.num_qubits != circuit.n:
-        raise ValueError(f"state has {dicke.num_qubits} qubits, circuit expects {circuit.n}")
-    amps = _zero_amplitudes(circuit.n + circuit.ell)
-    support = np.flatnonzero(dicke.amplitudes)
-    amps[support << circuit.ell] = dicke.amplitudes[support]
-    state = StateVector(circuit.n + circuit.ell, amps)
-    for control, target in circuit.cnots:
-        state = apply_cnot(state, control, circuit.n + 1 + target)
-    return state
 
 
 def format_circuit(circuit: EncoderCircuit) -> str:

@@ -9,13 +9,16 @@ which the two winners distill an EPR pair: losers measure in the Hadamard
 basis and "safely leave", and the parity of their outcomes tells the
 orchestrator which Bell state the winners now share.
 
-Two paths produce rounds.  `run_contention`/`run_round` run them on the
-dense statevector simulator (n + ell <= 24 qubits); they are the quantum
-reference.  `sample_contention_outcomes` and `sample_loser_outcomes` sample
-the same laws classically, since every readout is in the computational
-basis (after the losers' Hadamards) and CNOTs only permute basis states;
-the contention sampler unranks only the weight-k strings it draws.  `cli
-contend` uses both and the byte-matrix writer `write_transcript_arrays`.
+This module holds the records of a round (`NodeView`, `ContentionOutcome`,
+`BellState`), the extraction step's local unitaries (`build_u_d`) and the
+`anonymity_audit`, and it samples rounds classically: every readout is in
+the computational basis (after the losers' Hadamards) and CNOTs only
+permute basis states, so `sample_contention_outcomes` and
+`sample_loser_outcomes` draw the Born laws without amplitudes; the
+contention sampler unranks only the weight-k strings it draws.  `cli
+contend` uses both, `unique_rows` and the byte-matrix writer
+`write_transcript_arrays`.  The same rounds on a dense register, the
+quantum reference the tests compare against, are in `statevector`.
 """
 from __future__ import annotations
 
@@ -25,10 +28,9 @@ from enum import Enum
 
 import numpy as np
 
-from . import statevector as sv
-from .encoder import (SLICE_BYTES_CAP, EncoderCircuit, _data_bits, _format_int_rows,
-                      _packed_words, apply_encoder, decode, verify_injectivity)
-from .states import DickeSpec, _slice_columns, dicke_state, ghz_state
+from .encoder import (SLICE_BYTES_CAP, CapacityError, EncoderCircuit, _data_bits,
+                      _format_int_rows, _packed_words)
+from .states import DickeSpec, _slice_columns
 
 
 class WrongWinnerCount(ValueError):
@@ -69,38 +71,6 @@ class ContentionOutcome:
     g_parity: int | None = None
 
 
-def run_contention(
-    spec: DickeSpec, encoder: EncoderCircuit, rng
-) -> tuple[ContentionOutcome, list[NodeView]]:
-    """One full contention round on the statevector simulator.
-
-    Verifies the encoder (building its codebook), prepares the
-    contention-resolution state, measures the n data qubits then the ell
-    ancillas, and decodes the word.  Returns the orchestrator record and the
-    per-node views.
-    """
-    codebook = verify_injectivity(encoder, spec)
-    state = apply_encoder(dicke_state(spec), encoder)
-    d_bits = []
-    for node in range(1, spec.n + 1):
-        record, state = sv.measure(state, node, rng)
-        d_bits.append(record.outcome)
-    word = []
-    for j in range(encoder.ell):
-        record, state = sv.measure(state, spec.n + 1 + j, rng)
-        word.append(record.outcome)
-    d_vector = tuple(d_bits)
-    winners = tuple(i for i in range(1, spec.n + 1) if d_vector[i - 1])
-    decoded = decode(codebook, tuple(word))
-    if decoded != winners:
-        raise RuntimeError(
-            f"ancilla word decoded to {decoded} but measured winners are {winners}"
-        )
-    views = [NodeView(node_id=i, d=d_vector[i - 1]) for i in range(1, spec.n + 1)]
-    outcome = ContentionOutcome(d_vector=d_vector, winners=winners, ancilla_word=tuple(word))
-    return outcome, views
-
-
 def build_u_d(d_vector) -> list[str]:
     """Per-qubit local unitaries for the extraction step: H on losers, I on winners."""
     gates = []
@@ -109,64 +79,6 @@ def build_u_d(d_vector) -> list[str]:
             raise ValueError("d_vector entries must be 0 or 1")
         gates.append("I" if d == 1 else "H")
     return gates
-
-
-def extract_epr(
-    n: int, d_vector, rng, views: list[NodeView] | None = None
-) -> tuple[ContentionOutcome, sv.StateVector]:
-    """Distill an EPR pair for the two winners out of an n-qubit GHZ state.
-
-    Applies the local unitaries of `build_u_d`, measures every loser qubit
-    (the Hadamard rotation being already applied), and conditions the
-    register on those outcomes.  The surviving two-qubit state on the winner
-    positions (ascending node order) is |Phi+> when the loser-outcome parity
-    is even and |Phi-> when odd.  If ``views`` is given, each loser's view
-    gets its ``g`` outcome filled in.
-    """
-    d_vector = tuple(int(d) for d in d_vector)
-    if len(d_vector) != n:
-        raise ValueError(f"d_vector length {len(d_vector)} != n {n}")
-    winners = tuple(i for i in range(1, n + 1) if d_vector[i - 1])
-    if len(winners) != 2:
-        raise WrongWinnerCount(f"need exactly 2 winners, got {len(winners)}")
-    state = ghz_state(n)
-    for qubit, gate in enumerate(build_u_d(d_vector), start=1):
-        if gate != "I":
-            state = sv.apply_1q(state, gate, qubit)
-    g_outcomes: dict[int, int] = {}
-    for qubit in range(1, n + 1):
-        if d_vector[qubit - 1] == 0:
-            record, state = sv.measure(state, qubit, rng)
-            g_outcomes[qubit] = record.outcome
-    parity = sum(g_outcomes.values()) % 2
-    pair = sv.conditional_state(state, fixed=g_outcomes, keep=list(winners))
-    if views is not None:
-        for view in views:
-            if view.node_id in g_outcomes:
-                view.g = g_outcomes[view.node_id]
-    outcome = ContentionOutcome(
-        d_vector=d_vector,
-        winners=winners,
-        bell_state=BellState.PHI_MINUS if parity else BellState.PHI_PLUS,
-        g_parity=parity,
-    )
-    return outcome, pair
-
-
-def canonicalize_bell(state: sv.StateVector, winners, g_parity: int) -> sv.StateVector:
-    """Turn the extracted pair into |Phi+> regardless of the loser parity.
-
-    The correction (a Z on the lower-indexed winner, qubit 1 of the pair
-    state) is optional: the orchestrator may instead just record which Bell
-    state the winners hold.
-    """
-    if state.num_qubits != 2:
-        raise ValueError("expected the extracted 2-qubit pair state")
-    if len(tuple(winners)) != 2:
-        raise ValueError("winners must be a pair")
-    if g_parity % 2 == 0:
-        return state
-    return sv.apply_1q(state, "Z", 1)
 
 
 def anonymity_audit(views: list[NodeView]) -> bool:
@@ -193,19 +105,6 @@ def anonymity_audit(views: list[NodeView]) -> bool:
     return True
 
 
-def run_round(
-    spec: DickeSpec, encoder: EncoderCircuit, rng
-) -> tuple[ContentionOutcome, list[NodeView], sv.StateVector | None]:
-    """Contention plus, for k = 2, EPR extraction; merges the two records."""
-    outcome, views = run_contention(spec, encoder, rng)
-    pair = None
-    if spec.k == 2:
-        epr_outcome, pair = extract_epr(spec.n, outcome.d_vector, rng, views=views)
-        outcome.bell_state = epr_outcome.bell_state
-        outcome.g_parity = epr_outcome.g_parity
-    return outcome, views, pair
-
-
 def sample_contention_outcomes(
     spec: DickeSpec, encoder: EncoderCircuit, runs: int, rng
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -227,12 +126,12 @@ def sample_contention_outcomes(
     if encoder.n != spec.n:
         raise ValueError(f"encoder built for n={encoder.n}, spec has n={spec.n}")
     if spec.num_outcomes > 2**53:
-        raise sv.CapacityError(f"C({spec.n},{spec.k}) = {spec.num_outcomes} outcomes exceed the "
-                               "2^53 ranks one double can address")
+        raise CapacityError(f"C({spec.n},{spec.k}) = {spec.num_outcomes} outcomes exceed the "
+                            "2^53 ranks one double can address")
     packed_bytes = spec.n * 8 * -(-encoder.ell // 64)
     if packed_bytes > SLICE_BYTES_CAP:
-        raise sv.CapacityError(f"the {spec.n} packed rows of the encoder matrix need "
-                               f"{packed_bytes} bytes, above the {SLICE_BYTES_CAP}-byte cap")
+        raise CapacityError(f"the {spec.n} packed rows of the encoder matrix need "
+                            f"{packed_bytes} bytes, above the {SLICE_BYTES_CAP}-byte cap")
     ranks = (rng.random(runs) * spec.num_outcomes).astype(np.int64)
     columns = _slice_columns(spec.n, spec.k, ranks)
     words = np.unpackbits(_packed_words(encoder, columns).view(np.uint8), axis=1, count=encoder.ell)
@@ -291,11 +190,3 @@ def write_transcript_arrays(d_bits, a_bits, g_matrix, parity, seed, stream) -> N
         pieces += [b',"g":[', (g_matrix, b",", bits + (b"null",)), (parity[:, None], b"", tails)]
     for text in _format_int_rows(pieces):
         stream.write(text.decode("ascii"))
-
-
-def bell_pair(sign: int) -> sv.StateVector:
-    """|Phi+> for sign=+1, |Phi-> for sign=-1."""
-    amps = np.zeros(4, dtype=complex)
-    amps[0] = 1 / np.sqrt(2.0)
-    amps[3] = sign / np.sqrt(2.0)
-    return sv.StateVector(2, amps)

@@ -1,12 +1,13 @@
-"""Entangled resource states: Dicke (including W) and GHZ.
+"""Contention instances and the weight-k slice of their Dicke states.
 
-States are built by direct amplitude assignment rather than gate synthesis.
-The weight-k basis strings of a Dicke state are enumerated by one unranker,
-`_slice_columns`, in lexicographic order of their big-endian bitstrings (i.e.
-ascending basis index); this fixes which collision the encoder's
-injectivity check names first, what a contention draw's rank names, and the
-binary encoder's index convention; codebooks are emitted explicitly so
-consumers never depend on it.
+`DickeSpec` names an instance: n contending nodes sharing the Dicke state of
+weight k (the W state for k = 1).  The weight-k basis strings, that state's
+support, are enumerated by one unranker, `_slice_columns`, in lexicographic
+order of their big-endian bitstrings (i.e. ascending basis index); this
+fixes which collision the encoder's injectivity check names first, what a
+contention draw's rank names, and the binary encoder's index convention;
+codebooks are emitted explicitly so consumers never depend on it.  The
+Dicke and GHZ amplitudes are built in `statevector`.
 """
 from __future__ import annotations
 
@@ -14,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .statevector import StateVector, _zero_amplitudes
 
 
 @dataclass(frozen=True)
@@ -58,19 +57,3 @@ def _slice_columns(n: int, k: int, ranks: np.ndarray | None = None) -> list[np.n
         columns.append((n - i - offset).astype(np.min_scalar_type(n - 1)))  # bit 2^e is column n-1-e
     return columns
 
-
-def dicke_state(spec: DickeSpec) -> StateVector:
-    """Even superposition of every weight-k computational basis state."""
-    amps = _zero_amplitudes(spec.n)
-    support = sum(1 << (spec.n - 1 - col.astype(np.int64)) for col in _slice_columns(spec.n, spec.k))
-    amps[support] = 1.0 / math.sqrt(spec.num_outcomes)
-    return StateVector(spec.n, amps)
-
-
-def ghz_state(n: int) -> StateVector:
-    """(|0...0> + |1...1>)/sqrt(2) on n qubits."""
-    if n < 2:
-        raise ValueError(f"GHZ state needs n >= 2, got {n}")
-    amps = _zero_amplitudes(n)
-    amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
-    return StateVector(n, amps)

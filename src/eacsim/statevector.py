@@ -1,22 +1,41 @@
-"""Minimal dense statevector simulator.
+"""Dense statevector simulator: the quantum reference and test oracle.
 
-Provides exactly what the access-control protocol needs: computational-basis
-states, the H/X/Z/I gates, CNOT, single-qubit measurement, joint-outcome
-probabilities, and fidelity.  Qubits are numbered 1..num_qubits and the basis
-is enumerated big-endian: qubit 1 is the most significant bit of the basis
-index, so ``basis_state(3, [1, 0, 0])`` puts amplitude 1 at index 4.
+Everything that builds or reads amplitudes lives here: the register
+(`StateVector`, at most MAX_QUBITS qubits), the H/X/Z/I gates, CNOT,
+single-qubit measurement, conditioning and fidelity; the Dicke and GHZ
+resource states; the encoder's CNOT list run on a register
+(`apply_encoder`); and the reference rounds `run_contention`,
+`extract_epr`, `canonicalize_bell`, `run_round` and `bell_pair`.  No
+command of the CLI runs this module: every readout of a round is in the
+computational basis (the losers' after one Hadamard each), so `protocol`
+samples the same laws classically, and the tests hold those samplers to
+this module.
 
-A StateVector is a value: operations return new instances and never mutate
-their input, so instances are safe to share across threads.
+Qubits are numbered 1..num_qubits and the basis is enumerated big-endian:
+qubit 1 is the most significant bit of the basis index, so the state
+|1 0 0> has amplitude 1 at index 4.  A StateVector is a value: operations
+return new instances and never mutate their input, so instances are safe to
+share across threads.
+
+Memory: each call allocates, at its peak, a multiple of the 16 * 2^q bytes
+of a q-qubit register on top of its input (tracemalloc, 14-19 qubits):
+`apply_cnot` 1.5x, `apply_1q` 2.0x (1.0x on qubit 1), `measure` 2.0x,
+`conditional_state` 0.5x, `apply_encoder` 2.5x of its output register.  At
+MAX_QUBITS a register is 256 MiB, so `measure` and its input hold about
+3 x 256 MiB.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .encoder import CapacityError, EncoderCircuit, decode, verify_injectivity
+from .protocol import BellState, ContentionOutcome, NodeView, WrongWinnerCount, build_u_d
+from .states import DickeSpec, _slice_columns
+
 MAX_QUBITS = 24          # dense vector of 2^24 amplitudes (~256 MB complex128)
-ATOL = 1e-10             # per-component amplitude comparison tolerance
 
 _GATES_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -24,10 +43,6 @@ _GATES_1Q = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0),
 }
-
-
-class CapacityError(ValueError):
-    """Requested register exceeds the dense-simulation qubit cap."""
 
 
 @dataclass(eq=False)
@@ -79,21 +94,6 @@ def _zero_amplitudes(num_qubits: int) -> np.ndarray:
     if not 1 <= num_qubits <= MAX_QUBITS:
         raise CapacityError(f"num_qubits={num_qubits} outside supported range 1..{MAX_QUBITS}")
     return np.zeros(2**num_qubits, dtype=complex)
-
-
-def basis_state(num_qubits: int, bitstring) -> StateVector:
-    """Computational-basis state |b1 b2 ... bq> with bit 1 most significant."""
-    bits = list(bitstring)
-    if len(bits) != num_qubits:
-        raise ValueError(f"bitstring length {len(bits)} != num_qubits {num_qubits}")
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("bitstring entries must be 0 or 1")
-    amps = _zero_amplitudes(num_qubits)
-    index = 0
-    for b in bits:
-        index = (index << 1) | b
-    amps[index] = 1.0
-    return StateVector(num_qubits, amps)
 
 
 def apply_1q(state: StateVector, gate: str, target: int) -> StateVector:
@@ -173,23 +173,6 @@ def measure(state: StateVector, target: int, rng) -> tuple[MeasurementRecord, St
     return MeasurementRecord(target, outcome, p), collapsed
 
 
-def outcome_probability(state: StateVector, qubits, bits) -> float:
-    """Born probability of the joint outcome ``bits`` on ``qubits``."""
-    qubits, bits = list(qubits), list(bits)
-    if len(qubits) != len(bits):
-        raise ValueError("qubits and bits must have the same length")
-    if len(set(qubits)) != len(qubits):
-        raise ValueError("duplicate qubit in joint outcome")
-    probs = np.abs(state.tensor()) ** 2
-    idx = [slice(None)] * state.num_qubits
-    for q, b in zip(qubits, bits):
-        ax = _check_qubit(state, q)
-        if b not in (0, 1):
-            raise ValueError("bits entries must be 0 or 1")
-        idx[ax] = b
-    return float(probs[tuple(idx)].sum())
-
-
 def conditional_state(state: StateVector, fixed: dict, keep) -> StateVector:
     """Sub-state over ``keep`` qubits given definite values for ``fixed`` qubits.
 
@@ -221,12 +204,145 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
-def states_equal(a: StateVector, b: StateVector, atol: float = ATOL) -> bool:
-    """Component-wise equality after quotienting out the global phase."""
-    if a.num_qubits != b.num_qubits:
-        return False
-    inner = np.vdot(a.amplitudes, b.amplitudes)
-    if abs(inner) < atol:
-        return False
-    phase = inner / abs(inner)
-    return bool(np.max(np.abs(b.amplitudes - phase * a.amplitudes)) <= atol)
+def dicke_state(spec: DickeSpec) -> StateVector:
+    """Even superposition of every weight-k computational basis state."""
+    amps = _zero_amplitudes(spec.n)
+    support = sum(1 << (spec.n - 1 - col.astype(np.int64)) for col in _slice_columns(spec.n, spec.k))
+    amps[support] = 1.0 / math.sqrt(spec.num_outcomes)
+    return StateVector(spec.n, amps)
+
+
+def ghz_state(n: int) -> StateVector:
+    """(|0...0> + |1...1>)/sqrt(2) on n qubits."""
+    if n < 2:
+        raise ValueError(f"GHZ state needs n >= 2, got {n}")
+    amps = _zero_amplitudes(n)
+    amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
+    return StateVector(n, amps)
+
+
+def bell_pair(sign: int) -> StateVector:
+    """|Phi+> for sign=+1, |Phi-> for sign=-1."""
+    amps = np.zeros(4, dtype=complex)
+    amps[0] = 1 / np.sqrt(2.0)
+    amps[3] = sign / np.sqrt(2.0)
+    return StateVector(2, amps)
+
+
+def apply_encoder(dicke: StateVector, circuit: EncoderCircuit) -> StateVector:
+    """Attach ell |0> ancillas to a Dicke state and run the CNOT list.
+
+    Returns the (n+ell)-qubit contention-resolution state: the quantum
+    counterpart of the classical GF(2) path of `encoder.verify_injectivity`.
+    """
+    if dicke.num_qubits != circuit.n:
+        raise ValueError(f"state has {dicke.num_qubits} qubits, circuit expects {circuit.n}")
+    state = StateVector(circuit.n + circuit.ell, _zero_amplitudes(circuit.n + circuit.ell))
+    support = np.flatnonzero(dicke.amplitudes)
+    state.amplitudes[support << circuit.ell] = dicke.amplitudes[support]
+    for control, target in circuit.cnots:
+        state = apply_cnot(state, control, circuit.n + 1 + target)
+    return state
+
+
+def run_contention(
+    spec: DickeSpec, encoder: EncoderCircuit, rng
+) -> tuple[ContentionOutcome, list[NodeView]]:
+    """One full contention round on the dense register.
+
+    Verifies the encoder (building its codebook), prepares the
+    contention-resolution state, measures the n data qubits then the ell
+    ancillas, and decodes the word.  Returns the orchestrator record and the
+    per-node views.
+    """
+    codebook = verify_injectivity(encoder, spec)
+    state = apply_encoder(dicke_state(spec), encoder)
+    d_bits = []
+    for node in range(1, spec.n + 1):
+        record, state = measure(state, node, rng)
+        d_bits.append(record.outcome)
+    word = []
+    for j in range(encoder.ell):
+        record, state = measure(state, spec.n + 1 + j, rng)
+        word.append(record.outcome)
+    d_vector = tuple(d_bits)
+    winners = tuple(i for i in range(1, spec.n + 1) if d_vector[i - 1])
+    decoded = decode(codebook, tuple(word))
+    if decoded != winners:
+        raise RuntimeError(
+            f"ancilla word decoded to {decoded} but measured winners are {winners}"
+        )
+    views = [NodeView(node_id=i, d=d_vector[i - 1]) for i in range(1, spec.n + 1)]
+    outcome = ContentionOutcome(d_vector=d_vector, winners=winners, ancilla_word=tuple(word))
+    return outcome, views
+
+
+def extract_epr(
+    n: int, d_vector, rng, views: list[NodeView] | None = None
+) -> tuple[ContentionOutcome, StateVector]:
+    """Distill an EPR pair for the two winners out of an n-qubit GHZ state.
+
+    Applies the local unitaries of `protocol.build_u_d`, measures every
+    loser qubit (the Hadamard rotation being already applied), and
+    conditions the register on those outcomes.  The surviving two-qubit
+    state on the winner positions (ascending node order) is |Phi+> when the
+    loser-outcome parity is even and |Phi-> when odd.  If ``views`` is
+    given, each loser's view gets its ``g`` outcome filled in.
+    """
+    d_vector = tuple(int(d) for d in d_vector)
+    if len(d_vector) != n:
+        raise ValueError(f"d_vector length {len(d_vector)} != n {n}")
+    winners = tuple(i for i in range(1, n + 1) if d_vector[i - 1])
+    if len(winners) != 2:
+        raise WrongWinnerCount(f"need exactly 2 winners, got {len(winners)}")
+    state = ghz_state(n)
+    for qubit, gate in enumerate(build_u_d(d_vector), start=1):
+        if gate != "I":
+            state = apply_1q(state, gate, qubit)
+    g_outcomes: dict[int, int] = {}
+    for qubit in range(1, n + 1):
+        if d_vector[qubit - 1] == 0:
+            record, state = measure(state, qubit, rng)
+            g_outcomes[qubit] = record.outcome
+    parity = sum(g_outcomes.values()) % 2
+    pair = conditional_state(state, fixed=g_outcomes, keep=list(winners))
+    if views is not None:
+        for view in views:
+            if view.node_id in g_outcomes:
+                view.g = g_outcomes[view.node_id]
+    outcome = ContentionOutcome(
+        d_vector=d_vector,
+        winners=winners,
+        bell_state=BellState.PHI_MINUS if parity else BellState.PHI_PLUS,
+        g_parity=parity,
+    )
+    return outcome, pair
+
+
+def canonicalize_bell(state: StateVector, winners, g_parity: int) -> StateVector:
+    """Turn the extracted pair into |Phi+> regardless of the loser parity.
+
+    The correction (a Z on the lower-indexed winner, qubit 1 of the pair
+    state) is optional: the orchestrator may instead just record which Bell
+    state the winners hold.
+    """
+    if state.num_qubits != 2:
+        raise ValueError("expected the extracted 2-qubit pair state")
+    if len(tuple(winners)) != 2:
+        raise ValueError("winners must be a pair")
+    if g_parity % 2 == 0:
+        return state
+    return apply_1q(state, "Z", 1)
+
+
+def run_round(
+    spec: DickeSpec, encoder: EncoderCircuit, rng
+) -> tuple[ContentionOutcome, list[NodeView], StateVector | None]:
+    """Contention plus, for k = 2, EPR extraction; merges the two records."""
+    outcome, views = run_contention(spec, encoder, rng)
+    pair = None
+    if spec.k == 2:
+        epr_outcome, pair = extract_epr(spec.n, outcome.d_vector, rng, views=views)
+        outcome.bell_state = epr_outcome.bell_state
+        outcome.g_parity = epr_outcome.g_parity
+    return outcome, views, pair

@@ -1,6 +1,10 @@
 """Shared test helpers."""
 from __future__ import annotations
 
+import numpy as np
+
+from eacsim import statevector as sv
+
 
 class ForcedRng:
     """Stand-in random stream yielding a preset sequence of uniforms.
@@ -44,3 +48,54 @@ def weight_k_indices(n, k):
 def index_bits(index, n):
     """Big-endian bit tuple (d_1, ..., d_n) of a basis index."""
     return tuple((index >> (n - i)) & 1 for i in range(1, n + 1))
+
+
+def basis_state(num_qubits, bitstring):
+    """Computational-basis state |b1 b2 ... bq> with bit 1 most significant."""
+    bits = list(bitstring)
+    if len(bits) != num_qubits:
+        raise ValueError(f"bitstring length {len(bits)} != num_qubits {num_qubits}")
+    if any(b not in (0, 1) for b in bits):
+        raise ValueError("bitstring entries must be 0 or 1")
+    amps = sv._zero_amplitudes(num_qubits)
+    index = 0
+    for b in bits:
+        index = (index << 1) | b
+    amps[index] = 1.0
+    return sv.StateVector(num_qubits, amps)
+
+
+def outcome_probability(state, qubits, bits):
+    """Born probability of the joint outcome ``bits`` on ``qubits``."""
+    qubits, bits = list(qubits), list(bits)
+    if len(qubits) != len(bits):
+        raise ValueError("qubits and bits must have the same length")
+    if len(set(qubits)) != len(qubits):
+        raise ValueError("duplicate qubit in joint outcome")
+    probs = np.abs(state.tensor()) ** 2
+    idx = [slice(None)] * state.num_qubits
+    for q, b in zip(qubits, bits):
+        ax = sv._check_qubit(state, q)
+        if b not in (0, 1):
+            raise ValueError("bits entries must be 0 or 1")
+        idx[ax] = b
+    return float(probs[tuple(idx)].sum())
+
+
+def states_equal(a, b, atol=1e-10):
+    """Component-wise equality after quotienting out the global phase."""
+    if a.num_qubits != b.num_qubits:
+        return False
+    inner = np.vdot(a.amplitudes, b.amplitudes)
+    if abs(inner) < atol:
+        return False
+    phase = inner / abs(inner)
+    return bool(np.max(np.abs(b.amplitudes - phase * a.amplitudes)) <= atol)
+
+
+def encode_word(circuit, d_bits):
+    """Ancilla word G.d mod 2 of a circuit for a data outcome (d_1, ..., d_n)."""
+    d = np.asarray(list(d_bits), dtype=np.uint8)
+    if d.shape != (circuit.n,):
+        raise ValueError(f"expected {circuit.n} data bits, got {d.shape}")
+    return tuple(int(b) for b in (circuit.matrix() @ d) & 1)

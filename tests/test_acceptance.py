@@ -11,7 +11,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import force_bits
+from conftest import encode_word, force_bits
 
 from eacsim import statevector as sv
 from eacsim.channel import ChannelParams, empirical_contention_success, split_rng
@@ -24,8 +24,9 @@ from eacsim.encoder import (
     verify_injectivity,
 )
 from eacsim.markov import state_prob, success_prob, transition_matrix
-from eacsim.protocol import bell_pair, canonicalize_bell, extract_epr, sample_contention_outcomes
+from eacsim.protocol import sample_contention_outcomes
 from eacsim.states import DickeSpec
+from eacsim.statevector import bell_pair, canonicalize_bell, extract_epr
 
 MASTER_SEED = 0
 Z99 = 2.5758293035489004          # two-sided 99% normal quantile
@@ -52,7 +53,7 @@ def test_criterion_1_codebook_golden():
     codebook = verify_injectivity(circuit, spec)
     assert len(codebook.entries) == 6
     for d, word in FIG3B_TABLE.items():
-        assert circuit.encode_word(d) == word                    # d -> a mapping
+        assert encode_word(circuit, d) == word                   # d -> a mapping
         winners = tuple(i + 1 for i in range(4) if d[i])
         assert codebook.entries[word] == winners                 # word -> winners
         assert recover_last_bit_linear(word, 2) == d[3]          # parity recovery
@@ -102,7 +103,7 @@ def test_criterion_3_encoder_orthogonality():
             assert len(circuit.cnots) == cnot_count_bound(n)
     # synthesized binary encoder for (6, 2) at the compressed width
     spec = DickeSpec(6, 2)
-    circuit = build_binary_encoder(spec, split_rng(MASTER_SEED, 6))
+    circuit = build_binary_encoder(spec)
     assert circuit.ell == 4
     codebook = verify_injectivity(circuit, spec)
     assert len(codebook.entries) == 15

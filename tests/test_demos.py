@@ -1,4 +1,4 @@
-"""The narrative demos run to completion (01 is left out: it spends seconds on dense rounds)."""
+"""The narrative demos run to completion."""
 import os
 import subprocess
 import sys
@@ -12,7 +12,8 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 @pytest.mark.parametrize("name", [
-    "02_epr_extraction.py", "03_noisy_distribution.py", "04_figure_datasets.py",
+    "01_contention_resolution.py", "02_epr_extraction.py", "03_noisy_distribution.py",
+    "04_figure_datasets.py",
 ])
 def test_demo_exits_zero(tmp_path, name):
     src = str(Path(eacsim.__file__).resolve().parents[1])

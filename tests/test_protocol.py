@@ -7,12 +7,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import force_bits
+from conftest import basis_state, force_bits, states_equal
 
 from eacsim import protocol, statevector as sv
 from eacsim.encoder import (
     SynthesisFailed,
-    apply_encoder,
     build_binary_encoder,
     build_linear_encoder,
     verify_injectivity,
@@ -22,18 +21,22 @@ from eacsim.protocol import (
     NodeView,
     WrongWinnerCount,
     anonymity_audit,
-    bell_pair,
     build_u_d,
-    canonicalize_bell,
-    extract_epr,
-    run_contention,
-    run_round,
     sample_contention_outcomes,
     sample_loser_outcomes,
     unique_rows,
     write_transcript_arrays,
 )
-from eacsim.states import DickeSpec, dicke_state
+from eacsim.states import DickeSpec
+from eacsim.statevector import (
+    apply_encoder,
+    bell_pair,
+    canonicalize_bell,
+    dicke_state,
+    extract_epr,
+    run_contention,
+    run_round,
+)
 
 
 # ---------------------------------------------------------------- contention
@@ -52,7 +55,7 @@ def test_run_contention_winner_count_and_decode(seed):
 
 def test_run_contention_binary_encoder():
     spec = DickeSpec(6, 2)
-    encoder = build_binary_encoder(spec, np.random.default_rng(5))
+    encoder = build_binary_encoder(spec)
     codebook = verify_injectivity(encoder, spec)
     for seed in range(5):
         outcome, _ = run_contention(spec, encoder, np.random.default_rng(seed))
@@ -127,12 +130,12 @@ def test_extract_epr_fills_views():
 
 def test_canonicalize_bell_fixes_phi_minus():
     fixed = canonicalize_bell(bell_pair(-1), (2, 5), 1)
-    assert sv.states_equal(fixed, bell_pair(+1))
+    assert states_equal(fixed, bell_pair(+1))
 
 
 def test_canonicalize_bell_keeps_phi_plus():
     same = canonicalize_bell(bell_pair(+1), (1, 2), 0)
-    assert sv.states_equal(same, bell_pair(+1))
+    assert states_equal(same, bell_pair(+1))
 
 
 def test_canonicalize_after_extraction_always_phi_plus():
@@ -148,7 +151,7 @@ def test_canonicalize_after_extraction_always_phi_plus():
 
 def test_canonicalize_validation():
     with pytest.raises(ValueError):
-        canonicalize_bell(sv.basis_state(3, [0, 0, 0]), (1, 2), 0)
+        canonicalize_bell(basis_state(3, [0, 0, 0]), (1, 2), 0)
     with pytest.raises(ValueError):
         canonicalize_bell(bell_pair(+1), (1, 2, 3), 0)
 
@@ -249,9 +252,9 @@ def test_classical_sampler_matches_dense_draws(n, k, kind):
         encoder = build_linear_encoder(spec)
     else:
         try:
-            encoder = build_binary_encoder(spec, np.random.default_rng(0))
+            encoder = build_binary_encoder(spec)
         except SynthesisFailed as exc:
-            encoder = build_binary_encoder(spec, np.random.default_rng(0), ell=exc.best_ell)
+            encoder = build_binary_encoder(spec, ell=exc.best_ell)
     for seed in (0, 1):
         dense_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         d_ref, a_ref = dense_born_sampler(spec, encoder, 500, dense_rng)

@@ -8,7 +8,8 @@ import pytest
 from conftest import index_bits, weight_k_indices
 
 from eacsim.markov import dicke_outcome_probability
-from eacsim.states import DickeSpec, _slice_columns, dicke_state, ghz_state
+from eacsim.states import DickeSpec, _slice_columns
+from eacsim.statevector import dicke_state, ghz_state
 
 
 def test_dicke_4_2_support():

@@ -1,9 +1,18 @@
-"""Statevector simulator: known vectors, Born statistics, invariants."""
+"""Statevector simulator: known vectors, Born statistics, invariants, memory, layering."""
+import ast
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from conftest import basis_state, outcome_probability, states_equal
+
+import eacsim
 from eacsim import statevector as sv
-from eacsim.states import DickeSpec, dicke_state
+from eacsim.encoder import build_linear_encoder
+from eacsim.states import DickeSpec
+from eacsim.statevector import dicke_state
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -17,29 +26,29 @@ def random_state(n, seed):
 # ---------------------------------------------------------------- basis_state
 
 def test_basis_state_00():
-    np.testing.assert_allclose(sv.basis_state(2, [0, 0]).amplitudes, [1, 0, 0, 0], atol=1e-15)
+    np.testing.assert_allclose(basis_state(2, [0, 0]).amplitudes, [1, 0, 0, 0], atol=1e-15)
 
 
 def test_basis_state_big_endian():
-    st = sv.basis_state(3, [1, 1, 1])
+    st = basis_state(3, [1, 1, 1])
     assert st.amplitudes[7] == 1.0
     assert np.count_nonzero(st.amplitudes) == 1
     # qubit 1 is the most significant bit
-    st = sv.basis_state(3, [1, 0, 0])
+    st = basis_state(3, [1, 0, 0])
     assert st.amplitudes[4] == 1.0
 
 
 def test_basis_state_single_qubit():
-    np.testing.assert_allclose(sv.basis_state(1, [1]).amplitudes, [0, 1], atol=1e-15)
+    np.testing.assert_allclose(basis_state(1, [1]).amplitudes, [0, 1], atol=1e-15)
 
 
 def test_basis_state_validation():
     with pytest.raises(ValueError):
-        sv.basis_state(2, [0])
+        basis_state(2, [0])
     with pytest.raises(ValueError):
-        sv.basis_state(2, [0, 2])
+        basis_state(2, [0, 2])
     with pytest.raises(sv.CapacityError):
-        sv.basis_state(25, [0] * 25)
+        basis_state(25, [0] * 25)
 
 
 def test_statevector_shape_checked():
@@ -52,7 +61,7 @@ def test_statevector_shape_checked():
 # ---------------------------------------------------------------- gates
 
 def test_hadamard_on_zero():
-    st = sv.apply_1q(sv.basis_state(1, [0]), "H", 1)
+    st = sv.apply_1q(basis_state(1, [0]), "H", 1)
     np.testing.assert_allclose(st.amplitudes, [S2, S2], atol=1e-12)
 
 
@@ -83,20 +92,20 @@ def test_cnot_involution():
 
 
 def test_cnot_basis_action():
-    st = sv.apply_cnot(sv.basis_state(2, [1, 0]), 1, 2)
-    np.testing.assert_allclose(st.amplitudes, sv.basis_state(2, [1, 1]).amplitudes, atol=1e-15)
-    st = sv.apply_cnot(sv.basis_state(2, [0, 0]), 1, 2)
-    np.testing.assert_allclose(st.amplitudes, sv.basis_state(2, [0, 0]).amplitudes, atol=1e-15)
+    st = sv.apply_cnot(basis_state(2, [1, 0]), 1, 2)
+    np.testing.assert_allclose(st.amplitudes, basis_state(2, [1, 1]).amplitudes, atol=1e-15)
+    st = sv.apply_cnot(basis_state(2, [0, 0]), 1, 2)
+    np.testing.assert_allclose(st.amplitudes, basis_state(2, [0, 0]).amplitudes, atol=1e-15)
 
 
 def test_cnot_bell_preparation():
-    plus = sv.apply_1q(sv.basis_state(2, [0, 0]), "H", 1)
+    plus = sv.apply_1q(basis_state(2, [0, 0]), "H", 1)
     bell = sv.apply_cnot(plus, 1, 2)
     np.testing.assert_allclose(bell.amplitudes, [S2, 0, 0, S2], atol=1e-12)
 
 
 def test_gate_errors():
-    st = sv.basis_state(2, [0, 0])
+    st = basis_state(2, [0, 0])
     with pytest.raises(ValueError):
         sv.apply_1q(st, "H", 3)
     with pytest.raises(ValueError):
@@ -121,7 +130,7 @@ def test_norm_preserved_random_circuit(seed):
 # ---------------------------------------------------------------- measurement
 
 def test_measure_deterministic_one():
-    record, post = sv.measure(sv.basis_state(1, [1]), 1, np.random.default_rng(0))
+    record, post = sv.measure(basis_state(1, [1]), 1, np.random.default_rng(0))
     assert record.outcome == 1
     assert record.probability == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(post.amplitudes, [0, 1], atol=1e-12)
@@ -138,7 +147,7 @@ def test_measure_bell_collapse():
 
 def test_measure_statistics_three_sigma():
     # 3-sigma binomial bound on the empirical frequency of outcome 1
-    plus = sv.apply_1q(sv.basis_state(1, [0]), "H", 1)
+    plus = sv.apply_1q(basis_state(1, [0]), "H", 1)
     rng = np.random.default_rng(42)
     shots = 100_000
     ones = sum(sv.measure(plus, 1, rng)[0].outcome for _ in range(shots))
@@ -156,7 +165,7 @@ def test_measure_degenerate_state_rejected():
 
 def test_project_zero_probability_branch():
     with pytest.raises(ValueError):
-        sv.project(sv.basis_state(1, [0]), 1, 1)
+        sv.project(basis_state(1, [0]), 1, 1)
 
 
 def test_project_probabilities():
@@ -169,19 +178,19 @@ def test_project_probabilities():
 # ---------------------------------------------------------------- probabilities
 
 def test_outcome_probability_trivial():
-    assert sv.outcome_probability(sv.basis_state(1, [0]), [1], [0]) == pytest.approx(1.0)
+    assert outcome_probability(basis_state(1, [0]), [1], [0]) == pytest.approx(1.0)
 
 
 def test_outcome_probability_dicke_joint():
     st = dicke_state(DickeSpec(4, 2))
-    p = sv.outcome_probability(st, [1, 2, 3, 4], [1, 1, 0, 0])
+    p = outcome_probability(st, [1, 2, 3, 4], [1, 1, 0, 0])
     assert p == pytest.approx(1.0 / 6.0, abs=1e-12)
 
 
 def test_outcome_probability_completeness():
     st = random_state(3, 9)
     total = sum(
-        sv.outcome_probability(st, [1, 2, 3], [(i >> 2) & 1, (i >> 1) & 1, i & 1])
+        outcome_probability(st, [1, 2, 3], [(i >> 2) & 1, (i >> 1) & 1, i & 1])
         for i in range(8)
     )
     assert total == pytest.approx(1.0, abs=1e-10)
@@ -190,9 +199,9 @@ def test_outcome_probability_completeness():
 def test_outcome_probability_validation():
     st = random_state(2, 1)
     with pytest.raises(ValueError):
-        sv.outcome_probability(st, [1, 2], [0])
+        outcome_probability(st, [1, 2], [0])
     with pytest.raises(ValueError):
-        sv.outcome_probability(st, [1, 1], [0, 0])
+        outcome_probability(st, [1, 1], [0, 0])
 
 
 # ---------------------------------------------------------------- fidelity / equality
@@ -203,12 +212,12 @@ def test_fidelity_self():
 
 
 def test_fidelity_orthogonal():
-    assert sv.fidelity(sv.basis_state(1, [0]), sv.basis_state(1, [1])) == pytest.approx(0.0)
+    assert sv.fidelity(basis_state(1, [0]), basis_state(1, [1])) == pytest.approx(0.0)
 
 
 def test_fidelity_dimension_mismatch():
     with pytest.raises(ValueError):
-        sv.fidelity(sv.basis_state(1, [0]), sv.basis_state(2, [0, 0]))
+        sv.fidelity(basis_state(1, [0]), basis_state(2, [0, 0]))
 
 
 def test_fidelity_global_phase_invariant():
@@ -220,17 +229,66 @@ def test_fidelity_global_phase_invariant():
 def test_states_equal_up_to_phase():
     st = random_state(2, 34)
     rotated = sv.StateVector(2, st.amplitudes * np.exp(1j * 1.3))
-    assert sv.states_equal(st, rotated)
-    other = sv.basis_state(2, [0, 1])
-    assert not sv.states_equal(st, other) or sv.fidelity(st, other) > 1 - 1e-10
+    assert states_equal(st, rotated)
+    other = basis_state(2, [0, 1])
+    assert not states_equal(st, other) or sv.fidelity(st, other) > 1 - 1e-10
 
 
 def test_conditional_state_orders_kept_qubits():
     # |1>|0>|psi> with psi on qubits (1,3): fixing qubit 2 keeps (1,3) in requested order
-    st = sv.apply_cnot(sv.apply_1q(sv.basis_state(3, [0, 0, 0]), "H", 1), 1, 3)
+    st = sv.apply_cnot(sv.apply_1q(basis_state(3, [0, 0, 0]), "H", 1), 1, 3)
     sub = sv.conditional_state(st, fixed={2: 0}, keep=[1, 3])
     np.testing.assert_allclose(sub.amplitudes, [S2, 0, 0, S2], atol=1e-12)
     with pytest.raises(ValueError):
         sv.conditional_state(st, fixed={2: 1}, keep=[1, 3])  # zero-probability branch
     with pytest.raises(ValueError):
         sv.conditional_state(st, fixed={2: 0}, keep=[1])  # not a partition
+
+
+# ---------------------------------------------------------------- memory
+
+def _peak_multiple(call, num_qubits):
+    """Peak new allocation of ``call()``, in registers of 16 * 2^num_qubits bytes."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - start) / (16 * 2**num_qubits)
+
+
+def test_dense_peak_memory_multiples():
+    # the multiples the module docstring states; the result counts, the input does not
+    st = random_state(16, 40)
+    spec = DickeSpec(8, 2)
+    dicke, circuit = dicke_state(spec), build_linear_encoder(spec)
+    rng = np.random.default_rng(0)
+    cases = {
+        "apply_cnot": (lambda: sv.apply_cnot(st, 3, 9), 16, 1.5),
+        "apply_1q": (lambda: sv.apply_1q(st, "H", 5), 16, 2.0),
+        "apply_1q on qubit 1": (lambda: sv.apply_1q(st, "H", 1), 16, 1.0),
+        "measure": (lambda: sv.measure(st, 7, rng), 16, 2.0),
+        "conditional_state": (lambda: sv.conditional_state(st, {1: 0}, range(2, 17)), 16, 0.5),
+        "apply_encoder": (lambda: sv.apply_encoder(dicke, circuit), 15, 2.5),
+    }
+    got = {name: _peak_multiple(call, q) for name, (call, q, _) in cases.items()}
+    assert got == pytest.approx({name: want for name, (_, _, want) in cases.items()}, abs=0.03)
+
+
+# ---------------------------------------------------------------- layering
+
+def test_production_modules_import_no_statevector():
+    # the CLI's import graph holds no dense code; statevector imports them, not the reverse
+    src = Path(sv.__file__).parent
+    for name in ("cli", "channel", "markov", "encoder", "states", "protocol"):
+        imported = set()
+        for node in ast.walk(ast.parse((src / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom):
+                imported.update((node.module or "").split("."))
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported.update(part for alias in node.names for part in alias.name.split("."))
+        assert "statevector" not in imported, f"{name} imports statevector"
+    assert eacsim.CapacityError is eacsim.encoder.CapacityError
