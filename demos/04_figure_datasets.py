@@ -3,7 +3,7 @@
 The `eacsim reproduce` subcommand writes the data behind the performance
 plots as CSV (analytic curves plus seeded Monte Carlo overlays with 99%
 Wilson score intervals); `eacsim sweep` evaluates arbitrary parameter grids
-from a small config file.  This demo drives both through the CLI entry
+from a small TOML config file.  This demo drives both through the CLI entry
 point and peeks at the emitted files.
 """
 import csv

@@ -5,7 +5,7 @@ codebooks, ``contend`` samples contention rounds classically (no
 statevector) and writes a JSON-lines transcript, ``analytics`` tabulates
 the closed-form quantities, ``reproduce`` regenerates the figure datasets
 (analytic curves plus Monte Carlo overlays with confidence intervals), and
-``sweep`` runs a Cartesian parameter grid from a config file.
+``sweep`` runs a Cartesian parameter grid from a TOML config file.
 
 Conventions: output is deterministic for a given (command, flags, seed);
 the master seed defaults to 0, may be any non-negative integer, and is
@@ -122,10 +122,7 @@ def cmd_contend(args) -> int:
     circuit = _build_encoder(spec, args.kind, None)
     rng = make_rng(args.seed)
     d_bits, a_bits = protocol.sample_contention_outcomes(spec, circuit, args.runs, rng)
-    if spec.k == 2:
-        g_matrix, parity = protocol.sample_loser_outcomes(spec.n, d_bits, rng)
-    else:
-        g_matrix = parity = None
+    g_matrix, parity = protocol.sample_loser_outcomes(d_bits, rng) if spec.k == 2 else (None, None)
 
     out_path = Path(args.out) if args.out else _out_dir(args) / f"contend_n{args.n}_k{args.k}.jsonl"
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -141,7 +138,7 @@ def cmd_contend(args) -> int:
         "runs": args.runs,
         "seed": args.seed,
         "transcript": str(out_path),
-        "node_win_rates": [float(d_bits[:, i].mean()) for i in range(spec.n)],
+        "node_win_rates": d_bits.mean(axis=0).tolist(),
         "subset_rates": {key: count / args.runs for key, count in zip(keys, counts.tolist())},
     }
     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -333,39 +330,32 @@ _GRID_KEYS = ("n", "k", "q_cr", "q_e", "M_cr", "M_e")
 
 
 def parse_sweep_config(text: str) -> dict:
-    """Parse the line-oriented ``key = value`` sweep format.
+    """Parse a TOML sweep config of top-level ``key = value`` pairs.
 
-    Grid keys (n, k, q_cr, q_e, M_cr, M_e) accept either a scalar or a
-    ``[a, b, c]`` list; trials and seed are scalars.  Raises UsageError
-    naming the offending key on any malformed entry.
+    Grid keys (n, k, q_cr, q_e, M_cr, M_e) take a value or a non-empty list,
+    trials and seed one value: integers, except q_cr and q_e, which take an
+    integer or a float and are read as floats.  Raises UsageError naming the
+    key, or tomllib's line and column when the text is not TOML.
     """
-    config: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = (part.strip() for part in line.partition("="))
+    import tomllib  # only sweep reads a config; a module-level import slows every command's start
+
+    try:
+        config = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise UsageError(f"sweep config is not valid TOML: {exc}") from None
+    for key, value in config.items():
         if key not in _SWEEP_TYPES:
-            raise UsageError(f"unknown key '{key}' (line {lineno})")
-        if key in config:
-            raise UsageError(f"duplicate key '{key}' (line {lineno})")
+            raise UsageError(f"unknown key '{key}'")
+        is_list = isinstance(value, list)
+        if is_list and key not in _GRID_KEYS:
+            raise UsageError(f"key '{key}' does not accept a list")
+        items = value if is_list else [value]
+        if not items:
+            raise UsageError(f"empty list for key '{key}'")
         cast = _SWEEP_TYPES[key]
-        try:
-            if value.startswith("[") and value.endswith("]"):
-                if key not in _GRID_KEYS:
-                    raise UsageError(f"key '{key}' does not accept a list")
-                items = [v.strip() for v in value[1:-1].split(",") if v.strip()]
-                if not items:
-                    raise UsageError(f"empty list for key '{key}'")
-                config[key] = [cast(v) for v in items]
-            else:
-                config[key] = cast(value)
-        except UsageError:
-            raise
-        except ValueError:
-            raise UsageError(f"invalid value for key '{key}': {value!r}") from None
+        if any(type(v) not in {int, cast} for v in items):  # refuses bools and nested values
+            raise UsageError(f"invalid value for key '{key}': {value!r}")
+        config[key] = [cast(v) for v in items] if is_list else cast(value)
     for key in _GRID_KEYS:
         if key not in config:
             raise UsageError(f"missing required key '{key}'")
@@ -451,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.add_argument("--out", default=None)
-    p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_analytics)
 
     p = sub.add_parser("reproduce", help="regenerate a figure dataset")

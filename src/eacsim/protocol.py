@@ -138,18 +138,17 @@ def sample_contention_outcomes(
     return _data_bits(spec.n, columns), words
 
 
-def sample_loser_outcomes(n: int, d_matrix: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
+def sample_loser_outcomes(d_matrix: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized Hadamard-basis loser outcomes for k = 2 rounds.
 
     Every loser branch of the rotated GHZ state has equal probability
-    1/2^(n-2), so loser bits are i.i.d. fair coin flips; winners get -1.
-    Returns the (runs x n) g matrix and the (runs,) parity vector.
+    1/2^(n-2), so loser bits are i.i.d. fair coin flips: one is drawn per
+    entry of the (runs x n) ``d_matrix``, then winners are set to -1 in
+    place.  Returns that g matrix and the (runs,) parity vector.
     """
-    runs = d_matrix.shape[0]
-    flips = rng.integers(0, 2, size=(runs, n), dtype=np.int64)
-    g = np.where(d_matrix == 0, flips, -1)
-    parity = np.where(g > 0, g, 0).sum(axis=1) % 2
-    return g, parity
+    g = rng.integers(0, 2, size=d_matrix.shape, dtype=np.int64)
+    g[d_matrix != 0] = -1
+    return g, (g == 1).sum(axis=1) % 2
 
 
 def unique_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -304,6 +304,16 @@ def test_analytics_usage_error(capsys):
     assert main(["analytics", "--n", "8", "--k", "2", "--q-cr", "1.5", "--M-cr", "3"]) == 2
 
 
+def test_analytics_has_no_out_dir(tmp_path, capsys):
+    # analytics writes to --out or stdout; an --out-dir it would ignore is refused
+    with pytest.raises(SystemExit) as err:
+        main(["analytics", "--n", "8", "--k", "2", "--q-cr", "0.3", "--M-cr", "3",
+              "--out-dir", str(tmp_path / "x")])
+    assert err.value.code == 2
+    assert "--out-dir" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 # ---------------------------------------------------------------- reproduce
 
 def test_reproduce_fig9_spot_value(tmp_path):
@@ -511,6 +521,30 @@ def test_parse_sweep_config_units():
         parse_sweep_config("n = 4\nk = 1\nq_cr = 0.5\nq_e = 0\nM_cr = 2\nM_e = 2\ntrials = -3\n")
 
 
+@pytest.mark.parametrize("text,names", [
+    ("seed = true", "key 'seed'"),
+    ("n = true", "key 'n'"),
+    ("n = 8.0", "key 'n'"),
+    ('q_cr = "0.3"', "key 'q_cr'"),
+    ("n = [8, 2.5]", "key 'n'"),
+    ("k = []", "key 'k'"),
+    ("seed = [1, 2]", "key 'seed'"),
+    ("[grid]\nn = 8", "'grid'|line 1"),
+    ("n = 8\nn = 9", "line 2"),
+])
+def test_parse_sweep_config_rejects(text, names):
+    with pytest.raises(UsageError, match=names):
+        parse_sweep_config(text + "\n")
+
+
+def test_parse_sweep_config_toml_values():
+    # q_cr and q_e are floats even when written as integers; integers take TOML's forms
+    config = parse_sweep_config("n = [8, 0x10]\nk = 1\nq_cr = [0, 0.5]\nq_e = 0\n"
+                                "M_cr = 2\nM_e = 2\ntrials = 1_000\n")
+    assert config["n"] == [8, 16] and config["trials"] == 1000
+    assert [type(q) for q in config["q_cr"]] == [float, float] and type(config["q_e"]) is float
+
+
 def test_sweep_config_is_directory(tmp_path, capsys):
     assert main(["sweep", "--config", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -559,10 +593,42 @@ def test_output_bytes_pinned(tmp_path, capsys):
     assert digests == PINNED_DIGESTS, f"numpy {numpy.__version__}, new digests: {digests}"
 
 
+# SHA-256 of the transcript and of the stdout summary of `contend --seed 5 --out t.jsonl`
+PINNED_CONTEND_DIGESTS = {
+    ("linear", 8, 2, 2000): ("4ea0c7087c58a1a4257b7b679addb966b7a2b028b3740c94e758caf01876bff1",
+                             "86691c737c109eb46d6a9ba765b60d61d6dd49de6f1f64f565f60b42a3e06c8d"),
+    ("linear", 22, 11, 500): ("93d48c94047d4f16be0a90eb83b982ead8762867ab1cec1d0a88fd140350fbd2",
+                              "c3c6b8e5bb9d066e590515b1b59adef81d4f6fa3af5e27d242ffa108fdcbd694"),
+    ("binary", 8, 1, 300): ("12136fdf3175b1dae818ff3c3b95711468e45c88d1e5da2a1707120c5b2c946b",
+                            "1260e7795f6b6e7e190b77f2c0d3b01fef62bbf59cd231d5f0d95724bb0ecf7b"),
+}
+
+
+def test_contend_bytes_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the summary names the transcript path
+    digests = {}
+    for kind, n, k, runs in PINNED_CONTEND_DIGESTS:
+        assert main(["contend", "--n", str(n), "--k", str(k), "--runs", str(runs),
+                     "--kind", kind, "--seed", "5", "--out", "t.jsonl"]) == 0
+        digests[kind, n, k, runs] = (hashlib.sha256(Path("t.jsonl").read_bytes()).hexdigest(),
+                                     hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    # NEP 19 does not promise Generator streams stay the same across numpy versions
+    assert digests == PINNED_CONTEND_DIGESTS, f"numpy {numpy.__version__}, new digests: {digests}"
+
+
 def test_cli_import_leaves_scipy_out():
     # scipy is a test-only dependency: the runtime must not import it
     src = str(Path(eacsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, eacsim.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_tomllib_out():
+    # only sweep parses a config, so tomllib is imported there and not at start-up
+    src = str(Path(eacsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, eacsim.cli; print('tomllib' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"

@@ -118,7 +118,7 @@ def test_bulk_transcript_parses_back(case):
     d_bits, a_bits = sample_contention_outcomes(spec, encoder, runs, rng)
     g_matrix = parity = None
     if spec.k == 2:
-        g_matrix, parity = sample_loser_outcomes(spec.n, d_bits, rng)
+        g_matrix, parity = sample_loser_outcomes(d_bits, rng)
     buf = io.StringIO()
     write_transcript_arrays(d_bits, a_bits, g_matrix, parity, seed, buf)
     records = [json.loads(line) for line in buf.getvalue().splitlines()]

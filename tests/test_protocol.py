@@ -283,7 +283,7 @@ def test_winner_subset_uniformity_chi_square(n, k):
 
 def test_loser_sampler_marks_winners():
     d = np.array([[1, 1, 0, 0], [0, 1, 0, 1]])
-    g, parity = sample_loser_outcomes(4, d, np.random.default_rng(0))
+    g, parity = sample_loser_outcomes(d, np.random.default_rng(0))
     assert (g[d == 1] == -1).all()
     assert ((g[d == 0] == 0) | (g[d == 0] == 1)).all()
     expected = np.where(g > 0, g, 0).sum(axis=1) % 2
@@ -293,7 +293,7 @@ def test_loser_sampler_marks_winners():
 def test_loser_parity_is_balanced():
     # branch law: every loser string equally likely, so parity is a fair coin
     d = np.tile([1, 1, 0, 0, 0], (20_000, 1))
-    _, parity = sample_loser_outcomes(5, d, np.random.default_rng(3))
+    _, parity = sample_loser_outcomes(d, np.random.default_rng(3))
     sigma = math.sqrt(0.25 / len(parity))
     assert abs(parity.mean() - 0.5) < 3 * sigma
 
@@ -367,7 +367,7 @@ def test_bulk_transcript_matches_per_row_dumps(n, k, runs):
     d_bits, a_bits = sample_contention_outcomes(spec, build_linear_encoder(spec), runs, rng)
     g_matrix = parity = None
     if k == 2:
-        g_matrix, parity = sample_loser_outcomes(n, d_bits, rng)
+        g_matrix, parity = sample_loser_outcomes(d_bits, rng)
     buf = io.StringIO()
     write_transcript_arrays(d_bits, a_bits, g_matrix, parity, 11, buf)
     got = buf.getvalue().splitlines(keepends=True)
