@@ -21,7 +21,11 @@ private stream: the master stream jumped i times, each jump as far as
 (phi - 1)·2^128 draws, so substreams start far apart in the 2^128 period.
 The vectorized estimators draw one node-major (n, trials) block of uniforms
 per process whose column t belongs to trial t, and reduce over nodes, so
-results are bit-identical for a given seed.
+results are bit-identical for a given seed.  A block that no uniform can
+change is not drawn: a process whose 1 - q^m is exactly 0 or 1, and the
+winners when no node or every node holds both ebits.  The stream is advanced
+past it instead (one PCG64DXSM output per double), so every later draw, and
+every output byte, is what drawing it would have given.
 """
 from __future__ import annotations
 
@@ -32,6 +36,7 @@ from statistics import NormalDist
 import numpy as np
 
 CONFIDENCE_LEVEL = 0.99
+_Z = NormalDist().inv_cdf(0.5 + CONFIDENCE_LEVEL / 2.0)  # two-sided normal quantile
 
 
 @dataclass(frozen=True)
@@ -115,9 +120,34 @@ def _connect_prob(q: float, M: int) -> np.ndarray:
     return 1.0 - q ** np.arange(1, M + 1)
 
 
+def _skip(rng, draws: int) -> None:
+    """Move ``rng`` past ``draws`` doubles without drawing them.
+
+    ``rng`` is a `make_rng` or `split_rng` stream, whose doubles take one
+    64-bit PCG64DXSM output each, so ``advance`` lands where the draws would
+    have.  It also drops a buffered 32-bit half, which drawing
+    doubles keeps, so that half is put back.
+    """
+    bit_generator = rng.bit_generator
+    state = bit_generator.state
+    bit_generator.advance(draws)
+    if state["has_uint32"]:
+        bit_generator.state = {**bit_generator.state,
+                               "has_uint32": 1, "uinteger": state["uinteger"]}
+
+
 def _connected_by(n: int, q: float, m: int, trials: int, rng) -> np.ndarray:
-    """(n, trials) boolean connection status after slot m: one uniform per (node, trial)."""
-    return rng.random((n, trials)) < 1.0 - q**m
+    """(n, trials) boolean connection status after slot m: one uniform per (node, trial).
+
+    When 1 - q^m is exactly 0.0 or 1.0 every entry is known without its
+    uniform, so the stream is advanced past the block instead of drawing it;
+    the status and the stream position are the same either way.
+    """
+    p = 1.0 - q**m
+    if p in (0.0, 1.0):
+        _skip(rng, n * trials)
+        return np.broadcast_to(p == 1.0, (n, trials))
+    return rng.random((n, trials)) < p
 
 
 def simulate_distribution(n: int, q: float, M: int, rng) -> DistributionTrace:
@@ -141,9 +171,13 @@ def empirical_full_connection_by_slot(n: int, q: float, M: int, trials: int, rng
     """Fraction of trials with all n nodes connected by slot m, for m = 1..M."""
     if trials < 1:
         raise ValueError(f"trials={trials} must be >= 1")
+    probs = _connect_prob(q, M)
+    if np.isin(probs, (0.0, 1.0)).all():  # e.g. q in {0, 1}: each fraction is its 1 - q^m
+        _skip(rng, n * trials)
+        return probs
     # every node is connected by slot m iff the largest of its trial's uniforms is < 1 - q^m
     last = np.sort(rng.random((n, trials)).max(axis=0))
-    return np.searchsorted(last, _connect_prob(q, M), side="left") / trials
+    return np.searchsorted(last, probs, side="left") / trials
 
 
 def empirical_state_distribution(n: int, q: float, M: int, trials: int, rng) -> np.ndarray:
@@ -169,6 +203,11 @@ def empirical_contention_success(n: int, k: int, params: ChannelParams, trials: 
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     m_bar = params.m_bar
     # the decision reads slot m_bar; slots past it cannot change the outcome
+    p_cr, p_e = 1.0 - params.q_cr**m_bar, 1.0 - params.q_e**m_bar
+    if p_cr == 0.0 or p_e == 0.0 or p_cr == p_e == 1.0:
+        # no node or every node holds both ebits in every trial, whoever wins
+        _skip(rng, 3 * n * trials)
+        return float(p_cr == p_e == 1.0)
     both = (_connected_by(n, params.q_cr, m_bar, trials, rng)
             & _connected_by(n, params.q_e, m_bar, trials, rng))
     uniforms = rng.random((n, trials))
@@ -176,7 +215,8 @@ def empirical_contention_success(n: int, k: int, params: ChannelParams, trials: 
     # nodes drew below `bad`, the smallest uniform of a node lacking one: adding `both`
     # lifts the others to [1, 2), past every uniform, so `bad` >= 1 when there is none
     bad = (uniforms + both).min(axis=0)
-    return float(((uniforms < bad).sum(axis=0) >= k).mean())
+    below = (uniforms < bad).sum(axis=0, dtype=np.min_scalar_type(n))
+    return float((below >= k).mean())
 
 
 def normal_ci(p_hat: float, trials: int) -> tuple[float, float]:
@@ -187,7 +227,7 @@ def normal_ci(p_hat: float, trials: int) -> tuple[float, float]:
     so that 0 <= lo <= p_hat <= hi <= 1 holds exactly in floating point.
     """
     p_hat = float(p_hat)
-    z2 = NormalDist().inv_cdf(0.5 + CONFIDENCE_LEVEL / 2.0) ** 2 / trials
+    z2 = _Z**2 / trials
     center = (p_hat + z2 / 2.0) / (1.0 + z2)
     half = math.sqrt(z2 * p_hat * (1.0 - p_hat) + z2 * z2 / 4.0) / (1.0 + z2)
     return min(max(0.0, center - half), p_hat), max(min(1.0, center + half), p_hat)

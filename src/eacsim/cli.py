@@ -19,7 +19,8 @@ ancilla words would pass ``encoder.SLICE_BYTES_CAP``, 256 MiB; ``contend``
 builds no codebook and refuses C(n,k) > 2**53 or n packed encoder rows
 past that cap, for the linear encoder n > 46,337; any command whose arrays
 cannot be allocated, e.g. 10**15 trials, exits 4 too).  The environment
-variable EACSIM_OUT_DIR overrides the output directory.
+variable EACSIM_OUT_DIR overrides the output directory; ``contend`` and
+``sweep`` take ``--out`` (the file) or ``--out-dir``, not both.
 """
 from __future__ import annotations
 
@@ -157,8 +158,7 @@ def _analytics_rows(args) -> list[tuple]:
         ("success_e", markov.success_prob(args.k, args.q_e, m_e)),
         ("success_fully_noisy", markov.success_prob_fully_noisy(args.k, params)),
         ("absorbing_threshold", markov.absorbing_threshold(args.n, m_bar, args.epsilon)),
-        ("dicke_joint", markov.dicke_outcome_probability(args.n, args.k)[0]),
-        ("dicke_marginal", markov.dicke_outcome_probability(args.n, args.k)[1]),
+        *zip(("dicke_joint", "dicke_marginal"), markov.dicke_outcome_probability(args.n, args.k)),
     ]
     for j in range(args.n + 1):
         rows.append((f"state_prob_cr[j={j}]", markov.state_prob(args.n, j, args.q_cr, args.m_cr)))
@@ -405,6 +405,13 @@ def cmd_sweep(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+def _add_out_options(parser) -> None:
+    """--out names the file, --out-dir the directory it gets its default name in; not both."""
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--out", default=None)
+    group.add_argument("--out-dir", default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eacsim",
@@ -427,8 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, required=True)
     p.add_argument("--kind", choices=("linear", "binary"), default="linear")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--out", default=None)
-    p.add_argument("--out-dir", default=None)
+    _add_out_options(p)
     p.set_defaults(func=cmd_contend)
 
     p = sub.add_parser("analytics", help="closed-form quantities for one parameter point")
@@ -452,8 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="Cartesian parameter sweep from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--out-dir", default=None)
+    _add_out_options(p)
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -384,6 +384,60 @@ def test_estimator_draw_budget(estimator, per_node_trial):
     assert used.bit_generator.state == fresh.bit_generator.state
 
 
+def drawing_state_distribution(n, q, M, trials, rng):
+    """Reference that draws every block, certain or not."""
+    connected = rng.random((n, trials)) < 1.0 - q**M
+    return np.bincount(connected.sum(axis=0), minlength=n + 1) / trials
+
+
+def drawing_full_connection_by_slot(n, q, M, trials, rng):
+    """Reference that draws every block, certain or not."""
+    last = np.sort(rng.random((n, trials)).max(axis=0))
+    return np.searchsorted(last, 1.0 - q ** np.arange(1, M + 1), side="left") / trials
+
+
+def drawing_contention_success(n, k, params, trials, rng):
+    """Reference that draws all three blocks, certain or not."""
+    m = params.m_bar
+    both = ((rng.random((n, trials)) < 1.0 - params.q_cr**m)
+            & (rng.random((n, trials)) < 1.0 - params.q_e**m))
+    uniforms = rng.random((n, trials))
+    bad = (uniforms + both).min(axis=0)
+    return float(((uniforms < bad).sum(axis=0) >= k).mean())
+
+
+_DRAWING_REFERENCE = {
+    empirical_state_distribution: drawing_state_distribution,
+    empirical_full_connection_by_slot: drawing_full_connection_by_slot,
+    empirical_contention_success: drawing_contention_success,
+}
+
+
+@pytest.mark.parametrize("buffered_half", [False, True], ids=["fresh", "buffered-half"])
+@pytest.mark.parametrize("estimator, qs", [
+    *[(empirical_state_distribution, (q,)) for q in (0.0, 1.0, 0.4)],
+    *[(empirical_full_connection_by_slot, (q,)) for q in (0.0, 1.0, 0.4)],
+    *[(empirical_contention_success, qs) for qs in [
+        (0.0, 0.4), (1.0, 0.4), (0.4, 0.0), (0.4, 1.0), (0.0, 0.0), (1.0, 1.0), (0.0, 1.0),
+        (0.4, 0.3)]],
+], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else v.__name__)
+def test_skipped_blocks_leave_the_stream_where_drawing_would(estimator, qs, buffered_half):
+    # a block whose outcome is certain is jumped, not drawn: the estimate and the
+    # whole generator state (a buffered 32-bit half too) match a reference that
+    # draws every block; the last case of each estimator draws all its blocks
+    n, trials = 7, 301
+    if estimator is empirical_contention_success:
+        args = (n, 2, ChannelParams(*qs, M_cr=3, M_e=4), trials)
+    else:
+        args = (n, *qs, 5, trials)
+    used, drawn = make_rng(12), make_rng(12)
+    if buffered_half:
+        for rng in (used, drawn):
+            rng.integers(0, 2**32, dtype=np.uint32)
+    np.testing.assert_array_equal(estimator(*args, used), _DRAWING_REFERENCE[estimator](*args, drawn))
+    assert used.bit_generator.state == drawn.bit_generator.state
+
+
 def test_estimator_bit_reproducible():
     params = ChannelParams(q_cr=0.3, q_e=0.2, M_cr=3, M_e=3)
     e1 = empirical_contention_success(6, 2, params, 20_000, make_rng(7))

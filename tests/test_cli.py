@@ -314,6 +314,19 @@ def test_analytics_has_no_out_dir(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command", ["contend", "sweep"])
+def test_out_and_out_dir_are_exclusive(tmp_path, capsys, command):
+    # --out names the whole path, so an --out-dir beside it would be ignored: refused
+    (tmp_path / "cfg").write_text(SWEEP_CFG)
+    argv = {"contend": ["contend", "--n", "4", "--k", "2", "--runs", "3"],
+            "sweep": ["sweep", "--config", str(tmp_path / "cfg")]}[command]
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--out", str(tmp_path / "x.out"), "--out-dir", str(tmp_path / "d")])
+    assert err.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == ["cfg"]
+
+
 # ---------------------------------------------------------------- reproduce
 
 def test_reproduce_fig9_spot_value(tmp_path):

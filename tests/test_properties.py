@@ -143,6 +143,11 @@ def test_bulk_transcript_parses_back(case):
        st.floats(0, 1), st.floats(0, 1), st.integers(1, 20), st.integers(1, 20),
        st.integers(1, 500), st.integers(0, 2**32))
 @example((60, 30), 0.3, 0.1, 3, 5, 500, 0)  # C(60,30) > 2^53: no rank could name the set
+# certain processes are jumped, not drawn; hypothesis seldom draws the endpoints itself
+@example((8, 3), 0.0, 0.4, 3, 5, 200, 1)  # q_cr = 0: every node holds its cr ebit
+@example((8, 3), 0.4, 0.0, 3, 5, 200, 2)  # q_e = 0: every node holds its e ebit
+@example((8, 3), 0.4, 1.0, 3, 5, 200, 3)  # q_e = 1: no node does, whoever wins
+@example((8, 3), 0.0, 0.0, 3, 5, 200, 4)  # both certain: every winner holds both
 def test_contention_estimator_is_the_argsort_reference(nk, q_cr, q_e, m_cr, m_e, trials, seed):
     n, k = nk
     params = ChannelParams(q_cr=q_cr, q_e=q_e, M_cr=m_cr, M_e=m_e)
