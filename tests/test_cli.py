@@ -629,6 +629,59 @@ def test_contend_bytes_pinned(tmp_path, monkeypatch, capsys):
     assert digests == PINNED_CONTEND_DIGESTS, f"numpy {numpy.__version__}, new digests: {digests}"
 
 
+# SHA-256 of the stdout of `analytics --n 8 --k 2 --q-cr 0.3 --q-e 0.2 --M-cr 3 --M-e 5`
+PINNED_ANALYTICS_DIGESTS = {
+    "table": "47a1f69fbfac3b4841a35b45a3dea8c8acaef7ec672702e6eafcf71c497dcea5",
+    "csv": "13f8eb703a96057c05df9c3cbe2a9e014d90953b9408a6a9648421a725733936",
+    "json": "e04782d587d114cba18a08ca5f18148c6e20f936a1293bf40d43cdda28dfdc3a",
+}
+
+
+def test_analytics_bytes_pinned(capsys):
+    digests = {}
+    for fmt in PINNED_ANALYTICS_DIGESTS:
+        assert main(["analytics", "--n", "8", "--k", "2", "--q-cr", "0.3", "--q-e", "0.2",
+                     "--M-cr", "3", "--M-e", "5", "--format", fmt]) == 0
+        digests[fmt] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == PINNED_ANALYTICS_DIGESTS
+
+
+# SHA-256 of the circuit file, the codebook file and the stdout of `encode` in the current directory
+PINNED_ENCODE_DIGESTS = {
+    ("linear", 18, 9): ("6a3cc5f5a74dae86f3e6ff0594c0507a9516cd2831e525ea8d9adc86385fa6e4",
+                        "8cbfdf7670d8eebba513e1f89c00a0406050d102e9c1971397dea386edd97a14",
+                        "90c7b85f2b2e44cc886162eae040659362587ae077f3772c816376bd7419ec88"),
+    ("binary", 9, 3): ("f3723929b589b4f12f3271d09aadea591bc17c5663587cb7b177c78da4372fcd",
+                       "1f2f4163c5a9a4fc23b5c33339464b6d6d4133618a89e3fecb81759569167a03",
+                       "5d81f687fb4a30418e8d570429c18088a5c30d93c720b0bf7e01de855c0da877"),
+}
+
+
+def test_encode_bytes_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # stdout names the files
+    digests = {}
+    for kind, n, k in PINNED_ENCODE_DIGESTS:
+        assert main(["encode", "--n", str(n), "--k", str(k), "--kind", kind]) == 0
+        tag = f"{kind}_n{n}_k{k}"
+        digests[kind, n, k] = tuple(hashlib.sha256(data).hexdigest() for data in (
+            Path(f"encoder_{tag}.txt").read_bytes(), Path(f"codebook_{tag}.csv").read_bytes(),
+            capsys.readouterr().out.encode()))
+    assert digests == PINNED_ENCODE_DIGESTS
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["encode", "--n", "1", "--k", "1"], "need at least 2 contending nodes, got n=1"),
+    (["contend", "--n", "1", "--k", "1", "--runs", "1"], "need at least 2 contending nodes, got n=1"),
+    (["analytics", "--n", "1", "--k", "1", "--q-cr", "0.3", "--M-cr", "3"],
+     "need 1 <= k < n, got k=1, n=1"),
+])
+def test_bad_instance_stderr_pinned(tmp_path, monkeypatch, capsys, argv, err):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_import_leaves_scipy_out():
     # scipy is a test-only dependency: the runtime must not import it
     src = str(Path(eacsim.__file__).resolve().parents[1])
