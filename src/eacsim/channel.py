@@ -185,7 +185,7 @@ def empirical_state_distribution(n: int, q: float, M: int, trials: int, rng) -> 
     if trials < 1:
         raise ValueError(f"trials={trials} must be >= 1")
     connected = _connected_by(n, q, M, trials, rng)
-    counts = np.bincount(connected.sum(axis=0), minlength=n + 1)
+    counts = np.bincount(connected.sum(axis=0, dtype=np.min_scalar_type(n)), minlength=n + 1)
     return counts / trials
 
 

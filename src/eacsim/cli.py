@@ -11,16 +11,18 @@ Conventions: output is deterministic for a given (command, flags, seed);
 the master seed defaults to 0, may be any non-negative integer, and is
 echoed in emitted metadata; one builder, ``_mc_rows``, writes every Monte
 Carlo row of ``reproduce`` and ``sweep``, and grid point i (in loop order)
-reads ``split_rng(seed, i)``; CSV uses a header row and '.' decimals.
-Exit codes: 0 success, 2 usage error, a path that cannot be read or
-written or a stdout its reader closed, 3 encoder synthesis failure, 4
-capacity exceeded (``encode`` refuses a codebook whose C(n,k) outcomes and
-ancilla words would pass ``encoder.SLICE_BYTES_CAP``, 256 MiB; ``contend``
-builds no codebook and refuses C(n,k) > 2**53 or n packed encoder rows
-past that cap, for the linear encoder n > 46,337; any command whose arrays
-cannot be allocated, e.g. 10**15 trials, exits 4 too).  The environment
-variable EACSIM_OUT_DIR overrides the output directory; ``contend`` and
-``sweep`` take ``--out`` (the file) or ``--out-dir``, not both.
+reads ``split_rng(seed, i)``.  ``_out_path`` places every output file:
+``--out``, else the default name under ``--out-dir``, $EACSIM_OUT_DIR or
+'.' (never both flags); ``analytics`` without ``--out`` prints to stdout.
+``_csv`` formats every CSV table (header row, '.' decimals); files end
+lines with '\\n'.  Exit codes: 0 success, 2 usage error (a ValueError other
+than CapacityError), a path that cannot be read or written or a stdout its
+reader closed, 3 encoder synthesis failure, 4 capacity exceeded (``encode``
+refuses a codebook whose C(n,k) outcomes and ancilla words would pass
+``encoder.SLICE_BYTES_CAP``, 256 MiB; ``contend`` builds no codebook and
+refuses C(n,k) > 2**53 or n packed encoder rows past that cap; both refuse
+a linear encoder with n > 46,337 before building it; any command whose
+arrays cannot be allocated, e.g. 10**15 trials, exits 4 too).
 """
 from __future__ import annotations
 
@@ -53,10 +55,11 @@ class UsageError(ValueError):
     """Bad parameters or malformed input file."""
 
 
-def _out_dir(args) -> Path:
+def _out_path(args, name: str | None) -> Path:
+    """--out if given, else ``name`` under --out-dir, $EACSIM_OUT_DIR or '.'; makes its parent."""
     base = args.out_dir or os.environ.get("EACSIM_OUT_DIR") or "."
-    path = Path(base)
-    path.mkdir(parents=True, exist_ok=True)
+    path = Path(args.out) if args.out else Path(base) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -68,11 +71,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _csv(header, rows) -> str:
+    """CSV text of a table: the header row, then one line per row of `_fmt` values."""
+    return "".join(",".join(map(_fmt, row)) + "\n" for row in (header, *rows))
+
+
+def _write(args, name: str | None, text: str) -> Path:
+    """Write ``text`` to `_out_path` with '\\n' line ends on every platform; returns the path."""
+    path = _out_path(args, name)
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(text)
+    return path
 
 
 def _check_seed(seed: int, name: str) -> None:
@@ -91,17 +100,12 @@ def _build_encoder(spec: DickeSpec, kind: str, ell: int | None):
 # ---------------------------------------------------------------- encode
 
 def cmd_encode(args) -> int:
-    try:
-        spec = DickeSpec(args.n, args.k)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    spec = DickeSpec(args.n, args.k)
     circuit = _build_encoder(spec, args.kind, args.ell)
     codebook = verify_injectivity(circuit, spec)
-    out = _out_dir(args)
     tag = f"{args.kind}_n{args.n}_k{args.k}"
-    circuit_path = out / f"encoder_{tag}.txt"
-    codebook_path = out / f"codebook_{tag}.csv"
-    circuit_path.write_text(format_circuit(circuit))
+    circuit_path = _write(args, f"encoder_{tag}.txt", format_circuit(circuit))
+    codebook_path = _out_path(args, f"codebook_{tag}.csv")
     with open(codebook_path, "w", newline="\n") as fh:
         write_codebook_csv(codebook, fh)
     print(f"encoder: {circuit_path}")
@@ -113,10 +117,7 @@ def cmd_encode(args) -> int:
 # ---------------------------------------------------------------- contend
 
 def cmd_contend(args) -> int:
-    try:
-        spec = DickeSpec(args.n, args.k)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    spec = DickeSpec(args.n, args.k)
     if args.runs < 1:
         raise UsageError(f"--runs must be >= 1, got {args.runs}")
     _check_seed(args.seed, "--seed")
@@ -125,8 +126,7 @@ def cmd_contend(args) -> int:
     d_bits, a_bits = protocol.sample_contention_outcomes(spec, circuit, args.runs, rng)
     g_matrix, parity = protocol.sample_loser_outcomes(d_bits, rng) if spec.k == 2 else (None, None)
 
-    out_path = Path(args.out) if args.out else _out_dir(args) / f"contend_n{args.n}_k{args.k}.jsonl"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path = _out_path(args, f"contend_n{args.n}_k{args.k}.jsonl")
     with open(out_path, "w", newline="\n") as fh:
         protocol.write_transcript_arrays(d_bits, a_bits, g_matrix, parity, args.seed, fh)
 
@@ -166,32 +166,20 @@ def _analytics_rows(args) -> list[tuple]:
 
 
 def cmd_analytics(args) -> int:
-    try:
-        rows = _analytics_rows(args)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    rows = _analytics_rows(args)
     if args.format == "table":
         width = max(len(name) for name, _ in rows)
-        for name, value in rows:
-            shown = f"{value:.6f}" if isinstance(value, float) else str(value)
-            print(f"{name:<{width}}  {shown}")
+        text = "".join(f"{name:<{width}}  {f'{value:.6f}' if isinstance(value, float) else value}\n"
+                       for name, value in rows)
     elif args.format == "json":
-        payload = {name: value for name, value in rows}
-        _emit_text(args, json.dumps(payload, indent=2) + "\n")
+        text = json.dumps(dict(rows), indent=2) + "\n"
     else:  # csv
-        lines = ["quantity,value"] + [f"{name},{_fmt(value)}" for name, value in rows]
-        _emit_text(args, "\n".join(lines) + "\n")
-    return 0
-
-
-def _emit_text(args, text: str) -> None:
+        text = _csv(("quantity", "value"), rows)
     if args.out:
-        path = Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-        print(f"wrote {path}")
+        print(f"wrote {_write(args, None, text)}")
     else:
         sys.stdout.write(text)
+    return 0
 
 
 # ---------------------------------------------------------------- reproduce
@@ -312,11 +300,9 @@ def cmd_reproduce(args) -> int:
     if args.trials < 1:
         raise UsageError(f"trials={args.trials} must be >= 1")
     _check_seed(args.seed, "--seed")
-    out = _out_dir(args)
     # every table is computed before any is written, so a failed run leaves no file
     for name, header, rows in _FIGURES[args.figure](args.trials, args.seed):
-        _write_csv(out / name, header, rows)
-        print(f"wrote {out / name}")
+        print(f"wrote {_write(args, name, _csv(header, rows))}")
     return 0
 
 
@@ -396,10 +382,7 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"config file not found: {path}")
     config = parse_sweep_config(path.read_text())
     rows = sweep_rows(config)
-    out_path = Path(args.out) if args.out else _out_dir(args) / "sweep.csv"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_path, SWEEP_COLUMNS, rows)
-    print(f"wrote {out_path} ({len(rows)} rows)")
+    print(f"wrote {_write(args, 'sweep.csv', _csv(SWEEP_COLUMNS, rows))} ({len(rows)} rows)")
     return 0
 
 
@@ -417,6 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="eacsim",
         description="Entanglement access control: protocol simulation and noise analytics.",
     )
+    parser.set_defaults(out=None, out_dir=None)  # read by `_out_path`; commands add the flags
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("encode", help="emit an encoder circuit and its codebook")
@@ -479,7 +463,7 @@ def main(argv=None) -> int:
     except SynthesisFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -44,10 +44,11 @@ class CapacityError(ValueError):
     """A run would pass a cap, refused before allocating.
 
     The caps: SLICE_BYTES_CAP bytes for the tables over the weight-k slice
-    (codebook, injectivity certificate) and for the contention sampler's
-    packed encoder rows; 2^53 outcomes, the ranks one double can address,
-    for that sampler; and `statevector.MAX_QUBITS` qubits for a dense
-    register.
+    (codebook, injectivity certificate) and for an encoder's packed rows,
+    which the contention sampler builds and `build_linear_encoder` charges
+    before it makes its CNOT list; 2^53 outcomes, the ranks one double can
+    address, for that sampler; and `statevector.MAX_QUBITS` qubits for a
+    dense register.
     """
 
 
@@ -134,9 +135,23 @@ def _matrix_to_cnots(g: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple((int(i) + 1, int(j)) for i, j in np.argwhere(g.T))
 
 
+def _check_packed_rows(n: int, ell: int) -> None:
+    """Raise CapacityError when the n rows of G.T, packed as `_packed_words` packs
+    them (n * 8 * ceil(ell/64) bytes), would pass SLICE_BYTES_CAP."""
+    packed_bytes = n * 8 * -(-ell // 64)
+    if packed_bytes > SLICE_BYTES_CAP:
+        raise CapacityError(f"the {n} packed rows of the encoder matrix need "
+                            f"{packed_bytes} bytes, above the {SLICE_BYTES_CAP}-byte cap")
+
+
 def build_linear_encoder(spec: DickeSpec) -> EncoderCircuit:
-    """One CNOT per ancilla: a_i = d_{i+1} for i = 0..n-2."""
+    """One CNOT per ancilla: a_i = d_{i+1} for i = 0..n-2.
+
+    Raises CapacityError before building the CNOT list when its packed rows
+    would pass SLICE_BYTES_CAP (`_check_packed_rows`), i.e. for n > 46,337.
+    """
     n = spec.n
+    _check_packed_rows(n, n - 1)
     cnots = tuple((i + 1, i) for i in range(n - 1))
     return EncoderCircuit(n=n, k=spec.k, ell=n - 1, cnots=cnots, kind="linear")
 

@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .encoder import (SLICE_BYTES_CAP, CapacityError, EncoderCircuit, _data_bits,
+from .encoder import (CapacityError, EncoderCircuit, _check_packed_rows, _data_bits,
                       _format_int_rows, _packed_words)
 from .states import DickeSpec, _slice_columns
 
@@ -128,10 +128,7 @@ def sample_contention_outcomes(
     if spec.num_outcomes > 2**53:
         raise CapacityError(f"C({spec.n},{spec.k}) = {spec.num_outcomes} outcomes exceed the "
                             "2^53 ranks one double can address")
-    packed_bytes = spec.n * 8 * -(-encoder.ell // 64)
-    if packed_bytes > SLICE_BYTES_CAP:
-        raise CapacityError(f"the {spec.n} packed rows of the encoder matrix need "
-                            f"{packed_bytes} bytes, above the {SLICE_BYTES_CAP}-byte cap")
+    _check_packed_rows(spec.n, encoder.ell)
     ranks = (rng.random(runs) * spec.num_outcomes).astype(np.int64)
     columns = _slice_columns(spec.n, spec.k, ranks)
     words = np.unpackbits(_packed_words(encoder, columns).view(np.uint8), axis=1, count=encoder.ell)

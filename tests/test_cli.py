@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy
@@ -199,6 +200,26 @@ def test_encode_capacity_exit(tmp_path):
     assert main(["encode", "--n", "40", "--k", "20", "--out-dir", str(tmp_path)]) == 4
 
 
+@pytest.mark.parametrize("argv", [["contend", "--n", "46338", "--k", "2", "--runs", "1"],
+                                  ["contend", "--n", "3000000", "--k", "1", "--runs", "1"],
+                                  ["encode", "--n", "3000000", "--k", "1"]])
+def test_big_linear_run_refused_before_its_encoder(tmp_path, capsys, argv):
+    # the linear encoder's n packed rows, n * 8 * ceil((n-1)/64) bytes, pass the 256 MiB
+    # cap from n = 46,338; they are charged before its n-1 CNOTs exist, so memory stays flat
+    n = int(argv[argv.index("--n") + 1])
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 4
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert capsys.readouterr().err == (f"error: the {n} packed rows of the encoder matrix need "
+                                       f"{n * 8 * -(-(n - 1) // 64)} bytes, above the "
+                                       "268435456-byte cap\n")
+    assert not any(tmp_path.iterdir())
+
+
 def test_contend_past_dense_register(tmp_path):
     # n=13 needs a 25-qubit register, past the dense cap; the classical path runs it
     out = tmp_path / "t.jsonl"
@@ -312,6 +333,18 @@ def test_analytics_has_no_out_dir(tmp_path, capsys):
     assert err.value.code == 2
     assert "--out-dir" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_analytics_out_writes_every_format(tmp_path, capsys, fmt):
+    # --out gets the bytes stdout would have had, in every format
+    argv = ["analytics", "--n", "8", "--k", "2", "--q-cr", "0.3", "--M-cr", "3", "--format", fmt]
+    assert main(argv) == 0
+    shown = capsys.readouterr().out
+    out = tmp_path / "sub" / "a.txt"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    assert out.read_bytes() == shown.encode()
 
 
 @pytest.mark.parametrize("command", ["contend", "sweep"])
