@@ -50,14 +50,14 @@ print(f"\nSuccess probability that all {k} winners are served (independent of n)
 for q_cr in (0.1, 0.3, 0.5, 0.7):
     analytic = success_prob(k, q_cr, m_show)
     params = ChannelParams(q_cr=q_cr, q_e=0.0, M_cr=m_show, M_e=m_show)
-    est = empirical_contention_success(8, k, params, trials, make_rng(2))
+    est = empirical_contention_success(8, params, trials, make_rng(2))[k - 1]
     lo, hi = normal_ci(est, trials)
     print(f"  q={q_cr}: formula {analytic:.6f}  simulated {est:.6f}  CI [{lo:.6f}, {hi:.6f}]")
 
 # --- both resources noisy -----------------------------------------------------
 params = ChannelParams(q_cr=0.3, q_e=0.3, M_cr=3, M_e=3)
 both = success_prob_fully_noisy(k, params)
-est = empirical_contention_success(8, k, params, trials, make_rng(3))
+est = empirical_contention_success(8, params, trials, make_rng(3))[k - 1]
 print(f"\nBoth distributions noisy (q_cr=q_e=0.3, common horizon 3):")
 print(f"  formula {both:.6f}  simulated {est:.6f}")
 

@@ -13,7 +13,9 @@ connected by slot m exactly when one uniform U < 1 - q^m (inverse-transform
 sampling).  Every sampler therefore draws one uniform per (trial, node) per
 process instead of one per slot.  The contention estimator draws one more per
 (trial, node) and takes the nodes with the k smallest as the winners: every
-k-subset equally likely, for any C(n,k), with no winner list built.
+k-subset equally likely, for any C(n,k), with no winner list built.  One draw
+serves every k = 1..n: a trial succeeds for k iff at least k nodes drew below
+every node lacking an ebit.
 
 Reproducibility: experiments seed a PCG64DXSM stream with the master seed
 (any non-negative integer).  `split_rng(seed, i)` yields the i-th point's
@@ -189,25 +191,23 @@ def empirical_state_distribution(n: int, q: float, M: int, trials: int, rng) -> 
     return counts / trials
 
 
-def empirical_contention_success(n: int, k: int, params: ChannelParams, trials: int, rng) -> float:
-    """Fraction of trials in which the winner set is fully connected.
+def empirical_contention_success(n: int, params: ChannelParams, trials: int, rng) -> np.ndarray:
+    """Fraction of trials whose k winners all hold both ebits, at entry k-1 for k = 1..n.
 
     Per trial: sample each node's status in the two independent distribution
-    processes at the common horizon m_bar, draw a uniform weight-k winner set
-    (the nodes holding the k smallest of n fresh uniforms), and count success
-    when every winner holds both ebits.
+    processes at the common horizon m_bar and draw one uniform per node; the k
+    winners, a uniform weight-k set, hold the k smallest.  One draw serves every
+    k: entry k-1 is the float a draw for that k alone would give.
     """
     if trials < 1:
         raise ValueError(f"trials={trials} must be >= 1")
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     m_bar = params.m_bar
     # the decision reads slot m_bar; slots past it cannot change the outcome
     p_cr, p_e = 1.0 - params.q_cr**m_bar, 1.0 - params.q_e**m_bar
     if p_cr == 0.0 or p_e == 0.0 or p_cr == p_e == 1.0:
         # no node or every node holds both ebits in every trial, whoever wins
         _skip(rng, 3 * n * trials)
-        return float(p_cr == p_e == 1.0)
+        return np.full(n, float(p_cr == p_e == 1.0))
     both = (_connected_by(n, params.q_cr, m_bar, trials, rng)
             & _connected_by(n, params.q_e, m_bar, trials, rng))
     uniforms = rng.random((n, trials))
@@ -216,7 +216,8 @@ def empirical_contention_success(n: int, k: int, params: ChannelParams, trials: 
     # lifts the others to [1, 2), past every uniform, so `bad` >= 1 when there is none
     bad = (uniforms + both).min(axis=0)
     below = (uniforms < bad).sum(axis=0, dtype=np.min_scalar_type(n))
-    return float((below >= k).mean())
+    # trials with below >= k, for k = n..1: a reverse cumulative sum of the histogram
+    return np.cumsum(np.bincount(below, minlength=n + 1)[:0:-1])[::-1] / trials
 
 
 def normal_ci(p_hat: float, trials: int) -> tuple[float, float]:

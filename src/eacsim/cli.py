@@ -10,10 +10,12 @@ the closed-form quantities, ``reproduce`` regenerates the figure datasets
 Conventions: output is deterministic for a given (command, flags, seed);
 the master seed defaults to 0, may be any non-negative integer, and is
 echoed in emitted metadata; one builder, ``_mc_rows``, writes every Monte
-Carlo row of ``reproduce`` and ``sweep``, and grid point i (in loop order)
-reads ``split_rng(seed, i)``.  ``_out_path`` places every output file:
-``--out``, else the default name under ``--out-dir``, $EACSIM_OUT_DIR or
-'.' (never both flags); ``analytics`` without ``--out`` prints to stdout.
+Carlo row of ``reproduce`` and ``sweep``, and draw group i (in loop order)
+reads ``split_rng(seed, i)``: a group is the rows one estimator call
+serves, a figure's curve or the sweep points that differ only in k.
+``_out_path`` places every output file: ``--out``, else the default name
+under ``--out-dir``, $EACSIM_OUT_DIR or '.' (never both flags); ``analytics``
+without ``--out`` prints to stdout.
 ``_csv`` formats every CSV table (header row, '.' decimals); files end
 lines with '\\n'.  Exit codes: 0 success, 2 usage error (a ValueError other
 than CapacityError), a path that cannot be read or written or a stdout its
@@ -201,11 +203,11 @@ _MC_COLUMNS = ("estimate", "ci_low", "ci_high", "trials", "seed")
 
 
 def _mc_rows(grid, estimator, trials: int, seed: int) -> list[tuple]:
-    """Monte Carlo rows: point i of ``grid`` calls ``estimator(*point, split_rng(seed, i))``,
+    """Monte Carlo rows: draw group i of ``grid`` calls ``estimator(*group, split_rng(seed, i))``,
     and each (row prefix, estimate) pair it returns becomes one row ending in _MC_COLUMNS."""
     rows = []
-    for index, point in enumerate(grid):
-        for prefix, estimate in estimator(*point, split_rng(seed, index)):
+    for index, group in enumerate(grid):
+        for prefix, estimate in estimator(*group, split_rng(seed, index)):
             estimate = float(estimate)  # a numpy scalar would print as np.float64(...)
             rows.append(prefix + (estimate, *normal_ci(estimate, trials), trials, seed))
     return rows
@@ -220,11 +222,11 @@ def _reproduce_fig8(trials: int, seed: int) -> list[tuple]:
         (m, DEFAULT_EPSILON, max(FIG8_N), markov.absorbing_threshold_worst_case(FIG8_N, m))
         for m in FIG8_M
     ]
-    mc_rows = _mc_rows(
-        itertools.product((3, 20), (10, 20), FIG8_MC_Q),
-        lambda m, n, q, rng: [((m, n, q),
-                               channel.empirical_state_distribution(n, q, m, trials, rng)[n])],
-        trials, seed)
+    mc_rows = sorted(_mc_rows(
+        itertools.product((10, 20), FIG8_MC_Q),
+        lambda n, q, rng: zip([(3, n, q), (20, n, q)], channel.empirical_full_connection_by_slot(
+            n, q, 20, trials, rng)[[2, 19]]),
+        trials, seed), key=lambda row: row[0])  # M outermost, as in fig8.csv (a stable sort)
     return [("fig8.csv", ("M", "n", "q", "p_full", "p_one_shot"), rows),
             ("fig8_thresholds.csv", ("M", "epsilon", "n", "q_bar"), thr_rows),
             ("fig8_mc.csv", ("M", "n", "q") + _MC_COLUMNS, mc_rows)]
@@ -246,9 +248,9 @@ def _reproduce_fig9(trials: int, seed: int) -> list[tuple]:
     n, m = 10, 3
     rows = [(n, m, q, k, markov.success_prob(k, q, m)) for q in FIG9_Q for k in range(1, n + 1)]
     mc_rows = _mc_rows(
-        itertools.product(FIG9_Q, range(1, n + 1)),
-        lambda q, k, rng: [((n, m, q, k), channel.empirical_contention_success(
-            n, k, ChannelParams(q_cr=q, q_e=0.0, M_cr=m, M_e=m), trials, rng))],
+        [(ChannelParams(q_cr=q, q_e=0.0, M_cr=m, M_e=m),) for q in FIG9_Q],
+        lambda p, rng: zip([(n, m, p.q_cr, k) for k in range(1, n + 1)],
+                           channel.empirical_contention_success(n, p, trials, rng)),
         trials, seed)
     return [("fig9.csv", ("n", "M", "q", "k", "p_s"), rows),
             ("fig9_mc.csv", ("n", "M", "q", "k") + _MC_COLUMNS, mc_rows)]
@@ -279,9 +281,10 @@ def _reproduce_fig11(trials: int, seed: int) -> list[tuple]:
                 for k in range(1, n + 1):
                     rows.append((n, m, q_cr, q_e, k, markov.success_prob_fully_noisy(k, params)))
     mc_rows = _mc_rows(
-        itertools.product((3, 10), (0.3, 0.7), (0.0, 0.3, 0.7), (2, 4, 6, 8)),
-        lambda m, q_cr, q_e, k, rng: [((n, m, q_cr, q_e, k), channel.empirical_contention_success(
-            n, k, ChannelParams(q_cr=q_cr, q_e=q_e, M_cr=m, M_e=m), trials, rng))],
+        [(ChannelParams(q_cr=q_cr, q_e=q_e, M_cr=m, M_e=m),)
+         for m in (3, 10) for q_cr in (0.3, 0.7) for q_e in (0.0, 0.3, 0.7)],
+        lambda p, rng: zip([(n, p.M_cr, p.q_cr, p.q_e, k) for k in (2, 4, 6, 8)],
+                           channel.empirical_contention_success(n, p, trials, rng)[1::2]),
         trials, seed)
     return [("fig11.csv", ("n", "M", "q_cr", "q_e", "k", "p_s"), rows),
             ("fig11_mc.csv", ("n", "M", "q_cr", "q_e", "k") + _MC_COLUMNS, mc_rows)]
@@ -360,20 +363,22 @@ def sweep_rows(config: dict) -> list[tuple]:
     grids = [config[key] if isinstance(config[key], list) else [config[key]]
              for key in _GRID_KEYS]
     trials, seed = config["trials"], config["seed"]
-    points = []
-    for n, k, q_cr, q_e, m_cr, m_e in itertools.product(*grids):
+    points, groups = [], {}  # (n, params) -> grid positions of the points that differ only in k
+    for i, (n, k, q_cr, q_e, m_cr, m_e) in enumerate(itertools.product(*grids)):
         if not 1 <= k <= n:
             raise UsageError(f"grid point has k={k} outside 1..n={n}")
         params = ChannelParams(q_cr=q_cr, q_e=q_e, M_cr=m_cr, M_e=m_e)
-        analytic = markov.success_prob_fully_noisy(k, params)
-        points.append(((n, k, q_cr, q_e, params.m_bar, analytic), n, k, params))
+        points.append((n, k, q_cr, q_e, params.m_bar, markov.success_prob_fully_noisy(k, params)))
+        groups.setdefault((n, params), []).append(i)
     if trials == 0:  # analytic only
-        return [prefix + (None, None, None, trials, seed) for prefix, *_ in points]
-    return _mc_rows(
-        points,
-        lambda prefix, n, k, params, rng: [
-            (prefix, channel.empirical_contention_success(n, k, params, trials, rng))],
-        trials, seed)
+        return [prefix + (None, None, None, trials, seed) for prefix in points]
+
+    def group_rows(key, members, rng):
+        curve = channel.empirical_contention_success(*key, trials, rng)
+        return [((i, *points[i]), curve[points[i][1] - 1]) for i in members]
+
+    rows = _mc_rows(groups.items(), group_rows, trials, seed)
+    return [row[1:] for row in sorted(rows)]  # grid order; drop the grid position
 
 
 def cmd_sweep(args) -> int:

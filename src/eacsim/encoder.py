@@ -135,13 +135,18 @@ def _matrix_to_cnots(g: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple((int(i) + 1, int(j)) for i, j in np.argwhere(g.T))
 
 
+def _size(count: int) -> str:
+    """``count`` in full up to 64 bits, else by bit length (str() refuses 4,300+ digits)."""
+    return str(count) if count.bit_length() <= 64 else f"at least 2^{count.bit_length() - 1}"
+
+
 def _check_packed_rows(n: int, ell: int) -> None:
     """Raise CapacityError when the n rows of G.T, packed as `_packed_words` packs
     them (n * 8 * ceil(ell/64) bytes), would pass SLICE_BYTES_CAP."""
     packed_bytes = n * 8 * -(-ell // 64)
     if packed_bytes > SLICE_BYTES_CAP:
         raise CapacityError(f"the {n} packed rows of the encoder matrix need "
-                            f"{packed_bytes} bytes, above the {SLICE_BYTES_CAP}-byte cap")
+                            f"{_size(packed_bytes)} bytes, above the {SLICE_BYTES_CAP}-byte cap")
 
 
 def build_linear_encoder(spec: DickeSpec) -> EncoderCircuit:
@@ -163,7 +168,7 @@ def _slice_columns(n: int, k: int, ell: int, need: int) -> list[np.ndarray]:
     """
     if need > SLICE_BYTES_CAP:
         raise CapacityError(
-            f"the weight-{k} slice of n={n} with ell={ell} needs {need} bytes, "
+            f"the weight-{k} slice of n={n} with ell={ell} needs {_size(need)} bytes, "
             f"above the {SLICE_BYTES_CAP}-byte cap"
         )
     return states._slice_columns(n, k)

@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .encoder import (CapacityError, EncoderCircuit, _check_packed_rows, _data_bits,
-                      _format_int_rows, _packed_words)
+                      _format_int_rows, _packed_words, _size)
 from .states import DickeSpec, _slice_columns
 
 
@@ -126,8 +126,8 @@ def sample_contention_outcomes(
     if encoder.n != spec.n:
         raise ValueError(f"encoder built for n={encoder.n}, spec has n={spec.n}")
     if spec.num_outcomes > 2**53:
-        raise CapacityError(f"C({spec.n},{spec.k}) = {spec.num_outcomes} outcomes exceed the "
-                            "2^53 ranks one double can address")
+        raise CapacityError(f"C({spec.n},{spec.k}) = {_size(spec.num_outcomes)} outcomes exceed "
+                            "the 2^53 ranks one double can address")
     _check_packed_rows(spec.n, encoder.ell)
     ranks = (rng.random(runs) * spec.num_outcomes).astype(np.int64)
     columns = _slice_columns(spec.n, spec.k, ranks)

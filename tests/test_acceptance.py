@@ -179,8 +179,8 @@ def test_criterion_6_monte_carlo_vs_analytics():
                 a, b = q_cr**m, q_e**m
                 analytic = (1 - a - b + a * b) ** k
                 est = empirical_contention_success(
-                    n, k, params, trials, split_rng(MASTER_SEED, trial_idx)
-                )
+                    n, params, trials, split_rng(MASTER_SEED, trial_idx)
+                )[k - 1]
                 trial_idx += 1
                 points += 1
                 half = Z99 * math.sqrt(analytic * (1 - analytic) / trials)
@@ -247,8 +247,8 @@ def test_criterion_8_n_invariance():
     estimates = {}
     for i, n in enumerate((2, 4, 6, 8, 10)):
         estimates[n] = empirical_contention_success(
-            n, 2, params, trials, split_rng(MASTER_SEED, i)
-        )
+            n, params, trials, split_rng(MASTER_SEED, i)
+        )[1]
     # pairwise two-proportion z-tests at significance 0.001: no pair differs
     for n1, n2 in combinations(estimates, 2):
         p1, p2 = estimates[n1], estimates[n2]

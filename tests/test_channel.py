@@ -286,20 +286,20 @@ def test_winner_sampler_matches_statevector_law():
 
 def test_contention_success_noise_free():
     params = ChannelParams(q_cr=0.0, q_e=0.0, M_cr=3, M_e=3)
-    assert empirical_contention_success(6, 2, params, 2000, make_rng(0)) == 1.0
+    assert empirical_contention_success(6, params, 2000, make_rng(0))[1] == 1.0
 
 
 @pytest.mark.parametrize("q_cr, q_e", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
 def test_contention_success_absorbing_channel(q_cr, q_e):
     params = ChannelParams(q_cr=q_cr, q_e=q_e, M_cr=3, M_e=3)
-    assert empirical_contention_success(6, 2, params, 2000, make_rng(0)) == 0.0
+    assert empirical_contention_success(6, params, 2000, make_rng(0))[1] == 0.0
 
 
 def test_contention_success_single_noisy_resource():
     # expected value from direct arithmetic: (1 - 0.3^3)^2
     params = ChannelParams(q_cr=0.3, q_e=0.0, M_cr=3, M_e=3)
     trials = 100_000
-    est = empirical_contention_success(8, 2, params, trials, make_rng(21))
+    est = empirical_contention_success(8, params, trials, make_rng(21))[1]
     expected = (1 - 0.3**3) ** 2
     sigma = math.sqrt(expected * (1 - expected) / trials)
     assert abs(est - expected) < 3 * sigma
@@ -310,7 +310,7 @@ def test_contention_success_both_noisy():
     expected = (1 - a - a + a * a) ** 2
     params = ChannelParams(q_cr=0.3, q_e=0.3, M_cr=3, M_e=3)
     trials = 100_000
-    est = empirical_contention_success(8, 2, params, trials, make_rng(22))
+    est = empirical_contention_success(8, params, trials, make_rng(22))[1]
     sigma = math.sqrt(expected * (1 - expected) / trials)
     assert abs(est - expected) < 3 * sigma
 
@@ -319,7 +319,7 @@ def test_contention_success_mismatched_horizons():
     # decision reads the common horizon min(M_cr, M_e) = 2
     params = ChannelParams(q_cr=0.4, q_e=0.4, M_cr=2, M_e=9)
     trials = 100_000
-    est = empirical_contention_success(5, 2, params, trials, make_rng(23))
+    est = empirical_contention_success(5, params, trials, make_rng(23))[1]
     a = 0.4**2
     expected = ((1 - a) * (1 - a)) ** 2
     sigma = math.sqrt(expected * (1 - expected) / trials)
@@ -339,7 +339,7 @@ def test_contention_success_matches_slot_by_slot_oracle(params):
     conn_e = slot_by_slot(n, params.q_e, params.M_e, trials, rng)[params.m_bar - 1]
     winners = sample_winner_sets(n, k, trials, rng) - 1
     ok = (np.take_along_axis(conn_cr & conn_e, winners, axis=1).all(axis=1)).sum()
-    est = empirical_contention_success(n, k, params, trials, make_rng(45))
+    est = empirical_contention_success(n, params, trials, make_rng(45))[k - 1]
     hits = round(est * trials)
     assert_same_law([ok, trials - ok], [hits, trials - hits])
 
@@ -348,7 +348,7 @@ def test_contention_success_independent_of_n():
     params = ChannelParams(q_cr=0.4, q_e=0.0, M_cr=3, M_e=3)
     trials = 50_000
     estimates = [
-        empirical_contention_success(n, 2, params, trials, split_rng(31, n))
+        empirical_contention_success(n, params, trials, split_rng(31, n))[1]
         for n in (2, 5, 10)
     ]
     expected = (1 - 0.4**3) ** 2
@@ -369,7 +369,7 @@ def test_split_rng_reproducible_and_disjoint():
 
 @pytest.mark.parametrize("estimator, per_node_trial", [
     (lambda n, trials, rng: empirical_contention_success(
-        n, 2, ChannelParams(q_cr=0.3, q_e=0.2, M_cr=3, M_e=4), trials, rng), 3),
+        n, ChannelParams(q_cr=0.3, q_e=0.2, M_cr=3, M_e=4), trials, rng), 3),
     (lambda n, trials, rng: empirical_state_distribution(n, 0.4, 3, trials, rng), 1),
     (lambda n, trials, rng: empirical_full_connection_by_slot(n, 0.4, 5, trials, rng), 1),
 ])
@@ -396,14 +396,14 @@ def drawing_full_connection_by_slot(n, q, M, trials, rng):
     return np.searchsorted(last, 1.0 - q ** np.arange(1, M + 1), side="left") / trials
 
 
-def drawing_contention_success(n, k, params, trials, rng):
-    """Reference that draws all three blocks, certain or not."""
+def drawing_contention_success(n, params, trials, rng):
+    """Reference that draws all three blocks, certain or not; every k = 1..n."""
     m = params.m_bar
     both = ((rng.random((n, trials)) < 1.0 - params.q_cr**m)
             & (rng.random((n, trials)) < 1.0 - params.q_e**m))
     uniforms = rng.random((n, trials))
     bad = (uniforms + both).min(axis=0)
-    return float(((uniforms < bad).sum(axis=0) >= k).mean())
+    return [float(((uniforms < bad).sum(axis=0) >= k).mean()) for k in range(1, n + 1)]
 
 
 _DRAWING_REFERENCE = {
@@ -427,7 +427,7 @@ def test_skipped_blocks_leave_the_stream_where_drawing_would(estimator, qs, buff
     # draws every block; the last case of each estimator draws all its blocks
     n, trials = 7, 301
     if estimator is empirical_contention_success:
-        args = (n, 2, ChannelParams(*qs, M_cr=3, M_e=4), trials)
+        args = (n, ChannelParams(*qs, M_cr=3, M_e=4), trials)
     else:
         args = (n, *qs, 5, trials)
     used, drawn = make_rng(12), make_rng(12)
@@ -440,8 +440,8 @@ def test_skipped_blocks_leave_the_stream_where_drawing_would(estimator, qs, buff
 
 def test_estimator_bit_reproducible():
     params = ChannelParams(q_cr=0.3, q_e=0.2, M_cr=3, M_e=3)
-    e1 = empirical_contention_success(6, 2, params, 20_000, make_rng(7))
-    e2 = empirical_contention_success(6, 2, params, 20_000, make_rng(7))
+    e1 = empirical_contention_success(6, params, 20_000, make_rng(7))[1]
+    e2 = empirical_contention_success(6, params, 20_000, make_rng(7))[1]
     assert e1 == e2
 
 

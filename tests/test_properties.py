@@ -139,24 +139,28 @@ def test_bulk_transcript_parses_back(case):
 
 
 @PROPERTY_SETTINGS
-@given(st.integers(1, 64).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
-       st.floats(0, 1), st.floats(0, 1), st.integers(1, 20), st.integers(1, 20),
-       st.integers(1, 500), st.integers(0, 2**32))
-@example((60, 30), 0.3, 0.1, 3, 5, 500, 0)  # C(60,30) > 2^53: no rank could name the set
+@given(st.integers(1, 64), st.floats(0, 1), st.floats(0, 1), st.integers(1, 20),
+       st.integers(1, 20), st.integers(1, 500), st.integers(0, 2**32))
+@example(60, 0.3, 0.1, 3, 5, 500, 0)  # C(60,30) > 2^53: no rank could name the set
 # certain processes are jumped, not drawn; hypothesis seldom draws the endpoints itself
-@example((8, 3), 0.0, 0.4, 3, 5, 200, 1)  # q_cr = 0: every node holds its cr ebit
-@example((8, 3), 0.4, 0.0, 3, 5, 200, 2)  # q_e = 0: every node holds its e ebit
-@example((8, 3), 0.4, 1.0, 3, 5, 200, 3)  # q_e = 1: no node does, whoever wins
-@example((8, 3), 0.0, 0.0, 3, 5, 200, 4)  # both certain: every winner holds both
-def test_contention_estimator_is_the_argsort_reference(nk, q_cr, q_e, m_cr, m_e, trials, seed):
-    n, k = nk
+@example(8, 0.0, 0.4, 3, 5, 200, 1)  # q_cr = 0: every node holds its cr ebit
+@example(8, 0.4, 0.0, 3, 5, 200, 2)  # q_e = 0: every node holds its e ebit
+@example(8, 0.4, 1.0, 3, 5, 200, 3)  # q_e = 1: no node does, whoever wins
+@example(8, 0.0, 0.0, 3, 5, 200, 4)  # both certain: every winner holds both
+def test_contention_estimator_is_the_argsort_reference(n, q_cr, q_e, m_cr, m_e, trials, seed):
+    # one call gives the whole curve; each k is compared with the reference on the same draw
     params = ChannelParams(q_cr=q_cr, q_e=q_e, M_cr=m_cr, M_e=m_e)
     rng = make_rng(seed)  # the reference reads the same node-major draws in the same order
     conn_cr = rng.random((n, trials)).T < 1.0 - q_cr**params.m_bar
     conn_e = rng.random((n, trials)).T < 1.0 - q_e**params.m_bar
-    winners = sample_winner_sets(n, k, trials, rng) - 1
-    ok = np.take_along_axis(conn_cr & conn_e, winners, axis=1).all(axis=1)
-    assert empirical_contention_success(n, k, params, trials, make_rng(seed)) == float(ok.mean())
+    before_winners = rng.bit_generator.state
+    curve = empirical_contention_success(n, params, trials, make_rng(seed))
+    assert curve.shape == (n,)
+    for k in range(1, n + 1):
+        rng.bit_generator.state = before_winners  # every k ranks the same winner uniforms
+        winners = sample_winner_sets(n, k, trials, rng) - 1
+        ok = np.take_along_axis(conn_cr & conn_e, winners, axis=1).all(axis=1)
+        assert curve[k - 1] == float(ok.mean())
 
 
 class _Blocks:
@@ -172,24 +176,24 @@ class _Blocks:
 
 
 @PROPERTY_SETTINGS
-@given(st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
-       st.integers(1, 40), st.integers(1, 4), st.integers(0, 2**32))
-@example((3, 1), 1, 1, 0)  # one level: every node ties with every other
-def test_contention_rule_with_ties_is_the_partition_rule(nk, trials, levels, seed):
+@given(st.integers(1, 12), st.integers(1, 40), st.integers(1, 4), st.integers(0, 2**32))
+@example(3, 1, 1, 0)  # one level: every node ties with every other
+def test_contention_rule_with_ties_is_the_partition_rule(n, trials, levels, seed):
     # uniforms from a few distinct values tie often, also at the k-th smallest;
     # "at least k drew below the smallest unconnected" must still read as
-    # "every node with u <= the k-th smallest is connected", trial by trial
-    n, k = nk
+    # "every node with u <= the k-th smallest is connected", trial by trial, for every k
     draws = np.random.default_rng(seed)
     status = np.where(draws.random((2, n, trials)) < 0.8, 0.25, 0.75)  # connected iff 0.25
     uniforms = draws.integers(0, levels, (n, trials)) / levels
-    kth = np.partition(uniforms, k - 1, axis=0)[k - 1]
-    expected = ((status.max(axis=0) == 0.25) | (uniforms > kth)).all(axis=0)
+    expected = np.array([
+        ((status.max(axis=0) == 0.25) | (uniforms > np.partition(uniforms, k - 1, axis=0)[k - 1]))
+        .all(axis=0) for k in range(1, n + 1)])  # (k, trial)
     params = ChannelParams(q_cr=0.5, q_e=0.5, M_cr=1, M_e=1)  # connected iff u < 0.5
     for t in range(trials):
         column = np.s_[:, t:t + 1]
         blocks = _Blocks(status[0][column], status[1][column], uniforms[column])
-        assert empirical_contention_success(n, k, params, 1, blocks) == expected[t]
+        np.testing.assert_array_equal(empirical_contention_success(n, params, 1, blocks),
+                                      expected[:, t])
 
 
 @PROPERTY_SETTINGS
