@@ -5,7 +5,7 @@ ell x n binary matrix whose entry G[j][i-1] is 1 iff the circuit contains
 CNOT(data qubit i -> ancilla j), the ancilla word read out after the
 encoder is a = G.d mod 2, where d is the data measurement outcome.  Encoder
 design therefore reduces to finding G injective on the weight-k slice of
-{0,1}^n, which `verify_injectivity` certifies while it builds the word ->
+{0,1}^n, which `verify_injectivity` checks while it builds the word ->
 winner-subset bijection the orchestrator decodes (the codebook).  It packs
 the words of the slice, rows in the order of `states._slice_columns`, once
 and sorts them once: the stable sort gives the codebook's order and the
@@ -22,7 +22,8 @@ Two constructions are provided:
   The missing last bit is recoverable from the word's parity.
 * binary: ell = ceil(log2 C(n,k)) ancillas where a code allows it.  G's
   columns are the parity checks of a length-(n-1) code of distance 2t+1,
-  t = min(k, n-k), built greedily and without a seed (`_greedy_columns`).
+  t = min(k, n-k), built greedily and without a seed (`_greedy_columns`),
+  so G is injective on the slice by construction.
 """
 from __future__ import annotations
 
@@ -43,12 +44,12 @@ FORMAT_CHUNK_BYTES = 1 << 20  # text formatted at a time; bounds the memory held
 class CapacityError(ValueError):
     """A run would pass a cap, refused before allocating.
 
-    The caps: SLICE_BYTES_CAP bytes for the tables over the weight-k slice
-    (codebook, injectivity certificate) and for an encoder's packed rows,
-    which the contention sampler builds and `build_linear_encoder` charges
-    before it makes its CNOT list; 2^53 outcomes, the ranks one double can
-    address, for that sampler; and `statevector.MAX_QUBITS` qubits for a
-    dense register.
+    The caps: SLICE_BYTES_CAP bytes for the codebook over the weight-k slice,
+    for the slice rule that bounds which instances the binary construction
+    runs on, and for an encoder's packed rows, which the contention sampler
+    builds and `build_linear_encoder` charges before it makes its CNOT list;
+    C(n,k) <= 2^63 - 1 outcomes, the largest int64, for that sampler's rank
+    draw; and `statevector.MAX_QUBITS` qubits for a dense register.
     """
 
 
@@ -130,11 +131,6 @@ class Codebook:
         return dict(self)
 
 
-def _matrix_to_cnots(g: np.ndarray) -> tuple[tuple[int, int], ...]:
-    """CNOT(i, j) for each entry G[j, i-1] = 1, ordered by control, then target."""
-    return tuple((int(i) + 1, int(j)) for i, j in np.argwhere(g.T))
-
-
 def _size(count: int) -> str:
     """``count`` in full up to 64 bits, else by bit length (str() refuses 4,300+ digits)."""
     return str(count) if count.bit_length() <= 64 else f"at least 2^{count.bit_length() - 1}"
@@ -161,17 +157,13 @@ def build_linear_encoder(spec: DickeSpec) -> EncoderCircuit:
     return EncoderCircuit(n=n, k=spec.k, ell=n - 1, cnots=cnots, kind="linear")
 
 
-def _slice_columns(n: int, k: int, ell: int, need: int) -> list[np.ndarray]:
-    """`states._slice_columns`, once the ``need`` bytes of the caller's tables fit the cap.
-
-    Raises CapacityError before allocating when they would exceed SLICE_BYTES_CAP.
-    """
+def _check_slice(n: int, k: int, ell: int, need: int) -> None:
+    """Raise CapacityError when ``need`` bytes over the weight-k slice would pass SLICE_BYTES_CAP."""
     if need > SLICE_BYTES_CAP:
         raise CapacityError(
             f"the weight-{k} slice of n={n} with ell={ell} needs {_size(need)} bytes, "
             f"above the {SLICE_BYTES_CAP}-byte cap"
         )
-    return states._slice_columns(n, k)
 
 
 def _packed_words(circuit: EncoderCircuit, columns: list[np.ndarray]) -> np.ndarray:
@@ -215,18 +207,20 @@ def _word_order(words: np.ndarray) -> tuple[np.ndarray, tuple[int, int] | None]:
     return order, (int(order[pos - 1]), int(order[pos]))
 
 
-def _injective_on_slice(circuit: EncoderCircuit, columns: list[np.ndarray]) -> bool:
-    return _word_order(_packed_words(circuit, columns))[1] is None
-
-
 def lower_bound(n: int, k: int) -> int:
     """Fewest ancillas any injective CNOT encoder for (n, k) can have: the most of
     pigeonhole ceil(log2 C(n,k)) and, for its length-(n-1) distance-(2t+1) code,
     sphere packing and Griesmer (n-1 when 2t >= n-1); t = min(k, n-k)."""
     t, length = min(k, n - k), n - 1
     # Griesmer: a dimension-K code needs sum_{i<K} ceil((2t+1)/2^i) <= n-1 positions
-    dim = next(K for K in range(n) if sum(-(-(2 * t + 1) // 2**i) for i in range(K + 1)) > length)
-    ball = sum(math.comb(length, i) for i in range(t + 1))
+    dim, used = 0, 2 * t + 1
+    while used <= length:
+        dim += 1
+        used += -(-(2 * t + 1) >> dim)
+    ball = term = 1  # sum_{i<=t} C(n-1, i), term C(n-1, i)
+    for i in range(t):
+        term = term * (length - i) // (i + 1)
+        ball += term
     return max((math.comb(n, k) - 1).bit_length(), (ball - 1).bit_length(), length - dim)
 
 
@@ -258,29 +252,27 @@ def build_binary_encoder(spec: DickeSpec, *, ell: int | None = None) -> EncoderC
     """Encoder with the compressed ancilla count ell = ceil(log2 C(n,k)).
 
     Data qubit i flips the bits of column h_i of `_greedy_columns` (ancilla 0
-    least significant): for k = 1, the node index i-1 in binary.  ``ell``
-    overrides the target; rows above the construction stay zero.  Raises
-    SynthesisFailed if the construction is wider, CapacityError first if the
-    injectivity certificate's arrays would pass SLICE_BYTES_CAP.
+    least significant): for k = 1, the node index i-1 in binary.  Two
+    weight-k strings differ in at most 2t places, and no nonempty set of 2t
+    or fewer of h_2..h_n XORs to h_1 = 0: the encoder is injective by
+    construction.  ``ell`` overrides the target; rows above the construction
+    stay zero.  Raises SynthesisFailed if the construction is wider;
+    CapacityError first, before the greedy runs, past the slice rule.
     """
     n, k = spec.n, spec.k
     target_ell = (spec.num_outcomes - 1).bit_length() if ell is None else ell
     floor = (n - 1).bit_length() if k == 1 else 1  # below it, a usage error
     if target_ell < floor:
         raise ValueError(f"binary encoder for k={k} needs ell >= {floor}, got {target_ell}")
-    # the certificate holds the k index columns, the packed words, their sort order and G
+    # the slice rule bounds which instances the construction (its greedy too) runs on
     row_bytes = k * np.min_scalar_type(n - 1).itemsize + 8 * -(-target_ell // 64) + 8
-    slice_columns = _slice_columns(n, k, target_ell, spec.num_outcomes * row_bytes + target_ell * n)
+    _check_slice(n, k, target_ell, spec.num_outcomes * row_bytes + target_ell * n)
     columns = _greedy_columns(n, min(k, n - k))
     width = columns[-1].bit_length()
     if width > target_ell:
         raise SynthesisFailed(target_ell, width, lower_bound(n, k))
-    g = np.zeros((target_ell, n), dtype=np.uint8)
-    g[:width] = [[h >> j & 1 for h in columns] for j in range(width)]
-    circuit = EncoderCircuit(n=n, k=k, ell=target_ell, cnots=_matrix_to_cnots(g), kind="binary")
-    if not _injective_on_slice(circuit, slice_columns):
-        raise RuntimeError(f"the greedy encoder for n={n}, k={k} is not injective")
-    return circuit
+    cnots = tuple((i, j) for i, h in enumerate(columns, 1) for j in range(width) if h >> j & 1)
+    return EncoderCircuit(n=n, k=k, ell=target_ell, cnots=cnots, kind="binary")
 
 
 def verify_injectivity(circuit: EncoderCircuit, spec: DickeSpec) -> Codebook:
@@ -292,8 +284,8 @@ def verify_injectivity(circuit: EncoderCircuit, spec: DickeSpec) -> Codebook:
     """
     if circuit.n != spec.n:
         raise ValueError(f"circuit built for n={circuit.n}, spec has n={spec.n}")
-    need = spec.num_outcomes * (spec.n + circuit.ell)
-    columns = _slice_columns(spec.n, spec.k, circuit.ell, need)
+    _check_slice(spec.n, spec.k, circuit.ell, spec.num_outcomes * (spec.n + circuit.ell))
+    columns = states._slice_columns(spec.n, spec.k)
     packed = _packed_words(circuit, columns)
     order, collision = _word_order(packed)
     if collision is not None:
@@ -330,9 +322,10 @@ def recover_last_bit_linear(word, k: int) -> int:
 
 
 def cnot_count_bound(n: int) -> int:
-    """Gate-count bound for the binary encoder: ceil(log2 n) * 2^(ceil(log2 n)-1).
+    """CNOT-count bound for the k = 1 binary encoder: ceil(log2 n) * 2^(ceil(log2 n)-1).
 
-    Exact for k = 1 when n is a power of two, an overestimate otherwise.
+    Exact when n is a power of two, an overestimate otherwise.  It does not
+    bound k >= 2: the (16,2) encoder at ell = 8 has 39 CNOTs, against 32.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")

@@ -113,23 +113,22 @@ def sample_contention_outcomes(
     Every measurement is in the computational basis and the encoder only
     permutes basis states, so a round's (d, a) outcome is one of the C(n,k)
     weight-k strings d, each with Born weight 1/C(n,k), and a = G.d mod 2.
-    Round r takes the string of rank floor(U_r * C(n,k)), U_r the r-th of
-    ``runs`` doubles from ``rng``, and unranks only it: no C(n,k)-row table,
-    memory grows with ``runs``.  That is the dense path's inverse-CDF draw,
-    which rounds its cumulative sum, so rare draws differ for large C(n,k).
-    Returns (runs x n) data bits and (runs x ell) ancilla bits, both uint8;
-    injectivity is `verify_injectivity`'s to check.  Raises CapacityError
-    before allocating past 2^53 outcomes (the ranks one double can address)
-    or when G's n packed rows, n * 8 * ceil(ell/64) bytes, would pass
-    `encoder.SLICE_BYTES_CAP`.
+    Round r takes the string of rank R_r, the r-th of ``runs`` integers
+    ``rng`` draws uniformly from 0..C(n,k)-1 (numpy's bounded draw rejects,
+    so every rank is exactly equally likely), and unranks only it: no
+    C(n,k)-row table, memory grows with ``runs``.  Returns (runs x n) data
+    bits and (runs x ell) ancilla bits, both uint8; injectivity is
+    `verify_injectivity`'s to check.  Raises CapacityError before allocating
+    past 2^63 - 1 outcomes, the largest int64, or when G's n packed rows,
+    n * 8 * ceil(ell/64) bytes, would pass `encoder.SLICE_BYTES_CAP`.
     """
     if encoder.n != spec.n:
         raise ValueError(f"encoder built for n={encoder.n}, spec has n={spec.n}")
-    if spec.num_outcomes > 2**53:
+    if spec.num_outcomes >= 2**63:
         raise CapacityError(f"C({spec.n},{spec.k}) = {_size(spec.num_outcomes)} outcomes exceed "
-                            "the 2^53 ranks one double can address")
+                            "2^63 - 1, the largest int64")
     _check_packed_rows(spec.n, encoder.ell)
-    ranks = (rng.random(runs) * spec.num_outcomes).astype(np.int64)
+    ranks = rng.integers(spec.num_outcomes, size=runs, dtype=np.int64)
     columns = _slice_columns(spec.n, spec.k, ranks)
     words = np.unpackbits(_packed_words(encoder, columns).view(np.uint8), axis=1, count=encoder.ell)
     return _data_bits(spec.n, columns), words

@@ -180,17 +180,23 @@ def test_contend_summary_rates(tmp_path, capsys):
     assert len(summary["subset_rates"]) == 6
 
 
-def test_contend_capacity_exit(tmp_path):
-    # C(57,28) > 2^53, the ranks one double can address: the first such case at k = n/2
-    assert main(["contend", "--n", "57", "--k", "28", "--runs", "1",
+def test_contend_capacity_exit(tmp_path, capsys):
+    # C(67,33) > 2^63 - 1, the largest int64: n = 67 is the least n with a refused k, and
+    # C(66,33), the largest C(66,k), runs
+    assert main(["contend", "--n", "67", "--k", "33", "--runs", "1",
                  "--out", str(tmp_path / "t.jsonl")]) == 4
+    assert capsys.readouterr().err == ("error: C(67,33) = 14226520737620288370 outcomes exceed "
+                                       "2^63 - 1, the largest int64\n")
+    out = tmp_path / "ok.jsonl"
+    assert main(["contend", "--n", "66", "--k", "33", "--runs", "3", "--out", str(out)]) == 0
+    assert [sum(json.loads(line)["d_vector"]) for line in out.read_text().splitlines()] == [33] * 3
 
 
 @pytest.mark.parametrize("argv", [["--kind", "binary", "--n", "16378", "--k", "1", "--runs", "5"],
                                   ["--n", "16385", "--k", "2", "--runs", "10"]])
 def test_contend_charges_only_what_it_builds(tmp_path, argv):
     # C(16378,1) * (16378 + 14) and 16384 * 16385 bytes pass the 256 MiB cap, but the binary
-    # certificate holds packed words and the sampler packed encoder rows, far below it
+    # slice rule charges packed words and the sampler packed encoder rows, far below it
     out = tmp_path / "t.jsonl"
     assert main(["contend", *argv, "--out", str(out)]) == 0
     n = int(argv[argv.index("--n") + 1])
@@ -223,7 +229,7 @@ def test_big_linear_run_refused_before_its_encoder(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("argv, err", [
     (["contend", "--n", "20000", "--k", "10000", "--runs", "1"],
-     "C(20000,10000) = at least 2^19992 outcomes exceed the 2^53 ranks one double can address"),
+     "C(20000,10000) = at least 2^19992 outcomes exceed 2^63 - 1, the largest int64"),
     (["contend", "--n", "20000", "--k", "10000", "--runs", "1", "--kind", "binary"],
      "the weight-10000 slice of n=20000 with ell=19993 needs at least 2^20006 bytes, "
      "above the 268435456-byte cap"),
@@ -256,7 +262,7 @@ def test_contend_past_dense_register(tmp_path):
 @pytest.mark.parametrize("n,k", [(40, 20), (56, 28)])
 def test_contend_without_slice_table(tmp_path, n, k):
     # C(40,20) * (40 + 39) bytes of slice and words exceed the 256 MiB cap, and C(56,28)
-    # is just below 2^53: contend unranks only the rows it draws
+    # is about 7.6e15: contend unranks only the rows it draws
     out = tmp_path / "t.jsonl"
     assert main(["contend", "--n", str(n), "--k", str(k), "--runs", "200", "--out", str(out)]) == 0
     for line in out.read_text().splitlines():
@@ -690,12 +696,12 @@ def test_output_bytes_pinned(tmp_path, capsys):
 
 # SHA-256 of the transcript and of the stdout summary of `contend --seed 5 --out t.jsonl`
 PINNED_CONTEND_DIGESTS = {
-    ("linear", 8, 2, 2000): ("4ea0c7087c58a1a4257b7b679addb966b7a2b028b3740c94e758caf01876bff1",
-                             "86691c737c109eb46d6a9ba765b60d61d6dd49de6f1f64f565f60b42a3e06c8d"),
-    ("linear", 22, 11, 500): ("93d48c94047d4f16be0a90eb83b982ead8762867ab1cec1d0a88fd140350fbd2",
-                              "c3c6b8e5bb9d066e590515b1b59adef81d4f6fa3af5e27d242ffa108fdcbd694"),
-    ("binary", 8, 1, 300): ("12136fdf3175b1dae818ff3c3b95711468e45c88d1e5da2a1707120c5b2c946b",
-                            "1260e7795f6b6e7e190b77f2c0d3b01fef62bbf59cd231d5f0d95724bb0ecf7b"),
+    ("linear", 8, 2, 2000): ("14967820b3e9e4bfd5e33f7e84c04c789202354393beb377d716b22fdac462a9",
+                             "93f08b3458b3e23de62c4729d26d704289592a34b8b67e842fde68d93dab7be4"),
+    ("linear", 22, 11, 500): ("d486f15a4ea0fb87f0fb40a3653e50181c392fe08843dccd9dd098538029c02b",
+                              "f994fa290b3ee843326b03dbb31eaea58a1143fcf6cf28c87c99083ce389c830"),
+    ("binary", 8, 1, 300): ("df16ebd4f355a871c5e34276394fa838c24d9ae6d1e4a1ec77ac3dbe52cca89c",
+                            "01063a403e85eb572f27237fd7155c48ed380c167de2c20e510f6869461f9f50"),
 }
 
 

@@ -1,8 +1,10 @@
 """Encoders: golden codebooks, injectivity, the greedy construction and its widths, gate counts,
 emission formats."""
+import functools
 import io
 import itertools
 import math
+import operator
 from itertools import combinations
 
 import numpy as np
@@ -196,6 +198,8 @@ def test_lower_bound_values():
     assert lower_bound(24, 2) == 9  # pigeonhole: C(24,2) = 276 > 256
     assert lower_bound(16, 8) == 15  # 2t >= n-1: no code but the zero word
     assert lower_bound(16, 7) == 14  # Griesmer: the repetition code [15,1,15] at most
+    assert lower_bound(5000, 2) == 24  # pigeonhole and sphere packing: both pass 2^23
+    assert lower_bound(20000, 10000) == 19999  # 2t >= n-1
 
 
 @pytest.mark.parametrize("n,k,ell,exists,smallest", [
@@ -228,10 +232,30 @@ def test_binary_wider_ell_leaves_upper_rows_zero():
     verify_injectivity(wide, spec)
 
 
-def test_binary_construction_is_certified(monkeypatch):
-    monkeypatch.setattr(enc, "_greedy_columns", lambda n, t: [1] * n)  # every word the same
-    with pytest.raises(RuntimeError):
-        build_binary_encoder(DickeSpec(6, 2))
+@pytest.mark.parametrize("cap", [None, 3 * 2**2], ids=["greedy", "memory-cap"])
+def test_binary_construction_is_injective_by_proof(monkeypatch, cap):
+    # weight-k strings d != d' differ in at most 2t places and G(d ^ d') is the XOR of those
+    # columns; h_1 = 0, so no nonempty set of 2t or fewer of h_2..h_n XORing to 0 is the proof
+    if cap is not None:
+        monkeypatch.setattr(enc, "SLICE_BYTES_CAP", cap)  # t >= 2 falls back to unit vectors
+    for n in range(2, 15):
+        for t in range(1, n // 2 + 1):  # t = 1 and 2t >= n-1 take the closed forms
+            columns = enc._greedy_columns(n, t)
+            assert len(columns) == n and columns[0] == 0
+            if cap is not None and t > 1:
+                assert columns == [0] + [1 << i for i in range(n - 1)]
+            assert not [s for size in range(1, 2 * t + 1) for s in combinations(columns[1:], size)
+                        if functools.reduce(operator.xor, s) == 0], (n, t)
+
+
+def test_binary_build_enumerates_no_slice(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the binary build read the weight-k slice")
+
+    monkeypatch.setattr(enc.states, "_slice_columns", refuse)
+    with pytest.raises(SynthesisFailed):
+        build_binary_encoder(DickeSpec(24, 12))
+    assert build_binary_encoder(DickeSpec(24, 3)).ell == 11
 
 
 def test_binary_k1_rejects_too_small_ell():
@@ -246,6 +270,9 @@ def test_cnot_count_bound_values():
     built = len(build_binary_encoder(DickeSpec(6, 1)).cnots)
     assert cnot_count_bound(6) == 12
     assert built <= 12
+    # the bound is for k = 1 only
+    assert len(build_binary_encoder(DickeSpec(16, 2), ell=8).cnots) == 39 > cnot_count_bound(16)
+    assert len(build_binary_encoder(DickeSpec(24, 3)).cnots) == 88 > cnot_count_bound(24)
 
 
 # ---------------------------------------------------------------- verify / decode
@@ -256,6 +283,11 @@ def test_all_zero_matrix_not_injective():
         verify_injectivity(circuit, DickeSpec(4, 2))
     assert sum(err.value.d1) == 2 and sum(err.value.d2) == 2
     assert err.value.d1 != err.value.d2
+
+
+def matrix_cnots(g):
+    """CNOT(i, j) for each entry G[j, i-1] = 1."""
+    return tuple((int(i) + 1, int(j)) for j, i in np.argwhere(g))
 
 
 def scan_for_collision(g, n, k):
@@ -280,7 +312,7 @@ def test_collision_matches_sequential_scan():
         g = rng.integers(0, 2, size=(ell, n), dtype=np.uint8)
         if ell > 60:
             g[:, rng.integers(0, n)] = g[:, rng.integers(0, n)]  # maybe two equal columns
-        circuit = EncoderCircuit(n=n, k=k, ell=ell, cnots=enc._matrix_to_cnots(g), kind="binary")
+        circuit = EncoderCircuit(n=n, k=k, ell=ell, cnots=matrix_cnots(g), kind="binary")
         expected = scan_for_collision(g, n, k)
         if expected is None:
             codebook = verify_injectivity(circuit, DickeSpec(n, k))
@@ -313,7 +345,6 @@ def test_words_wider_than_64_bits():
     # linear n=70: distinct outcomes whose words differ only in bits 64..68
     spec = DickeSpec(70, 2)
     circuit = build_linear_encoder(spec)
-    assert enc._injective_on_slice(circuit, enc.states._slice_columns(70, 2))
     assert len(verify_injectivity(circuit, spec).entries) == math.comb(70, 2)
 
 

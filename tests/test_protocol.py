@@ -223,11 +223,14 @@ def test_batch_sampler_rejects_encoder_for_another_n():
 
 
 def dense_born_sampler(spec, encoder, runs, rng):
-    """Reference: one categorical draw over the 2^(n+ell) amplitudes per round."""
+    """Reference: the Born law of the 2^(n+ell) amplitudes, checked uniform on exactly C(n,k)
+    basis states, drawn as a uniform rank into that support in ascending basis index."""
     state = apply_encoder(dicke_state(spec), encoder)
     probs = np.abs(state.amplitudes) ** 2
-    probs /= probs.sum()
-    indices = rng.choice(len(probs), size=runs, p=probs)
+    support = np.flatnonzero(probs > 1e-12)
+    assert len(support) == spec.num_outcomes
+    np.testing.assert_allclose(probs[support], 1 / spec.num_outcomes, rtol=1e-9)
+    indices = support[rng.integers(len(support), size=runs, dtype=np.int64)]
     total = spec.n + encoder.ell
     bits = (indices[:, None] >> np.arange(total - 1, -1, -1)) & 1
     return bits[:, : spec.n], bits[:, spec.n:]

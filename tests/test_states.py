@@ -101,6 +101,27 @@ def test_weight_k_enumeration_is_ascending():
     assert list(sum(1 << (4 - col.astype(int)) for col in _slice_columns(5, 2))) == idxs
 
 
+def unrank(n, k, rank):
+    """Columns of the ones of the weight-k string at ``rank``, in exact integers."""
+    columns = []
+    for i in range(k, 0, -1):
+        e = max(e for e in range(i - 1, n) if math.comb(e, i) <= rank)
+        rank -= math.comb(e, i)
+        columns.append(n - 1 - e)
+    return columns
+
+
+@pytest.mark.parametrize("n,k", [(66, 33), (62, 31), (400, 8)])
+def test_unranker_is_exact_below_the_int64_cap(n, k):
+    # contend draws ranks up to C(n,k) - 1 < 2^63; the int64 binomials must not round there
+    count = math.comb(n, k)
+    assert count < 2**63
+    ranks = [0, 1, count - 2, count - 1]
+    ranks += np.random.default_rng(n).integers(count, size=200, dtype=np.int64).tolist()
+    got = np.array(_slice_columns(n, k, np.array(ranks, dtype=np.int64))).T.tolist()
+    assert got == [unrank(n, k, rank) for rank in ranks]
+
+
 def test_index_bits_round_trip():
     assert index_bits(0b1100, 4) == (1, 1, 0, 0)
     assert index_bits(0b0011, 4) == (0, 0, 1, 1)
