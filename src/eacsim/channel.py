@@ -23,11 +23,11 @@ private stream: the master stream jumped i times, each jump as far as
 (phi - 1)·2^128 draws, so substreams start far apart in the 2^128 period.
 The vectorized estimators draw one node-major (n, trials) block of uniforms
 per process whose column t belongs to trial t, and reduce over nodes, so
-results are bit-identical for a given seed.  A block that no uniform can
-change is not drawn: a process whose 1 - q^m is exactly 0 or 1, and the
-winners when no node or every node holds both ebits.  The stream is advanced
-past it instead (one PCG64DXSM output per double), so every later draw, and
-every output byte, is what drawing it would have given.
+results are bit-identical for a given seed.  The block of a process whose
+1 - q^m is exactly 0 or 1, which no uniform can change, is not drawn: the
+stream is advanced past it instead (one PCG64DXSM output per double), so
+every later draw, and every output byte, is what drawing it would have
+given.  The winners' block is always drawn.
 """
 from __future__ import annotations
 
@@ -152,14 +152,19 @@ def _connected_by(n: int, q: float, m: int, trials: int, rng) -> np.ndarray:
     return rng.random((n, trials)) < p
 
 
-def simulate_distribution(n: int, q: float, M: int, rng) -> DistributionTrace:
-    """Run one heralded distribution process for n nodes over at most M slots."""
+def _check_process(n: int, q: float, M: int) -> None:
+    """Raise ValueError unless n >= 1 nodes, failure probability 0 <= q <= 1 and M >= 1 slots."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q={q} must be in [0, 1]")
     if M < 1:
         raise ValueError(f"M={M} must be >= 1")
+
+
+def simulate_distribution(n: int, q: float, M: int, rng) -> DistributionTrace:
+    """Run one heralded distribution process for n nodes over at most M slots."""
+    _check_process(n, q, M)
     # first-success slot per node; M + 1 means "not connected by slot M"
     first = np.searchsorted(_connect_prob(q, M), rng.random(n), side="right") + 1
     nodes = np.arange(1, n + 1)
@@ -171,6 +176,7 @@ def simulate_distribution(n: int, q: float, M: int, rng) -> DistributionTrace:
 
 def empirical_full_connection_by_slot(n: int, q: float, M: int, trials: int, rng) -> np.ndarray:
     """Fraction of trials with all n nodes connected by slot m, for m = 1..M."""
+    _check_process(n, q, M)
     if trials < 1:
         raise ValueError(f"trials={trials} must be >= 1")
     probs = _connect_prob(q, M)
@@ -184,6 +190,7 @@ def empirical_full_connection_by_slot(n: int, q: float, M: int, trials: int, rng
 
 def empirical_state_distribution(n: int, q: float, M: int, trials: int, rng) -> np.ndarray:
     """Frequency of ending with j connected nodes, j = 0..n (sums to 1)."""
+    _check_process(n, q, M)
     if trials < 1:
         raise ValueError(f"trials={trials} must be >= 1")
     connected = _connected_by(n, q, M, trials, rng)
@@ -203,11 +210,6 @@ def empirical_contention_success(n: int, params: ChannelParams, trials: int, rng
         raise ValueError(f"trials={trials} must be >= 1")
     m_bar = params.m_bar
     # the decision reads slot m_bar; slots past it cannot change the outcome
-    p_cr, p_e = 1.0 - params.q_cr**m_bar, 1.0 - params.q_e**m_bar
-    if p_cr == 0.0 or p_e == 0.0 or p_cr == p_e == 1.0:
-        # no node or every node holds both ebits in every trial, whoever wins
-        _skip(rng, 3 * n * trials)
-        return np.full(n, float(p_cr == p_e == 1.0))
     both = (_connected_by(n, params.q_cr, m_bar, trials, rng)
             & _connected_by(n, params.q_e, m_bar, trials, rng))
     uniforms = rng.random((n, trials))

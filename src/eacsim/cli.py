@@ -14,8 +14,8 @@ Carlo row of ``reproduce`` and ``sweep``, and draw group i (in loop order)
 reads ``split_rng(seed, i)``: a group is the rows one estimator call
 serves, a figure's curve or the sweep points that differ only in k.
 ``_out_path`` places every output file: ``--out``, else the default name
-under ``--out-dir``, $EACSIM_OUT_DIR or '.' (never both flags); ``analytics``
-without ``--out`` prints to stdout.
+under ``--out-dir``, $EACSIM_OUT_DIR or '.' (never both flags), and ``_write``
+alone opens it; ``analytics`` without ``--out`` prints to stdout.
 ``_csv`` formats every CSV table (header row, '.' decimals); files end
 lines with '\\n'.  Exit codes: 0 success, 2 usage error (a ValueError other
 than CapacityError), a path that cannot be read or written or a stdout its
@@ -78,11 +78,12 @@ def _csv(header, rows) -> str:
     return "".join(",".join(map(_fmt, row)) + "\n" for row in (header, *rows))
 
 
-def _write(args, name: str | None, text: str) -> Path:
-    """Write ``text`` to `_out_path` with '\\n' line ends on every platform; returns the path."""
+def _write(args, name: str | None, content) -> Path:
+    """Write ``content``, the text or a function that writes to the open stream, to
+    `_out_path` with '\\n' line ends on every platform; returns the path."""
     path = _out_path(args, name)
     with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+        content(fh) if callable(content) else fh.write(content)
     return path
 
 
@@ -103,13 +104,12 @@ def _build_encoder(spec: DickeSpec, kind: str, ell: int | None):
 
 def cmd_encode(args) -> int:
     spec = DickeSpec(args.n, args.k)
+    _check_seed(args.seed, "--seed")
     circuit = _build_encoder(spec, args.kind, args.ell)
     codebook = verify_injectivity(circuit, spec)
     tag = f"{args.kind}_n{args.n}_k{args.k}"
     circuit_path = _write(args, f"encoder_{tag}.txt", format_circuit(circuit))
-    codebook_path = _out_path(args, f"codebook_{tag}.csv")
-    with open(codebook_path, "w", newline="\n") as fh:
-        write_codebook_csv(codebook, fh)
+    codebook_path = _write(args, f"codebook_{tag}.csv", lambda fh: write_codebook_csv(codebook, fh))
     print(f"encoder: {circuit_path}")
     print(f"codebook: {codebook_path} ({len(codebook.words)} words)")
     print(f"cnots: {len(circuit.cnots)} ell: {circuit.ell} seed: {args.seed}")
@@ -125,14 +125,13 @@ def cmd_contend(args) -> int:
     _check_seed(args.seed, "--seed")
     circuit = _build_encoder(spec, args.kind, None)
     rng = make_rng(args.seed)
-    d_bits, a_bits = protocol.sample_contention_outcomes(spec, circuit, args.runs, rng)
+    ranks, d_bits, a_bits = protocol.sample_contention_outcomes(spec, circuit, args.runs, rng)
+    subsets, counts = protocol.count_outcomes(spec, ranks)
+    del ranks
     g_matrix, parity = protocol.sample_loser_outcomes(d_bits, rng) if spec.k == 2 else (None, None)
-
-    out_path = _out_path(args, f"contend_n{args.n}_k{args.k}.jsonl")
-    with open(out_path, "w", newline="\n") as fh:
-        protocol.write_transcript_arrays(d_bits, a_bits, g_matrix, parity, args.seed, fh)
-
-    subsets, counts = protocol.unique_rows(d_bits)
+    out_path = _write(
+        args, f"contend_n{args.n}_k{args.k}.jsonl",
+        lambda fh: protocol.write_transcript_arrays(d_bits, a_bits, g_matrix, parity, args.seed, fh))
     keys = b"".join(_format_int_rows([(subsets != 0, b" "), b"\n"])).decode("ascii").splitlines()
     summary = {
         "n": spec.n,
@@ -219,7 +218,7 @@ def _reproduce_fig8(trials: int, seed: int) -> list[tuple]:
         for m in FIG8_M for n in FIG8_N for q in FIG8_Q
     ]
     thr_rows = [
-        (m, DEFAULT_EPSILON, max(FIG8_N), markov.absorbing_threshold_worst_case(FIG8_N, m))
+        (m, DEFAULT_EPSILON, max(FIG8_N), markov.absorbing_threshold(max(FIG8_N), m))
         for m in FIG8_M
     ]
     mc_rows = sorted(_mc_rows(

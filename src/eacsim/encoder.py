@@ -136,13 +136,16 @@ def _size(count: int) -> str:
     return str(count) if count.bit_length() <= 64 else f"at least 2^{count.bit_length() - 1}"
 
 
+def _check_bytes(what: str, need: int) -> None:
+    """Raise CapacityError, saying "{what} {need} bytes", when ``need`` passes SLICE_BYTES_CAP."""
+    if need > SLICE_BYTES_CAP:
+        raise CapacityError(f"{what} {_size(need)} bytes, above the {SLICE_BYTES_CAP}-byte cap")
+
+
 def _check_packed_rows(n: int, ell: int) -> None:
-    """Raise CapacityError when the n rows of G.T, packed as `_packed_words` packs
-    them (n * 8 * ceil(ell/64) bytes), would pass SLICE_BYTES_CAP."""
-    packed_bytes = n * 8 * -(-ell // 64)
-    if packed_bytes > SLICE_BYTES_CAP:
-        raise CapacityError(f"the {n} packed rows of the encoder matrix need "
-                            f"{_size(packed_bytes)} bytes, above the {SLICE_BYTES_CAP}-byte cap")
+    """`_check_bytes` for the n rows of G.T, packed as `_packed_words` packs
+    them: n * 8 * ceil(ell/64) bytes."""
+    _check_bytes(f"the {n} packed rows of the encoder matrix need", n * 8 * -(-ell // 64))
 
 
 def build_linear_encoder(spec: DickeSpec) -> EncoderCircuit:
@@ -155,15 +158,6 @@ def build_linear_encoder(spec: DickeSpec) -> EncoderCircuit:
     _check_packed_rows(n, n - 1)
     cnots = tuple((i + 1, i) for i in range(n - 1))
     return EncoderCircuit(n=n, k=spec.k, ell=n - 1, cnots=cnots, kind="linear")
-
-
-def _check_slice(n: int, k: int, ell: int, need: int) -> None:
-    """Raise CapacityError when ``need`` bytes over the weight-k slice would pass SLICE_BYTES_CAP."""
-    if need > SLICE_BYTES_CAP:
-        raise CapacityError(
-            f"the weight-{k} slice of n={n} with ell={ell} needs {_size(need)} bytes, "
-            f"above the {SLICE_BYTES_CAP}-byte cap"
-        )
 
 
 def _packed_words(circuit: EncoderCircuit, columns: list[np.ndarray]) -> np.ndarray:
@@ -266,7 +260,8 @@ def build_binary_encoder(spec: DickeSpec, *, ell: int | None = None) -> EncoderC
         raise ValueError(f"binary encoder for k={k} needs ell >= {floor}, got {target_ell}")
     # the slice rule bounds which instances the construction (its greedy too) runs on
     row_bytes = k * np.min_scalar_type(n - 1).itemsize + 8 * -(-target_ell // 64) + 8
-    _check_slice(n, k, target_ell, spec.num_outcomes * row_bytes + target_ell * n)
+    _check_bytes(f"the weight-{k} slice of n={n} with ell={target_ell} needs",
+                 spec.num_outcomes * row_bytes + target_ell * n)
     columns = _greedy_columns(n, min(k, n - k))
     width = columns[-1].bit_length()
     if width > target_ell:
@@ -284,7 +279,8 @@ def verify_injectivity(circuit: EncoderCircuit, spec: DickeSpec) -> Codebook:
     """
     if circuit.n != spec.n:
         raise ValueError(f"circuit built for n={circuit.n}, spec has n={spec.n}")
-    _check_slice(spec.n, spec.k, circuit.ell, spec.num_outcomes * (spec.n + circuit.ell))
+    _check_bytes(f"the weight-{spec.k} slice of n={spec.n} with ell={circuit.ell} needs",
+                 spec.num_outcomes * (spec.n + circuit.ell))
     columns = states._slice_columns(spec.n, spec.k)
     packed = _packed_words(circuit, columns)
     order, collision = _word_order(packed)

@@ -137,21 +137,13 @@ def absorbing_threshold(n: int, M: int, epsilon: float = 1e-5) -> float:
     in closed form q = (1 - (1 - epsilon)^(1/n))^(1/M); expm1/log1p keep it
     accurate for tiny epsilon.  Full connection is strictly decreasing in q,
     so every q below the threshold gives a probability above 1 - epsilon.
+    The threshold strictly decreases in n: the largest n of a family has its minimum.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon={epsilon} must be in (0, 1)")
     if n < 1 or M < 1:
         raise ValueError("need n >= 1 and M >= 1")
     return (-math.expm1(math.log1p(-epsilon) / n)) ** (1.0 / M)
-
-
-def absorbing_threshold_worst_case(ns, M: int, epsilon: float = 1e-5) -> float:
-    """Minimum threshold over a family of node counts.
-
-    The threshold strictly decreases in n, so this is the threshold at the
-    largest n; an empty family raises ValueError.
-    """
-    return absorbing_threshold(max(ns), M, epsilon)
 
 
 def dicke_outcome_probability(n: int, k: int) -> tuple[float, float]:

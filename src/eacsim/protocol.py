@@ -16,7 +16,7 @@ the computational basis (after the losers' Hadamards) and CNOTs only
 permute basis states, so `sample_contention_outcomes` and
 `sample_loser_outcomes` draw the Born laws without amplitudes; the
 contention sampler unranks only the weight-k strings it draws.  `cli
-contend` uses both, `unique_rows` and the byte-matrix writer
+contend` uses both, `count_outcomes` and the byte-matrix writer
 `write_transcript_arrays`.  The same rounds on a dense register, the
 quantum reference the tests compare against, are in `statevector`.
 """
@@ -107,7 +107,7 @@ def anonymity_audit(views: list[NodeView]) -> bool:
 
 def sample_contention_outcomes(
     spec: DickeSpec, encoder: EncoderCircuit, runs: int, rng
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized contention rounds, sampled classically.
 
     Every measurement is in the computational basis and the encoder only
@@ -116,11 +116,12 @@ def sample_contention_outcomes(
     Round r takes the string of rank R_r, the r-th of ``runs`` integers
     ``rng`` draws uniformly from 0..C(n,k)-1 (numpy's bounded draw rejects,
     so every rank is exactly equally likely), and unranks only it: no
-    C(n,k)-row table, memory grows with ``runs``.  Returns (runs x n) data
-    bits and (runs x ell) ancilla bits, both uint8; injectivity is
-    `verify_injectivity`'s to check.  Raises CapacityError before allocating
-    past 2^63 - 1 outcomes, the largest int64, or when G's n packed rows,
-    n * 8 * ceil(ell/64) bytes, would pass `encoder.SLICE_BYTES_CAP`.
+    C(n,k)-row table, memory grows with ``runs``.  Returns the (runs,) int64
+    ranks (`count_outcomes` counts them), (runs x n) data bits and (runs x
+    ell) ancilla bits, both uint8; injectivity is `verify_injectivity`'s to
+    check.  Raises CapacityError before allocating past 2^63 - 1 outcomes,
+    the largest int64, or when G's n packed rows, n * 8 * ceil(ell/64)
+    bytes, would pass `encoder.SLICE_BYTES_CAP`.
     """
     if encoder.n != spec.n:
         raise ValueError(f"encoder built for n={encoder.n}, spec has n={spec.n}")
@@ -131,7 +132,7 @@ def sample_contention_outcomes(
     ranks = rng.integers(spec.num_outcomes, size=runs, dtype=np.int64)
     columns = _slice_columns(spec.n, spec.k, ranks)
     words = np.unpackbits(_packed_words(encoder, columns).view(np.uint8), axis=1, count=encoder.ell)
-    return _data_bits(spec.n, columns), words
+    return ranks, _data_bits(spec.n, columns), words
 
 
 def sample_loser_outcomes(d_matrix: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -147,19 +148,14 @@ def sample_loser_outcomes(d_matrix: np.ndarray, rng) -> tuple[np.ndarray, np.nda
     return g, (g == 1).sum(axis=1) % 2
 
 
-def unique_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(bits, axis=0, return_counts=True)`` for 0/1 rows.
+def count_outcomes(spec: DickeSpec, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct outcomes among the sampler's ``ranks`` as (d rows, counts).
 
-    Sorts the rows' packed bytes with lexsort, which is far faster than
-    np.unique's row-by-row comparisons; same rows, order and counts.
+    Ascending rank is ascending basis index, so the rows come in the order
+    ``np.unique(d_bits, axis=0, return_counts=True)`` gives them.
     """
-    packed = np.packbits(bits, axis=1)
-    order = np.lexsort(packed.T[::-1])  # first byte is the primary key
-    ordered = packed[order]
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    counts = np.diff(np.append(np.flatnonzero(starts), len(order)))
-    return bits[order[starts]], counts
+    outcomes, counts = np.unique(ranks, return_counts=True)
+    return _data_bits(spec.n, _slice_columns(spec.n, spec.k, outcomes)), counts
 
 
 def write_transcript_arrays(d_bits, a_bits, g_matrix, parity, seed, stream) -> None:

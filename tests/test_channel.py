@@ -68,6 +68,18 @@ def test_channel_params_validation():
     assert ChannelParams(q_cr=0.2, q_e=0.4, M_cr=3, M_e=7).m_bar == 3
 
 
+@pytest.mark.parametrize("n,q,M", [(0, 0.5, 3), (5, -0.5, 3), (5, 1.5, 3), (5, 0.5, 0)])
+@pytest.mark.parametrize("estimator", [
+    lambda n, q, M: simulate_distribution(n, q, M, make_rng(0)),
+    lambda n, q, M: empirical_state_distribution(n, q, M, 100, make_rng(0)),
+    lambda n, q, M: empirical_full_connection_by_slot(n, q, M, 100, make_rng(0)),
+], ids=["simulate", "state_distribution", "full_connection"])
+def test_process_validation(estimator, n, q, M):
+    # no nodes, a failure probability outside [0, 1] or no slots is refused, not estimated
+    with pytest.raises(ValueError):
+        estimator(n, q, M)
+
+
 def test_slot_timeline_validation():
     SlotTimeline(tau_th=100, tau_g=10, tau_d=8, tau_c=10)
     with pytest.raises(ValueError):
@@ -278,7 +290,8 @@ def test_winner_sampler_matches_statevector_law():
     classical = sample_winner_sets(n, k, trials, make_rng(11))
     _, counts_c = np.unique(classical, axis=0, return_counts=True)
     spec = DickeSpec(n, k)
-    d_bits, _ = sample_contention_outcomes(spec, build_linear_encoder(spec), trials, make_rng(12))
+    _, d_bits, _ = sample_contention_outcomes(
+        spec, build_linear_encoder(spec), trials, make_rng(12))
     _, counts_q = np.unique(d_bits, axis=0, return_counts=True)
     for counts in (counts_c, counts_q):
         assert np.all(np.abs(counts / trials - p) < 3.5 * sigma)

@@ -498,10 +498,11 @@ def test_reproduce_mc_curves_non_increasing_in_k(tmp_path):
             assert all(later <= earlier for earlier, later in zip(estimates, estimates[1:]))
 
 
-@pytest.mark.parametrize("command", ["contend", "reproduce", "sweep"])
+@pytest.mark.parametrize("command", ["encode", "contend", "reproduce", "sweep"])
 def test_negative_seed_is_usage_error(tmp_path, capsys, command):
     (tmp_path / "cfg").write_text(SWEEP_CFG.replace("seed = 2", "seed = -1"))
-    argv = {"contend": ["contend", "--n", "4", "--k", "2", "--runs", "5", "--seed", "-1"],
+    argv = {"encode": ["encode", "--n", "4", "--k", "2", "--seed", "-1"],
+            "contend": ["contend", "--n", "4", "--k", "2", "--runs", "5", "--seed", "-1"],
             "reproduce": ["reproduce", "--figure", "fig9", "--trials", "10", "--seed", "-1"],
             "sweep": ["sweep", "--config", str(tmp_path / "cfg")]}[command]
     assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2

@@ -22,9 +22,9 @@ from eacsim.protocol import (
     WrongWinnerCount,
     anonymity_audit,
     build_u_d,
+    count_outcomes,
     sample_contention_outcomes,
     sample_loser_outcomes,
-    unique_rows,
     write_transcript_arrays,
 )
 from eacsim.states import DickeSpec
@@ -192,7 +192,7 @@ def test_batch_sampler_agrees_with_single_runs():
     spec = DickeSpec(4, 2)
     encoder = build_linear_encoder(spec)
     runs = 30_000
-    d_bits, a_bits = sample_contention_outcomes(spec, encoder, runs, np.random.default_rng(1))
+    _, d_bits, a_bits = sample_contention_outcomes(spec, encoder, runs, np.random.default_rng(1))
     assert d_bits.shape == (runs, 4) and a_bits.shape == (runs, 3)
     assert (d_bits.sum(axis=1) == 2).all()
     # ancilla word always equals the GF(2) image of the data bits
@@ -261,7 +261,7 @@ def test_classical_sampler_matches_dense_draws(n, k, kind):
     for seed in (0, 1):
         dense_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         d_ref, a_ref = dense_born_sampler(spec, encoder, 500, dense_rng)
-        d_bits, a_bits = sample_contention_outcomes(spec, encoder, 500, rng)
+        _, d_bits, a_bits = sample_contention_outcomes(spec, encoder, 500, rng)
         np.testing.assert_array_equal(d_bits, d_ref)
         np.testing.assert_array_equal(a_bits, a_ref)
         assert rng.random() == dense_rng.random()  # same stream position afterwards
@@ -275,7 +275,7 @@ def test_winner_subset_uniformity_chi_square(n, k):
 
     spec = DickeSpec(n, k)
     runs = 100_000
-    d_bits, _ = sample_contention_outcomes(
+    _, d_bits, _ = sample_contention_outcomes(
         spec, build_linear_encoder(spec), runs, split_rng(17, n * 10 + k)
     )
     outcomes, counts = np.unique(d_bits, axis=0, return_counts=True)
@@ -367,7 +367,7 @@ def test_bulk_transcript_matches_per_row_dumps(n, k, runs):
     # distinct; (2,1) has one ancilla
     spec = DickeSpec(n, k)
     rng = np.random.default_rng(n + k)
-    d_bits, a_bits = sample_contention_outcomes(spec, build_linear_encoder(spec), runs, rng)
+    _, d_bits, a_bits = sample_contention_outcomes(spec, build_linear_encoder(spec), runs, rng)
     g_matrix = parity = None
     if k == 2:
         g_matrix, parity = sample_loser_outcomes(d_bits, rng)
@@ -393,15 +393,29 @@ def test_bulk_transcript_matches_transcript_record():
     assert buf.getvalue() == expected.getvalue()
 
 
-def test_unique_rows_matches_numpy():
-    rng = np.random.default_rng(5)
-    for width in (3, 8, 15, 70):
-        bits = (rng.random((400, width)) < 0.3).astype(np.uint8)
-        bits = np.vstack([bits, bits[rng.integers(0, 400, size=400)]])
-        rows, counts = unique_rows(bits)
-        ref_rows, ref_counts = np.unique(bits, axis=0, return_counts=True)
-        np.testing.assert_array_equal(rows, ref_rows)
-        np.testing.assert_array_equal(counts, ref_counts)
+@pytest.mark.parametrize("n,k", [(8, 2), (22, 11), (120, 2), (2, 1)])
+def test_count_outcomes_matches_numpy(n, k):
+    # at (22,11) nearly every draw is distinct; (2,1) has two outcomes
+    spec = DickeSpec(n, k)
+    ranks, d_bits, _ = sample_contention_outcomes(
+        spec, build_linear_encoder(spec), 3000, np.random.default_rng(5))
+    rows, counts = count_outcomes(spec, ranks)
+    ref_rows, ref_counts = np.unique(d_bits, axis=0, return_counts=True)
+    np.testing.assert_array_equal(rows, ref_rows)
+    np.testing.assert_array_equal(counts, ref_counts)
+
+
+@pytest.mark.parametrize("n,k", [(8, 2), (12, 5), (2, 1)])
+def test_sampler_ranks_index_the_slice_in_basis_order(n, k):
+    # rank i is the i-th weight-k string in ascending basis index, node 1 most significant
+    spec = DickeSpec(n, k)
+    ranks, d_bits, _ = sample_contention_outcomes(
+        spec, build_linear_encoder(spec), 2000, np.random.default_rng(6))
+    assert ranks.dtype == np.int64 and ranks.shape == (2000,)
+    assert 0 <= ranks.min() and ranks.max() < spec.num_outcomes
+    basis = [x for x in range(2**n) if bin(x).count("1") == k]
+    want = (np.array(basis)[ranks][:, None] >> np.arange(n - 1, -1, -1)) & 1
+    np.testing.assert_array_equal(d_bits, want)
 
 
 def test_run_round_k1_has_no_pair():
