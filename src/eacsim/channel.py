@@ -206,6 +206,7 @@ def empirical_contention_success(n: int, params: ChannelParams, trials: int, rng
     winners, a uniform weight-k set, hold the k smallest.  One draw serves every
     k: entry k-1 is the float a draw for that k alone would give.
     """
+    _check_process(n, params.q_cr, params.m_bar)  # for n: ChannelParams checked q and M
     if trials < 1:
         raise ValueError(f"trials={trials} must be >= 1")
     m_bar = params.m_bar

@@ -125,14 +125,15 @@ def cmd_contend(args) -> int:
     _check_seed(args.seed, "--seed")
     circuit = _build_encoder(spec, args.kind, None)
     rng = make_rng(args.seed)
-    ranks, d_bits, a_bits = protocol.sample_contention_outcomes(spec, circuit, args.runs, rng)
+    ranks, winners, d_bits, a_bits = protocol.sample_contention_outcomes(spec, circuit, args.runs, rng)
     subsets, counts = protocol.count_outcomes(spec, ranks)
     del ranks
     g_matrix, parity = protocol.sample_loser_outcomes(d_bits, rng) if spec.k == 2 else (None, None)
     out_path = _write(
         args, f"contend_n{args.n}_k{args.k}.jsonl",
-        lambda fh: protocol.write_transcript_arrays(d_bits, a_bits, g_matrix, parity, args.seed, fh))
-    keys = b"".join(_format_int_rows([(subsets != 0, b" "), b"\n"])).decode("ascii").splitlines()
+        lambda fh: protocol.write_transcript_arrays(d_bits, a_bits, winners, g_matrix, parity,
+                                                    args.seed, fh))
+    keys = b"".join(_format_int_rows([(subsets, b" "), b"\n"])).decode("ascii").splitlines()
     summary = {
         "n": spec.n,
         "k": spec.k,

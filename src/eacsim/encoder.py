@@ -9,10 +9,11 @@ design therefore reduces to finding G injective on the weight-k slice of
 winner-subset bijection the orchestrator decodes (the codebook).  It packs
 the words of the slice, rows in the order of `states._slice_columns`, once
 and sorts them once: the stable sort gives the codebook's order and the
-first collision a scan in slice order would meet.  The codebook takes
-C(n,k)*(n+ell) bytes (CapacityError past SLICE_BYTES_CAP).  `_data_bits`
-and `_packed_words` also build the rows of the classical contention
-sampler's draws.  `_format_int_rows` writes the codebook CSV and
+first collision a scan in slice order would meet.  The codebook holds
+C(n,k)*(k*s+ell) bytes, s bytes per winner index (1 up to n = 256); the
+verify pass admits C(n,k)*(n+ell) bytes up to SLICE_BYTES_CAP
+(CapacityError past it).  `_data_bits` and `_packed_words` also serve the
+contention sampler.  `_format_int_rows` writes the codebook CSV and
 transcripts via byte matrices.  Everything here is classical; the CNOT list
 run on a dense register is `statevector.apply_encoder`.
 
@@ -110,8 +111,8 @@ class EncoderCircuit:
 class Codebook:
     """Bijection between ancilla words and winner subsets of size k.
 
-    Row r of ``bits`` is the outcome whose word is row r of ``words``, rows
-    ascending by word; iteration yields (word, winners) tuples in that order.
+    ``winners`` row r, k ascending 0-based columns, has ``words`` row r as its
+    word, rows ascending by word; iteration yields (word, 1-based winners).
     ``entries``, the word -> winners dict that `decode` reads, is built on
     first access.
     """
@@ -120,10 +121,10 @@ class Codebook:
     k: int
     ell: int
     words: np.ndarray  # (C(n,k) x ell) uint8
-    bits: np.ndarray  # (C(n,k) x n) uint8, each row of weight k
+    winners: np.ndarray  # (C(n,k) x k), `states._slice_columns`' dtype
 
     def __iter__(self):
-        winners = np.nonzero(self.bits)[1].reshape(-1, self.k) + 1
+        winners = self.winners.astype(np.int64) + 1  # uint8 would wrap 255 + 1 to 0
         return zip(map(tuple, self.words.tolist()), map(tuple, winners.tolist()))
 
     @functools.cached_property
@@ -274,8 +275,8 @@ def verify_injectivity(circuit: EncoderCircuit, spec: DickeSpec) -> Codebook:
     """Check that all weight-k outcomes get distinct ancilla words.
 
     Returns the codebook; raises NotInjective naming the first colliding pair
-    in slice order, and CapacityError when the codebook's C(n,k) x (n+ell)
-    bytes would exceed SLICE_BYTES_CAP.
+    in slice order, and CapacityError when C(n,k) x (n+ell) bytes, the
+    admission rule, would exceed SLICE_BYTES_CAP.
     """
     if circuit.n != spec.n:
         raise ValueError(f"circuit built for n={circuit.n}, spec has n={spec.n}")
@@ -288,8 +289,8 @@ def verify_injectivity(circuit: EncoderCircuit, spec: DickeSpec) -> Codebook:
         d1, d2 = _data_bits(spec.n, [col[list(collision)] for col in columns]).tolist()
         raise NotInjective(tuple(d1), tuple(d2))
     words = np.unpackbits(packed[order].view(np.uint8), axis=1, count=circuit.ell)
-    bits = _data_bits(spec.n, [col[order] for col in columns])
-    return Codebook(n=spec.n, k=spec.k, ell=circuit.ell, words=words, bits=bits)
+    winners = np.stack([col[order] for col in columns], axis=1)
+    return Codebook(n=spec.n, k=spec.k, ell=circuit.ell, words=words, winners=winners)
 
 
 def decode(codebook: Codebook, word) -> tuple[int, ...]:
@@ -341,32 +342,27 @@ def _format_int_rows(pieces) -> Iterator[bytes]:
 
     A piece is constant text (bytes); or (matrix, sep, labels), writing
     labels[v] for each value v of an integer matrix; or (matrix, sep),
-    writing the 1-based column numbers of a boolean matrix's True entries.
+    writing each 0-based index v of an index matrix as the number v+1.
     Tokens are sep-separated.  Each fills a fixed-width, NUL-padded slot of a
     (rows x width) uint8 matrix; a chunk's NULs are dropped in one pass.
     """
     rows = next(len(piece[0]) for piece in pieces if not isinstance(piece, bytes))
-    slots, width = [], 0  # (matrix, token table, separator length, column numbers)
+    slots, width = [], 0  # (matrix, token table, separator length)
     for piece in pieces:
         if isinstance(piece, bytes):  # one token, the same on every row
             piece = (np.zeros((rows, 1), dtype=np.uint8), b"", [piece])
         matrix, sep, *labels = piece
-        columns = matrix.shape[1]
-        if matrix.dtype == bool:  # token index = column number, 0 = no token
-            labels = [[b""] + [b"%d" % j for j in range(1, columns + 1)]]
-        table = np.array([sep + label if label else b"" for label in labels[0]])
-        numbers = np.arange(1, columns + 1, dtype=np.min_scalar_type(columns))
-        slots.append((matrix, table.view(np.uint8).reshape(len(table), -1), len(sep), numbers))
-        width += columns * table.itemsize
+        if not labels:  # Python ints: uint8's largest index + 1 would wrap to 0
+            labels = [[b"%d" % v for v in range(1, int(matrix.max()) + 2)]]
+        table = np.array([sep + label for label in labels[0]])
+        slots.append((matrix, table.view(np.uint8).reshape(len(table), -1), len(sep)))
+        width += matrix.shape[1] * table.itemsize
     step = max(1, FORMAT_CHUNK_BYTES // width)
     for start in range(0, rows, step):
         parts = []
-        for matrix, table, cut, numbers in slots:
-            block, first = matrix[start : start + step], 0
-            if block.dtype == bool:
-                first, block = block.argmax(axis=1), block * numbers
-            tokens = table.take(block, axis=0)
-            tokens[np.arange(len(tokens)), first, :cut] = 0  # no separator before the first token
+        for matrix, table, cut in slots:
+            tokens = table.take(matrix[start : start + step], axis=0)
+            tokens[:, 0, :cut] = 0  # no separator before the first token
             parts.append(tokens.reshape(len(tokens), -1))
         yield np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
 
@@ -376,6 +372,6 @@ def write_codebook_csv(codebook: Codebook, stream) -> None:
     winners space-separated; written a chunk of about FORMAT_CHUNK_BYTES at a time."""
     stream.write(",".join([f"a_{j}" for j in range(codebook.ell)] + ["winners"]) + "\n")
     body = _format_int_rows(
-        [(codebook.words, b",", (b"0", b"1")), b",", (codebook.bits.view(bool), b" "), b"\n"])
+        [(codebook.words, b",", (b"0", b"1")), b",", (codebook.winners, b" "), b"\n"])
     for text in body:
         stream.write(text.decode("ascii"))

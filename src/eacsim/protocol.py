@@ -12,12 +12,12 @@ orchestrator which Bell state the winners now share.
 This module holds the records of a round (`NodeView`, `ContentionOutcome`,
 `BellState`), the extraction step's local unitaries (`build_u_d`) and the
 `anonymity_audit`, and it samples rounds classically: every readout is in
-the computational basis (after the losers' Hadamards) and CNOTs only
-permute basis states, so `sample_contention_outcomes` and
-`sample_loser_outcomes` draw the Born laws without amplitudes; the
-contention sampler unranks only the weight-k strings it draws.  `cli
-contend` uses both, `count_outcomes` and the byte-matrix writer
-`write_transcript_arrays`.  The same rounds on a dense register, the
+the computational basis (after the losers' Hadamards) and CNOTs only permute
+basis states, so `sample_contention_outcomes` and `sample_loser_outcomes`
+draw the Born laws without amplitudes; the contention sampler unranks only
+the weight-k strings it draws.  `cli contend` uses both, `count_outcomes`
+and the byte-matrix writer `write_transcript_arrays`; a round's winners
+travel as k column indices.  The same rounds on a dense register, the
 quantum reference the tests compare against, are in `statevector`.
 """
 from __future__ import annotations
@@ -107,7 +107,7 @@ def anonymity_audit(views: list[NodeView]) -> bool:
 
 def sample_contention_outcomes(
     spec: DickeSpec, encoder: EncoderCircuit, runs: int, rng
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized contention rounds, sampled classically.
 
     Every measurement is in the computational basis and the encoder only
@@ -117,11 +117,12 @@ def sample_contention_outcomes(
     ``rng`` draws uniformly from 0..C(n,k)-1 (numpy's bounded draw rejects,
     so every rank is exactly equally likely), and unranks only it: no
     C(n,k)-row table, memory grows with ``runs``.  Returns the (runs,) int64
-    ranks (`count_outcomes` counts them), (runs x n) data bits and (runs x
-    ell) ancilla bits, both uint8; injectivity is `verify_injectivity`'s to
-    check.  Raises CapacityError before allocating past 2^63 - 1 outcomes,
-    the largest int64, or when G's n packed rows, n * 8 * ceil(ell/64)
-    bytes, would pass `encoder.SLICE_BYTES_CAP`.
+    ranks (`count_outcomes` counts them), the (runs x k) winners as
+    `states._slice_columns` gives them (0-based, ascending), (runs x n) data
+    bits and (runs x ell) ancilla bits, both uint8; injectivity is
+    `verify_injectivity`'s to check.  Raises CapacityError before allocating
+    past 2^63 - 1 outcomes, the largest int64, or when G's n packed rows,
+    n * 8 * ceil(ell/64) bytes, would pass `encoder.SLICE_BYTES_CAP`.
     """
     if encoder.n != spec.n:
         raise ValueError(f"encoder built for n={encoder.n}, spec has n={spec.n}")
@@ -132,7 +133,7 @@ def sample_contention_outcomes(
     ranks = rng.integers(spec.num_outcomes, size=runs, dtype=np.int64)
     columns = _slice_columns(spec.n, spec.k, ranks)
     words = np.unpackbits(_packed_words(encoder, columns).view(np.uint8), axis=1, count=encoder.ell)
-    return ranks, _data_bits(spec.n, columns), words
+    return ranks, np.stack(columns, axis=1), _data_bits(spec.n, columns), words
 
 
 def sample_loser_outcomes(d_matrix: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -149,29 +150,29 @@ def sample_loser_outcomes(d_matrix: np.ndarray, rng) -> tuple[np.ndarray, np.nda
 
 
 def count_outcomes(spec: DickeSpec, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct outcomes among the sampler's ``ranks`` as (d rows, counts).
+    """Distinct outcomes among the sampler's ``ranks`` as (winner rows, counts).
 
-    Ascending rank is ascending basis index, so the rows come in the order
-    ``np.unique(d_bits, axis=0, return_counts=True)`` gives them.
+    Only the distinct ranks are unranked, to winners as the sampler gives
+    them.  Ascending rank is ascending basis index: ``np.unique(d_bits, axis=0)``'s order.
     """
     outcomes, counts = np.unique(ranks, return_counts=True)
-    return _data_bits(spec.n, _slice_columns(spec.n, spec.k, outcomes)), counts
+    return np.stack(_slice_columns(spec.n, spec.k, outcomes), axis=1), counts
 
 
-def write_transcript_arrays(d_bits, a_bits, g_matrix, parity, seed, stream) -> None:
+def write_transcript_arrays(d_bits, a_bits, winners, g_matrix, parity, seed, stream) -> None:
     """Bulk JSON-lines transcript of sampled rounds to an open text stream.
 
-    Row r holds the keys d_vector, ancilla_word, winners, g, g_parity,
-    bell_state and seed, in that order, written as
-    ``json.dumps(..., separators=(",", ":"))`` writes them.  ``g_matrix``
-    (-1 for winners) and ``parity`` come from `sample_loser_outcomes`; when
-    they are None (k != 2), ``g``, ``g_parity`` and ``bell_state`` are null.
+    Row r holds the keys d_vector, ancilla_word, winners, g, g_parity, bell_state
+    and seed, in that order, as ``json.dumps(..., separators=(",", ":"))``
+    writes them.  ``winners`` (0-based) comes from the sampler, ``g_matrix``
+    (-1 for winners) and ``parity`` from `sample_loser_outcomes`; when they
+    are None (k != 2), ``g``, ``g_parity`` and ``bell_state`` are null.
     Written a chunk of about `encoder.FORMAT_CHUNK_BYTES` at a time.
     """
     seed_tail = f',"seed":{json.dumps(seed)}}}\n'.encode()
     bits = (b"0", b"1")
     pieces = [b'{"d_vector":[', (d_bits, b",", bits), b'],"ancilla_word":[', (a_bits, b",", bits),
-              b'],"winners":[', (d_bits != 0, b","), b"]"]
+              b'],"winners":[', (winners, b","), b"]"]
     if g_matrix is None:
         pieces.append(b',"g":null,"g_parity":null,"bell_state":null' + seed_tail)
     else:

@@ -67,7 +67,7 @@ def test_criterion_2_dicke_fairness():
     runs = 100_000
     for case_idx, (n, k) in enumerate([(4, 2), (6, 2), (4, 1), (5, 3)]):
         spec = DickeSpec(n, k)
-        _, d, _ = sample_contention_outcomes(
+        _, _, d, _ = sample_contention_outcomes(
             spec, build_linear_encoder(spec), runs, split_rng(MASTER_SEED, case_idx)
         )
         assert (d.sum(axis=1) == k).all()

@@ -68,16 +68,31 @@ def test_channel_params_validation():
     assert ChannelParams(q_cr=0.2, q_e=0.4, M_cr=3, M_e=7).m_bar == 3
 
 
-@pytest.mark.parametrize("n,q,M", [(0, 0.5, 3), (5, -0.5, 3), (5, 1.5, 3), (5, 0.5, 0)])
+@pytest.mark.parametrize("n,q,M,match", [(0, 0.5, 3, "need n >= 1, got 0"),
+                                         (-2, 0.5, 3, "need n >= 1, got -2"),
+                                         (5, -0.5, 3, None), (5, 1.5, 3, None), (5, 0.5, 0, None)])
 @pytest.mark.parametrize("estimator", [
     lambda n, q, M: simulate_distribution(n, q, M, make_rng(0)),
     lambda n, q, M: empirical_state_distribution(n, q, M, 100, make_rng(0)),
     lambda n, q, M: empirical_full_connection_by_slot(n, q, M, 100, make_rng(0)),
-], ids=["simulate", "state_distribution", "full_connection"])
-def test_process_validation(estimator, n, q, M):
+    lambda n, q, M: empirical_contention_success(n, ChannelParams(q, q, M, M), 100, make_rng(0)),
+], ids=["simulate", "state_distribution", "full_connection", "contention_success"])
+def test_process_validation(estimator, n, q, M, match):
     # no nodes, a failure probability outside [0, 1] or no slots is refused, not estimated
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=match):
         estimator(n, q, M)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+@pytest.mark.parametrize("estimator", [
+    lambda trials: empirical_state_distribution(5, 0.5, 3, trials, make_rng(0)),
+    lambda trials: empirical_full_connection_by_slot(5, 0.5, 3, trials, make_rng(0)),
+    lambda trials: empirical_contention_success(5, ChannelParams(0.5, 0.5, 3, 3), trials,
+                                                make_rng(0)),
+], ids=["state_distribution", "full_connection", "contention_success"])
+def test_estimators_refuse_no_trials(estimator, trials):
+    with pytest.raises(ValueError, match=f"trials={trials} must be >= 1"):
+        estimator(trials)
 
 
 def test_slot_timeline_validation():
@@ -290,7 +305,7 @@ def test_winner_sampler_matches_statevector_law():
     classical = sample_winner_sets(n, k, trials, make_rng(11))
     _, counts_c = np.unique(classical, axis=0, return_counts=True)
     spec = DickeSpec(n, k)
-    _, d_bits, _ = sample_contention_outcomes(
+    _, _, d_bits, _ = sample_contention_outcomes(
         spec, build_linear_encoder(spec), trials, make_rng(12))
     _, counts_q = np.unique(d_bits, axis=0, return_counts=True)
     for counts in (counts_c, counts_q):

@@ -609,6 +609,21 @@ def test_sweep_missing_key(tmp_path, capsys):
     assert "q_cr" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config,error", [
+    ("n = 4\nk = [1, 5]\nq_cr = 0.5\nq_e = 0\nM_cr = 2\nM_e = 2\n",
+     "error: grid point has k=5 outside 1..n=4\n"),
+    (None, "error: config file not found: nope.cfg\n"),
+], ids=["k_outside_n", "no_config"])
+def test_sweep_refusal_writes_no_csv(tmp_path, monkeypatch, capsys, config, error):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("EACSIM_OUT_DIR", raising=False)
+    if config is not None:
+        (tmp_path / "nope.cfg").write_text(config)
+    assert main(["sweep", "--config", "nope.cfg"]) == 2
+    assert capsys.readouterr().err == error
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_parse_sweep_config_units():
     config = parse_sweep_config("n = [2, 4]\nk = 1\nq_cr = 0.5\nq_e = 0\nM_cr = 2\nM_e = 2\n")
     assert config["n"] == [2, 4]

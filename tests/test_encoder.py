@@ -316,8 +316,12 @@ def test_collision_matches_sequential_scan():
         expected = scan_for_collision(g, n, k)
         if expected is None:
             codebook = verify_injectivity(circuit, DickeSpec(n, k))
-            assert len(codebook.bits) == math.comb(n, k)
-            np.testing.assert_array_equal(codebook.words, (codebook.bits @ g.T) & 1)
+            assert codebook.winners.shape == (math.comb(n, k), k)
+            assert (np.diff(codebook.winners.astype(np.int64), axis=1) > 0).all()
+            bits = np.zeros((len(codebook.winners), n), dtype=np.uint8)
+            np.put_along_axis(bits, codebook.winners.astype(np.int64), 1, axis=1)
+            assert len(np.unique(bits, axis=0)) == math.comb(n, k)
+            np.testing.assert_array_equal(codebook.words, (bits @ g.T) & 1)
         else:
             found += 1
             with pytest.raises(NotInjective) as err:
@@ -337,8 +341,8 @@ def test_outcome_table_rows_in_basis_index_order(n, k):
     slice_rows = [index_bits(idx, n) for idx in weight_k_indices(n, k)]
     by_word = sorted(slice_rows, key=lambda d: d[:-1])
     assert by_word == slice_rows
-    np.testing.assert_array_equal(codebook.bits, np.array(by_word, dtype=np.uint8))
-    np.testing.assert_array_equal(codebook.words, codebook.bits[:, :-1])
+    np.testing.assert_array_equal(codebook.winners, np.nonzero(by_word)[1].reshape(-1, k))
+    np.testing.assert_array_equal(codebook.words, np.array(by_word, dtype=np.uint8)[:, :-1])
 
 
 def test_words_wider_than_64_bits():
@@ -550,9 +554,10 @@ def per_entry_codebook_csv(circuit, spec):
 
 
 @pytest.mark.parametrize("n,k,kind", [(10, 5, "linear"), (9, 3, "binary"), (70, 2, "linear"),
-                                      (2, 1, "linear")])
+                                      (2, 1, "linear"), (256, 1, "linear")])
 def test_codebook_csv_matches_per_entry_loop(n, k, kind, monkeypatch):
-    # (70,2) has ell = 69 > 64; (2,1) has ell = 1
+    # (70,2) has ell = 69 > 64; (2,1) has ell = 1; (256,1) names node 256 by uint8
+    # index 255, which + 1 wraps to 0 in uint8
     spec = DickeSpec(n, k)
     if kind == "linear":
         circuit = build_linear_encoder(spec)

@@ -65,7 +65,7 @@ def test_sampled_rows_past_the_slice_table_have_weight_k_and_word_g_d(nk, ell, r
     g = rng.integers(0, 2, size=(ell, n))
     cnots = tuple((i + 1, j) for j in range(ell) for i in range(n) if g[j, i])
     encoder = EncoderCircuit(n=n, k=k, ell=ell, cnots=cnots, kind="binary")
-    _, d_bits, a_bits = sample_contention_outcomes(DickeSpec(n, k), encoder, runs, rng)
+    _, _, d_bits, a_bits = sample_contention_outcomes(DickeSpec(n, k), encoder, runs, rng)
     assert d_bits.shape == (runs, n) and (d_bits.sum(axis=1) == k).all()
     np.testing.assert_array_equal(a_bits, (d_bits.astype(np.int64) @ g.T) % 2)
 
@@ -104,9 +104,11 @@ def contention_cases(draw):
 @given(contention_cases())
 def test_rows_have_weight_k_and_word_g_d(case):
     spec, encoder, runs, seed = case
-    _, d_bits, a_bits = sample_contention_outcomes(spec, encoder, runs, np.random.default_rng(seed))
+    _, winners, d_bits, a_bits = sample_contention_outcomes(
+        spec, encoder, runs, np.random.default_rng(seed))
     assert d_bits.shape == (runs, spec.n) and a_bits.shape == (runs, encoder.ell)
     assert (d_bits.sum(axis=1) == spec.k).all()
+    np.testing.assert_array_equal(winners, np.nonzero(d_bits)[1].reshape(runs, spec.k))
     np.testing.assert_array_equal(a_bits, (d_bits.astype(np.int64) @ encoder.matrix().T) % 2)
 
 
@@ -115,12 +117,12 @@ def test_rows_have_weight_k_and_word_g_d(case):
 def test_bulk_transcript_parses_back(case):
     spec, encoder, runs, seed = case
     rng = np.random.default_rng(seed)
-    _, d_bits, a_bits = sample_contention_outcomes(spec, encoder, runs, rng)
+    _, winners, d_bits, a_bits = sample_contention_outcomes(spec, encoder, runs, rng)
     g_matrix = parity = None
     if spec.k == 2:
         g_matrix, parity = sample_loser_outcomes(d_bits, rng)
     buf = io.StringIO()
-    write_transcript_arrays(d_bits, a_bits, g_matrix, parity, seed, buf)
+    write_transcript_arrays(d_bits, a_bits, winners, g_matrix, parity, seed, buf)
     records = [json.loads(line) for line in buf.getvalue().splitlines()]
     assert len(records) == runs
     np.testing.assert_array_equal([r["d_vector"] for r in records], d_bits)

@@ -192,7 +192,7 @@ def test_batch_sampler_agrees_with_single_runs():
     spec = DickeSpec(4, 2)
     encoder = build_linear_encoder(spec)
     runs = 30_000
-    _, d_bits, a_bits = sample_contention_outcomes(spec, encoder, runs, np.random.default_rng(1))
+    _, _, d_bits, a_bits = sample_contention_outcomes(spec, encoder, runs, np.random.default_rng(1))
     assert d_bits.shape == (runs, 4) and a_bits.shape == (runs, 3)
     assert (d_bits.sum(axis=1) == 2).all()
     # ancilla word always equals the GF(2) image of the data bits
@@ -261,7 +261,7 @@ def test_classical_sampler_matches_dense_draws(n, k, kind):
     for seed in (0, 1):
         dense_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         d_ref, a_ref = dense_born_sampler(spec, encoder, 500, dense_rng)
-        _, d_bits, a_bits = sample_contention_outcomes(spec, encoder, 500, rng)
+        _, _, d_bits, a_bits = sample_contention_outcomes(spec, encoder, 500, rng)
         np.testing.assert_array_equal(d_bits, d_ref)
         np.testing.assert_array_equal(a_bits, a_ref)
         assert rng.random() == dense_rng.random()  # same stream position afterwards
@@ -275,7 +275,7 @@ def test_winner_subset_uniformity_chi_square(n, k):
 
     spec = DickeSpec(n, k)
     runs = 100_000
-    _, d_bits, _ = sample_contention_outcomes(
+    _, _, d_bits, _ = sample_contention_outcomes(
         spec, build_linear_encoder(spec), runs, split_rng(17, n * 10 + k)
     )
     outcomes, counts = np.unique(d_bits, axis=0, return_counts=True)
@@ -360,19 +360,22 @@ def per_row_transcript(d_bits, a_bits, g_matrix, parity, seed):
 
 
 @pytest.mark.parametrize("n,k,runs", [(4, 2, 300), (5, 3, 300), (12, 2, 20_000), (11, 4, 500),
-                                      (120, 2, 300), (22, 11, 3000), (2, 1, 5)])
+                                      (120, 2, 300), (22, 11, 3000), (2, 1, 5),
+                                      (256, 255, 40)])
 def test_bulk_transcript_matches_per_row_dumps(n, k, runs):
     # k=3 and k=4 have null g; n >= 10 has two-digit winners, n=120 three-digit ones
     # (and ell = 119); 20k rows span several chunks; at (22,11) nearly every row is
-    # distinct; (2,1) has one ancilla
+    # distinct; (2,1) has one ancilla; at (256,255) nearly every row names node 256,
+    # uint8 index 255
     spec = DickeSpec(n, k)
     rng = np.random.default_rng(n + k)
-    _, d_bits, a_bits = sample_contention_outcomes(spec, build_linear_encoder(spec), runs, rng)
+    _, winners, d_bits, a_bits = sample_contention_outcomes(
+        spec, build_linear_encoder(spec), runs, rng)
     g_matrix = parity = None
     if k == 2:
         g_matrix, parity = sample_loser_outcomes(d_bits, rng)
     buf = io.StringIO()
-    write_transcript_arrays(d_bits, a_bits, g_matrix, parity, 11, buf)
+    write_transcript_arrays(d_bits, a_bits, winners, g_matrix, parity, 11, buf)
     got = buf.getvalue().splitlines(keepends=True)
     want = per_row_transcript(d_bits, a_bits, g_matrix, parity, 11).splitlines(keepends=True)
     assert len(got) == runs == len(want)
@@ -389,7 +392,8 @@ def test_bulk_transcript_matches_transcript_record():
     g_matrix = np.array([[-1 if v.g is None else v.g for v in views]])
     buf = io.StringIO()
     write_transcript_arrays(np.array([outcome.d_vector]), np.array([outcome.ancilla_word]),
-                            g_matrix, np.array([outcome.g_parity]), 2, buf)
+                            np.array([outcome.winners]) - 1, g_matrix,
+                            np.array([outcome.g_parity]), 2, buf)
     assert buf.getvalue() == expected.getvalue()
 
 
@@ -397,11 +401,12 @@ def test_bulk_transcript_matches_transcript_record():
 def test_count_outcomes_matches_numpy(n, k):
     # at (22,11) nearly every draw is distinct; (2,1) has two outcomes
     spec = DickeSpec(n, k)
-    ranks, d_bits, _ = sample_contention_outcomes(
+    ranks, _, d_bits, _ = sample_contention_outcomes(
         spec, build_linear_encoder(spec), 3000, np.random.default_rng(5))
     rows, counts = count_outcomes(spec, ranks)
     ref_rows, ref_counts = np.unique(d_bits, axis=0, return_counts=True)
-    np.testing.assert_array_equal(rows, ref_rows)
+    assert rows.shape == (len(ref_rows), k)
+    np.testing.assert_array_equal(rows, np.nonzero(ref_rows)[1].reshape(-1, k))
     np.testing.assert_array_equal(counts, ref_counts)
 
 
@@ -409,9 +414,10 @@ def test_count_outcomes_matches_numpy(n, k):
 def test_sampler_ranks_index_the_slice_in_basis_order(n, k):
     # rank i is the i-th weight-k string in ascending basis index, node 1 most significant
     spec = DickeSpec(n, k)
-    ranks, d_bits, _ = sample_contention_outcomes(
+    ranks, winners, d_bits, _ = sample_contention_outcomes(
         spec, build_linear_encoder(spec), 2000, np.random.default_rng(6))
     assert ranks.dtype == np.int64 and ranks.shape == (2000,)
+    np.testing.assert_array_equal(winners, np.nonzero(d_bits)[1].reshape(-1, k))
     assert 0 <= ranks.min() and ranks.max() < spec.num_outcomes
     basis = [x for x in range(2**n) if bin(x).count("1") == k]
     want = (np.array(basis)[ranks][:, None] >> np.arange(n - 1, -1, -1)) & 1
