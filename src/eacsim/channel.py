@@ -152,19 +152,21 @@ def _connected_by(n: int, q: float, m: int, trials: int, rng) -> np.ndarray:
     return rng.random((n, trials)) < p
 
 
-def _check_process(n: int, q: float, M: int) -> None:
-    """Raise ValueError unless n >= 1 nodes, failure probability 0 <= q <= 1 and M >= 1 slots."""
+def _check_process(n: int, q: float, M: int, trials: int) -> None:
+    """Raise ValueError unless n >= 1 nodes, 0 <= q <= 1, M >= 1 slots and trials >= 1, in turn."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q={q} must be in [0, 1]")
     if M < 1:
         raise ValueError(f"M={M} must be >= 1")
+    if trials < 1:
+        raise ValueError(f"trials={trials} must be >= 1")
 
 
 def simulate_distribution(n: int, q: float, M: int, rng) -> DistributionTrace:
     """Run one heralded distribution process for n nodes over at most M slots."""
-    _check_process(n, q, M)
+    _check_process(n, q, M, 1)
     # first-success slot per node; M + 1 means "not connected by slot M"
     first = np.searchsorted(_connect_prob(q, M), rng.random(n), side="right") + 1
     nodes = np.arange(1, n + 1)
@@ -176,9 +178,7 @@ def simulate_distribution(n: int, q: float, M: int, rng) -> DistributionTrace:
 
 def empirical_full_connection_by_slot(n: int, q: float, M: int, trials: int, rng) -> np.ndarray:
     """Fraction of trials with all n nodes connected by slot m, for m = 1..M."""
-    _check_process(n, q, M)
-    if trials < 1:
-        raise ValueError(f"trials={trials} must be >= 1")
+    _check_process(n, q, M, trials)
     probs = _connect_prob(q, M)
     if np.isin(probs, (0.0, 1.0)).all():  # e.g. q in {0, 1}: each fraction is its 1 - q^m
         _skip(rng, n * trials)
@@ -190,9 +190,7 @@ def empirical_full_connection_by_slot(n: int, q: float, M: int, trials: int, rng
 
 def empirical_state_distribution(n: int, q: float, M: int, trials: int, rng) -> np.ndarray:
     """Frequency of ending with j connected nodes, j = 0..n (sums to 1)."""
-    _check_process(n, q, M)
-    if trials < 1:
-        raise ValueError(f"trials={trials} must be >= 1")
+    _check_process(n, q, M, trials)
     connected = _connected_by(n, q, M, trials, rng)
     counts = np.bincount(connected.sum(axis=0, dtype=np.min_scalar_type(n)), minlength=n + 1)
     return counts / trials
@@ -206,9 +204,7 @@ def empirical_contention_success(n: int, params: ChannelParams, trials: int, rng
     winners, a uniform weight-k set, hold the k smallest.  One draw serves every
     k: entry k-1 is the float a draw for that k alone would give.
     """
-    _check_process(n, params.q_cr, params.m_bar)  # for n: ChannelParams checked q and M
-    if trials < 1:
-        raise ValueError(f"trials={trials} must be >= 1")
+    _check_process(n, params.q_cr, params.m_bar, trials)  # ChannelParams checked q and M
     m_bar = params.m_bar
     # the decision reads slot m_bar; slots past it cannot change the outcome
     both = (_connected_by(n, params.q_cr, m_bar, trials, rng)

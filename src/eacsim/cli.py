@@ -65,17 +65,10 @@ def _out_path(args, name: str | None) -> Path:
     return path
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if value is None:
-        return ""
-    return str(value)
-
-
 def _csv(header, rows) -> str:
-    """CSV text of a table: the header row, then one line per row of `_fmt` values."""
-    return "".join(",".join(map(_fmt, row)) + "\n" for row in (header, *rows))
+    """CSV text of a table: the header row, then one line per row; a field is str(v),
+    for a float (numpy's too) its shortest round-trip digits, or empty for None."""
+    return "".join(",".join("" if v is None else str(v) for v in row) + "\n" for row in (header, *rows))
 
 
 def _write(args, name: str | None, content) -> Path:
@@ -207,9 +200,8 @@ def _mc_rows(grid, estimator, trials: int, seed: int) -> list[tuple]:
     and each (row prefix, estimate) pair it returns becomes one row ending in _MC_COLUMNS."""
     rows = []
     for index, group in enumerate(grid):
-        for prefix, estimate in estimator(*group, split_rng(seed, index)):
-            estimate = float(estimate)  # a numpy scalar would print as np.float64(...)
-            rows.append(prefix + (estimate, *normal_ci(estimate, trials), trials, seed))
+        rows += [prefix + (estimate, *normal_ci(estimate, trials), trials, seed)
+                 for prefix, estimate in estimator(*group, split_rng(seed, index))]
     return rows
 
 

@@ -161,27 +161,25 @@ def build_linear_encoder(spec: DickeSpec) -> EncoderCircuit:
     return EncoderCircuit(n=n, k=spec.k, ell=n - 1, cnots=cnots, kind="linear")
 
 
-def _packed_words(circuit: EncoderCircuit, columns: list[np.ndarray]) -> np.ndarray:
-    """Words G.d mod 2 of the slice, each packed 64 bits to a uint64 block.
-
-    Row i-1 of G.T, packed as np.packbits would, gets one bit per CNOT(i, j);
-    a repeated gate cancels."""
+def _packed_words(circuit: EncoderCircuit, columns: np.ndarray) -> np.ndarray:
+    """Words G.d mod 2 of the (rows x k) ``columns`` `states._slice_columns` gave: each
+    XORs the rows of G.T its columns pick, packed 64 bits to a uint64 block as
+    np.packbits would.  Row i-1 gets one bit per CNOT(i, j); a repeated gate cancels."""
     packed = np.zeros((circuit.n, 8 * -(-circuit.ell // 64)), dtype=np.uint8)
     control, target = np.array(circuit.cnots, dtype=np.int64).reshape(-1, 2).T
     np.bitwise_xor.at(packed, (control - 1, target >> 3), (128 >> (target & 7)).astype(np.uint8))
     rows = packed.view(np.uint64)
-    words = rows[columns[0]]
-    for col in columns[1:]:
+    first, *rest = columns.T
+    words = rows[first]
+    for col in rest:
         words ^= rows[col]
     return words
 
 
-def _data_bits(n: int, columns: list[np.ndarray]) -> np.ndarray:
-    """(rows x n) uint8 data bits d of the outcomes `states._slice_columns` gave."""
-    bits = np.zeros((len(columns[0]), n), dtype=np.uint8)
-    rows = np.arange(len(bits))
-    for col in columns:
-        bits[rows, col] = 1
+def _data_bits(n: int, columns: np.ndarray) -> np.ndarray:
+    """(rows x n) uint8 data bits d, 1 at the (rows x k) ``columns`` `_slice_columns` gave."""
+    bits = np.zeros((len(columns), n), dtype=np.uint8)
+    bits[np.arange(len(bits))[:, None], columns] = 1
     return bits
 
 
@@ -286,11 +284,10 @@ def verify_injectivity(circuit: EncoderCircuit, spec: DickeSpec) -> Codebook:
     packed = _packed_words(circuit, columns)
     order, collision = _word_order(packed)
     if collision is not None:
-        d1, d2 = _data_bits(spec.n, [col[list(collision)] for col in columns]).tolist()
+        d1, d2 = _data_bits(spec.n, columns[list(collision)]).tolist()
         raise NotInjective(tuple(d1), tuple(d2))
     words = np.unpackbits(packed[order].view(np.uint8), axis=1, count=circuit.ell)
-    winners = np.stack([col[order] for col in columns], axis=1)
-    return Codebook(n=spec.n, k=spec.k, ell=circuit.ell, words=words, winners=winners)
+    return Codebook(n=spec.n, k=spec.k, ell=circuit.ell, words=words, winners=columns[order])
 
 
 def decode(codebook: Codebook, word) -> tuple[int, ...]:

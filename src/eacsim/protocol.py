@@ -117,8 +117,8 @@ def sample_contention_outcomes(
     ``rng`` draws uniformly from 0..C(n,k)-1 (numpy's bounded draw rejects,
     so every rank is exactly equally likely), and unranks only it: no
     C(n,k)-row table, memory grows with ``runs``.  Returns the (runs,) int64
-    ranks (`count_outcomes` counts them), the (runs x k) winners as
-    `states._slice_columns` gives them (0-based, ascending), (runs x n) data
+    ranks (`count_outcomes` counts them), the (runs x k) winner matrix that
+    `states._slice_columns` returns (0-based, ascending), (runs x n) data
     bits and (runs x ell) ancilla bits, both uint8; injectivity is
     `verify_injectivity`'s to check.  Raises CapacityError before allocating
     past 2^63 - 1 outcomes, the largest int64, or when G's n packed rows,
@@ -131,20 +131,20 @@ def sample_contention_outcomes(
                             "2^63 - 1, the largest int64")
     _check_packed_rows(spec.n, encoder.ell)
     ranks = rng.integers(spec.num_outcomes, size=runs, dtype=np.int64)
-    columns = _slice_columns(spec.n, spec.k, ranks)
-    words = np.unpackbits(_packed_words(encoder, columns).view(np.uint8), axis=1, count=encoder.ell)
-    return ranks, np.stack(columns, axis=1), _data_bits(spec.n, columns), words
+    winners = _slice_columns(spec.n, spec.k, ranks)
+    words = np.unpackbits(_packed_words(encoder, winners).view(np.uint8), axis=1, count=encoder.ell)
+    return ranks, winners, _data_bits(spec.n, winners), words
 
 
 def sample_loser_outcomes(d_matrix: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized Hadamard-basis loser outcomes for k = 2 rounds.
 
-    Every loser branch of the rotated GHZ state has equal probability
-    1/2^(n-2), so loser bits are i.i.d. fair coin flips: one is drawn per
-    entry of the (runs x n) ``d_matrix``, then winners are set to -1 in
-    place.  Returns that g matrix and the (runs,) parity vector.
+    Every loser branch of the rotated GHZ state has equal probability 1/2^(n-2),
+    so loser bits are i.i.d. fair coin flips: one int32 (an int64 draw's bits and
+    stream use) per entry of the (runs x n) ``d_matrix``, then winners are set to
+    -1 in place.  Returns that g matrix and the (runs,) parity vector.
     """
-    g = rng.integers(0, 2, size=d_matrix.shape, dtype=np.int64)
+    g = rng.integers(0, 2, size=d_matrix.shape, dtype=np.int32)
     g[d_matrix != 0] = -1
     return g, (g == 1).sum(axis=1) % 2
 
@@ -156,7 +156,7 @@ def count_outcomes(spec: DickeSpec, ranks: np.ndarray) -> tuple[np.ndarray, np.n
     them.  Ascending rank is ascending basis index: ``np.unique(d_bits, axis=0)``'s order.
     """
     outcomes, counts = np.unique(ranks, return_counts=True)
-    return np.stack(_slice_columns(spec.n, spec.k, outcomes), axis=1), counts
+    return _slice_columns(spec.n, spec.k, outcomes), counts
 
 
 def write_transcript_arrays(d_bits, a_bits, winners, g_matrix, parity, seed, stream) -> None:

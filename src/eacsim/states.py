@@ -1,13 +1,13 @@
 """Contention instances and the weight-k slice of their Dicke states.
 
 `DickeSpec` names an instance: n contending nodes sharing the Dicke state of
-weight k (the W state for k = 1).  The weight-k basis strings, that state's
-support, are enumerated by one unranker, `_slice_columns`, in lexicographic
-order of their big-endian bitstrings (i.e. ascending basis index); this
-fixes which collision the encoder's injectivity check names first, what a
-contention draw's rank names, and the binary encoder's index convention;
-codebooks are emitted explicitly so consumers never depend on it.  The
-Dicke and GHZ amplitudes are built in `statevector`.
+weight k (the W state for k = 1).  One unranker, `_slice_columns`, gives the
+weight-k basis strings, that state's support, as the (rows x k) matrix of their
+ones' columns that every consumer reads, in lexicographic order of their
+big-endian bitstrings (ascending basis index); this fixes which collision the
+encoder's injectivity check names first, what a contention draw's rank names
+and the binary encoder's index convention; codebooks are emitted explicitly so
+consumers never depend on it.  Dicke and GHZ amplitudes are in `statevector`.
 """
 from __future__ import annotations
 
@@ -35,13 +35,13 @@ class DickeSpec:
         return math.comb(self.n, self.k)
 
 
-def _slice_columns(n: int, k: int, ranks: np.ndarray | None = None) -> list[np.ndarray]:
-    """Column of the i-th one (i = 1..k) of the n-bit strings of weight k at ``ranks``.
+def _slice_columns(n: int, k: int, ranks: np.ndarray | None = None) -> np.ndarray:
+    """(rows x k) matrix: row r, ascending, the columns of the ones of the string at ranks[r].
 
-    Rank r is the r-th string in ascending basis-index order: it is unranked
-    in the combinatorial number system, whose rank order is the numeric
-    order of the bitmask.  ``ranks`` (int64, each below C(n,k)) defaults to
-    every rank in turn.  Columns take the smallest unsigned dtype holding n-1.
+    Rank r is the r-th string in ascending basis-index order: it is unranked in
+    the combinatorial number system, whose rank order is the numeric order of
+    the bitmask.  ``ranks`` (int64, each below C(n,k)) defaults to every rank in
+    turn.  Columns take the smallest unsigned dtype holding n-1.
     """
     # the i-th one from the right sits at an exponent e in i-1..n-k+i-1, where
     # binomials[i-1][e-i+1] = C(e, i) (hockey-stick rule), all below C(n,k)
@@ -50,10 +50,9 @@ def _slice_columns(n: int, k: int, ranks: np.ndarray | None = None) -> list[np.n
         binomials.append(np.cumsum(binomials[-1]))
     ranks = (np.arange(math.comb(n, k), dtype=np.int64) if ranks is None
              else ranks.astype(np.int64))  # a copy: reduced in place below
-    columns = []
+    columns = np.empty((len(ranks), k), dtype=np.min_scalar_type(n - 1))
     for i in range(k, 0, -1):
         offset = np.searchsorted(binomials[i - 1], ranks, side="right") - 1
         ranks -= binomials[i - 1][offset]
-        columns.append((n - i - offset).astype(np.min_scalar_type(n - 1)))  # bit 2^e is column n-1-e
+        columns[:, k - i] = n - i - offset  # bit 2^e is column n-1-e
     return columns
-

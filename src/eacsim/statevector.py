@@ -160,16 +160,13 @@ def project(state: StateVector, target: int, outcome: int) -> tuple[float, State
 def measure(state: StateVector, target: int, rng) -> tuple[MeasurementRecord, StateVector]:
     """Measure ``target`` in the computational basis, sampling by the Born rule.
 
-    Consumes exactly one uniform draw from ``rng``.
+    Consumes exactly one uniform draw from ``rng``; the record's probability is `project`'s.
     """
     ax = _check_qubit(state, target)
-    total = state.norm_squared
-    if total < 1e-12:
+    if state.norm_squared < 1e-12:
         raise ValueError("degenerate all-zero state")
-    p1 = _marginal_p1(state, ax)
-    outcome = 1 if rng.random() < p1 else 0
-    p = p1 if outcome == 1 else total - p1
-    _, collapsed = project(state, target, outcome)
+    outcome = 1 if rng.random() < _marginal_p1(state, ax) else 0
+    p, collapsed = project(state, target, outcome)
     return MeasurementRecord(target, outcome, p), collapsed
 
 
@@ -207,7 +204,8 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 def dicke_state(spec: DickeSpec) -> StateVector:
     """Even superposition of every weight-k computational basis state."""
     amps = _zero_amplitudes(spec.n)
-    support = sum(1 << (spec.n - 1 - col.astype(np.int64)) for col in _slice_columns(spec.n, spec.k))
+    columns = _slice_columns(spec.n, spec.k).T  # summed one at a time: int64 temporaries of C(n,k)
+    support = sum(1 << (spec.n - 1 - col.astype(np.int64)) for col in columns)
     amps[support] = 1.0 / math.sqrt(spec.num_outcomes)
     return StateVector(spec.n, amps)
 

@@ -89,6 +89,11 @@ def test_binary_cnot_count_power_of_two(n):
     assert len(circuit.cnots) == cnot_count_bound(n)
 
 
+def test_cnot_count_bound_needs_two_nodes():
+    with pytest.raises(ValueError, match=r"need n >= 2, got 1"):
+        cnot_count_bound(1)
+
+
 @pytest.mark.parametrize("n", [3, 5, 6, 7, 9, 12, 15])
 def test_binary_k1_injective_and_bounded(n):
     spec = DickeSpec(n, 1)
@@ -500,6 +505,8 @@ def test_apply_encoder_capacity():
         spec = DickeSpec(n, 2)
         with pytest.raises(sv.CapacityError):
             apply_encoder(dicke_state(spec), build_linear_encoder(spec))
+    with pytest.raises(ValueError, match=r"state has 4 qubits, circuit expects 5"):
+        apply_encoder(dicke_state(DickeSpec(4, 2)), build_linear_encoder(DickeSpec(5, 2)))
 
 
 # ---------------------------------------------------------------- structure & emission

@@ -251,3 +251,18 @@ def test_markov_validation_errors():
         success_prob(0, 0.3, 3)
     with pytest.raises(ValueError):
         indicator_pmf(0.5, 0)
+    with pytest.raises(ValueError, match=r"states must lie in 0\.\.5, got i=6, j=6"):
+        transition_prob(5, 6, 6, 0.3)
+    with pytest.raises(ValueError, match=r"states must lie in 0\.\.5, got i=0, j=-1"):
+        transition_prob(5, 0, -1, 0.3)
+    with pytest.raises(ValueError, match=r"m=0 must be >= 1"):
+        state_prob(5, 2, 0.3, 0)
+    with pytest.raises(ValueError, match=r"M=0 must be >= 1"):
+        success_prob(2, 0.3, 0)
+    with pytest.raises(ValueError, match=r"l_c=0 must be >= 1"):
+        success_prob_parallel(2, 0.3, 3, 0)
+    with pytest.raises(ValueError, match=r"k=0 must be >= 1"):
+        success_prob_fully_noisy(0, ChannelParams(q_cr=0.3, q_e=0.3, M_cr=3, M_e=3))
+    for n, m in ((0, 3), (5, 0)):
+        with pytest.raises(ValueError, match=r"need n >= 1 and M >= 1"):
+            absorbing_threshold(n, m)

@@ -32,9 +32,9 @@ def test_slice_unranker_is_the_ascending_weight_k_slice(nk):
     n, k = nk
     columns = _slice_columns(n, k)
     bits = np.zeros((math.comb(n, k), n), dtype=np.uint8)
-    for col in columns:
+    for col in columns.T:
         bits[np.arange(len(bits)), col] = 1
-    assert len(columns) == k and (bits.sum(axis=1) == k).all()
+    assert columns.shape == (len(bits), k) and (bits.sum(axis=1) == k).all()
     # packed big-endian bytes compare as the bitstrings do, also past 64 bits
     rows = [row.tobytes() for row in np.packbits(bits, axis=1)]
     assert all(a < b for a, b in zip(rows, rows[1:]))  # strictly ascending, hence distinct
@@ -48,8 +48,9 @@ def test_slice_unranker_at_ranks_is_the_full_enumeration_there(nk, data):
     rank = st.integers(0, math.comb(n, k) - 1)
     ranks = np.array(data.draw(st.lists(rank, min_size=1, max_size=200)), dtype=np.int64)
     drawn = ranks.copy()
-    for got, want in zip(_slice_columns(n, k, ranks), _slice_columns(n, k), strict=True):
-        np.testing.assert_array_equal(got, want[ranks])
+    got = _slice_columns(n, k, ranks)
+    assert got.shape == (len(ranks), k)
+    np.testing.assert_array_equal(got, _slice_columns(n, k)[ranks])
     np.testing.assert_array_equal(ranks, drawn)  # the caller's ranks are not consumed
 
 
@@ -77,7 +78,7 @@ def test_packed_rows_from_cnots_are_packbits_of_the_matrix(n, ell, gates, seed):
     rng = np.random.default_rng(seed)
     cnots = tuple(zip(rng.integers(1, n + 1, gates).tolist(), rng.integers(0, ell, gates).tolist()))
     circuit = EncoderCircuit(n=n, k=1, ell=ell, cnots=cnots, kind="binary")
-    rows = _packed_words(circuit, [np.arange(n)]).view(np.uint8)  # G.e_i is row i itself
+    rows = _packed_words(circuit, np.arange(n)[:, None]).view(np.uint8)  # G.e_i is row i itself
     want = np.zeros_like(rows)
     want[:, : -(-ell // 8)] = np.packbits(circuit.matrix().T, axis=1)  # repeats cancel in matrix()
     np.testing.assert_array_equal(rows, want)

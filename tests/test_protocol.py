@@ -115,6 +115,8 @@ def test_extract_epr_wrong_winner_count():
         extract_epr(4, [1, 0, 0, 0], np.random.default_rng(0))
     with pytest.raises(WrongWinnerCount):
         extract_epr(4, [1, 1, 1, 0], np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"d_vector length 3 != n 4"):
+        extract_epr(4, [1, 1, 0], np.random.default_rng(0))
 
 
 def test_extract_epr_fills_views():
@@ -176,6 +178,11 @@ def test_audit_rejects_augmented_view():
 
 def test_audit_rejects_winner_with_g():
     assert not anonymity_audit([NodeView(1, 1, 0)])
+
+
+def test_audit_rejects_non_bit_outcomes():
+    assert not anonymity_audit([NodeView(1, 2)])
+    assert not anonymity_audit([NodeView(1, 0, 2), NodeView(2, 1)])
 
 
 def test_audit_rejects_duplicate_ids():

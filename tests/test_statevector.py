@@ -166,6 +166,10 @@ def test_measure_degenerate_state_rejected():
 def test_project_zero_probability_branch():
     with pytest.raises(ValueError):
         sv.project(basis_state(1, [0]), 1, 1)
+    with pytest.raises(ValueError, match=r"outcome must be 0 or 1"):
+        sv.project(basis_state(1, [0]), 1, 2)
+    with pytest.raises(ValueError, match=r"degenerate all-zero state"):
+        sv.project(sv.StateVector(1, np.zeros(2, dtype=complex)), 1, 0)
 
 
 def test_project_probabilities():
