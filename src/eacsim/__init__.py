@@ -5,7 +5,7 @@ Modules:
 * ``states`` - contention instances (``DickeSpec``) and the order of the
   weight-k slice.
 * ``encoder`` - linear and binary contention-resolution encoders as GF(2)
-  maps realized by CNOT lists, plus codebooks, parity recovery and the caps
+  maps realized by CNOT arrays, plus codebooks, parity recovery and the caps
   (``CapacityError``).
 * ``protocol`` - the records of a noise-free round, the anonymity audit, and
   the classical samplers and transcript writer that ``contend`` runs.
@@ -47,7 +47,6 @@ from .encoder import (
     UnknownWord,
     build_binary_encoder,
     build_linear_encoder,
-    cnot_count_bound,
     decode,
     recover_last_bit_linear,
     verify_injectivity,
@@ -74,13 +73,11 @@ from .markov import (
     NonPositiveHorizon,
     absorbing_threshold,
     dicke_outcome_probability,
-    indicator_pmf,
     state_prob,
     success_prob,
     success_prob_fully_noisy,
     success_prob_parallel,
     time_horizon,
-    transition_matrix,
     transition_prob,
 )
 

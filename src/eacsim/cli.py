@@ -22,9 +22,9 @@ than CapacityError), a path that cannot be read or written or a stdout its
 reader closed, 3 encoder synthesis failure, 4 capacity exceeded (``encode``
 refuses a codebook whose C(n,k) outcomes and ancilla words would pass
 ``encoder.SLICE_BYTES_CAP``, 256 MiB; ``contend`` builds no codebook and
-refuses C(n,k) >= 2**63 or n packed encoder rows past that cap; both refuse
-a linear encoder with n > 46,337 before building it; any command whose
-arrays cannot be allocated, e.g. 10**15 trials, exits 4 too).
+refuses C(n,k) >= 2**63; both refuse, unbuilt, an encoder whose CNOT array,
+16 bytes a gate, would pass that cap (a linear one past n = 16,777,217); any
+command whose arrays cannot be allocated, e.g. 10**15 trials, exits 4 too).
 """
 from __future__ import annotations
 

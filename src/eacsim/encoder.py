@@ -14,7 +14,7 @@ C(n,k)*(k*s+ell) bytes, s bytes per winner index (1 up to n = 256); the
 verify pass admits C(n,k)*(n+ell) bytes up to SLICE_BYTES_CAP
 (CapacityError past it).  `_data_bits` and `_packed_words` also serve the
 contention sampler.  `_format_int_rows` writes the codebook CSV and
-transcripts via byte matrices.  Everything here is classical; the CNOT list
+transcripts via byte matrices.  Everything here is classical; the CNOT array
 run on a dense register is `statevector.apply_encoder`.
 
 Two constructions are provided:
@@ -45,12 +45,11 @@ FORMAT_CHUNK_BYTES = 1 << 20  # text formatted at a time; bounds the memory held
 class CapacityError(ValueError):
     """A run would pass a cap, refused before allocating.
 
-    The caps: SLICE_BYTES_CAP bytes for the codebook over the weight-k slice,
-    for the slice rule that bounds which instances the binary construction
-    runs on, and for an encoder's packed rows, which the contention sampler
-    builds and `build_linear_encoder` charges before it makes its CNOT list;
-    C(n,k) <= 2^63 - 1 outcomes, the largest int64, for that sampler's rank
-    draw; and `statevector.MAX_QUBITS` qubits for a dense register.
+    The caps: SLICE_BYTES_CAP bytes for the codebook over the weight-k slice, for the
+    slice rule that bounds which instances the binary construction runs on, and for an
+    encoder's CNOT array, 16 bytes a gate, charged before it is built (a linear n up to
+    16,777,217); C(n,k) <= 2^63 - 1 outcomes, the largest int64, for the contention
+    sampler's rank draw; and `statevector.MAX_QUBITS` qubits for a dense register.
     """
 
 
@@ -82,29 +81,23 @@ class InvalidParity(ValueError):
     """Linear-encoder word weight outside {k-1, k}."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EncoderCircuit:
-    """CNOT list from data qubits (1..n) to ancillas (0..ell-1)."""
+    """A CNOT circuit: ``cnots`` row g is gate g's (control 1..n, target 0..ell-1), read-only int64."""
 
     n: int
     k: int
     ell: int
-    cnots: tuple[tuple[int, int], ...]
+    cnots: np.ndarray
     kind: str  # "linear" or "binary"
 
     def __post_init__(self):
-        for control, target in self.cnots:
-            if not 1 <= control <= self.n:
-                raise ValueError(f"CNOT control d{control} out of range 1..{self.n}")
-            if not 0 <= target < self.ell:
-                raise ValueError(f"CNOT target a{target} out of range 0..{self.ell - 1}")
-
-    def matrix(self) -> np.ndarray:
-        """The ell x n GF(2) matrix realized by the CNOT list (multiplicity mod 2)."""
-        g = np.zeros((self.ell, self.n), dtype=np.uint8)
-        for control, target in self.cnots:
-            g[target, control - 1] ^= 1
-        return g
+        object.__setattr__(self, "cnots", np.asarray(self.cnots, dtype=np.int64).reshape(-1, 2))
+        self.cnots.flags.writeable = False  # on a view: an int64 array passed in is not copied
+        for wires, low, high, name in ((self.cnots[:, 0], 1, self.n, "control d"),
+                                       (self.cnots[:, 1], 0, self.ell - 1, "target a")):
+            for bad in wires[(wires < low) | (wires > high)][:1]:  # the first, if any
+                raise ValueError(f"CNOT {name}{bad} out of range {low}..{high}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,36 +136,30 @@ def _check_bytes(what: str, need: int) -> None:
         raise CapacityError(f"{what} {_size(need)} bytes, above the {SLICE_BYTES_CAP}-byte cap")
 
 
-def _check_packed_rows(n: int, ell: int) -> None:
-    """`_check_bytes` for the n rows of G.T, packed as `_packed_words` packs
-    them: n * 8 * ceil(ell/64) bytes."""
-    _check_bytes(f"the {n} packed rows of the encoder matrix need", n * 8 * -(-ell // 64))
-
-
 def build_linear_encoder(spec: DickeSpec) -> EncoderCircuit:
-    """One CNOT per ancilla: a_i = d_{i+1} for i = 0..n-2.
-
-    Raises CapacityError before building the CNOT list when its packed rows
-    would pass SLICE_BYTES_CAP (`_check_packed_rows`), i.e. for n > 46,337.
-    """
+    """One CNOT per ancilla: a_i = d_{i+1} for i = 0..n-2.  CapacityError, before it is
+    built, when the CNOT array's 16 * (n-1) bytes pass SLICE_BYTES_CAP: n > 16,777,217."""
     n = spec.n
-    _check_packed_rows(n, n - 1)
-    cnots = tuple((i + 1, i) for i in range(n - 1))
+    _check_bytes(f"the {n - 1} CNOTs of the linear encoder need", 16 * (n - 1))
+    cnots = np.add.outer(np.arange(n - 1), (1, 0))  # gate i is (i + 1, i)
     return EncoderCircuit(n=n, k=spec.k, ell=n - 1, cnots=cnots, kind="linear")
 
 
 def _packed_words(circuit: EncoderCircuit, columns: np.ndarray) -> np.ndarray:
-    """Words G.d mod 2 of the (rows x k) ``columns`` `states._slice_columns` gave: each
-    XORs the rows of G.T its columns pick, packed 64 bits to a uint64 block as
-    np.packbits would.  Row i-1 gets one bit per CNOT(i, j); a repeated gate cancels."""
-    packed = np.zeros((circuit.n, 8 * -(-circuit.ell // 64)), dtype=np.uint8)
-    control, target = np.array(circuit.cnots, dtype=np.int64).reshape(-1, 2).T
-    np.bitwise_xor.at(packed, (control - 1, target >> 3), (128 >> (target & 7)).astype(np.uint8))
+    """Words G.d mod 2 of the (rows x k) ``columns`` `states._slice_columns` gave: each XORs
+    the rows of G.T its columns pick, packed 64 bits to a uint64 block as np.packbits would.
+    Only picked rows are packed; row i-1 gets one bit per CNOT(i, j), a repeat cancelling."""
+    picked = np.zeros(circuit.n, dtype=bool)
+    for col in columns.T:
+        picked[col] = True
+    slot = np.cumsum(picked) - 1  # slot[i]: row i's place in the packed table, if picked
+    control, target = circuit.cnots[picked[circuit.cnots[:, 0] - 1]].T
+    packed = np.zeros((slot[-1] + 1, 8 * -(-circuit.ell // 64)), dtype=np.uint8)
+    np.bitwise_xor.at(packed, (slot[control - 1], target // 8), (128 >> target % 8).astype(np.uint8))
     rows = packed.view(np.uint64)
-    first, *rest = columns.T
-    words = rows[first]
-    for col in rest:
-        words ^= rows[col]
+    words = rows.take(slot.take(columns[:, 0]), axis=0)
+    for col in columns.T[1:]:
+        words ^= rows.take(slot.take(col), axis=0)
     return words
 
 
@@ -217,14 +204,14 @@ def lower_bound(n: int, k: int) -> int:
     return max((math.comb(n, k) - 1).bit_length(), (ball - 1).bit_length(), length - dim)
 
 
-def _greedy_columns(n: int, t: int) -> list[int]:
+def _greedy_columns(n: int, t: int) -> range | list[int]:
     """Ascending parity-check columns, h_1 = 0 and each later h_i the least word
     not the XOR of 2t-1 or fewer earlier ones (Varshamov; Conway and Sloane's
     lexicodes).  dist[w], the fewest columns XORing to w capped at 2t, doubles
-    when full.  Closed forms: h_i = i-1 at t = 1, unit vectors at 2t >= n-1
+    when full.  Closed forms: h_i = i-1 at t = 1 (a range), unit vectors at 2t >= n-1
     and, width n-1, when dist and two temporaries would pass SLICE_BYTES_CAP."""
     if t == 1:
-        return list(range(n))
+        return range(n)
     dist = np.zeros(1, dtype=np.uint8)
     columns = [0]
     while len(columns) < n:
@@ -249,8 +236,8 @@ def build_binary_encoder(spec: DickeSpec, *, ell: int | None = None) -> EncoderC
     weight-k strings differ in at most 2t places, and no nonempty set of 2t
     or fewer of h_2..h_n XORs to h_1 = 0: the encoder is injective by
     construction.  ``ell`` overrides the target; rows above the construction
-    stay zero.  Raises SynthesisFailed if the construction is wider;
-    CapacityError first, before the greedy runs, past the slice rule.
+    stay zero.  Raises SynthesisFailed if the construction is wider; CapacityError
+    before the greedy, past the slice rule, and before a CNOT array past SLICE_BYTES_CAP.
     """
     n, k = spec.n, spec.k
     target_ell = (spec.num_outcomes - 1).bit_length() if ell is None else ell
@@ -265,7 +252,11 @@ def build_binary_encoder(spec: DickeSpec, *, ell: int | None = None) -> EncoderC
     width = columns[-1].bit_length()
     if width > target_ell:
         raise SynthesisFailed(target_ell, width, lower_bound(n, k))
-    cnots = tuple((i, j) for i, h in enumerate(columns, 1) for j in range(width) if h >> j & 1)
+    gates = sum(map(int.bit_count, columns))
+    _check_bytes(f"the {gates} CNOTs of the binary encoder need", 16 * gates)
+    raw = np.frombuffer(b"".join(h.to_bytes(-(-width // 8), "little") for h in columns), np.uint8)
+    cnots = np.argwhere(np.unpackbits(raw.reshape(n, -1), axis=1, count=width, bitorder="little"))
+    cnots[:, 0] += 1  # (data qubit, ancilla) of each set bit, by qubit then ancilla
     return EncoderCircuit(n=n, k=k, ell=target_ell, cnots=cnots, kind="binary")
 
 
@@ -315,22 +306,10 @@ def recover_last_bit_linear(word, k: int) -> int:
     raise InvalidParity(f"word weight {weight} not in {{{k - 1}, {k}}}")
 
 
-def cnot_count_bound(n: int) -> int:
-    """CNOT-count bound for the k = 1 binary encoder: ceil(log2 n) * 2^(ceil(log2 n)-1).
-
-    Exact when n is a power of two, an overestimate otherwise.  It does not
-    bound k >= 2: the (16,2) encoder at ell = 8 has 39 CNOTs, against 32.
-    """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    ell = math.ceil(math.log2(n))
-    return ell * 2 ** (ell - 1)
-
-
 def format_circuit(circuit: EncoderCircuit) -> str:
     """Plain-text gate list: header line then one 'CNOT d<i> a<j>' per line."""
     lines = [f"encoder {circuit.kind} n={circuit.n} k={circuit.k} ell={circuit.ell}"]
-    lines += [f"CNOT d{c} a{t}" for c, t in circuit.cnots]
+    lines += [f"CNOT d{c} a{t}" for c, t in circuit.cnots.tolist()]
     return "\n".join(lines) + "\n"
 
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .channel import ChannelParams, SlotTimeline
 
 EXACT_BINOM_LIMIT = 60  # integer arithmetic below, log-gamma above
@@ -53,15 +51,6 @@ def time_horizon(t: SlotTimeline) -> int:
     return m
 
 
-def indicator_pmf(q: float, m: int) -> tuple[float, float]:
-    """(P[node still unconnected], P[node connected]) after m attempts: (q^m, 1-q^m)."""
-    _check_q(q)
-    if m < 1:
-        raise ValueError(f"m={m} must be >= 1")
-    p0 = q**m
-    return p0, 1.0 - p0
-
-
 def transition_prob(n: int, i: int, j: int, q: float) -> float:
     """P[j connected after a slot | i connected before], for n nodes.
 
@@ -74,15 +63,6 @@ def transition_prob(n: int, i: int, j: int, q: float) -> float:
     if j < i:
         return 0.0
     return _binom_mass(n - i, j - i, q)
-
-
-def transition_matrix(n: int, q: float) -> np.ndarray:
-    """(n+1) x (n+1) row-stochastic, upper-triangular transition matrix."""
-    t = np.zeros((n + 1, n + 1))
-    for i in range(n + 1):
-        for j in range(i, n + 1):
-            t[i, j] = transition_prob(n, i, j, q)
-    return t
 
 
 def state_prob(n: int, j: int, q: float, m: int) -> float:

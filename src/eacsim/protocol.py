@@ -28,8 +28,8 @@ from enum import Enum
 
 import numpy as np
 
-from .encoder import (CapacityError, EncoderCircuit, _check_packed_rows, _data_bits,
-                      _format_int_rows, _packed_words, _size)
+from .encoder import (CapacityError, EncoderCircuit, _data_bits, _format_int_rows,
+                      _packed_words, _size)
 from .states import DickeSpec, _slice_columns
 
 
@@ -121,15 +121,14 @@ def sample_contention_outcomes(
     `states._slice_columns` returns (0-based, ascending), (runs x n) data
     bits and (runs x ell) ancilla bits, both uint8; injectivity is
     `verify_injectivity`'s to check.  Raises CapacityError before allocating
-    past 2^63 - 1 outcomes, the largest int64, or when G's n packed rows,
-    n * 8 * ceil(ell/64) bytes, would pass `encoder.SLICE_BYTES_CAP`.
+    past 2^63 - 1 outcomes, the largest int64.  The builder charged the CNOT array (a linear
+    n up to 16,777,217); `_packed_words` packs only the rows of G.T the winners pick.
     """
     if encoder.n != spec.n:
         raise ValueError(f"encoder built for n={encoder.n}, spec has n={spec.n}")
     if spec.num_outcomes >= 2**63:
         raise CapacityError(f"C({spec.n},{spec.k}) = {_size(spec.num_outcomes)} outcomes exceed "
                             "2^63 - 1, the largest int64")
-    _check_packed_rows(spec.n, encoder.ell)
     ranks = rng.integers(spec.num_outcomes, size=runs, dtype=np.int64)
     winners = _slice_columns(spec.n, spec.k, ranks)
     words = np.unpackbits(_packed_words(encoder, winners).view(np.uint8), axis=1, count=encoder.ell)

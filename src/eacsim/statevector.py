@@ -3,7 +3,7 @@
 Everything that builds or reads amplitudes lives here: the register
 (`StateVector`, at most MAX_QUBITS qubits), the H/X/Z/I gates, CNOT,
 single-qubit measurement, conditioning and fidelity; the Dicke and GHZ
-resource states; the encoder's CNOT list run on a register
+resource states; the encoder's CNOT array run on a register
 (`apply_encoder`); and the reference rounds `run_contention`,
 `extract_epr`, `canonicalize_bell`, `run_round` and `bell_pair`.  No
 command of the CLI runs this module: every readout of a round is in the
@@ -133,6 +133,18 @@ def _marginal_p1(state: StateVector, axis: int) -> float:
     return float(p[1])
 
 
+def _collapse(state: StateVector, axis: int, outcome: int, p1: float) -> tuple[float, StateVector]:
+    """`project` on tensor ``axis``, whose qubit reads 1 with Born probability ``p1``."""
+    p = p1 if outcome == 1 else state.norm_squared - p1
+    if p < 1e-12:
+        raise ValueError(f"outcome {outcome} on qubit {axis + 1} has zero probability")
+    t = state.tensor().copy()
+    idx = [slice(None)] * state.num_qubits
+    idx[axis] = 1 - outcome
+    t[tuple(idx)] = 0.0
+    return p, StateVector(state.num_qubits, t.reshape(-1) / np.sqrt(p))
+
+
 def project(state: StateVector, target: int, outcome: int) -> tuple[float, StateVector]:
     """Condition on ``target`` reading ``outcome``.
 
@@ -143,18 +155,9 @@ def project(state: StateVector, target: int, outcome: int) -> tuple[float, State
     ax = _check_qubit(state, target)
     if outcome not in (0, 1):
         raise ValueError("outcome must be 0 or 1")
-    total = state.norm_squared
-    if total < 1e-12:
+    if state.norm_squared < 1e-12:
         raise ValueError("degenerate all-zero state")
-    p1 = _marginal_p1(state, ax)
-    p = p1 if outcome == 1 else total - p1
-    if p < 1e-12:
-        raise ValueError(f"outcome {outcome} on qubit {target} has zero probability")
-    t = state.tensor().copy()
-    idx = [slice(None)] * state.num_qubits
-    idx[ax] = 1 - outcome
-    t[tuple(idx)] = 0.0
-    return p, StateVector(state.num_qubits, t.reshape(-1) / np.sqrt(p))
+    return _collapse(state, ax, outcome, _marginal_p1(state, ax))
 
 
 def measure(state: StateVector, target: int, rng) -> tuple[MeasurementRecord, StateVector]:
@@ -165,8 +168,9 @@ def measure(state: StateVector, target: int, rng) -> tuple[MeasurementRecord, St
     ax = _check_qubit(state, target)
     if state.norm_squared < 1e-12:
         raise ValueError("degenerate all-zero state")
-    outcome = 1 if rng.random() < _marginal_p1(state, ax) else 0
-    p, collapsed = project(state, target, outcome)
+    p1 = _marginal_p1(state, ax)
+    outcome = 1 if rng.random() < p1 else 0
+    p, collapsed = _collapse(state, ax, outcome, p1)
     return MeasurementRecord(target, outcome, p), collapsed
 
 
@@ -228,7 +232,7 @@ def bell_pair(sign: int) -> StateVector:
 
 
 def apply_encoder(dicke: StateVector, circuit: EncoderCircuit) -> StateVector:
-    """Attach ell |0> ancillas to a Dicke state and run the CNOT list.
+    """Attach ell |0> ancillas to a Dicke state and run the CNOT array.
 
     Returns the (n+ell)-qubit contention-resolution state: the quantum
     counterpart of the classical GF(2) path of `encoder.verify_injectivity`.
@@ -238,7 +242,7 @@ def apply_encoder(dicke: StateVector, circuit: EncoderCircuit) -> StateVector:
     state = StateVector(circuit.n + circuit.ell, _zero_amplitudes(circuit.n + circuit.ell))
     support = np.flatnonzero(dicke.amplitudes)
     state.amplitudes[support << circuit.ell] = dicke.amplitudes[support]
-    for control, target in circuit.cnots:
+    for control, target in circuit.cnots.tolist():
         state = apply_cnot(state, control, circuit.n + 1 + target)
     return state
 

@@ -1,9 +1,12 @@
 """Shared test helpers."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from eacsim import statevector as sv
+from eacsim.markov import transition_prob
 
 
 class ForcedRng:
@@ -98,4 +101,42 @@ def encode_word(circuit, d_bits):
     d = np.asarray(list(d_bits), dtype=np.uint8)
     if d.shape != (circuit.n,):
         raise ValueError(f"expected {circuit.n} data bits, got {d.shape}")
-    return tuple(int(b) for b in (circuit.matrix() @ d) & 1)
+    return tuple(int(b) for b in (encoder_matrix(circuit) @ d) & 1)
+
+
+def encoder_matrix(circuit):
+    """The ell x n GF(2) matrix realized by the CNOT array (multiplicity mod 2)."""
+    g = np.zeros((circuit.ell, circuit.n), dtype=np.uint8)
+    np.bitwise_xor.at(g, (circuit.cnots[:, 1], circuit.cnots[:, 0] - 1), 1)
+    return g
+
+
+def cnot_count_bound(n):
+    """CNOT-count bound for the k = 1 binary encoder: ceil(log2 n) * 2^(ceil(log2 n)-1).
+
+    Exact when n is a power of two, an overestimate otherwise.  It does not
+    bound k >= 2: the (16,2) encoder at ell = 8 has 39 CNOTs, against 32.
+    """
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    ell = math.ceil(math.log2(n))
+    return ell * 2 ** (ell - 1)
+
+
+def indicator_pmf(q, m):
+    """(P[node still unconnected], P[node connected]) after m attempts: (q^m, 1-q^m)."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q={q} must be in [0, 1]")
+    if m < 1:
+        raise ValueError(f"m={m} must be >= 1")
+    p0 = q**m
+    return p0, 1.0 - p0
+
+
+def transition_matrix(n, q):
+    """(n+1) x (n+1) row-stochastic, upper-triangular transition matrix of the chain."""
+    t = np.zeros((n + 1, n + 1))
+    for i in range(n + 1):
+        for j in range(i, n + 1):
+            t[i, j] = transition_prob(n, i, j, q)
+    return t

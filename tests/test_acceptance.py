@@ -11,7 +11,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import encode_word, force_bits
+from conftest import cnot_count_bound, encode_word, force_bits, transition_matrix
 
 from eacsim import statevector as sv
 from eacsim.channel import ChannelParams, empirical_contention_success, split_rng
@@ -19,11 +19,10 @@ from eacsim.cli import main
 from eacsim.encoder import (
     build_binary_encoder,
     build_linear_encoder,
-    cnot_count_bound,
     recover_last_bit_linear,
     verify_injectivity,
 )
-from eacsim.markov import state_prob, success_prob, transition_matrix
+from eacsim.markov import state_prob, success_prob
 from eacsim.protocol import sample_contention_outcomes
 from eacsim.states import DickeSpec
 from eacsim.statevector import bell_pair, canonicalize_bell, extract_epr

@@ -196,7 +196,7 @@ def test_contend_capacity_exit(tmp_path, capsys):
                                   ["--n", "16385", "--k", "2", "--runs", "10"]])
 def test_contend_charges_only_what_it_builds(tmp_path, argv):
     # C(16378,1) * (16378 + 14) and 16384 * 16385 bytes pass the 256 MiB cap, but the binary
-    # slice rule charges packed words and the sampler packed encoder rows, far below it
+    # slice rule charges packed words and the builders their CNOT arrays, far below it
     out = tmp_path / "t.jsonl"
     assert main(["contend", *argv, "--out", str(out)]) == 0
     n = int(argv[argv.index("--n") + 1])
@@ -207,13 +207,12 @@ def test_encode_capacity_exit(tmp_path):
     assert main(["encode", "--n", "40", "--k", "20", "--out-dir", str(tmp_path)]) == 4
 
 
-@pytest.mark.parametrize("argv", [["contend", "--n", "46338", "--k", "2", "--runs", "1"],
-                                  ["contend", "--n", "3000000", "--k", "1", "--runs", "1"],
-                                  ["encode", "--n", "3000000", "--k", "1"]])
+@pytest.mark.parametrize("argv", [["contend", "--n", "16777218", "--k", "2", "--runs", "1"],
+                                  ["contend", "--n", "16777218", "--k", "1", "--runs", "1"],
+                                  ["encode", "--n", "16777218", "--k", "1"]])
 def test_big_linear_run_refused_before_its_encoder(tmp_path, capsys, argv):
-    # the linear encoder's n packed rows, n * 8 * ceil((n-1)/64) bytes, pass the 256 MiB
-    # cap from n = 46,338; they are charged before its n-1 CNOTs exist, so memory stays flat
-    n = int(argv[argv.index("--n") + 1])
+    # the linear encoder's CNOT array, 16 bytes for each of its n-1 gates, passes the 256 MiB
+    # cap from n = 16,777,218; it is charged before it exists, so memory stays flat
     tracemalloc.start()
     try:
         assert main([*argv, "--out-dir", str(tmp_path)]) == 4
@@ -221,10 +220,50 @@ def test_big_linear_run_refused_before_its_encoder(tmp_path, capsys, argv):
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
-    assert capsys.readouterr().err == (f"error: the {n} packed rows of the encoder matrix need "
-                                       f"{n * 8 * -(-(n - 1) // 64)} bytes, above the "
-                                       "268435456-byte cap\n")
+    assert capsys.readouterr().err == ("error: the 16777217 CNOTs of the linear encoder need "
+                                       "268435472 bytes, above the 268435456-byte cap\n")
     assert not any(tmp_path.iterdir())
+
+
+def test_big_binary_contend_refused_before_its_cnot_array(tmp_path, capsys):
+    # the k = 1 binary encoder has one CNOT per set bit of 0..n-1: 54,717,312 for n = 5,000,000
+    argv = ["contend", "--kind", "binary", "--n", "5000000", "--k", "1", "--runs", "1"]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == ("error: the 54717312 CNOTs of the binary encoder need "
+                                       "875476992 bytes, above the 268435456-byte cap\n")
+    assert not any(tmp_path.iterdir())
+
+
+def test_big_linear_encode_refused_by_the_slice_rule(tmp_path, capsys):
+    # n = 3,000,000 passes the CNOT charge: the linear build holds its 48 MB array, made
+    # from a half-size temporary, then verify_injectivity refuses the codebook unbuilt
+    n = 3000000
+    tracemalloc.start()
+    try:
+        assert main(["encode", "--n", str(n), "--k", "1", "--out-dir", str(tmp_path)]) == 4
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 16 * (n - 1) + 2 * 2**20
+    assert capsys.readouterr().err == (f"error: the weight-1 slice of n={n} with ell={n - 1} needs "
+                                       f"{n * (2 * n - 1)} bytes, above the 268435456-byte cap\n")
+    assert not any(tmp_path.iterdir())
+
+
+def test_linear_contend_past_46337_packs_only_the_drawn_rows(tmp_path):
+    # G's n rows packed whole would pass the 256 MiB cap at n = 46,338; the sampler packs the
+    # k rows a round draws, and the (n-1) x 2 CNOT array is 741 kB
+    n, out = 46338, tmp_path / "t.jsonl"
+    tracemalloc.start()
+    try:
+        assert main(["contend", "--n", str(n), "--k", "2", "--runs", "1", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    record = json.loads(out.read_text())
+    assert sum(record["d_vector"]) == 2
+    assert record["ancilla_word"] == record["d_vector"][: n - 1]  # linear encoder: a_i = d_{i+1}
 
 
 @pytest.mark.parametrize("argv, err", [
@@ -237,9 +276,9 @@ def test_big_linear_run_refused_before_its_encoder(tmp_path, capsys, argv):
      "the weight-10000 slice of n=20000 with ell=19999 needs at least 2^20007 bytes, "
      "above the 268435456-byte cap"),
     (["contend", "--n", "9" * 2200, "--k", "1", "--runs", "1"],
-     f"the {'9' * 2200} packed rows of the encoder matrix need at least 2^14613 bytes, "
+     f"the {'9' * 2199}8 CNOTs of the linear encoder need at least 2^7312 bytes, "
      "above the 268435456-byte cap"),
-], ids=["contend", "contend-binary", "encode", "packed-rows"])
+], ids=["contend", "contend-binary", "encode", "cnots"])
 def test_refusal_states_an_unprintable_size_by_bit_length(tmp_path, capsys, argv, err):
     # C(20000,10000) and the byte counts have more digits than str() of an int may print
     # (4,300), so the refusal names the power of two below them and still exits 4

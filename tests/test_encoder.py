@@ -10,7 +10,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import encode_word, index_bits, outcome_probability, weight_k_indices
+from conftest import (cnot_count_bound, encode_word, encoder_matrix, index_bits,
+                      outcome_probability, weight_k_indices)
 
 from eacsim import encoder as enc, statevector as sv
 from eacsim.encoder import (
@@ -22,7 +23,6 @@ from eacsim.encoder import (
     UnknownWord,
     build_binary_encoder,
     build_linear_encoder,
-    cnot_count_bound,
     decode,
     format_circuit,
     lower_bound,
@@ -79,8 +79,18 @@ def test_linear_codebook_is_published_table():
 def test_binary_w_encoder_matches_published_circuit():
     circuit = build_binary_encoder(DickeSpec(4, 1))
     assert circuit.ell == 2
-    assert set(circuit.cnots) == {(2, 0), (3, 1), (4, 0), (4, 1)}
+    np.testing.assert_array_equal(circuit.cnots, [(2, 0), (3, 1), (4, 0), (4, 1)])
     assert len(circuit.cnots) == 4
+
+
+@pytest.mark.parametrize("n,k,ell", [(300, 1, None), (9, 3, 12), (16, 2, 8), (24, 3, None)])
+def test_binary_cnots_are_the_set_bits_of_the_greedy_columns(n, k, ell):
+    # reference loop: one (data qubit, ancilla) gate per set bit, by qubit then ancilla
+    circuit = build_binary_encoder(DickeSpec(n, k), ell=ell)
+    columns = enc._greedy_columns(n, min(k, n - k))
+    want = [[i, j] for i, h in enumerate(columns, 1) for j in range(h.bit_length()) if h >> j & 1]
+    assert circuit.cnots.tolist() == want
+    assert circuit.cnots.dtype == np.int64 and not circuit.cnots.flags.writeable
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16])
@@ -148,7 +158,7 @@ def reference_greedy(n, t):
 
 @pytest.mark.parametrize("n", range(2, 65))
 def test_greedy_t1_closed_form_is_the_greedy(n):
-    assert enc._greedy_columns(n, 1) == reference_greedy(n, 1) == list(range(n))
+    assert list(enc._greedy_columns(n, 1)) == reference_greedy(n, 1) == list(range(n))
 
 
 @pytest.mark.parametrize("n", range(3, 15))
@@ -226,14 +236,16 @@ def test_synthesis_failed_message_claims_only_what_is_proven(n, k, ell, exists, 
 def test_binary_circuit_ignores_rng():
     # the construction takes no seed: two builds give the same circuit
     spec = DickeSpec(10, 2)
-    assert build_binary_encoder(spec, ell=8) == build_binary_encoder(spec, ell=8)
+    first, second = build_binary_encoder(spec, ell=8), build_binary_encoder(spec, ell=8)
+    assert first.ell == second.ell == 8
+    np.testing.assert_array_equal(first.cnots, second.cnots)
 
 
 def test_binary_wider_ell_leaves_upper_rows_zero():
     spec = DickeSpec(9, 3)
     narrow, wide = build_binary_encoder(spec), build_binary_encoder(spec, ell=12)
     assert narrow.ell == 7 and wide.ell == 12
-    assert wide.cnots == narrow.cnots
+    np.testing.assert_array_equal(wide.cnots, narrow.cnots)
     verify_injectivity(wide, spec)
 
 
@@ -513,14 +525,14 @@ def test_apply_encoder_capacity():
 
 def test_matrix_cancels_duplicate_cnots():
     circuit = EncoderCircuit(n=3, k=1, ell=2, cnots=((1, 0), (1, 0), (2, 1)), kind="binary")
-    g = circuit.matrix()
+    g = encoder_matrix(circuit)
     assert g[0, 0] == 0 and g[1, 1] == 1
 
 
 def test_circuit_validation():
-    with pytest.raises(ValueError):
-        EncoderCircuit(n=3, k=1, ell=2, cnots=((4, 0),), kind="binary")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^CNOT control d4 out of range 1\.\.3$"):
+        EncoderCircuit(n=3, k=1, ell=2, cnots=((1, 0), (4, 0)), kind="binary")
+    with pytest.raises(ValueError, match=r"^CNOT target a2 out of range 0\.\.1$"):
         EncoderCircuit(n=3, k=1, ell=2, cnots=((1, 2),), kind="binary")
 
 

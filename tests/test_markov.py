@@ -4,18 +4,18 @@ import math
 import numpy as np
 import pytest
 
+from conftest import indicator_pmf, transition_matrix
+
 from eacsim.channel import ChannelParams, SlotTimeline
 from eacsim.markov import (
     NonPositiveHorizon,
     absorbing_threshold,
     dicke_outcome_probability,
-    indicator_pmf,
     state_prob,
     success_prob,
     success_prob_fully_noisy,
     success_prob_parallel,
     time_horizon,
-    transition_matrix,
     transition_prob,
 )
 

@@ -9,6 +9,8 @@ import math
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import encoder_matrix
+
 from eacsim.channel import ChannelParams, empirical_contention_success, make_rng, normal_ci
 from eacsim.encoder import (EncoderCircuit, _packed_words, build_binary_encoder,
                             build_linear_encoder)
@@ -76,12 +78,15 @@ def test_sampled_rows_past_the_slice_table_have_weight_k_and_word_g_d(nk, ell, r
 @example(3, 70, 400, 0)  # many repeated gates; 70 ancillas span two uint64 blocks
 def test_packed_rows_from_cnots_are_packbits_of_the_matrix(n, ell, gates, seed):
     rng = np.random.default_rng(seed)
-    cnots = tuple(zip(rng.integers(1, n + 1, gates).tolist(), rng.integers(0, ell, gates).tolist()))
+    cnots = np.stack([rng.integers(1, n + 1, gates), rng.integers(0, ell, gates)], axis=1)
     circuit = EncoderCircuit(n=n, k=1, ell=ell, cnots=cnots, kind="binary")
-    rows = _packed_words(circuit, np.arange(n)[:, None]).view(np.uint8)  # G.e_i is row i itself
-    want = np.zeros_like(rows)
-    want[:, : -(-ell // 8)] = np.packbits(circuit.matrix().T, axis=1)  # repeats cancel in matrix()
-    np.testing.assert_array_equal(rows, want)
+    # G.e_i is row i itself: every row, then a draw with repeats that leaves some rows unpacked
+    for picked in (np.arange(n), rng.integers(0, n, rng.integers(1, n + 1))):
+        rows = _packed_words(circuit, picked.astype(np.uint8)[:, None]).view(np.uint8)
+        want = np.zeros_like(rows)
+        # repeats cancel in the oracle matrix
+        want[:, : -(-ell // 8)] = np.packbits(encoder_matrix(circuit).T[picked], axis=1)
+        np.testing.assert_array_equal(rows, want)
 
 
 @st.composite
@@ -110,7 +115,7 @@ def test_rows_have_weight_k_and_word_g_d(case):
     assert d_bits.shape == (runs, spec.n) and a_bits.shape == (runs, encoder.ell)
     assert (d_bits.sum(axis=1) == spec.k).all()
     np.testing.assert_array_equal(winners, np.nonzero(d_bits)[1].reshape(runs, spec.k))
-    np.testing.assert_array_equal(a_bits, (d_bits.astype(np.int64) @ encoder.matrix().T) % 2)
+    np.testing.assert_array_equal(a_bits, (d_bits.astype(np.int64) @ encoder_matrix(encoder).T) % 2)
 
 
 @PROPERTY_SETTINGS
