@@ -52,13 +52,9 @@ class ChannelParams:
 
     def __post_init__(self):
         for name in ("q_cr", "q_e"):
-            q = getattr(self, name)
-            if not 0.0 <= q <= 1.0:
-                raise ValueError(f"{name}={q} must be in [0, 1]")
+            _check_unit(name, getattr(self, name))
         for name in ("M_cr", "M_e"):
-            m = getattr(self, name)
-            if m < 1:
-                raise ValueError(f"{name}={m} must be >= 1")
+            _check_count(name, getattr(self, name))
 
     @property
     def m_bar(self) -> int:
@@ -152,16 +148,25 @@ def _connected_by(n: int, q: float, m: int, trials: int, rng) -> np.ndarray:
     return rng.random((n, trials)) < p
 
 
+def _check_unit(name: str, q: float) -> None:
+    """Raise ValueError unless the probability ``name`` = q lies in [0, 1]."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"{name}={q} must be in [0, 1]")
+
+
+def _check_count(name: str, value: int) -> None:
+    """Raise ValueError unless the count ``name`` = value is at least 1."""
+    if value < 1:
+        raise ValueError(f"{name}={value} must be >= 1")
+
+
 def _check_process(n: int, q: float, M: int, trials: int) -> None:
     """Raise ValueError unless n >= 1 nodes, 0 <= q <= 1, M >= 1 slots and trials >= 1, in turn."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q={q} must be in [0, 1]")
-    if M < 1:
-        raise ValueError(f"M={M} must be >= 1")
-    if trials < 1:
-        raise ValueError(f"trials={trials} must be >= 1")
+    _check_unit("q", q)
+    _check_count("M", M)
+    _check_count("trials", trials)
 
 
 def simulate_distribution(n: int, q: float, M: int, rng) -> DistributionTrace:
@@ -180,7 +185,7 @@ def empirical_full_connection_by_slot(n: int, q: float, M: int, trials: int, rng
     """Fraction of trials with all n nodes connected by slot m, for m = 1..M."""
     _check_process(n, q, M, trials)
     probs = _connect_prob(q, M)
-    if np.isin(probs, (0.0, 1.0)).all():  # e.g. q in {0, 1}: each fraction is its 1 - q^m
+    if probs[0] in (0.0, 1.0):  # then so is each 1 - q^m (q^m <= q): each fraction is its value
         _skip(rng, n * trials)
         return probs
     # every node is connected by slot m iff the largest of its trial's uniforms is < 1 - q^m

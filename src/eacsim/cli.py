@@ -19,12 +19,11 @@ alone opens it; ``analytics`` without ``--out`` prints to stdout.
 ``_csv`` formats every CSV table (header row, '.' decimals); files end
 lines with '\\n'.  Exit codes: 0 success, 2 usage error (a ValueError other
 than CapacityError), a path that cannot be read or written or a stdout its
-reader closed, 3 encoder synthesis failure, 4 capacity exceeded (``encode``
-refuses a codebook whose C(n,k) outcomes and ancilla words would pass
-``encoder.SLICE_BYTES_CAP``, 256 MiB; ``contend`` builds no codebook and
-refuses C(n,k) >= 2**63; both refuse, unbuilt, an encoder whose CNOT array,
-16 bytes a gate, would pass that cap (a linear one past n = 16,777,217); any
-command whose arrays cannot be allocated, e.g. 10**15 trials, exits 4 too).
+reader closed, 3 encoder synthesis failure, 4 capacity exceeded: an
+``encoder.CapacityError``, whose docstring states the caps (``encode``'s
+codebook, the binary construction's slice rule, which ``contend --kind
+binary`` applies too, ``contend``'s C(n,k) outcome count and every encoder's
+CNOT array), or arrays that cannot be allocated, e.g. 10**15 trials.
 """
 from __future__ import annotations
 

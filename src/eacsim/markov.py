@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .channel import ChannelParams, SlotTimeline
+from .channel import ChannelParams, SlotTimeline, _check_count, _check_unit
 
 EXACT_BINOM_LIMIT = 60  # integer arithmetic below, log-gamma above
 
@@ -57,7 +57,7 @@ def transition_prob(n: int, i: int, j: int, q: float) -> float:
     Binomial(n-i, 1-q) over the j-i new connections; 0 for j < i (the chain
     never moves backward).  Slot-index independent.
     """
-    _check_q(q)
+    _check_unit("q", q)
     if not 0 <= i <= n or not 0 <= j <= n:
         raise ValueError(f"states must lie in 0..{n}, got i={i}, j={j}")
     if j < i:
@@ -67,11 +67,10 @@ def transition_prob(n: int, i: int, j: int, q: float) -> float:
 
 def state_prob(n: int, j: int, q: float, m: int) -> float:
     """P[j of n nodes connected after m slots]: Binomial(n, 1-q^m) mass at j."""
-    _check_q(q)
+    _check_unit("q", q)
     if not 0 <= j <= n:
         raise ValueError(f"j={j} must lie in 0..{n}")
-    if m < 1:
-        raise ValueError(f"m={m} must be >= 1")
+    _check_count("m", m)
     return _binom_mass(n, j, q**m)
 
 
@@ -80,18 +79,15 @@ def success_prob(k: int, q: float, M: int) -> float:
 
     Independent of the total number of contending nodes.
     """
-    _check_q(q)
-    if k < 1:
-        raise ValueError(f"k={k} must be >= 1")
-    if M < 1:
-        raise ValueError(f"M={M} must be >= 1")
+    _check_unit("q", q)
+    _check_count("k", k)
+    _check_count("M", M)
     return (1.0 - q**M) ** k
 
 
 def success_prob_parallel(k: int, q: float, M: int, l_c: int) -> float:
     """Success with l_c communication qubits per node attempting in parallel."""
-    if l_c < 1:
-        raise ValueError(f"l_c={l_c} must be >= 1")
+    _check_count("l_c", l_c)
     return success_prob(k, q, M * l_c)
 
 
@@ -102,8 +98,7 @@ def success_prob_fully_noisy(k: int, params: ChannelParams) -> float:
     two independent processes must both have delivered, so the base is
     (1 - q_cr^m - q_e^m + q_cr^m q_e^m) = (1 - q_cr^m)(1 - q_e^m).
     """
-    if k < 1:
-        raise ValueError(f"k={k} must be >= 1")
+    _check_count("k", k)
     m = params.m_bar
     a = params.q_cr**m
     b = params.q_e**m
@@ -132,8 +127,3 @@ def dicke_outcome_probability(n: int, k: int) -> tuple[float, float]:
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     return 1 / math.comb(n, k), k / n  # int / int: correctly rounded, 0.0 on underflow
-
-
-def _check_q(q: float) -> None:
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q={q} must be in [0, 1]")

@@ -11,6 +11,7 @@ consumers never depend on it.  Dicke and GHZ amplitudes are in `statevector`.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,8 +31,9 @@ class DickeSpec:
         if not 1 <= self.k < self.n:
             raise ValueError(f"winner count k={self.k} must satisfy 1 <= k < n={self.n}")
 
-    @property
+    @functools.cached_property
     def num_outcomes(self) -> int:
+        """C(n,k), computed once per instance: it takes seconds for n in the millions."""
         return math.comb(self.n, self.k)
 
 

@@ -53,10 +53,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.num_qubits <= MAX_QUBITS:
-            raise CapacityError(
-                f"num_qubits={self.num_qubits} outside supported range 1..{MAX_QUBITS}"
-            )
+        _check_register(self.num_qubits)
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
         if self.amplitudes.shape != (2**self.num_qubits,):
             raise ValueError(
@@ -89,10 +86,15 @@ def _check_qubit(state: StateVector, qubit: int) -> int:
     return qubit - 1  # tensor axis
 
 
-def _zero_amplitudes(num_qubits: int) -> np.ndarray:
-    """2^num_qubits zero amplitudes; CapacityError before allocating past MAX_QUBITS."""
+def _check_register(num_qubits: int) -> None:
+    """CapacityError unless a dense register of num_qubits qubits is within 1..MAX_QUBITS."""
     if not 1 <= num_qubits <= MAX_QUBITS:
         raise CapacityError(f"num_qubits={num_qubits} outside supported range 1..{MAX_QUBITS}")
+
+
+def _zero_amplitudes(num_qubits: int) -> np.ndarray:
+    """2^num_qubits zero amplitudes; CapacityError before allocating past MAX_QUBITS."""
+    _check_register(num_qubits)
     return np.zeros(2**num_qubits, dtype=complex)
 
 

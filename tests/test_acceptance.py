@@ -10,19 +10,20 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from conftest import cnot_count_bound, encode_word, force_bits, transition_matrix
 
 from eacsim import statevector as sv
 from eacsim.channel import ChannelParams, empirical_contention_success, split_rng
-from eacsim.cli import main
+from eacsim.cli import _FIGURES, main
 from eacsim.encoder import (
     build_binary_encoder,
     build_linear_encoder,
     recover_last_bit_linear,
     verify_injectivity,
 )
-from eacsim.markov import state_prob, success_prob
+from eacsim.markov import state_prob, success_prob, success_prob_fully_noisy
 from eacsim.protocol import sample_contention_outcomes
 from eacsim.states import DickeSpec
 from eacsim.statevector import bell_pair, canonicalize_bell, extract_epr
@@ -30,6 +31,8 @@ from eacsim.statevector import bell_pair, canonicalize_bell, extract_epr
 MASTER_SEED = 0
 Z99 = 2.5758293035489004          # two-sided 99% normal quantile
 Z_TREND = 3.290526731491926       # two-sided quantile at significance 0.001
+GATE_ALPHA = 0.001                # family-wise level of the per-draw-group gate
+GATE_GROUPS = 35                  # draw groups of the five figures' Monte Carlo overlays
 
 FIG3B_TABLE = {
     (1, 1, 0, 0): (1, 1, 0),
@@ -197,6 +200,96 @@ def test_criterion_6_monte_carlo_vs_analytics():
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0
     report(6, "monte carlo vs analytics", started)
+
+
+def _tail_cells(total, tails):
+    """A histogram cut at ascending thresholds t_1 < ... < t_r, from its tails
+    P(X >= t_i) (or their counts): the cells below t_1, between neighbouring
+    thresholds and from t_r up."""
+    return -np.diff([total, *tails, 0])
+
+
+def _pooled(observed, expected):
+    """Neighbouring cells pooled left to right until each expects at least 5;
+    a last cell still short joins the one before it."""
+    obs, exp = [0], [0.0]
+    for o, e in zip(observed, expected):
+        if exp[-1] >= 5:
+            obs.append(0)
+            exp.append(0.0)
+        obs[-1] += o
+        exp[-1] += e
+    if len(exp) > 1 and exp[-1] < 5:
+        o, e = obs.pop(), exp.pop()
+        obs[-1] += o
+        exp[-1] += e
+    return obs, exp
+
+
+def _draw_group_histograms(trials):
+    """{(figure, *group): (observed cell counts, exact cell probabilities)} for every
+    Monte Carlo draw group `reproduce` makes at ``trials`` trials and MASTER_SEED.
+
+    A group's published thresholds cut its one draw into a multinomial histogram:
+    P(all connected by slot m) for fig8 and fig8l, P(below >= k) for fig9 and fig11
+    (a trial succeeds for k iff at least k nodes drew below every node lacking an
+    ebit) and the whole pmf for fig10.  The exact law is the figure's analytic column.
+    """
+    cuts = {}
+    for figure, reproduce in _FIGURES.items():
+        for name, _, rows in reproduce(trials, MASTER_SEED):
+            if not name.endswith("_mc.csv"):
+                continue
+            for row in rows:
+                *prefix, estimate = row[:-4]
+                count = round(estimate * trials)
+                assert abs(estimate * trials - count) < 1e-6
+                # fig8 rows lead with their threshold M, every other figure's rows end with it
+                group, cut = (prefix[1:], prefix[0]) if figure == "fig8" else (prefix[:-1], prefix[-1])
+                cuts.setdefault((figure, *group), []).append((cut, count))
+    histograms = {}
+    for (figure, *group), points in cuts.items():
+        thresholds, counts = zip(*sorted(points))
+        if figure in ("fig8", "fig8l"):  # tails: P(not all connected by slot m)
+            n, q = group
+            observed = _tail_cells(trials, [trials - c for c in counts])
+            exact = _tail_cells(1.0, [1.0 - state_prob(n, n, q, m) for m in thresholds])
+        elif figure == "fig10":  # the pmf over j = 0..n
+            m, n, q = group
+            observed = np.array(counts)
+            exact = np.array([state_prob(n, j, q, m) for j in thresholds])
+        else:  # fig9 (q_e = 0) and fig11
+            n, m, *qs = group
+            params = ChannelParams(q_cr=qs[0], q_e=qs[1] if len(qs) > 1 else 0.0, M_cr=m, M_e=m)
+            observed = _tail_cells(trials, counts)
+            exact = _tail_cells(1.0, [success_prob_fully_noisy(k, params) for k in thresholds])
+        histograms[(figure, *group)] = (observed, exact)
+    return histograms
+
+
+def test_criterion_6b_calibrated_gate_per_draw_group():
+    # every draw group of the figures' overlays against its exact law: one chi-square
+    # test each, Bonferroni over the groups at family-wise level GATE_ALPHA
+    started = time.perf_counter()
+    trials = 20_000  # reproduce's default, at its default seed
+    histograms = _draw_group_histograms(trials)
+    assert len(histograms) == GATE_GROUPS
+    p_values = {}
+    for key, (observed, exact) in histograms.items():
+        assert observed.sum() == trials and (observed >= 0).all()
+        if np.count_nonzero(exact) == 1:  # a certain law: the draw must match it exactly
+            assert (observed == exact * trials).all(), key
+            continue
+        obs, exp = _pooled(observed, exact * trials)
+        if len(obs) > 1:  # one pooled cell leaves nothing to test (fig11, M = 10, q_cr = 0.3)
+            p_values[key] = chisquare(obs, exp).pvalue
+    worst = min(p_values, key=p_values.get)
+    threshold = GATE_ALPHA / GATE_GROUPS
+    assert p_values[worst] > threshold, (worst, p_values[worst])
+    elapsed = time.perf_counter() - started
+    assert elapsed < 30.0
+    report("6b", f"calibrated gate per draw group, smallest p {p_values[worst]:.2g} at "
+                 f"{worst} > {threshold:.2g}", started)
 
 
 def test_criterion_7_figure_data(tmp_path, capsys):

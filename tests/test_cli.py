@@ -287,6 +287,27 @@ def test_refusal_states_an_unprintable_size_by_bit_length(tmp_path, capsys, argv
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["contend", "--n", "200000", "--k", "100000", "--runs", "1"],
+     "C(200000,100000) = at least 2^199990 outcomes exceed 2^63 - 1, the largest int64"),
+    (["contend", "--n", "200000", "--k", "100000", "--runs", "1", "--kind", "binary"],
+     "the weight-100000 slice of n=200000 with ell=199991 needs at least 2^200009 bytes, "
+     "above the 268435456-byte cap"),
+    (["encode", "--kind", "binary", "--n", "200000", "--k", "100000"],
+     "the weight-100000 slice of n=200000 with ell=199991 needs at least 2^200009 bytes, "
+     "above the 268435456-byte cap"),
+], ids=["contend", "contend-binary", "encode-binary"])
+def test_refusal_computes_the_outcome_count_once(tmp_path, monkeypatch, capsys, argv, err):
+    # an exact C(n,k) of a balanced instance takes seconds in the millions: a refusal computes it once
+    calls = []
+    comb = math.comb
+    monkeypatch.setattr(math, "comb", lambda *nk: calls.append(nk) or comb(*nk))
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 4
+    assert calls == [(200000, 100000)]
+    assert capsys.readouterr().err == f"error: {err}\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_contend_past_dense_register(tmp_path):
     # n=13 needs a 25-qubit register, past the dense cap; the classical path runs it
     out = tmp_path / "t.jsonl"

@@ -1,7 +1,8 @@
 """Property tests: the weight-k slice unranker, the encoder rows packed from CNOT lists, the
 classical contention sampler (n <= 62) and the bulk transcript (n <= 40), the
 noisy contention estimator against its argsort reference and, on tied uniforms, its
-partition rule, the confidence interval and the absorbing threshold."""
+partition rule, the full-connection estimator's certain-block test, the confidence
+interval and the absorbing threshold."""
 import io
 import json
 import math
@@ -11,7 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import encoder_matrix
 
-from eacsim.channel import ChannelParams, empirical_contention_success, make_rng, normal_ci
+from eacsim.channel import (ChannelParams, _connect_prob, empirical_contention_success,
+                            make_rng, normal_ci)
 from eacsim.encoder import (EncoderCircuit, _packed_words, build_binary_encoder,
                             build_linear_encoder)
 from eacsim.markov import absorbing_threshold, state_prob
@@ -202,6 +204,23 @@ def test_contention_rule_with_ties_is_the_partition_rule(n, trials, levels, seed
         blocks = _Blocks(status[0][column], status[1][column], uniforms[column])
         np.testing.assert_array_equal(empirical_contention_success(n, params, 1, blocks),
                                       expected[:, t])
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(st.floats(0, 1), st.floats(0, 2.0**-50), st.floats(1 - 2.0**-50, 1)))
+@example(0.0)
+@example(5e-324)  # the least subnormal: q^2 underflows to 0
+@example(2.0**-54)  # 1 - q rounds to 1.0 (a tie, to even)
+@example(2.0**-53)  # 1 - q is exact, below 1.0
+@example(0.3)
+@example(1 - 2.0**-53)  # 1 - q is 2^-53, not 0
+@example(1.0)
+def test_certain_block_is_decided_by_the_first_slot(q):
+    # every 1 - q^m, m = 1..M, is 0.0 or 1.0 exactly when 1 - q is: q^m <= q and rounding
+    # is monotone, so the slot-1 test the estimator makes agrees with the test over all slots
+    for M in range(1, 41):
+        probs = _connect_prob(q, M)
+        assert (probs[0] in (0.0, 1.0)) == bool(np.isin(probs, (0.0, 1.0)).all())
 
 
 @PROPERTY_SETTINGS

@@ -91,6 +91,13 @@ def test_spec_validation():
         DickeSpec(4, 4)
 
 
+def test_outcome_count_is_computed_once_per_instance():
+    spec = DickeSpec(2000, 1000)
+    assert spec.num_outcomes is spec.num_outcomes
+    assert spec.num_outcomes == math.comb(2000, 1000)
+    assert spec == DickeSpec(2000, 1000) and hash(spec) == hash(DickeSpec(2000, 1000))
+
+
 def test_weight_k_enumeration_is_ascending():
     idxs = weight_k_indices(5, 2)
     assert idxs == sorted(idxs)
