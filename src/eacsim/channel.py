@@ -21,13 +21,12 @@ Reproducibility: experiments seed a PCG64DXSM stream with the master seed
 (any non-negative integer).  `split_rng(seed, i)` yields the i-th point's
 private stream: the master stream jumped i times, each jump as far as
 (phi - 1)·2^128 draws, so substreams start far apart in the 2^128 period.
-The vectorized estimators draw one node-major (n, trials) block of uniforms
-per process whose column t belongs to trial t, and reduce over nodes, so
-results are bit-identical for a given seed.  The block of a process whose
-1 - q^m is exactly 0 or 1, which no uniform can change, is not drawn: the
-stream is advanced past it instead (one PCG64DXSM output per double), so
-every later draw, and every output byte, is what drawing it would have
-given.  The winners' block is always drawn.
+The estimators take ``rng`` as any `numpy.random.Generator` and read it
+through ``rng.random`` alone: one node-major (n, trials) block of uniforms
+per process whose column t belongs to trial t, reduced over nodes, so
+results are bit-identical for a given seed and generator.  A process whose
+1 - q^m is exactly 0 or 1, which no uniform can change, draws nothing and
+leaves ``rng`` where it was.  The winners' block is always drawn.
 """
 from __future__ import annotations
 
@@ -118,32 +117,14 @@ def _connect_prob(q: float, M: int) -> np.ndarray:
     return 1.0 - q ** np.arange(1, M + 1)
 
 
-def _skip(rng, draws: int) -> None:
-    """Move ``rng`` past ``draws`` doubles without drawing them.
-
-    ``rng`` is a `make_rng` or `split_rng` stream, whose doubles take one
-    64-bit PCG64DXSM output each, so ``advance`` lands where the draws would
-    have.  It also drops a buffered 32-bit half, which drawing
-    doubles keeps, so that half is put back.
-    """
-    bit_generator = rng.bit_generator
-    state = bit_generator.state
-    bit_generator.advance(draws)
-    if state["has_uint32"]:
-        bit_generator.state = {**bit_generator.state,
-                               "has_uint32": 1, "uinteger": state["uinteger"]}
-
-
 def _connected_by(n: int, q: float, m: int, trials: int, rng) -> np.ndarray:
     """(n, trials) boolean connection status after slot m: one uniform per (node, trial).
 
-    When 1 - q^m is exactly 0.0 or 1.0 every entry is known without its
-    uniform, so the stream is advanced past the block instead of drawing it;
-    the status and the stream position are the same either way.
+    ``rng`` is any `numpy.random.Generator`.  When 1 - q^m is exactly 0.0 or
+    1.0 every entry is known without its uniform, so nothing is drawn.
     """
     p = 1.0 - q**m
     if p in (0.0, 1.0):
-        _skip(rng, n * trials)
         return np.broadcast_to(p == 1.0, (n, trials))
     return rng.random((n, trials)) < p
 
@@ -182,11 +163,13 @@ def simulate_distribution(n: int, q: float, M: int, rng) -> DistributionTrace:
 
 
 def empirical_full_connection_by_slot(n: int, q: float, M: int, trials: int, rng) -> np.ndarray:
-    """Fraction of trials with all n nodes connected by slot m, for m = 1..M."""
+    """Fraction of trials with all n nodes connected by slot m, for m = 1..M.
+
+    ``rng`` is any `numpy.random.Generator`; a certain process (q in {0, 1}) draws nothing.
+    """
     _check_process(n, q, M, trials)
     probs = _connect_prob(q, M)
     if probs[0] in (0.0, 1.0):  # then so is each 1 - q^m (q^m <= q): each fraction is its value
-        _skip(rng, n * trials)
         return probs
     # every node is connected by slot m iff the largest of its trial's uniforms is < 1 - q^m
     last = np.sort(rng.random((n, trials)).max(axis=0))
@@ -194,7 +177,10 @@ def empirical_full_connection_by_slot(n: int, q: float, M: int, trials: int, rng
 
 
 def empirical_state_distribution(n: int, q: float, M: int, trials: int, rng) -> np.ndarray:
-    """Frequency of ending with j connected nodes, j = 0..n (sums to 1)."""
+    """Frequency of ending with j connected nodes, j = 0..n (sums to 1).
+
+    ``rng`` is any `numpy.random.Generator`; a certain process draws nothing.
+    """
     _check_process(n, q, M, trials)
     connected = _connected_by(n, q, M, trials, rng)
     counts = np.bincount(connected.sum(axis=0, dtype=np.min_scalar_type(n)), minlength=n + 1)
@@ -207,7 +193,8 @@ def empirical_contention_success(n: int, params: ChannelParams, trials: int, rng
     Per trial: sample each node's status in the two independent distribution
     processes at the common horizon m_bar and draw one uniform per node; the k
     winners, a uniform weight-k set, hold the k smallest.  One draw serves every
-    k: entry k-1 is the float a draw for that k alone would give.
+    k: entry k-1 is the float a draw for that k alone would give.  ``rng`` is any
+    `numpy.random.Generator`; a certain process draws nothing, the winners' block always.
     """
     _check_process(n, params.q_cr, params.m_bar, trials)  # ChannelParams checked q and M
     m_bar = params.m_bar

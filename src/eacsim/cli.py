@@ -18,12 +18,13 @@ under ``--out-dir``, $EACSIM_OUT_DIR or '.' (never both flags), and ``_write``
 alone opens it; ``analytics`` without ``--out`` prints to stdout.
 ``_csv`` formats every CSV table (header row, '.' decimals); files end
 lines with '\\n'.  Exit codes: 0 success, 2 usage error (a ValueError other
-than CapacityError), a path that cannot be read or written or a stdout its
-reader closed, 3 encoder synthesis failure, 4 capacity exceeded: an
-``encoder.CapacityError``, whose docstring states the caps (``encode``'s
-codebook, the binary construction's slice rule, which ``contend --kind
-binary`` applies too, ``contend``'s C(n,k) outcome count and every encoder's
-CNOT array), or arrays that cannot be allocated, e.g. 10**15 trials.
+than CapacityError, or an integer too large for a float), a path that
+cannot be read or written or a stdout its reader closed, 3 encoder
+synthesis failure, 4 capacity exceeded: an ``encoder.CapacityError``,
+whose docstring states the caps (``encode``'s codebook, the binary
+construction's slice rule, which ``contend --kind binary`` applies too,
+``contend``'s C(n,k) outcome count and every encoder's CNOT array), or
+arrays that cannot be allocated, e.g. 10**15 trials.
 """
 from __future__ import annotations
 
@@ -291,8 +292,7 @@ _FIGURES = {
 
 
 def cmd_reproduce(args) -> int:
-    if args.trials < 1:
-        raise UsageError(f"trials={args.trials} must be >= 1")
+    channel._check_count("trials", args.trials)
     _check_seed(args.seed, "--seed")
     # every table is computed before any is written, so a failed run leaves no file
     for name, header, rows in _FIGURES[args.figure](args.trials, args.seed):
@@ -459,7 +459,7 @@ def main(argv=None) -> int:
     except SynthesisFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:  # UsageError is a ValueError
+    except (ValueError, OverflowError, OSError) as exc:  # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

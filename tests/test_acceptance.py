@@ -10,7 +10,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare
+from scipy.stats import binomtest, chisquare
 
 from conftest import cnot_count_bound, encode_word, force_bits, transition_matrix
 
@@ -269,7 +269,8 @@ def _draw_group_histograms(trials):
 
 def test_criterion_6b_calibrated_gate_per_draw_group():
     # every draw group of the figures' overlays against its exact law: one chi-square
-    # test each, Bonferroni over the groups at family-wise level GATE_ALPHA
+    # test each (an exact binomial one where the cells pool into one), Bonferroni
+    # over the groups at family-wise level GATE_ALPHA
     started = time.perf_counter()
     trials = 20_000  # reproduce's default, at its default seed
     histograms = _draw_group_histograms(trials)
@@ -281,8 +282,10 @@ def test_criterion_6b_calibrated_gate_per_draw_group():
             assert (observed == exact * trials).all(), key
             continue
         obs, exp = _pooled(observed, exact * trials)
-        if len(obs) > 1:  # one pooled cell leaves nothing to test (fig11, M = 10, q_cr = 0.3)
+        if len(obs) > 1:
             p_values[key] = chisquare(obs, exp).pvalue
+        else:  # one pooled cell (fig11, M = 10, q_cr = 0.3): test the count below the top threshold
+            p_values[key] = binomtest(int(observed[:-1].sum()), trials, exact[:-1].sum()).pvalue
     worst = min(p_values, key=p_values.get)
     threshold = GATE_ALPHA / GATE_GROUPS
     assert p_values[worst] > threshold, (worst, p_values[worst])

@@ -412,36 +412,47 @@ def test_estimator_draw_budget(estimator, per_node_trial):
     assert used.bit_generator.state == fresh.bit_generator.state
 
 
-def drawing_state_distribution(n, q, M, trials, rng):
-    """Reference that draws every block, certain or not."""
-    connected = rng.random((n, trials)) < 1.0 - q**M
+def reference_status(n, q, m, trials, rng):
+    """Status after slot m; the block is drawn only when 1 - q^m is neither 0 nor 1."""
+    p = 1.0 - q**m
+    return np.full((n, trials), p == 1.0) if p in (0.0, 1.0) else rng.random((n, trials)) < p
+
+
+def reference_state_distribution(n, q, M, trials, rng):
+    """Reference that draws only an uncertain block."""
+    connected = reference_status(n, q, M, trials, rng)
     return np.bincount(connected.sum(axis=0), minlength=n + 1) / trials
 
 
-def drawing_full_connection_by_slot(n, q, M, trials, rng):
-    """Reference that draws every block, certain or not."""
+def reference_full_connection_by_slot(n, q, M, trials, rng):
+    """Reference that draws only an uncertain block; a certain one is its exact curve."""
+    probs = 1.0 - q ** np.arange(1, M + 1)
+    if q in (0.0, 1.0):
+        return probs
     last = np.sort(rng.random((n, trials)).max(axis=0))
-    return np.searchsorted(last, 1.0 - q ** np.arange(1, M + 1), side="left") / trials
+    return np.searchsorted(last, probs, side="left") / trials
 
 
-def drawing_contention_success(n, params, trials, rng):
-    """Reference that draws all three blocks, certain or not; every k = 1..n."""
+def reference_contention_success(n, params, trials, rng):
+    """Reference that draws only the uncertain status blocks, then the winners'; every k = 1..n."""
     m = params.m_bar
-    both = ((rng.random((n, trials)) < 1.0 - params.q_cr**m)
-            & (rng.random((n, trials)) < 1.0 - params.q_e**m))
+    both = (reference_status(n, params.q_cr, m, trials, rng)
+            & reference_status(n, params.q_e, m, trials, rng))
     uniforms = rng.random((n, trials))
     bad = (uniforms + both).min(axis=0)
     return [float(((uniforms < bad).sum(axis=0) >= k).mean()) for k in range(1, n + 1)]
 
 
-_DRAWING_REFERENCE = {
-    empirical_state_distribution: drawing_state_distribution,
-    empirical_full_connection_by_slot: drawing_full_connection_by_slot,
-    empirical_contention_success: drawing_contention_success,
+_REFERENCE = {
+    empirical_state_distribution: reference_state_distribution,
+    empirical_full_connection_by_slot: reference_full_connection_by_slot,
+    empirical_contention_success: reference_contention_success,
 }
 
 
-@pytest.mark.parametrize("buffered_half", [False, True], ids=["fresh", "buffered-half"])
+@pytest.mark.parametrize("bit_generator", [
+    np.random.PCG64DXSM, np.random.PCG64, np.random.Philox, np.random.MT19937, np.random.SFC64,
+], ids=lambda cls: cls.__name__)
 @pytest.mark.parametrize("estimator, qs", [
     *[(empirical_state_distribution, (q,)) for q in (0.0, 1.0, 0.4)],
     *[(empirical_full_connection_by_slot, (q,)) for q in (0.0, 1.0, 0.4)],
@@ -449,21 +460,18 @@ _DRAWING_REFERENCE = {
         (0.0, 0.4), (1.0, 0.4), (0.4, 0.0), (0.4, 1.0), (0.0, 0.0), (1.0, 1.0), (0.0, 1.0),
         (0.4, 0.3)]],
 ], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else v.__name__)
-def test_skipped_blocks_leave_the_stream_where_drawing_would(estimator, qs, buffered_half):
-    # a block whose outcome is certain is jumped, not drawn: the estimate and the
-    # whole generator state (a buffered 32-bit half too) match a reference that
-    # draws every block; the last case of each estimator draws all its blocks
+def test_certain_blocks_draw_nothing(estimator, qs, bit_generator):
+    # a block whose outcome is certain is not drawn, on any numpy generator: the
+    # estimate and the draws after it match a reference that draws only the
+    # uncertain blocks; the last case of each estimator draws all its blocks
     n, trials = 7, 301
     if estimator is empirical_contention_success:
         args = (n, ChannelParams(*qs, M_cr=3, M_e=4), trials)
     else:
         args = (n, *qs, 5, trials)
-    used, drawn = make_rng(12), make_rng(12)
-    if buffered_half:
-        for rng in (used, drawn):
-            rng.integers(0, 2**32, dtype=np.uint32)
-    np.testing.assert_array_equal(estimator(*args, used), _DRAWING_REFERENCE[estimator](*args, drawn))
-    assert used.bit_generator.state == drawn.bit_generator.state
+    used, drawn = (np.random.Generator(bit_generator(12)) for _ in range(2))
+    np.testing.assert_array_equal(estimator(*args, used), _REFERENCE[estimator](*args, drawn))
+    np.testing.assert_array_equal(used.random(8), drawn.random(8))
 
 
 def test_estimator_bit_reproducible():

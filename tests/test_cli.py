@@ -742,16 +742,16 @@ PINNED_DIGESTS = {
     "fig10.csv": "3211927da6342f5a40ec73b05fe804e0f55774902338a4551136a26afb724dab",
     "fig10_mc.csv": "476946b36f32f613fc7a322cedad4a111cffafec4f5240f0700abcbbc236b187",
     "fig11.csv": "034be8033ef7e70b13fee664623c09ff6d39037ef30c6246bd9ce3fb2b2657d3",
-    "fig11_mc.csv": "964903abac7e790ffd763b8f1ebc9eb8ef09b5a2f23f0bc3c7693a1b393c1a23",
+    "fig11_mc.csv": "f9f31373fb4d8e6ff980f918d2488209223a92b24f5a78841ec3787ec79776d8",
     "fig8.csv": "8481747fd33d77402ffc3f10cefad8aba69a3a9581e31f998f59106e6124887b",
     "fig8_mc.csv": "2820de098f70913d46eb7839ef72fa99641dcc9d14e43d5286ca970dc7221363",
     "fig8_thresholds.csv": "d4c84f53a85c40f55e2c48732a147bdc604b491f13ebc61ea39679f8425c4d70",
     "fig8l.csv": "b95e7334a4240c0d889dceff1378a9002cd0960f1978c0f573cf176a86968870",
     "fig8l_mc.csv": "009cd976771892df394b7944579587947b773eb5c614f3fb44980411bb974114",
     "fig9.csv": "234b6e68a74ea21343038eea76602e4f9b10b3d79264f8d8ab1946eb5aeaa91d",
-    "fig9_mc.csv": "a57a46305b882cbed90fbb46ef9147c00ff54cfb48edc82448db26be6d0583a2",
+    "fig9_mc.csv": "24dad010cc122c079547fffdde43dade4abe9cb856d56532d403b50c387b9325",
     "sweep_analytic.csv": "688d47e5d6366e8207b3869cd9ecbb46b772abe089394dce743c3ece6f4b864a",
-    "sweep_mc.csv": "d12b057c6b6cb2701d4b95d4ea91d02f2607f52551bf98afb19085b90ffd933e",
+    "sweep_mc.csv": "be1ecee5024f88f953c8e0463e41f51978aca2b633e550110f46890d92563d49",
 }
 
 
@@ -844,6 +844,21 @@ def test_bad_instance_stderr_pinned(tmp_path, monkeypatch, capsys, argv, err):
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {err}\n")
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag", ["--M-cr", "--M-e", "--k", "--n", "sweep"])
+def test_integer_too_large_for_a_float_is_usage_error(tmp_path, monkeypatch, capsys, flag):
+    monkeypatch.chdir(tmp_path)
+    if flag == "sweep":
+        # m_bar = min(M_cr, M_e) is what a sweep point reads, so both are too large
+        Path("big.cfg").write_text(SWEEP_CFG.replace(" = 3\n", f" = {2**1024}\n"))
+        argv = ["sweep", "--config", "big.cfg"]
+    else:
+        values = {"--n": "8", "--k": "2", "--q-cr": "0.3", "--M-cr": "3", "--M-e": "3", flag: str(2**1024)}
+        argv = ["analytics", *(word for pair in values.items() for word in pair)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: int too large to convert to float\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["big.cfg"] if flag == "sweep" else [])
 
 
 def test_cli_import_leaves_scipy_out():

@@ -24,7 +24,7 @@ from eacsim.protocol import (
 )
 from eacsim.states import DickeSpec, _slice_columns
 
-from test_channel import sample_winner_sets
+from test_channel import reference_status, sample_winner_sets
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -152,7 +152,7 @@ def test_bulk_transcript_parses_back(case):
 @given(st.integers(1, 64), st.floats(0, 1), st.floats(0, 1), st.integers(1, 20),
        st.integers(1, 20), st.integers(1, 500), st.integers(0, 2**32))
 @example(60, 0.3, 0.1, 3, 5, 500, 0)  # C(60,30) = 1.2e17 winner sets: none is tabulated
-# certain processes are jumped, not drawn; hypothesis seldom draws the endpoints itself
+# certain processes draw nothing; hypothesis seldom draws the endpoints itself
 @example(8, 0.0, 0.4, 3, 5, 200, 1)  # q_cr = 0: every node holds its cr ebit
 @example(8, 0.4, 0.0, 3, 5, 200, 2)  # q_e = 0: every node holds its e ebit
 @example(8, 0.4, 1.0, 3, 5, 200, 3)  # q_e = 1: no node does, whoever wins
@@ -161,8 +161,7 @@ def test_contention_estimator_is_the_argsort_reference(n, q_cr, q_e, m_cr, m_e, 
     # one call gives the whole curve; each k is compared with the reference on the same draw
     params = ChannelParams(q_cr=q_cr, q_e=q_e, M_cr=m_cr, M_e=m_e)
     rng = make_rng(seed)  # the reference reads the same node-major draws in the same order
-    conn_cr = rng.random((n, trials)).T < 1.0 - q_cr**params.m_bar
-    conn_e = rng.random((n, trials)).T < 1.0 - q_e**params.m_bar
+    conn_cr, conn_e = (reference_status(n, q, params.m_bar, trials, rng).T for q in (q_cr, q_e))
     before_winners = rng.bit_generator.state
     curve = empirical_contention_success(n, params, trials, make_rng(seed))
     assert curve.shape == (n,)
