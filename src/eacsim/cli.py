@@ -391,7 +391,11 @@ def _add_out_options(parser) -> None:
     group.add_argument("--out-dir", default=None)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The ``eacsim`` parser.  Every subcommand is registered with its name and help line,
+    so usage, top-level help and errors read the same; given ``argv``, only the subcommands
+    it names get their options (argparse builds a help formatter, probing the terminal, for
+    each option it adds)."""
     parser = argparse.ArgumentParser(
         prog="eacsim",
         description="Entanglement access control: protocol simulation and noise analytics.",
@@ -399,53 +403,57 @@ def build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(out=None, out_dir=None)  # read by `_out_path`; commands add the flags
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("encode", help="emit an encoder circuit and its codebook")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--kind", choices=("linear", "binary"), default="linear")
-    p.add_argument("--ell", type=int, default=None, help="override the binary ancilla count")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="echoed; circuits ignore it")
-    p.add_argument("--out-dir", default=None)
-    p.set_defaults(func=cmd_encode)
+    def add(name, text, func):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
+        return p if argv is None or name in argv else None
 
-    p = sub.add_parser("contend", help="run contention rounds, write a JSONL transcript")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--runs", type=int, required=True)
-    p.add_argument("--kind", choices=("linear", "binary"), default="linear")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_out_options(p)
-    p.set_defaults(func=cmd_contend)
+    if p := add("encode", "emit an encoder circuit and its codebook", cmd_encode):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--kind", choices=("linear", "binary"), default="linear")
+        p.add_argument("--ell", type=int, default=None, help="override the binary ancilla count")
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="echoed; circuits ignore it")
+        p.add_argument("--out-dir", default=None)
 
-    p = sub.add_parser("analytics", help="closed-form quantities for one parameter point")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--q-cr", dest="q_cr", type=float, required=True)
-    p.add_argument("--q-e", dest="q_e", type=float, default=0.0)
-    p.add_argument("--M-cr", dest="m_cr", type=int, required=True)
-    p.add_argument("--M-e", dest="m_e", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_analytics)
+    if p := add("contend", "run contention rounds, write a JSONL transcript", cmd_contend):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--runs", type=int, required=True)
+        p.add_argument("--kind", choices=("linear", "binary"), default="linear")
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        _add_out_options(p)
 
-    p = sub.add_parser("reproduce", help="regenerate a figure dataset")
-    p.add_argument("--figure", choices=sorted(_FIGURES), required=True)
-    p.add_argument("--trials", type=int, default=20_000, help="Monte Carlo overlay trials")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--out-dir", default=None)
-    p.set_defaults(func=cmd_reproduce)
+    if p := add("analytics", "closed-form quantities for one parameter point", cmd_analytics):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--q-cr", dest="q_cr", type=float, required=True)
+        p.add_argument("--q-e", dest="q_e", type=float, default=0.0)
+        p.add_argument("--M-cr", dest="m_cr", type=int, required=True)
+        p.add_argument("--M-e", dest="m_e", type=int, default=None)
+        p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
+        p.add_argument("--format", choices=("table", "csv", "json"), default="table")
+        p.add_argument("--out", default=None)
 
-    p = sub.add_parser("sweep", help="Cartesian parameter sweep from a config file")
-    p.add_argument("--config", required=True)
-    _add_out_options(p)
-    p.set_defaults(func=cmd_sweep)
+    if p := add("reproduce", "regenerate a figure dataset", cmd_reproduce):
+        p.add_argument("--figure", choices=sorted(_FIGURES), required=True)
+        p.add_argument("--trials", type=int, default=20_000, help="Monte Carlo overlay trials")
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--out-dir", default=None)
+
+    if p := add("sweep", "Cartesian parameter sweep from a config file", cmd_sweep):
+        p.add_argument("--config", required=True)
+        _add_out_options(p)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run the subcommand ``argv`` (default sys.argv[1:]) names and return its exit code.
+    The parser has the options of only the subcommands ``argv`` names; argparse runs the
+    first word that names one, if it runs any."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout shows here, not in the flush at exit

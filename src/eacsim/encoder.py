@@ -148,18 +148,27 @@ def build_linear_encoder(spec: DickeSpec) -> EncoderCircuit:
 def _packed_words(circuit: EncoderCircuit, columns: np.ndarray) -> np.ndarray:
     """Words G.d mod 2 of the (rows x k) ``columns`` `states._slice_columns` gave: each XORs
     the rows of G.T its columns pick, packed 64 bits to a uint64 block as np.packbits would.
-    Only picked rows are packed; row i-1 gets one bit per CNOT(i, j), a repeat cancelling."""
-    picked = np.zeros(circuit.n, dtype=bool)
-    for col in columns.T:
-        picked[col] = True
-    slot = np.cumsum(picked) - 1  # slot[i]: row i's place in the packed table, if picked
-    control, target = circuit.cnots[picked[circuit.cnots[:, 0] - 1]].T
-    packed = np.zeros((slot[-1] + 1, 8 * -(-circuit.ell // 64)), dtype=np.uint8)
-    np.bitwise_xor.at(packed, (slot[control - 1], target // 8), (128 >> target % 8).astype(np.uint8))
+    Row i-1 gets one bit per CNOT(i, j), a repeat cancelling.  All n rows are packed when
+    the picks could cover them, n <= rows * k, as on the whole slice `verify_injectivity`
+    checks; past that only the picked rows, through a slot table, so a few rounds of a
+    linear n up to 16,777,217 pack a few rows."""
+    row, target = circuit.cnots.T
+    row = row - 1  # packed-table row of each gate; all n rows, column i at row i
+    count, place = circuit.n, lambda col: col
+    if circuit.n > columns.size:
+        picked = np.zeros(circuit.n, dtype=bool)
+        for col in columns.T:
+            picked[col] = True
+        slot = np.cumsum(picked) - 1  # slot[i]: picked column i's row in the packed table
+        keep = picked[row]
+        row, target = slot[row[keep]], target[keep]
+        count, place = slot[-1] + 1, slot.take
+    packed = np.zeros((count, 8 * -(-circuit.ell // 64)), dtype=np.uint8)
+    np.bitwise_xor.at(packed, (row, target // 8), (128 >> target % 8).astype(np.uint8))
     rows = packed.view(np.uint64)
-    words = rows.take(slot.take(columns[:, 0]), axis=0)
+    words = rows.take(place(columns[:, 0]), axis=0)
     for col in columns.T[1:]:
-        words ^= rows.take(slot.take(col), axis=0)
+        words ^= rows.take(place(col), axis=0)
     return words
 
 

@@ -122,7 +122,8 @@ def sample_contention_outcomes(
     bits and (runs x ell) ancilla bits, both uint8; injectivity is
     `verify_injectivity`'s to check.  Raises CapacityError before allocating
     past 2^63 - 1 outcomes, the largest int64.  The builder charged the CNOT array (a linear
-    n up to 16,777,217); `_packed_words` packs only the rows of G.T the winners pick.
+    n up to 16,777,217); `_packed_words` packs all n rows of G.T when n <= runs * k, and
+    only the rows the winners pick past that.
     """
     if encoder.n != spec.n:
         raise ValueError(f"encoder built for n={encoder.n}, spec has n={spec.n}")

@@ -14,6 +14,7 @@ import numpy
 import pytest
 
 import eacsim
+from eacsim import cli
 from eacsim.channel import (ChannelParams, empirical_contention_success,
                             empirical_full_connection_by_slot, normal_ci, split_rng)
 from eacsim.cli import UsageError, main, parse_sweep_config
@@ -448,6 +449,58 @@ def test_out_and_out_dir_are_exclusive(tmp_path, capsys, command):
     assert [path.name for path in tmp_path.iterdir()] == ["cfg"]
 
 
+def _parse_outcome(capsys, argv=None):
+    """(exit code, stdout, stderr) of ``main(argv)``, argparse's exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"],
+    *[[command, "-h"] for command in ("encode", "contend", "analytics", "reproduce", "sweep")],
+    ["bogus"], ["bogus", "--n", "8"], ["-1", "encode"],
+    ["encode", "--k", "2"], ["analytics", "--n", "8", "--k", "2"], ["reproduce"],
+    ["contend", "--n", "8", "--k", "2", "--runs", "3", "--bogus"],
+    ["sweep", "--config", "c.toml", "extra"],
+    ["contend", "--n", "8", "--k", "2", "--runs", "3", "--out", "t", "--out-dir", "d"],
+    ["sweep", "--config", "c.toml", "--out-dir", "d", "--out", "t"],
+    ["analytics", "--out-dir", "d"],
+    ["--bogus", "encode", "--n", "8"],  # the subcommand argparse runs is not argv[0]
+    ["encode", "--n", "8", "--k", "2", "--kind", "contend"],  # a value names a subcommand
+], ids=repr)
+def test_parser_texts_match_a_parser_with_every_option(tmp_path, monkeypatch, capsys, argv):
+    # `main` builds only the options of the subcommands argv names; help, usage lines, error
+    # texts and exit codes are those of the parser that has every subcommand's options
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "100")
+    got = _parse_outcome(capsys, argv)
+    monkeypatch.setattr(sys, "argv", ["eacsim", *argv])  # the console script's path
+    assert _parse_outcome(capsys) == got
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: build())
+    assert _parse_outcome(capsys, argv) == got
+    assert got[0] in (0, 2) and not any(tmp_path.iterdir())
+
+
+def test_console_script_path_runs_a_command(monkeypatch, capsys):
+    argv = ["analytics", "--n", "8", "--k", "2", "--q-cr", "0.3", "--M-cr", "3", "--format", "csv"]
+    want = _parse_outcome(capsys, argv)
+    monkeypatch.setattr(sys, "argv", ["eacsim", *argv])
+    assert want[0] == 0 and want[1].startswith("quantity,value")
+    assert _parse_outcome(capsys) == want
+
+
+def test_parser_adds_only_the_options_of_named_subcommands(capsys):
+    argv = ["contend", "--n", "8", "--k", "2", "--runs", "3"]
+    assert cli.build_parser(argv).parse_args(argv).runs == 3
+    with pytest.raises(SystemExit):
+        cli.build_parser(["encode"]).parse_args(argv)
+    assert "unrecognized arguments: --n 8 --k 2 --runs 3" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- reproduce
 
 def test_reproduce_fig9_spot_value(tmp_path):
@@ -778,6 +831,11 @@ PINNED_CONTEND_DIGESTS = {
                               "f994fa290b3ee843326b03dbb31eaea58a1143fcf6cf28c87c99083ce389c830"),
     ("binary", 8, 1, 300): ("df16ebd4f355a871c5e34276394fa838c24d9ae6d1e4a1ec77ac3dbe52cca89c",
                             "01063a403e85eb572f27237fd7155c48ed380c167de2c20e510f6869461f9f50"),
+    # n > runs * k: the sampler packs only the rows of G the drawn winners pick
+    ("linear", 300, 2, 20): ("49364acca73eedb457e9da80222cb5d36b7c9584d6dc1899b15cbbce068cea64",
+                             "9e91460146dca9fc58f8c7b3c9b3043a1b71699fba952d7fae138e82beebfda5"),
+    ("binary", 40, 1, 10): ("21d494fd07fa3d8f51ded56b36cbc43f32b8fc01ae82e09e081758720c2404cc",
+                            "9087fe6f3540cff9d936a79b4222978463292174b5f7a761a3d8cfaf9c33b8e8"),
 }
 
 

@@ -92,6 +92,39 @@ def test_packed_rows_from_cnots_are_packbits_of_the_matrix(n, ell, gates, seed):
 
 
 @st.composite
+def picks_around_n(draw):
+    """(circuit, columns): a linear, binary or random-CNOT circuit on n qubits and a (rows x k)
+    index matrix, k >= 2, of n - 1, n or n + 1 entries: either side of the rule that packs all
+    of G when n <= rows * k and only the picked rows past it."""
+    n = draw(st.integers(3, 40))
+    size = n + draw(st.sampled_from((-1, 0, 1)))
+    k = draw(st.sampled_from([d for d in range(2, size + 1) if size % d == 0]))
+    kind = draw(st.sampled_from(("linear", "binary", "random")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    if kind == "random":  # repeated gates; up to 130 ancillas, three uint64 blocks
+        ell = draw(st.integers(1, 130))
+        cnots = np.stack([rng.integers(1, n + 1, 3 * n), rng.integers(0, ell, 3 * n)], axis=1)
+        circuit = EncoderCircuit(n=n, k=1, ell=ell, cnots=cnots, kind="binary")
+    else:
+        build = build_linear_encoder if kind == "linear" else build_binary_encoder
+        circuit = build(DickeSpec(n, 1))
+    return circuit, rng.integers(0, n, (size // k, k)).astype(np.uint8)
+
+
+@PROPERTY_SETTINGS
+@given(picks_around_n())
+@example((build_linear_encoder(DickeSpec(6, 1)), np.array([[0, 5], [1, 4], [2, 3]], np.uint8)))
+@example((build_linear_encoder(DickeSpec(7, 1)), np.array([[0, 6], [1, 5], [2, 4]], np.uint8)))
+def test_packed_words_either_side_of_the_pick_rule(case):
+    # every row picked once at n = rows * k; one row unpicked at n = rows * k + 1
+    circuit, columns = case
+    rows = np.packbits(encoder_matrix(circuit).T, axis=1)
+    want = np.zeros((len(columns), 8 * -(-circuit.ell // 64)), dtype=np.uint8)
+    want[:, : rows.shape[1]] = np.bitwise_xor.reduce(rows[columns], axis=1)
+    np.testing.assert_array_equal(_packed_words(circuit, columns).view(np.uint8), want)
+
+
+@st.composite
 def contention_cases(draw):
     """(spec, encoder, runs, seed): linear encoders, or the k=1 binary encoder.
 
