@@ -2,7 +2,8 @@
 
 Subcommands wrap the library: ``encode`` emits encoder circuits and
 codebooks, ``contend`` samples contention rounds classically (no
-statevector) and writes a JSON-lines transcript, ``analytics`` tabulates
+statevector) and writes a JSON-lines transcript a chunk of rounds at a time,
+holding one int64 per round, ``analytics`` tabulates
 the closed-form quantities, ``reproduce`` regenerates the figure datasets
 (analytic curves plus Monte Carlo overlays with confidence intervals), and
 ``sweep`` runs a Cartesian parameter grid from a TOML config file.
@@ -40,7 +41,6 @@ from .channel import ChannelParams, make_rng, normal_ci, split_rng
 from .encoder import (
     CapacityError,
     SynthesisFailed,
-    _format_int_rows,
     build_binary_encoder,
     build_linear_encoder,
     format_circuit,
@@ -117,27 +117,25 @@ def cmd_contend(args) -> int:
         raise UsageError(f"--runs must be >= 1, got {args.runs}")
     _check_seed(args.seed, "--seed")
     circuit = _build_encoder(spec, args.kind, None)
-    rng = make_rng(args.seed)
-    ranks, winners, d_bits, a_bits = protocol.sample_contention_outcomes(spec, circuit, args.runs, rng)
-    subsets, counts = protocol.count_outcomes(spec, ranks)
-    del ranks
-    g_matrix, parity = protocol.sample_loser_outcomes(d_bits, rng) if spec.k == 2 else (None, None)
-    out_path = _write(
-        args, f"contend_n{args.n}_k{args.k}.jsonl",
-        lambda fh: protocol.write_transcript_arrays(d_bits, a_bits, winners, g_matrix, parity,
-                                                    args.seed, fh))
-    keys = b"".join(_format_int_rows([(subsets, b" "), b"\n"])).decode("ascii").splitlines()
-    summary = {
-        "n": spec.n,
+    rounds = protocol.draw_rounds(spec, circuit, args.runs, make_rng(args.seed))
+    out_path = _write(args, f"contend_n{args.n}_k{args.k}.jsonl",
+                      lambda fh: protocol.write_rounds(rounds, args.seed, fh))
+    tally = rounds.tally
+    del rounds  # its ranks and words: the summary reads only the tally
+    summary = {  # keys in sorted order: json writes them as they are, with no sorted copy
         "k": spec.k,
         "kind": args.kind,
+        "n": spec.n,
+        "node_win_rates": tally.node_win_rates().tolist(),
         "runs": args.runs,
         "seed": args.seed,
+        "subset_rates": tally.subset_rates(),
         "transcript": str(out_path),
-        "node_win_rates": d_bits.mean(axis=0).tolist(),
-        "subset_rates": {key: count / args.runs for key, count in zip(keys, counts.tolist())},
     }
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    text = json.JSONEncoder(indent=2).iterencode(summary)  # in parts: no copy of the whole text
+    while part := "".join(itertools.islice(text, 4096)):
+        sys.stdout.write(part)
+    print()
     return 0
 
 

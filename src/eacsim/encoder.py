@@ -39,7 +39,7 @@ from . import states
 from .states import DickeSpec
 
 SLICE_BYTES_CAP = 256 * 2**20  # tables over the slice; the dense cap's 2^24 x 16 B
-FORMAT_CHUNK_BYTES = 1 << 20  # text formatted at a time; bounds the memory held at once
+FORMAT_CHUNK_BYTES = 1 << 18  # text formatted, and contend's round arrays built, at a time (L2)
 
 
 class CapacityError(ValueError):
@@ -338,7 +338,11 @@ def _format_int_rows(pieces) -> Iterator[bytes]:
             piece = (np.zeros((rows, 1), dtype=np.uint8), b"", [piece])
         matrix, sep, *labels = piece
         if not labels:  # Python ints: uint8's largest index + 1 would wrap to 0
-            labels = [[b"%d" % v for v in range(1, int(matrix.max()) + 2)]]
+            indices = range(int(matrix.max()) + 1)
+            if len(indices) > matrix.size:  # few rows at a large n: label the indices present
+                indices, inverse = np.unique(matrix, return_inverse=True)
+                indices, matrix = indices.tolist(), inverse.reshape(matrix.shape)
+            labels = [[b"%d" % (v + 1) for v in indices]]
         table = np.array([sep + label for label in labels[0]])
         slots.append((matrix, table.view(np.uint8).reshape(len(table), -1), len(sep)))
         width += matrix.shape[1] * table.itemsize

@@ -15,21 +15,26 @@ This module holds the records of a round (`NodeView`, `ContentionOutcome`,
 the computational basis (after the losers' Hadamards) and CNOTs only permute
 basis states, so `sample_contention_outcomes` and `sample_loser_outcomes`
 draw the Born laws without amplitudes; the contention sampler unranks only
-the weight-k strings it draws.  `cli contend` uses both, `count_outcomes`
-and the byte-matrix writer `write_transcript_arrays`; a round's winners
-travel as k column indices.  The same rounds on a dense register, the
-quantum reference the tests compare against, are in `statevector`.
+the weight-k strings it draws.  `cli contend` streams the same draws:
+`draw_rounds` keeps one int64 rank a round and unranks and packs each
+distinct outcome once, and `write_rounds` builds, draws the losers of and
+writes (by the byte-matrix writer `write_transcript_arrays`) a chunk of
+rounds at a time, about `encoder.FORMAT_CHUNK_BYTES` of arrays; the summary
+reads the outcomes' `Tally`.  A round's winners travel as k column indices.
+The same rounds on a dense register, the quantum reference the tests compare
+against, are in `statevector`.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .encoder import (CapacityError, EncoderCircuit, _data_bits, _format_int_rows,
-                      _packed_words, _size)
+from .encoder import (FORMAT_CHUNK_BYTES, CapacityError, EncoderCircuit, _data_bits,
+                      _format_int_rows, _packed_words, _size)
 from .states import DickeSpec, _slice_columns
 
 
@@ -105,6 +110,23 @@ def anonymity_audit(views: list[NodeView]) -> bool:
     return True
 
 
+def _draw_ranks(spec: DickeSpec, encoder: EncoderCircuit, runs: int, rng) -> np.ndarray:
+    """The (runs,) int64 ranks of ``runs`` rounds, one uniform draw from 0..C(n,k)-1 each;
+    refuses a mismatched encoder and, before allocating, C(n,k) past 2^63 - 1."""
+    if encoder.n != spec.n:
+        raise ValueError(f"encoder built for n={encoder.n}, spec has n={spec.n}")
+    if spec.num_outcomes >= 2**63:
+        raise CapacityError(f"C({spec.n},{spec.k}) = {_size(spec.num_outcomes)} outcomes exceed "
+                            "2^63 - 1, the largest int64")
+    return rng.integers(spec.num_outcomes, size=runs, dtype=np.int64)
+
+
+def _round_bits(n: int, ell: int, winners: np.ndarray, words: np.ndarray):
+    """(rows x n) data bits and (rows x ell) ancilla bits, both uint8, of the rounds with
+    these (rows x k) ``winners`` and `_packed_words` ``words``."""
+    return _data_bits(n, winners), np.unpackbits(words.view(np.uint8), axis=1, count=ell)
+
+
 def sample_contention_outcomes(
     spec: DickeSpec, encoder: EncoderCircuit, runs: int, rng
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -117,23 +139,19 @@ def sample_contention_outcomes(
     ``rng`` draws uniformly from 0..C(n,k)-1 (numpy's bounded draw rejects,
     so every rank is exactly equally likely), and unranks only it: no
     C(n,k)-row table, memory grows with ``runs``.  Returns the (runs,) int64
-    ranks (`count_outcomes` counts them), the (runs x k) winner matrix that
-    `states._slice_columns` returns (0-based, ascending), (runs x n) data
-    bits and (runs x ell) ancilla bits, both uint8; injectivity is
-    `verify_injectivity`'s to check.  Raises CapacityError before allocating
-    past 2^63 - 1 outcomes, the largest int64.  The builder charged the CNOT array (a linear
-    n up to 16,777,217); `_packed_words` packs all n rows of G.T when n <= runs * k, and
-    only the rows the winners pick past that.
+    ranks, the (runs x k) winner matrix that `states._slice_columns` returns
+    (0-based, ascending), (runs x n) data bits and (runs x ell) ancilla bits,
+    both uint8; injectivity is `verify_injectivity`'s to check.  Raises
+    CapacityError before allocating past 2^63 - 1 outcomes, the largest int64.
+    The builder charged the CNOT array (a linear n up to 16,777,217);
+    `_packed_words` packs all n rows of G.T when n <= runs * k, and only the
+    rows the winners pick past that.  `draw_rounds` draws the same ranks and
+    builds the same rows a chunk at a time.
     """
-    if encoder.n != spec.n:
-        raise ValueError(f"encoder built for n={encoder.n}, spec has n={spec.n}")
-    if spec.num_outcomes >= 2**63:
-        raise CapacityError(f"C({spec.n},{spec.k}) = {_size(spec.num_outcomes)} outcomes exceed "
-                            "2^63 - 1, the largest int64")
-    ranks = rng.integers(spec.num_outcomes, size=runs, dtype=np.int64)
+    ranks = _draw_ranks(spec, encoder, runs, rng)
     winners = _slice_columns(spec.n, spec.k, ranks)
-    words = np.unpackbits(_packed_words(encoder, winners).view(np.uint8), axis=1, count=encoder.ell)
-    return ranks, winners, _data_bits(spec.n, winners), words
+    words = _packed_words(encoder, winners)
+    return ranks, winners, *_round_bits(spec.n, encoder.ell, winners, words)
 
 
 def sample_loser_outcomes(d_matrix: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -142,21 +160,86 @@ def sample_loser_outcomes(d_matrix: np.ndarray, rng) -> tuple[np.ndarray, np.nda
     Every loser branch of the rotated GHZ state has equal probability 1/2^(n-2),
     so loser bits are i.i.d. fair coin flips: one int32 (an int64 draw's bits and
     stream use) per entry of the (runs x n) ``d_matrix``, then winners are set to
-    -1 in place.  Returns that g matrix and the (runs,) parity vector.
+    -1 in place.  Returns that g matrix and the (runs,) parity vector.  Calls on
+    consecutive row chunks of one matrix draw what one call draws.
     """
     g = rng.integers(0, 2, size=d_matrix.shape, dtype=np.int32)
     g[d_matrix != 0] = -1
     return g, (g == 1).sum(axis=1) % 2
 
 
-def count_outcomes(spec: DickeSpec, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct outcomes among the sampler's ``ranks`` as (winner rows, counts).
+class Tally(NamedTuple):
+    """The distinct outcomes of ``runs`` rounds: their (distinct x k) ``winners`` as the
+    sampler gives them, ascending by rank (by basis index: ``np.unique(d_bits, axis=0)``'s
+    order), and how often each was drawn, ``counts``."""
 
-    Only the distinct ranks are unranked, to winners as the sampler gives
-    them.  Ascending rank is ascending basis index: ``np.unique(d_bits, axis=0)``'s order.
+    n: int
+    runs: int
+    winners: np.ndarray
+    counts: np.ndarray
+
+    def node_win_rates(self) -> np.ndarray:
+        """Node i's share of the wins: an integer sum over the outcomes / runs, so
+        ``d_bits.mean(axis=0)`` of the rounds to the bit."""
+        k = self.winners.shape[1]
+        return np.bincount(self.winners.ravel(), np.repeat(self.counts, k), self.n) / self.runs
+
+    def subset_rates(self) -> dict[str, float]:
+        """Each winner subset's share of the runs, keyed by its 1-based winners space-separated,
+        in ``sorted``'s key order, which numpy's sort of the ASCII keys as bytes gives."""
+        keys = (b"".join(_format_int_rows([(self.winners, b" "), b"\n"]))
+                .decode("ascii").splitlines())
+        order = np.argsort(np.array(keys, dtype=bytes))
+        counts, which = np.unique(self.counts[order], return_inverse=True)
+        rates = (counts / self.runs).tolist()  # one float object per distinct count
+        return {keys[i]: rates[j] for i, j in zip(order, which)}
+
+
+class DrawnRounds(NamedTuple):
+    """Contention rounds as `draw_rounds` holds them, one int64 a round: the (runs,) drawn
+    ``ranks``, in round order; the distinct ``outcomes`` among them, ascending, with their
+    ``tally`` and their `_packed_words` ``words`` (``ell`` bits each); and the ``rng`` the
+    ranks came from, which `write_rounds` draws the losers' bits from."""
+
+    tally: Tally
+    ell: int
+    ranks: np.ndarray
+    outcomes: np.ndarray
+    words: np.ndarray
+    rng: np.random.Generator
+
+
+def draw_rounds(spec: DickeSpec, encoder: EncoderCircuit, runs: int, rng) -> DrawnRounds:
+    """``runs`` rounds drawn as `sample_contention_outcomes` draws them, held as their ranks.
+
+    Every refusal and every array that grows with ``runs`` comes here: the
+    ranks, counted with ``np.unique``, and the distinct outcomes, each
+    unranked and packed once.  `write_rounds` builds the rounds' bits a chunk
+    at a time.
     """
+    ranks = _draw_ranks(spec, encoder, runs, rng)
     outcomes, counts = np.unique(ranks, return_counts=True)
-    return _slice_columns(spec.n, spec.k, outcomes), counts
+    winners = _slice_columns(spec.n, spec.k, outcomes)
+    return DrawnRounds(Tally(spec.n, runs, winners, counts), encoder.ell, ranks, outcomes,
+                       _packed_words(encoder, winners), rng)
+
+
+def write_rounds(rounds: DrawnRounds, seed, stream) -> None:
+    """The transcript of ``rounds`` by `write_transcript_arrays`, a chunk of rounds at a time.
+
+    A chunk holds about `encoder.FORMAT_CHUNK_BYTES` of round arrays, 5n + ell
+    bytes a round (uint8 d and a, int32 g): it looks its ranks up among the
+    outcomes, builds its bits with the sampler's row builder and, for k = 2,
+    draws its losers' bits; consecutive chunks draw what one call would.
+    """
+    n, k, ell = rounds.tally.n, rounds.tally.winners.shape[1], rounds.ell
+    step = max(1, FORMAT_CHUNK_BYTES // (5 * n + ell))
+    for start in range(0, len(rounds.ranks), step):
+        index = rounds.outcomes.searchsorted(rounds.ranks[start : start + step])
+        winners = rounds.tally.winners[index]
+        d_bits, a_bits = _round_bits(n, ell, winners, rounds.words[index])
+        g_matrix, parity = sample_loser_outcomes(d_bits, rounds.rng) if k == 2 else (None, None)
+        write_transcript_arrays(d_bits, a_bits, winners, g_matrix, parity, seed, stream)
 
 
 def write_transcript_arrays(d_bits, a_bits, winners, g_matrix, parity, seed, stream) -> None:

@@ -267,6 +267,23 @@ def test_linear_contend_past_46337_packs_only_the_drawn_rows(tmp_path):
     assert record["ancilla_word"] == record["d_vector"][: n - 1]  # linear encoder: a_i = d_{i+1}
 
 
+def test_contend_memory_does_not_follow_the_runs(tmp_path, capsys):
+    # a round is held as its int64 rank and built a chunk at a time, so 8x the runs stays
+    # under 2x the peak; holding whole-run d, a and int32 g arrays grows it about 4.5x.  At
+    # n = 300 nearly every round is a distinct outcome, which the summary lists.
+    peaks = {}
+    for runs in (2000, 2000, 16000):  # the first run pays one-time costs
+        tracemalloc.start()
+        try:
+            assert main(["contend", "--n", "300", "--k", "2", "--runs", str(runs),
+                         "--out", str(tmp_path / "t.jsonl")]) == 0
+            peaks[runs] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+    assert peaks[16000] < 2 * peaks[2000], peaks
+
+
 @pytest.mark.parametrize("argv, err", [
     (["contend", "--n", "20000", "--k", "10000", "--runs", "1"],
      "C(20000,10000) = at least 2^19992 outcomes exceed 2^63 - 1, the largest int64"),
@@ -836,6 +853,13 @@ PINNED_CONTEND_DIGESTS = {
                              "9e91460146dca9fc58f8c7b3c9b3043a1b71699fba952d7fae138e82beebfda5"),
     ("binary", 40, 1, 10): ("21d494fd07fa3d8f51ded56b36cbc43f32b8fc01ae82e09e081758720c2404cc",
                             "9087fe6f3540cff9d936a79b4222978463292174b5f7a761a3d8cfaf9c33b8e8"),
+    # 6, 14 and 10 chunks of rounds at FORMAT_CHUNK_BYTES = 256 KiB
+    ("linear", 8, 2, 30000): ("e88deb9a21964e593cbdcb4c888e242b0efbb4ebc7f6fca302f45d165069d4bf",
+                              "d6f76761fe06f7d37b264e8d576ee36437e7d0b6af9508237ad3716dfad0d0c3"),
+    ("linear", 300, 2, 2000): ("b0e2774e5c2fa5086617c2e7a7452890fd711c974093c9d4fa30b77135257141",
+                               "7c7f5b0f0b706d75d1c398e2fab2b7dfeda2866474a59f3bf6f6cd60c278c97b"),
+    ("linear", 22, 11, 20000): ("1953a92b79935110d7238f2d1ce6dfb1de602dfc48acc195954e1929a94df6c2",
+                                "1e5c1da67403e92175687b8662937cb3ecb16d534afb699f9fc3edc274aa5aed"),
 }
 
 

@@ -1,8 +1,8 @@
 """Property tests: the weight-k slice unranker, the encoder rows packed from CNOT lists, the
-classical contention sampler (n <= 62) and the bulk transcript (n <= 40), the
-noisy contention estimator against its argsort reference and, on tied uniforms, its
-partition rule, the full-connection estimator's certain-block test, the confidence
-interval and the absorbing threshold."""
+classical contention sampler (n <= 62), the bulk transcript (n <= 40), index rows in
+decimal, loser draws on row chunks, the noisy contention estimator against its argsort
+reference and, on tied uniforms, its partition rule, the full-connection estimator's
+certain-block test, the confidence interval and the absorbing threshold."""
 import io
 import json
 import math
@@ -14,8 +14,8 @@ from conftest import encoder_matrix
 
 from eacsim.channel import (ChannelParams, _connect_prob, empirical_contention_success,
                             make_rng, normal_ci)
-from eacsim.encoder import (EncoderCircuit, _packed_words, build_binary_encoder,
-                            build_linear_encoder)
+from eacsim.encoder import (EncoderCircuit, _format_int_rows, _packed_words,
+                            build_binary_encoder, build_linear_encoder)
 from eacsim.markov import absorbing_threshold, state_prob
 from eacsim.protocol import (
     sample_contention_outcomes,
@@ -179,6 +179,41 @@ def test_bulk_transcript_parses_back(case):
         np.testing.assert_array_equal([r["g_parity"] for r in records], parity)
         assert all(r["bell_state"] == ("phi_minus" if r["g_parity"] else "phi_plus")
                    for r in records)
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from([np.uint8, np.uint16, np.int64]), st.integers(1, 40), st.integers(1, 6),
+       st.integers(0, 10**6), st.integers(0, 2**32), st.sampled_from([b",", b" ", b""]))
+@example(dtype=np.uint8, rows=1, k=2, top=255, seed=0, sep=b",")  # 255 + 1 must not wrap to 0
+@example(dtype=np.uint16, rows=40, k=6, top=239, seed=0, sep=b",")  # 240 labels, 240 entries
+def test_index_rows_are_their_numbers_in_decimal(dtype, rows, k, top, seed, sep):
+    # the formatter labels every index up to the largest when they are no more than the
+    # matrix entries, else only the indices present; both write index v as the number v + 1
+    top = min(top, np.iinfo(dtype).max)
+    matrix = np.random.default_rng(seed).integers(0, top, size=(rows, k), endpoint=True)
+    matrix[0, 0] = top
+    matrix = matrix.astype(dtype)
+    want = [sep.join(b"%d" % (v + 1) for v in row) + b"\n" for row in matrix.tolist()]
+    assert b"".join(_format_int_rows([(matrix, sep), b"\n"])) == b"".join(want)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 300), st.integers(2, 61),
+       st.lists(st.integers(1, 40), min_size=1, max_size=5), st.integers(0, 2**32))
+@example(rows=299, n=13, sizes=[1], seed=0)  # 1-row chunks, 13 int32 draws each
+@example(rows=301, n=61, sizes=[7, 1, 39], seed=1)  # odd chunks; odd rows * n overall
+def test_loser_draws_on_row_chunks_are_one_draw(rows, n, sizes, seed):
+    # `write_rounds` draws the losers' bits a chunk of rows at a time: consecutive chunks
+    # must continue one int32 stream, also where a chunk takes an odd number of draws
+    d = np.random.default_rng(seed).integers(0, 2, size=(rows, n)).astype(np.uint8)
+    whole_rng, chunk_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    g, parity = sample_loser_outcomes(d, whole_rng)
+    starts = np.cumsum([0] + sizes * rows)
+    chunks = [sample_loser_outcomes(d[a:b], chunk_rng)
+              for a, b in zip(starts, starts[1:]) if a < rows]
+    np.testing.assert_array_equal(np.concatenate([c[0] for c in chunks]), g)
+    np.testing.assert_array_equal(np.concatenate([c[1] for c in chunks]), parity)
+    assert chunk_rng.bit_generator.state == whole_rng.bit_generator.state
 
 
 @PROPERTY_SETTINGS

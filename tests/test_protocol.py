@@ -22,9 +22,10 @@ from eacsim.protocol import (
     WrongWinnerCount,
     anonymity_audit,
     build_u_d,
-    count_outcomes,
+    draw_rounds,
     sample_contention_outcomes,
     sample_loser_outcomes,
+    write_rounds,
     write_transcript_arrays,
 )
 from eacsim.states import DickeSpec
@@ -408,13 +409,45 @@ def test_bulk_transcript_matches_transcript_record():
 def test_count_outcomes_matches_numpy(n, k):
     # at (22,11) nearly every draw is distinct; (2,1) has two outcomes
     spec = DickeSpec(n, k)
-    ranks, _, d_bits, _ = sample_contention_outcomes(
-        spec, build_linear_encoder(spec), 3000, np.random.default_rng(5))
-    rows, counts = count_outcomes(spec, ranks)
-    ref_rows, ref_counts = np.unique(d_bits, axis=0, return_counts=True)
-    assert rows.shape == (len(ref_rows), k)
-    np.testing.assert_array_equal(rows, np.nonzero(ref_rows)[1].reshape(-1, k))
-    np.testing.assert_array_equal(counts, ref_counts)
+    encoder = build_linear_encoder(spec)
+    ranks, _, d_bits, a_bits = sample_contention_outcomes(
+        spec, encoder, 3000, np.random.default_rng(5))
+    rounds = draw_rounds(spec, encoder, 3000, np.random.default_rng(5))
+    np.testing.assert_array_equal(rounds.ranks, ranks)  # the same draw
+    ref_rows, index, ref_counts = np.unique(d_bits, axis=0, return_index=True, return_counts=True)
+    tally = rounds.tally
+    assert tally.winners.shape == (len(ref_rows), k) and tally.runs == 3000
+    np.testing.assert_array_equal(tally.winners, np.nonzero(ref_rows)[1].reshape(-1, k))
+    np.testing.assert_array_equal(tally.counts, ref_counts)
+    np.testing.assert_array_equal(rounds.outcomes, ranks[index])
+    words = np.unpackbits(rounds.words.view(np.uint8), axis=1, count=encoder.ell)
+    np.testing.assert_array_equal(words, a_bits[index])
+    # integer sums over the outcomes: the float mean of the rows to the bit
+    assert tally.node_win_rates().tolist() == d_bits.mean(axis=0).tolist()
+    # keys in sorted() order ("1 10" before "1 2"), each with count / runs
+    rates = {" ".join(str(i + 1) for i in np.flatnonzero(row)): int(c) / 3000
+             for row, c in zip(ref_rows, ref_counts)}
+    assert list(tally.subset_rates().items()) == sorted(rates.items())
+
+
+@pytest.mark.parametrize("n,k,runs,chunk_bytes", [(8, 2, 1000, 1 << 18), (8, 2, 1000, 470),
+                                                  (8, 2, 7, 1), (13, 2, 999, 3003),
+                                                  (22, 11, 500, 1000), (6, 1, 301, 100)])
+def test_streamed_rounds_are_the_whole_draw(monkeypatch, n, k, runs, chunk_bytes):
+    # one chunk; 10-row chunks; 1-row chunks; 39-row chunks of 13 nodes (an odd int32 count)
+    # and a short last one; k = 11 and k = 1 draw no loser bits
+    spec = DickeSpec(n, k)
+    encoder = build_linear_encoder(spec)
+    whole_rng, streamed_rng = np.random.default_rng(9), np.random.default_rng(9)
+    _, winners, d_bits, a_bits = sample_contention_outcomes(spec, encoder, runs, whole_rng)
+    g_matrix, parity = sample_loser_outcomes(d_bits, whole_rng) if k == 2 else (None, None)
+    want = io.StringIO()
+    write_transcript_arrays(d_bits, a_bits, winners, g_matrix, parity, 4, want)
+    monkeypatch.setattr(protocol, "FORMAT_CHUNK_BYTES", chunk_bytes)
+    got = io.StringIO()
+    write_rounds(draw_rounds(spec, encoder, runs, streamed_rng), 4, got)
+    assert got.getvalue() == want.getvalue()
+    assert streamed_rng.bit_generator.state == whole_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("n,k", [(8, 2), (12, 5), (2, 1)])
