@@ -20,7 +20,7 @@ from eacsim import (
     verify_injectivity,
 )
 from eacsim.encoder import format_circuit, recover_last_bit_linear
-from eacsim.protocol import sample_contention_outcomes
+from eacsim.protocol import draw_rounds
 
 spec = DickeSpec(n=4, k=2)
 
@@ -53,7 +53,7 @@ for _ in range(5):
 # --- fairness over many rounds ----------------------------------------------
 # every readout is in the computational basis: the classical sampler draws the same law
 rounds = 20_000
-_, _, d_bits, _ = sample_contention_outcomes(spec, linear, rounds, rng)
+_, d_bits, _ = draw_rounds(spec, linear, rounds, rng).rows()
 print(f"\nPer-node win rates over {rounds} rounds (expect k/n = 0.5):")
 print("  " + "  ".join(f"N{i + 1}: {rate:.3f}" for i, rate in enumerate(d_bits.mean(axis=0))))
 

@@ -8,7 +8,9 @@ Modules:
   maps realized by CNOT arrays, plus codebooks, parity recovery and the caps
   (``CapacityError``).
 * ``protocol`` - the records of a noise-free round, the anonymity audit, and
-  the classical samplers and transcript writer that ``contend`` runs.
+  the classical rounds ``contend`` runs: ``draw_rounds`` draws them as ranks,
+  ``DrawnRounds.rows`` builds their bits and ``write_rounds`` streams their
+  transcript.
 * ``statevector`` - the dense reference and test oracle: a minimal
   statevector simulator (H/X/Z/I, CNOT, measurement, fidelity), the Dicke
   and GHZ states, the encoder run on a register, and the reference rounds

@@ -13,16 +13,16 @@ This module holds the records of a round (`NodeView`, `ContentionOutcome`,
 `BellState`), the extraction step's local unitaries (`build_u_d`) and the
 `anonymity_audit`, and it samples rounds classically: every readout is in
 the computational basis (after the losers' Hadamards) and CNOTs only permute
-basis states, so `sample_contention_outcomes` and `sample_loser_outcomes`
-draw the Born laws without amplitudes; the contention sampler unranks only
-the weight-k strings it draws.  `cli contend` streams the same draws:
-`draw_rounds` keeps one int64 rank a round and unranks and packs each
-distinct outcome once, and `write_rounds` builds, draws the losers of and
-writes (by the byte-matrix writer `write_transcript_arrays`) a chunk of
-rounds at a time, about `encoder.FORMAT_CHUNK_BYTES` of arrays; the summary
-reads the outcomes' `Tally`.  A round's winners travel as k column indices.
-The same rounds on a dense register, the quantum reference the tests compare
-against, are in `statevector`.
+basis states, so `draw_rounds` and `sample_loser_outcomes` draw the Born
+laws without amplitudes.  `draw_rounds` keeps one int64 rank a round and
+unranks and packs each distinct outcome once; `DrawnRounds.rows` builds the
+bits of any run of rounds, and `write_rounds`, which `cli contend` runs,
+builds, draws the losers of and writes (by the byte-matrix writer
+`write_transcript_arrays`) a chunk of rounds at a time, about
+`encoder.FORMAT_CHUNK_BYTES` of arrays; the summary reads the outcomes'
+`Tally`.  A round's winners travel as k column indices.  The same rounds on
+a dense register, the quantum reference the tests compare against, are in
+`statevector`.
 """
 from __future__ import annotations
 
@@ -110,50 +110,6 @@ def anonymity_audit(views: list[NodeView]) -> bool:
     return True
 
 
-def _draw_ranks(spec: DickeSpec, encoder: EncoderCircuit, runs: int, rng) -> np.ndarray:
-    """The (runs,) int64 ranks of ``runs`` rounds, one uniform draw from 0..C(n,k)-1 each;
-    refuses a mismatched encoder and, before allocating, C(n,k) past 2^63 - 1."""
-    if encoder.n != spec.n:
-        raise ValueError(f"encoder built for n={encoder.n}, spec has n={spec.n}")
-    if spec.num_outcomes >= 2**63:
-        raise CapacityError(f"C({spec.n},{spec.k}) = {_size(spec.num_outcomes)} outcomes exceed "
-                            "2^63 - 1, the largest int64")
-    return rng.integers(spec.num_outcomes, size=runs, dtype=np.int64)
-
-
-def _round_bits(n: int, ell: int, winners: np.ndarray, words: np.ndarray):
-    """(rows x n) data bits and (rows x ell) ancilla bits, both uint8, of the rounds with
-    these (rows x k) ``winners`` and `_packed_words` ``words``."""
-    return _data_bits(n, winners), np.unpackbits(words.view(np.uint8), axis=1, count=ell)
-
-
-def sample_contention_outcomes(
-    spec: DickeSpec, encoder: EncoderCircuit, runs: int, rng
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized contention rounds, sampled classically.
-
-    Every measurement is in the computational basis and the encoder only
-    permutes basis states, so a round's (d, a) outcome is one of the C(n,k)
-    weight-k strings d, each with Born weight 1/C(n,k), and a = G.d mod 2.
-    Round r takes the string of rank R_r, the r-th of ``runs`` integers
-    ``rng`` draws uniformly from 0..C(n,k)-1 (numpy's bounded draw rejects,
-    so every rank is exactly equally likely), and unranks only it: no
-    C(n,k)-row table, memory grows with ``runs``.  Returns the (runs,) int64
-    ranks, the (runs x k) winner matrix that `states._slice_columns` returns
-    (0-based, ascending), (runs x n) data bits and (runs x ell) ancilla bits,
-    both uint8; injectivity is `verify_injectivity`'s to check.  Raises
-    CapacityError before allocating past 2^63 - 1 outcomes, the largest int64.
-    The builder charged the CNOT array (a linear n up to 16,777,217);
-    `_packed_words` packs all n rows of G.T when n <= runs * k, and only the
-    rows the winners pick past that.  `draw_rounds` draws the same ranks and
-    builds the same rows a chunk at a time.
-    """
-    ranks = _draw_ranks(spec, encoder, runs, rng)
-    winners = _slice_columns(spec.n, spec.k, ranks)
-    words = _packed_words(encoder, winners)
-    return ranks, winners, *_round_bits(spec.n, encoder.ell, winners, words)
-
-
 def sample_loser_outcomes(d_matrix: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized Hadamard-basis loser outcomes for k = 2 rounds.
 
@@ -208,16 +164,37 @@ class DrawnRounds(NamedTuple):
     words: np.ndarray
     rng: np.random.Generator
 
+    def rows(self, start: int = 0, stop: int | None = None):
+        """Rounds ``start``..``stop`` (slice rules): their (rows x k) winners as
+        `states._slice_columns` gives them (0-based, ascending), and their (rows x n) data
+        bits and (rows x ell) ancilla bits, both uint8.  ``rows()`` is the whole draw."""
+        index = self.outcomes.searchsorted(self.ranks[start:stop])
+        winners = self.tally.winners[index]
+        return (winners, _data_bits(self.tally.n, winners),
+                np.unpackbits(self.words[index].view(np.uint8), axis=1, count=self.ell))
+
 
 def draw_rounds(spec: DickeSpec, encoder: EncoderCircuit, runs: int, rng) -> DrawnRounds:
-    """``runs`` rounds drawn as `sample_contention_outcomes` draws them, held as their ranks.
+    """``runs`` contention rounds, sampled classically and held as their ranks.
 
-    Every refusal and every array that grows with ``runs`` comes here: the
-    ranks, counted with ``np.unique``, and the distinct outcomes, each
-    unranked and packed once.  `write_rounds` builds the rounds' bits a chunk
-    at a time.
+    Every measurement is in the computational basis and the encoder only
+    permutes basis states, so a round's (d, a) outcome is one of the C(n,k)
+    weight-k strings d, each with Born weight 1/C(n,k), and a = G.d mod 2.
+    Round r takes the string of rank R_r, the r-th of ``runs`` integers
+    ``rng`` draws uniformly from 0..C(n,k)-1 (numpy's bounded draw rejects,
+    so every rank is exactly equally likely).  The ranks are counted with
+    ``np.unique`` and only the distinct ones are unranked and packed, once
+    each: no C(n,k)-row table, and one int64 a round.  Injectivity is
+    `verify_injectivity`'s to check.  Refuses an encoder for another n and,
+    before allocating, C(n,k) past 2^63 - 1, the largest int64 (CapacityError).
+    `DrawnRounds.rows` builds the rounds' bits; `write_rounds` a chunk at a time.
     """
-    ranks = _draw_ranks(spec, encoder, runs, rng)
+    if encoder.n != spec.n:
+        raise ValueError(f"encoder built for n={encoder.n}, spec has n={spec.n}")
+    if spec.num_outcomes >= 2**63:
+        raise CapacityError(f"C({spec.n},{spec.k}) = {_size(spec.num_outcomes)} outcomes exceed "
+                            "2^63 - 1, the largest int64")
+    ranks = rng.integers(spec.num_outcomes, size=runs, dtype=np.int64)
     outcomes, counts = np.unique(ranks, return_counts=True)
     winners = _slice_columns(spec.n, spec.k, outcomes)
     return DrawnRounds(Tally(spec.n, runs, winners, counts), encoder.ell, ranks, outcomes,
@@ -228,16 +205,14 @@ def write_rounds(rounds: DrawnRounds, seed, stream) -> None:
     """The transcript of ``rounds`` by `write_transcript_arrays`, a chunk of rounds at a time.
 
     A chunk holds about `encoder.FORMAT_CHUNK_BYTES` of round arrays, 5n + ell
-    bytes a round (uint8 d and a, int32 g): it looks its ranks up among the
-    outcomes, builds its bits with the sampler's row builder and, for k = 2,
-    draws its losers' bits; consecutive chunks draw what one call would.
+    bytes a round (uint8 d and a, int32 g): `DrawnRounds.rows` builds its bits
+    and, for k = 2, `sample_loser_outcomes` draws its losers' bits;
+    consecutive chunks draw what one call would.
     """
-    n, k, ell = rounds.tally.n, rounds.tally.winners.shape[1], rounds.ell
-    step = max(1, FORMAT_CHUNK_BYTES // (5 * n + ell))
+    n, k = rounds.tally.n, rounds.tally.winners.shape[1]
+    step = max(1, FORMAT_CHUNK_BYTES // (5 * n + rounds.ell))
     for start in range(0, len(rounds.ranks), step):
-        index = rounds.outcomes.searchsorted(rounds.ranks[start : start + step])
-        winners = rounds.tally.winners[index]
-        d_bits, a_bits = _round_bits(n, ell, winners, rounds.words[index])
+        winners, d_bits, a_bits = rounds.rows(start, start + step)
         g_matrix, parity = sample_loser_outcomes(d_bits, rounds.rng) if k == 2 else (None, None)
         write_transcript_arrays(d_bits, a_bits, winners, g_matrix, parity, seed, stream)
 

@@ -7,6 +7,7 @@ import numpy as np
 
 from eacsim import statevector as sv
 from eacsim.markov import transition_prob
+from eacsim.states import _slice_columns
 
 
 class ForcedRng:
@@ -109,6 +110,16 @@ def encoder_matrix(circuit):
     g = np.zeros((circuit.ell, circuit.n), dtype=np.uint8)
     np.bitwise_xor.at(g, (circuit.cnots[:, 1], circuit.cnots[:, 0] - 1), 1)
     return g
+
+
+def unranked_rows(circuit, k, ranks):
+    """Reference rounds of these ``ranks``, each unranked on its own: (rows x k) winners from
+    `states._slice_columns`, (rows x n) data bits and (rows x ell) words G.d mod 2, uint8."""
+    winners = _slice_columns(circuit.n, k, ranks)
+    d_bits = np.zeros((len(ranks), circuit.n), dtype=np.uint8)
+    np.put_along_axis(d_bits, winners.astype(np.intp), 1, axis=1)
+    a_bits = (d_bits.astype(np.int64) @ encoder_matrix(circuit).T) % 2
+    return winners, d_bits, a_bits.astype(np.uint8)
 
 
 def cnot_count_bound(n):

@@ -24,7 +24,7 @@ from eacsim.encoder import (
     verify_injectivity,
 )
 from eacsim.markov import state_prob, success_prob, success_prob_fully_noisy
-from eacsim.protocol import sample_contention_outcomes
+from eacsim.protocol import draw_rounds
 from eacsim.states import DickeSpec
 from eacsim.statevector import bell_pair, canonicalize_bell, extract_epr
 
@@ -69,9 +69,9 @@ def test_criterion_2_dicke_fairness():
     runs = 100_000
     for case_idx, (n, k) in enumerate([(4, 2), (6, 2), (4, 1), (5, 3)]):
         spec = DickeSpec(n, k)
-        _, _, d, _ = sample_contention_outcomes(
+        _, d, _ = draw_rounds(
             spec, build_linear_encoder(spec), runs, split_rng(MASTER_SEED, case_idx)
-        )
+        ).rows()
         assert (d.sum(axis=1) == k).all()
         p_subset = 1.0 / math.comb(n, k)
         sigma_subset = math.sqrt(p_subset * (1 - p_subset) / runs)

@@ -294,22 +294,25 @@ def test_winner_sets_uniform_and_sorted():
 
 
 def test_winner_sampler_matches_statevector_law():
-    # classical sampler vs quantum joint-outcome sampler, both against 1/C(n,k)
+    # classical winner sets and protocol rounds vs the Born weights of the dense Dicke state
     from eacsim.encoder import build_linear_encoder
-    from eacsim.protocol import sample_contention_outcomes
+    from eacsim.protocol import draw_rounds
     from eacsim.states import DickeSpec
+    from eacsim.statevector import dicke_state
 
     n, k, trials = 4, 2, 30_000
-    p = 1 / math.comb(n, k)
-    sigma = math.sqrt(p * (1 - p) / trials)
-    classical = sample_winner_sets(n, k, trials, make_rng(11))
-    _, counts_c = np.unique(classical, axis=0, return_counts=True)
     spec = DickeSpec(n, k)
-    _, _, d_bits, _ = sample_contention_outcomes(
-        spec, build_linear_encoder(spec), trials, make_rng(12))
-    _, counts_q = np.unique(d_bits, axis=0, return_counts=True)
-    for counts in (counts_c, counts_q):
-        assert np.all(np.abs(counts / trials - p) < 3.5 * sigma)
+    born = np.abs(dicke_state(spec).amplitudes) ** 2
+    support = np.flatnonzero(born > 1e-12)
+    sigma = np.sqrt(born[support] * (1 - born[support]) / trials)
+    classical = np.zeros((trials, n), dtype=np.uint8)
+    np.put_along_axis(classical, sample_winner_sets(n, k, trials, make_rng(11)) - 1, 1, axis=1)
+    _, d_bits, _ = draw_rounds(spec, build_linear_encoder(spec), trials, make_rng(12)).rows()
+    node_weights = 1 << np.arange(n - 1, -1, -1)  # node 1 is the most significant bit
+    for d in (classical, d_bits):
+        freq = np.bincount(d @ node_weights, minlength=born.size) / trials
+        assert np.flatnonzero(freq).tolist() == support.tolist()
+        assert np.all(np.abs(freq[support] - born[support]) < 3.5 * sigma)
 
 
 def test_contention_success_noise_free():

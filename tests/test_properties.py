@@ -1,8 +1,8 @@
 """Property tests: the weight-k slice unranker, the encoder rows packed from CNOT lists, the
-classical contention sampler (n <= 62), the bulk transcript (n <= 40), index rows in
-decimal, loser draws on row chunks, the noisy contention estimator against its argsort
-reference and, on tied uniforms, its partition rule, the full-connection estimator's
-certain-block test, the confidence interval and the absorbing threshold."""
+classical contention rounds (n <= 62) and their row slices, the bulk transcript (n <= 40),
+index rows in decimal, loser draws on row chunks, the noisy contention estimator against
+its argsort reference and, on tied uniforms, its partition rule, the full-connection
+estimator's certain-block test, the confidence interval and the absorbing threshold."""
 import io
 import json
 import math
@@ -10,18 +10,14 @@ import math
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import encoder_matrix
+from conftest import encoder_matrix, unranked_rows
 
 from eacsim.channel import (ChannelParams, _connect_prob, empirical_contention_success,
                             make_rng, normal_ci)
 from eacsim.encoder import (EncoderCircuit, _format_int_rows, _packed_words,
                             build_binary_encoder, build_linear_encoder)
 from eacsim.markov import absorbing_threshold, state_prob
-from eacsim.protocol import (
-    sample_contention_outcomes,
-    sample_loser_outcomes,
-    write_transcript_arrays,
-)
+from eacsim.protocol import draw_rounds, sample_loser_outcomes, write_transcript_arrays
 from eacsim.states import DickeSpec, _slice_columns
 
 from test_channel import reference_status, sample_winner_sets
@@ -70,7 +66,7 @@ def test_sampled_rows_past_the_slice_table_have_weight_k_and_word_g_d(nk, ell, r
     g = rng.integers(0, 2, size=(ell, n))
     cnots = tuple((i + 1, j) for j in range(ell) for i in range(n) if g[j, i])
     encoder = EncoderCircuit(n=n, k=k, ell=ell, cnots=cnots, kind="binary")
-    _, _, d_bits, a_bits = sample_contention_outcomes(DickeSpec(n, k), encoder, runs, rng)
+    _, d_bits, a_bits = draw_rounds(DickeSpec(n, k), encoder, runs, rng).rows()
     assert d_bits.shape == (runs, n) and (d_bits.sum(axis=1) == k).all()
     np.testing.assert_array_equal(a_bits, (d_bits.astype(np.int64) @ g.T) % 2)
 
@@ -145,8 +141,7 @@ def contention_cases(draw):
 @given(contention_cases())
 def test_rows_have_weight_k_and_word_g_d(case):
     spec, encoder, runs, seed = case
-    _, winners, d_bits, a_bits = sample_contention_outcomes(
-        spec, encoder, runs, np.random.default_rng(seed))
+    winners, d_bits, a_bits = draw_rounds(spec, encoder, runs, np.random.default_rng(seed)).rows()
     assert d_bits.shape == (runs, spec.n) and a_bits.shape == (runs, encoder.ell)
     assert (d_bits.sum(axis=1) == spec.k).all()
     np.testing.assert_array_equal(winners, np.nonzero(d_bits)[1].reshape(runs, spec.k))
@@ -154,11 +149,30 @@ def test_rows_have_weight_k_and_word_g_d(case):
 
 
 @PROPERTY_SETTINGS
+@given(contention_cases(), st.lists(st.integers(1, 60), min_size=1, max_size=5))
+@example((DickeSpec(13, 2), build_linear_encoder(DickeSpec(13, 2)), 40, 0), [1])  # 1-row slices
+@example((DickeSpec(6, 1), build_binary_encoder(DickeSpec(6, 1)), 37, 1), [10])  # stop 40 > 37
+def test_row_slices_are_the_whole_draw_unranked_rank_by_rank(case, sizes):
+    # `write_rounds` builds a chunk of rows at a time: consecutive slices (sizes cycled, the
+    # last stop past runs) concatenate to rows(), which unranks each drawn rank on its own
+    spec, encoder, runs, seed = case
+    rounds = draw_rounds(spec, encoder, runs, np.random.default_rng(seed))
+    whole = rounds.rows()
+    for got, want in zip(whole, unranked_rows(encoder, spec.k, rounds.ranks), strict=True):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    starts = np.cumsum([0] + sizes * runs).tolist()
+    pieces = [rounds.rows(a, b) for a, b in zip(starts, starts[1:]) if a < runs]
+    for got, want in zip(zip(*pieces), whole):
+        np.testing.assert_array_equal(np.concatenate(got), want)
+
+
+@PROPERTY_SETTINGS
 @given(contention_cases())
 def test_bulk_transcript_parses_back(case):
     spec, encoder, runs, seed = case
     rng = np.random.default_rng(seed)
-    _, winners, d_bits, a_bits = sample_contention_outcomes(spec, encoder, runs, rng)
+    winners, d_bits, a_bits = draw_rounds(spec, encoder, runs, rng).rows()
     g_matrix = parity = None
     if spec.k == 2:
         g_matrix, parity = sample_loser_outcomes(d_bits, rng)

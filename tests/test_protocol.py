@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import basis_state, force_bits, states_equal
+from conftest import basis_state, force_bits, states_equal, unranked_rows
 
 from eacsim import protocol, statevector as sv
 from eacsim.encoder import (
@@ -23,7 +23,6 @@ from eacsim.protocol import (
     anonymity_audit,
     build_u_d,
     draw_rounds,
-    sample_contention_outcomes,
     sample_loser_outcomes,
     write_rounds,
     write_transcript_arrays,
@@ -200,7 +199,7 @@ def test_batch_sampler_agrees_with_single_runs():
     spec = DickeSpec(4, 2)
     encoder = build_linear_encoder(spec)
     runs = 30_000
-    _, _, d_bits, a_bits = sample_contention_outcomes(spec, encoder, runs, np.random.default_rng(1))
+    _, d_bits, a_bits = draw_rounds(spec, encoder, runs, np.random.default_rng(1)).rows()
     assert d_bits.shape == (runs, 4) and a_bits.shape == (runs, 3)
     assert (d_bits.sum(axis=1) == 2).all()
     # ancilla word always equals the GF(2) image of the data bits
@@ -227,7 +226,7 @@ def test_batch_sampler_agrees_with_single_runs():
 def test_batch_sampler_rejects_encoder_for_another_n():
     encoder = build_linear_encoder(DickeSpec(5, 2))
     with pytest.raises(ValueError, match="n=5"):
-        sample_contention_outcomes(DickeSpec(4, 2), encoder, 10, np.random.default_rng(0))
+        draw_rounds(DickeSpec(4, 2), encoder, 10, np.random.default_rng(0))
 
 
 def dense_born_sampler(spec, encoder, runs, rng):
@@ -269,7 +268,7 @@ def test_classical_sampler_matches_dense_draws(n, k, kind):
     for seed in (0, 1):
         dense_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         d_ref, a_ref = dense_born_sampler(spec, encoder, 500, dense_rng)
-        _, _, d_bits, a_bits = sample_contention_outcomes(spec, encoder, 500, rng)
+        _, d_bits, a_bits = draw_rounds(spec, encoder, 500, rng).rows()
         np.testing.assert_array_equal(d_bits, d_ref)
         np.testing.assert_array_equal(a_bits, a_ref)
         assert rng.random() == dense_rng.random()  # same stream position afterwards
@@ -283,9 +282,9 @@ def test_winner_subset_uniformity_chi_square(n, k):
 
     spec = DickeSpec(n, k)
     runs = 100_000
-    _, _, d_bits, _ = sample_contention_outcomes(
+    _, d_bits, _ = draw_rounds(
         spec, build_linear_encoder(spec), runs, split_rng(17, n * 10 + k)
-    )
+    ).rows()
     outcomes, counts = np.unique(d_bits, axis=0, return_counts=True)
     assert len(outcomes) == math.comb(n, k)
     _, p_value = chisquare(counts)
@@ -377,8 +376,7 @@ def test_bulk_transcript_matches_per_row_dumps(n, k, runs):
     # uint8 index 255
     spec = DickeSpec(n, k)
     rng = np.random.default_rng(n + k)
-    _, winners, d_bits, a_bits = sample_contention_outcomes(
-        spec, build_linear_encoder(spec), runs, rng)
+    winners, d_bits, a_bits = draw_rounds(spec, build_linear_encoder(spec), runs, rng).rows()
     g_matrix = parity = None
     if k == 2:
         g_matrix, parity = sample_loser_outcomes(d_bits, rng)
@@ -410,8 +408,8 @@ def test_count_outcomes_matches_numpy(n, k):
     # at (22,11) nearly every draw is distinct; (2,1) has two outcomes
     spec = DickeSpec(n, k)
     encoder = build_linear_encoder(spec)
-    ranks, _, d_bits, a_bits = sample_contention_outcomes(
-        spec, encoder, 3000, np.random.default_rng(5))
+    ranks = np.random.default_rng(5).integers(spec.num_outcomes, size=3000, dtype=np.int64)
+    _, d_bits, a_bits = unranked_rows(encoder, k, ranks)
     rounds = draw_rounds(spec, encoder, 3000, np.random.default_rng(5))
     np.testing.assert_array_equal(rounds.ranks, ranks)  # the same draw
     ref_rows, index, ref_counts = np.unique(d_bits, axis=0, return_index=True, return_counts=True)
@@ -439,7 +437,7 @@ def test_streamed_rounds_are_the_whole_draw(monkeypatch, n, k, runs, chunk_bytes
     spec = DickeSpec(n, k)
     encoder = build_linear_encoder(spec)
     whole_rng, streamed_rng = np.random.default_rng(9), np.random.default_rng(9)
-    _, winners, d_bits, a_bits = sample_contention_outcomes(spec, encoder, runs, whole_rng)
+    winners, d_bits, a_bits = draw_rounds(spec, encoder, runs, whole_rng).rows()
     g_matrix, parity = sample_loser_outcomes(d_bits, whole_rng) if k == 2 else (None, None)
     want = io.StringIO()
     write_transcript_arrays(d_bits, a_bits, winners, g_matrix, parity, 4, want)
@@ -454,8 +452,8 @@ def test_streamed_rounds_are_the_whole_draw(monkeypatch, n, k, runs, chunk_bytes
 def test_sampler_ranks_index_the_slice_in_basis_order(n, k):
     # rank i is the i-th weight-k string in ascending basis index, node 1 most significant
     spec = DickeSpec(n, k)
-    ranks, winners, d_bits, _ = sample_contention_outcomes(
-        spec, build_linear_encoder(spec), 2000, np.random.default_rng(6))
+    rounds = draw_rounds(spec, build_linear_encoder(spec), 2000, np.random.default_rng(6))
+    ranks, (winners, d_bits, _) = rounds.ranks, rounds.rows()
     assert ranks.dtype == np.int64 and ranks.shape == (2000,)
     np.testing.assert_array_equal(winners, np.nonzero(d_bits)[1].reshape(-1, k))
     assert 0 <= ranks.min() and ranks.max() < spec.num_outcomes
