@@ -84,14 +84,13 @@ class SlotTimeline:
 class DistributionTrace:
     """Realization of one distribution process.
 
-    ``slots[m-1]`` is a bitmask (bit i-1 = node i) of the nodes whose ebit
-    arrived in slot m; ``connected_sets[m-1]`` is the sorted tuple of all
-    nodes connected after slot m.  The trace may stop early once every node
-    is connected, so it can be shorter than M.
+    ``connected_sets[m-1]`` is the sorted tuple of all nodes connected after
+    slot m; the nodes whose ebit arrived in slot m are those it adds to the
+    set before.  The trace may stop early once every node is connected, so
+    it can be shorter than M.
     """
 
     n: int
-    slots: tuple[int, ...]
     connected_sets: tuple[tuple[int, ...], ...]
 
     def connected_at(self, m: int) -> tuple[int, ...]:
@@ -157,9 +156,8 @@ def simulate_distribution(n: int, q: float, M: int, rng) -> DistributionTrace:
     first = np.searchsorted(_connect_prob(q, M), rng.random(n), side="right") + 1
     nodes = np.arange(1, n + 1)
     horizon = range(1, min(M, int(first.max())) + 1)
-    slots = tuple(sum(1 << (i - 1) for i in nodes[first == m].tolist()) for m in horizon)
     sets = tuple(tuple(nodes[first <= m].tolist()) for m in horizon)
-    return DistributionTrace(n=n, slots=slots, connected_sets=sets)
+    return DistributionTrace(n=n, connected_sets=sets)
 
 
 def empirical_full_connection_by_slot(n: int, q: float, M: int, trials: int, rng) -> np.ndarray:

@@ -209,7 +209,8 @@ def _reproduce_fig8(trials: int, seed: int) -> list[tuple]:
         for m in FIG8_M for n in FIG8_N for q in FIG8_Q
     ]
     thr_rows = [
-        (m, DEFAULT_EPSILON, max(FIG8_N), markov.absorbing_threshold(max(FIG8_N), m))
+        (m, DEFAULT_EPSILON, max(FIG8_N),
+         markov.absorbing_threshold(max(FIG8_N), m, DEFAULT_EPSILON))
         for m in FIG8_M
     ]
     mc_rows = sorted(_mc_rows(

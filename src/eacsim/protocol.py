@@ -16,13 +16,13 @@ the computational basis (after the losers' Hadamards) and CNOTs only permute
 basis states, so `draw_rounds` and `sample_loser_outcomes` draw the Born
 laws without amplitudes.  `draw_rounds` keeps one int64 rank a round and
 unranks and packs each distinct outcome once; `DrawnRounds.rows` builds the
-bits of any run of rounds, and `write_rounds`, which `cli contend` runs,
-builds, draws the losers of and writes (by the byte-matrix writer
-`write_transcript_arrays`) a chunk of rounds at a time, about
-`encoder.FORMAT_CHUNK_BYTES` of arrays; the summary reads the outcomes'
-`Tally`.  A round's winners travel as k column indices.  The same rounds on
-a dense register, the quantum reference the tests compare against, are in
-`statevector`.
+bits of any run of rounds, and `write_rounds`, the one transcript writer
+(`cli contend` runs it), builds, draws the losers of and writes (by the
+byte-matrix formatter `encoder._format_int_rows`) a chunk of rounds at a
+time, about `encoder.FORMAT_CHUNK_BYTES` of arrays; the summary reads the
+outcomes' `Tally`.  A round's winners travel as k column indices.  The same
+rounds on a dense register, the quantum reference the tests compare against,
+are in `statevector`.
 """
 from __future__ import annotations
 
@@ -202,41 +202,33 @@ def draw_rounds(spec: DickeSpec, encoder: EncoderCircuit, runs: int, rng) -> Dra
 
 
 def write_rounds(rounds: DrawnRounds, seed, stream) -> None:
-    """The transcript of ``rounds`` by `write_transcript_arrays`, a chunk of rounds at a time.
+    """JSON-lines transcript of ``rounds`` to an open text stream, a chunk of rounds at a time.
 
-    A chunk holds about `encoder.FORMAT_CHUNK_BYTES` of round arrays, 5n + ell
-    bytes a round (uint8 d and a, int32 g): `DrawnRounds.rows` builds its bits
-    and, for k = 2, `sample_loser_outcomes` draws its losers' bits;
-    consecutive chunks draw what one call would.
+    Row r holds the keys d_vector, ancilla_word, winners (1-based), g (null
+    for winners), g_parity, bell_state and seed, in that order, as
+    ``json.dumps(..., separators=(",", ":"))`` writes them; for k != 2, ``g``,
+    ``g_parity`` and ``bell_state`` are null.  A chunk holds about
+    `encoder.FORMAT_CHUNK_BYTES` of round arrays, 5n + ell bytes a round (uint8
+    d and a, int32 g): `DrawnRounds.rows` builds its bits and, for k = 2,
+    `sample_loser_outcomes` draws its losers' bits; consecutive chunks draw
+    what one call would.
     """
     n, k = rounds.tally.n, rounds.tally.winners.shape[1]
+    seed_tail = f',"seed":{json.dumps(seed)}}}\n'.encode()
+    bits = (b"0", b"1")
+    tails = [f'],"g_parity":{p},"bell_state":"{bell.value}"'.encode() + seed_tail
+             for p, bell in ((0, BellState.PHI_PLUS), (1, BellState.PHI_MINUS))]
     step = max(1, FORMAT_CHUNK_BYTES // (5 * n + rounds.ell))
     for start in range(0, len(rounds.ranks), step):
         winners, d_bits, a_bits = rounds.rows(start, start + step)
-        g_matrix, parity = sample_loser_outcomes(d_bits, rounds.rng) if k == 2 else (None, None)
-        write_transcript_arrays(d_bits, a_bits, winners, g_matrix, parity, seed, stream)
-
-
-def write_transcript_arrays(d_bits, a_bits, winners, g_matrix, parity, seed, stream) -> None:
-    """Bulk JSON-lines transcript of sampled rounds to an open text stream.
-
-    Row r holds the keys d_vector, ancilla_word, winners, g, g_parity, bell_state
-    and seed, in that order, as ``json.dumps(..., separators=(",", ":"))``
-    writes them.  ``winners`` (0-based) comes from the sampler, ``g_matrix``
-    (-1 for winners) and ``parity`` from `sample_loser_outcomes`; when they
-    are None (k != 2), ``g``, ``g_parity`` and ``bell_state`` are null.
-    Written a chunk of about `encoder.FORMAT_CHUNK_BYTES` at a time.
-    """
-    seed_tail = f',"seed":{json.dumps(seed)}}}\n'.encode()
-    bits = (b"0", b"1")
-    pieces = [b'{"d_vector":[', (d_bits, b",", bits), b'],"ancilla_word":[', (a_bits, b",", bits),
-              b'],"winners":[', (winners, b","), b"]"]
-    if g_matrix is None:
-        pieces.append(b',"g":null,"g_parity":null,"bell_state":null' + seed_tail)
-    else:
-        tails = [f'],"g_parity":{p},"bell_state":"{bell.value}"'.encode() + seed_tail
-                 for p, bell in ((0, BellState.PHI_PLUS), (1, BellState.PHI_MINUS))]
-        # a winner's -1 picks the last label
-        pieces += [b',"g":[', (g_matrix, b",", bits + (b"null",)), (parity[:, None], b"", tails)]
-    for text in _format_int_rows(pieces):
-        stream.write(text.decode("ascii"))
+        pieces = [b'{"d_vector":[', (d_bits, b",", bits), b'],"ancilla_word":[',
+                  (a_bits, b",", bits), b'],"winners":[', (winners, b","), b"]"]
+        if k == 2:
+            g_matrix, parity = sample_loser_outcomes(d_bits, rounds.rng)
+            # a winner's -1 picks the last label
+            pieces += [b',"g":[', (g_matrix, b",", bits + (b"null",)),
+                       (parity[:, None], b"", tails)]
+        else:
+            pieces.append(b',"g":null,"g_parity":null,"bell_state":null' + seed_tail)
+        for text in _format_int_rows(pieces):
+            stream.write(text.decode("ascii"))

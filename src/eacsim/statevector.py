@@ -128,52 +128,29 @@ def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
     return StateVector(state.num_qubits, t.reshape(-1))
 
 
-def _marginal_p1(state: StateVector, axis: int) -> float:
-    probs = np.abs(state.tensor()) ** 2
-    other = tuple(i for i in range(state.num_qubits) if i != axis)
-    p = probs.sum(axis=other) if other else probs
-    return float(p[1])
-
-
-def _collapse(state: StateVector, axis: int, outcome: int, p1: float) -> tuple[float, StateVector]:
-    """`project` on tensor ``axis``, whose qubit reads 1 with Born probability ``p1``."""
-    p = p1 if outcome == 1 else state.norm_squared - p1
-    if p < 1e-12:
-        raise ValueError(f"outcome {outcome} on qubit {axis + 1} has zero probability")
-    t = state.tensor().copy()
-    idx = [slice(None)] * state.num_qubits
-    idx[axis] = 1 - outcome
-    t[tuple(idx)] = 0.0
-    return p, StateVector(state.num_qubits, t.reshape(-1) / np.sqrt(p))
-
-
-def project(state: StateVector, target: int, outcome: int) -> tuple[float, StateVector]:
-    """Condition on ``target`` reading ``outcome``.
-
-    Returns the Born probability of the outcome and the renormalized
-    post-measurement state.  Raises if the branch has (numerically) zero
-    probability or the state is degenerate.
-    """
-    ax = _check_qubit(state, target)
-    if outcome not in (0, 1):
-        raise ValueError("outcome must be 0 or 1")
-    if state.norm_squared < 1e-12:
-        raise ValueError("degenerate all-zero state")
-    return _collapse(state, ax, outcome, _marginal_p1(state, ax))
-
-
 def measure(state: StateVector, target: int, rng) -> tuple[MeasurementRecord, StateVector]:
     """Measure ``target`` in the computational basis, sampling by the Born rule.
 
-    Consumes exactly one uniform draw from ``rng``; the record's probability is `project`'s.
+    Consumes exactly one uniform draw from ``rng``.  Returns the outcome with
+    its Born probability and the renormalized post-measurement state.  Raises
+    if the state is degenerate or the drawn branch has (numerically) zero
+    probability.
     """
     ax = _check_qubit(state, target)
     if state.norm_squared < 1e-12:
         raise ValueError("degenerate all-zero state")
-    p1 = _marginal_p1(state, ax)
+    other = tuple(i for i in range(state.num_qubits) if i != ax)  # () sums over nothing
+    p1 = float((np.abs(state.tensor()) ** 2).sum(axis=other)[1])
     outcome = 1 if rng.random() < p1 else 0
-    p, collapsed = _collapse(state, ax, outcome, p1)
-    return MeasurementRecord(target, outcome, p), collapsed
+    p = p1 if outcome == 1 else state.norm_squared - p1
+    if p < 1e-12:
+        raise ValueError(f"outcome {outcome} on qubit {target} has zero probability")
+    t = state.tensor().copy()
+    idx = [slice(None)] * state.num_qubits
+    idx[ax] = 1 - outcome
+    t[tuple(idx)] = 0.0
+    post = StateVector(state.num_qubits, t.reshape(-1) / np.sqrt(p))
+    return MeasurementRecord(target, outcome, p), post
 
 
 def conditional_state(state: StateVector, fixed: dict, keep) -> StateVector:

@@ -18,7 +18,7 @@ from eacsim import cli
 from eacsim.channel import (ChannelParams, empirical_contention_success,
                             empirical_full_connection_by_slot, normal_ci, split_rng)
 from eacsim.cli import UsageError, main, parse_sweep_config
-from eacsim.markov import success_prob_fully_noisy
+from eacsim.markov import absorbing_threshold, success_prob_fully_noisy
 
 GOLDEN_CIRCUIT_4_2 = """encoder linear n=4 k=2 ell=3
 CNOT d1 a0
@@ -543,6 +543,17 @@ def test_reproduce_fig8_noiseless_and_threshold(tmp_path):
     assert abs(thr["20"] - closed_form) < 1e-3
 
 
+def test_reproduce_fig8_thresholds_use_the_epsilon_column(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "DEFAULT_EPSILON", 1e-3)
+    assert main(["reproduce", "--figure", "fig8", "--trials", "10",
+                 "--out-dir", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path / "fig8_thresholds.csv")
+    assert rows and all(float(r["epsilon"]) == 1e-3 for r in rows)
+    for r in rows:
+        assert float(r["q_bar"]) == absorbing_threshold(int(r["n"]), int(r["M"]),
+                                                        float(r["epsilon"]))
+
+
 def test_reproduce_fig8l_spot(tmp_path):
     assert main(["reproduce", "--figure", "fig8l", "--trials", "1000",
                  "--out-dir", str(tmp_path)]) == 0
@@ -860,6 +871,12 @@ PINNED_CONTEND_DIGESTS = {
                                "7c7f5b0f0b706d75d1c398e2fab2b7dfeda2866474a59f3bf6f6cd60c278c97b"),
     ("linear", 22, 11, 20000): ("1953a92b79935110d7238f2d1ce6dfb1de602dfc48acc195954e1929a94df6c2",
                                 "1e5c1da67403e92175687b8662937cb3ecb16d534afb699f9fc3edc274aa5aed"),
+    # 15 chunks of 21 rounds with four-digit winners; then the packed-row slot table, the
+    # formatter's np.unique label path and a 200,000-entry summary
+    ("linear", 2000, 2, 300): ("23f1f5cb341c70fc7486dd84ab93eed662e1b0cfbf583170ba511078cca3be57",
+                               "b57a10cb4d26742f7728de295a45eb0bda3ffa2254c9c90b9ef7f4574809626e"),
+    ("linear", 200000, 2, 3): ("b33e49fe35b449c217b0197779b41a8158137847c6eaa77d62a647473799f9c5",
+                               "cf16049a681c49943423847d0c52235871d499890a4443272f00c52db6a938eb"),
 }
 
 

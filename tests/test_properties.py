@@ -3,6 +3,7 @@ classical contention rounds (n <= 62) and their row slices, the bulk transcript 
 index rows in decimal, loser draws on row chunks, the noisy contention estimator against
 its argsort reference and, on tied uniforms, its partition rule, the full-connection
 estimator's certain-block test, the confidence interval and the absorbing threshold."""
+import copy
 import io
 import json
 import math
@@ -17,7 +18,7 @@ from eacsim.channel import (ChannelParams, _connect_prob, empirical_contention_s
 from eacsim.encoder import (EncoderCircuit, _format_int_rows, _packed_words,
                             build_binary_encoder, build_linear_encoder)
 from eacsim.markov import absorbing_threshold, state_prob
-from eacsim.protocol import draw_rounds, sample_loser_outcomes, write_transcript_arrays
+from eacsim.protocol import draw_rounds, sample_loser_outcomes, write_rounds
 from eacsim.states import DickeSpec, _slice_columns
 
 from test_channel import reference_status, sample_winner_sets
@@ -169,15 +170,16 @@ def test_row_slices_are_the_whole_draw_unranked_rank_by_rank(case, sizes):
 
 @PROPERTY_SETTINGS
 @given(contention_cases())
+@example((DickeSpec(12, 2), build_linear_encoder(DickeSpec(12, 2)), 500, 7))  # losers' g
 def test_bulk_transcript_parses_back(case):
     spec, encoder, runs, seed = case
-    rng = np.random.default_rng(seed)
-    winners, d_bits, a_bits = draw_rounds(spec, encoder, runs, rng).rows()
+    rounds = draw_rounds(spec, encoder, runs, np.random.default_rng(seed))
+    _, d_bits, a_bits = rounds.rows()
     g_matrix = parity = None
-    if spec.k == 2:
-        g_matrix, parity = sample_loser_outcomes(d_bits, rng)
+    if spec.k == 2:  # the losers' bits write_rounds is about to draw
+        g_matrix, parity = sample_loser_outcomes(d_bits, copy.deepcopy(rounds.rng))
     buf = io.StringIO()
-    write_transcript_arrays(d_bits, a_bits, winners, g_matrix, parity, seed, buf)
+    write_rounds(rounds, seed, buf)
     records = [json.loads(line) for line in buf.getvalue().splitlines()]
     assert len(records) == runs
     np.testing.assert_array_equal([r["d_vector"] for r in records], d_bits)

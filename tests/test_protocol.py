@@ -1,4 +1,5 @@
 """Protocol rounds: winner counts, decode consistency, Bell parity, anonymity."""
+import copy
 import json
 import io
 import math
@@ -18,6 +19,7 @@ from eacsim.encoder import (
 )
 from eacsim.protocol import (
     BellState,
+    ContentionOutcome,
     NodeView,
     WrongWinnerCount,
     anonymity_audit,
@@ -25,7 +27,6 @@ from eacsim.protocol import (
     draw_rounds,
     sample_loser_outcomes,
     write_rounds,
-    write_transcript_arrays,
 )
 from eacsim.states import DickeSpec
 from eacsim.statevector import (
@@ -369,38 +370,49 @@ def per_row_transcript(d_bits, a_bits, g_matrix, parity, seed):
 @pytest.mark.parametrize("n,k,runs", [(4, 2, 300), (5, 3, 300), (12, 2, 20_000), (11, 4, 500),
                                       (120, 2, 300), (22, 11, 3000), (2, 1, 5),
                                       (256, 255, 40)])
-def test_bulk_transcript_matches_per_row_dumps(n, k, runs):
+def test_bulk_transcript_matches_per_row_dumps(monkeypatch, n, k, runs):
     # k=3 and k=4 have null g; n >= 10 has two-digit winners, n=120 three-digit ones
     # (and ell = 119); 20k rows span several chunks; at (22,11) nearly every row is
     # distinct; (2,1) has one ancilla; at (256,255) nearly every row names node 256,
-    # uint8 index 255
+    # uint8 index 255.  Written at the default chunk size, at 4 KiB and at 1-round chunks.
     spec = DickeSpec(n, k)
-    rng = np.random.default_rng(n + k)
-    winners, d_bits, a_bits = draw_rounds(spec, build_linear_encoder(spec), runs, rng).rows()
-    g_matrix = parity = None
-    if k == 2:
-        g_matrix, parity = sample_loser_outcomes(d_bits, rng)
-    buf = io.StringIO()
-    write_transcript_arrays(d_bits, a_bits, winners, g_matrix, parity, 11, buf)
-    got = buf.getvalue().splitlines(keepends=True)
-    want = per_row_transcript(d_bits, a_bits, g_matrix, parity, 11).splitlines(keepends=True)
-    assert len(got) == runs == len(want)
-    mismatch = next((r for r in range(runs) if got[r] != want[r]), None)
-    assert mismatch is None, (mismatch, got[mismatch], want[mismatch])
+    want = None
+    for chunk_bytes in (protocol.FORMAT_CHUNK_BYTES, 4096, 1):
+        monkeypatch.setattr(protocol, "FORMAT_CHUNK_BYTES", chunk_bytes)
+        rounds = draw_rounds(spec, build_linear_encoder(spec), runs, np.random.default_rng(n + k))
+        if want is None:
+            _, d_bits, a_bits = rounds.rows()
+            g_matrix = parity = None
+            if k == 2:  # the losers' bits write_rounds is about to draw
+                g_matrix, parity = sample_loser_outcomes(d_bits, copy.deepcopy(rounds.rng))
+            want = per_row_transcript(d_bits, a_bits, g_matrix, parity, 11).splitlines(True)
+        buf = io.StringIO()
+        write_rounds(rounds, 11, buf)
+        got = buf.getvalue().splitlines(keepends=True)
+        assert len(got) == runs == len(want)
+        mismatch = next((r for r in range(runs) if got[r] != want[r]), None)
+        assert mismatch is None, (chunk_bytes, mismatch, got[mismatch], want[mismatch])
 
 
 def test_bulk_transcript_matches_transcript_record():
-    # the k=2 rows carry the keys of the per-round record, in its order
+    # a k=2 row is the per-round record of the ContentionOutcome and NodeViews it holds,
+    # keys in its order
     spec = DickeSpec(5, 2)
-    outcome, views, _ = run_round(spec, build_linear_encoder(spec), np.random.default_rng(2))
-    expected = io.StringIO()
-    write_transcript([transcript_record(outcome, views, seed=2)], expected)
-    g_matrix = np.array([[-1 if v.g is None else v.g for v in views]])
     buf = io.StringIO()
-    write_transcript_arrays(np.array([outcome.d_vector]), np.array([outcome.ancilla_word]),
-                            np.array([outcome.winners]) - 1, g_matrix,
-                            np.array([outcome.g_parity]), 2, buf)
-    assert buf.getvalue() == expected.getvalue()
+    write_rounds(draw_rounds(spec, build_linear_encoder(spec), 20, np.random.default_rng(2)),
+                 2, buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    assert len(lines) == 20
+    for line in lines:
+        row = json.loads(line)
+        outcome = ContentionOutcome(tuple(row["d_vector"]), tuple(row["winners"]),
+                                    tuple(row["ancilla_word"]), BellState(row["bell_state"]),
+                                    row["g_parity"])
+        views = [NodeView(i + 1, d, g) for i, (d, g) in enumerate(zip(row["d_vector"], row["g"]))]
+        assert anonymity_audit(views)
+        expected = io.StringIO()
+        write_transcript([transcript_record(outcome, views, seed=2)], expected)
+        assert line == expected.getvalue()
 
 
 @pytest.mark.parametrize("n,k", [(8, 2), (22, 11), (120, 2), (2, 1)])
@@ -433,14 +445,14 @@ def test_count_outcomes_matches_numpy(n, k):
                                                   (22, 11, 500, 1000), (6, 1, 301, 100)])
 def test_streamed_rounds_are_the_whole_draw(monkeypatch, n, k, runs, chunk_bytes):
     # one chunk; 10-row chunks; 1-row chunks; 39-row chunks of 13 nodes (an odd int32 count)
-    # and a short last one; k = 11 and k = 1 draw no loser bits
+    # and a short last one; k = 11 and k = 1 draw no loser bits.  The reference writes
+    # every round in one chunk.
     spec = DickeSpec(n, k)
     encoder = build_linear_encoder(spec)
     whole_rng, streamed_rng = np.random.default_rng(9), np.random.default_rng(9)
-    winners, d_bits, a_bits = draw_rounds(spec, encoder, runs, whole_rng).rows()
-    g_matrix, parity = sample_loser_outcomes(d_bits, whole_rng) if k == 2 else (None, None)
+    monkeypatch.setattr(protocol, "FORMAT_CHUNK_BYTES", 1 << 40)
     want = io.StringIO()
-    write_transcript_arrays(d_bits, a_bits, winners, g_matrix, parity, 4, want)
+    write_rounds(draw_rounds(spec, encoder, runs, whole_rng), 4, want)
     monkeypatch.setattr(protocol, "FORMAT_CHUNK_BYTES", chunk_bytes)
     got = io.StringIO()
     write_rounds(draw_rounds(spec, encoder, runs, streamed_rng), 4, got)

@@ -159,24 +159,8 @@ def test_measure_degenerate_state_rejected():
     dead = sv.StateVector.__new__(sv.StateVector)
     dead.num_qubits = 1
     dead.amplitudes = np.zeros(2, dtype=complex)
-    with pytest.raises(ValueError):
-        sv.measure(dead, 1, np.random.default_rng(0))
-
-
-def test_project_zero_probability_branch():
-    with pytest.raises(ValueError):
-        sv.project(basis_state(1, [0]), 1, 1)
-    with pytest.raises(ValueError, match=r"outcome must be 0 or 1"):
-        sv.project(basis_state(1, [0]), 1, 2)
     with pytest.raises(ValueError, match=r"degenerate all-zero state"):
-        sv.project(sv.StateVector(1, np.zeros(2, dtype=complex)), 1, 0)
-
-
-def test_project_probabilities():
-    bell = sv.StateVector(2, np.array([S2, 0, 0, S2]))
-    p, post = sv.project(bell, 2, 1)
-    assert p == pytest.approx(0.5, abs=1e-12)
-    np.testing.assert_allclose(post.amplitudes, [0, 0, 0, 1], atol=1e-12)
+        sv.measure(dead, 1, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------- probabilities
