@@ -113,15 +113,14 @@ def cmd_encode(args) -> int:
 
 def cmd_contend(args) -> int:
     spec = DickeSpec(args.n, args.k)
-    if args.runs < 1:
-        raise UsageError(f"--runs must be >= 1, got {args.runs}")
+    channel._check_count("--runs", args.runs)
     _check_seed(args.seed, "--seed")
     circuit = _build_encoder(spec, args.kind, None)
     rounds = protocol.draw_rounds(spec, circuit, args.runs, make_rng(args.seed))
     out_path = _write(args, f"contend_n{args.n}_k{args.k}.jsonl",
                       lambda fh: protocol.write_rounds(rounds, args.seed, fh))
     tally = rounds.tally
-    del rounds  # its ranks and words: the summary reads only the tally
+    del rounds  # its ranks go before the summary's keys and floats come: a lower peak
     summary = {  # keys in sorted order: json writes them as they are, with no sorted copy
         "k": spec.k,
         "kind": args.kind,
@@ -132,7 +131,8 @@ def cmd_contend(args) -> int:
         "subset_rates": tally.subset_rates(),
         "transcript": str(out_path),
     }
-    text = json.JSONEncoder(indent=2).iterencode(summary)  # in parts: no copy of the whole text
+    # 4096 parts a write: json.dump writes each small part alone, one string copies the text
+    text = json.JSONEncoder(indent=2).iterencode(summary)
     while part := "".join(itertools.islice(text, 4096)):
         sys.stdout.write(part)
     print()

@@ -33,8 +33,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .encoder import (FORMAT_CHUNK_BYTES, CapacityError, EncoderCircuit, _data_bits,
-                      _format_int_rows, _packed_words, _size)
+from . import encoder as enc
+from .encoder import (CapacityError, EncoderCircuit, _data_bits, _format_int_rows, _packed_words,
+                      _size)
 from .states import DickeSpec, _slice_columns
 
 
@@ -141,14 +142,13 @@ class Tally(NamedTuple):
         return np.bincount(self.winners.ravel(), np.repeat(self.counts, k), self.n) / self.runs
 
     def subset_rates(self) -> dict[str, float]:
-        """Each winner subset's share of the runs, keyed by its 1-based winners space-separated,
-        in ``sorted``'s key order, which numpy's sort of the ASCII keys as bytes gives."""
+        """Each winner subset's share of the runs, count / runs, keyed by its 1-based winners
+        space-separated, in ``sorted``'s key order ("1 10" before "1 2")."""
         keys = (b"".join(_format_int_rows([(self.winners, b" "), b"\n"]))
                 .decode("ascii").splitlines())
-        order = np.argsort(np.array(keys, dtype=bytes))
-        counts, which = np.unique(self.counts[order], return_inverse=True)
-        rates = (counts / self.runs).tolist()  # one float object per distinct count
-        return {keys[i]: rates[j] for i, j in zip(order, which)}
+        counts = self.counts.tolist()
+        rate = {c: c / self.runs for c in set(counts)}  # one float object per distinct count
+        return dict(sorted(zip(keys, map(rate.get, counts))))
 
 
 class DrawnRounds(NamedTuple):
@@ -195,6 +195,7 @@ def draw_rounds(spec: DickeSpec, encoder: EncoderCircuit, runs: int, rng) -> Dra
         raise CapacityError(f"C({spec.n},{spec.k}) = {_size(spec.num_outcomes)} outcomes exceed "
                             "2^63 - 1, the largest int64")
     ranks = rng.integers(spec.num_outcomes, size=runs, dtype=np.int64)
+    # unranked and packed once, not per chunk: at large n a chunk is a round, each packing scans G
     outcomes, counts = np.unique(ranks, return_counts=True)
     winners = _slice_columns(spec.n, spec.k, outcomes)
     return DrawnRounds(Tally(spec.n, runs, winners, counts), encoder.ell, ranks, outcomes,
@@ -218,7 +219,7 @@ def write_rounds(rounds: DrawnRounds, seed, stream) -> None:
     bits = (b"0", b"1")
     tails = [f'],"g_parity":{p},"bell_state":"{bell.value}"'.encode() + seed_tail
              for p, bell in ((0, BellState.PHI_PLUS), (1, BellState.PHI_MINUS))]
-    step = max(1, FORMAT_CHUNK_BYTES // (5 * n + rounds.ell))
+    step = max(1, enc.FORMAT_CHUNK_BYTES // (5 * n + rounds.ell))
     for start in range(0, len(rounds.ranks), step):
         winners, d_bits, a_bits = rounds.rows(start, start + step)
         pieces = [b'{"d_vector":[', (d_bits, b",", bits), b'],"ancilla_word":[',
@@ -230,5 +231,6 @@ def write_rounds(rounds: DrawnRounds, seed, stream) -> None:
                        (parity[:, None], b"", tails)]
         else:
             pieces.append(b',"g":null,"g_parity":null,"bell_state":null' + seed_tail)
+        # in text chunks of its own: formatted whole, a chunk's token matrices outweigh its arrays
         for text in _format_int_rows(pieces):
             stream.write(text.decode("ascii"))

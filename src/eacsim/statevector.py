@@ -238,23 +238,19 @@ def run_contention(
     """
     codebook = verify_injectivity(encoder, spec)
     state = apply_encoder(dicke_state(spec), encoder)
-    d_bits = []
-    for node in range(1, spec.n + 1):
-        record, state = measure(state, node, rng)
-        d_bits.append(record.outcome)
-    word = []
-    for j in range(encoder.ell):
-        record, state = measure(state, spec.n + 1 + j, rng)
-        word.append(record.outcome)
-    d_vector = tuple(d_bits)
+    bits = []
+    for qubit in range(1, spec.n + encoder.ell + 1):  # the data qubits, then the ancillas
+        record, state = measure(state, qubit, rng)
+        bits.append(record.outcome)
+    d_vector, word = tuple(bits[: spec.n]), tuple(bits[spec.n :])
     winners = tuple(i for i in range(1, spec.n + 1) if d_vector[i - 1])
-    decoded = decode(codebook, tuple(word))
+    decoded = decode(codebook, word)
     if decoded != winners:
         raise RuntimeError(
             f"ancilla word decoded to {decoded} but measured winners are {winners}"
         )
     views = [NodeView(node_id=i, d=d_vector[i - 1]) for i in range(1, spec.n + 1)]
-    outcome = ContentionOutcome(d_vector=d_vector, winners=winners, ancilla_word=tuple(word))
+    outcome = ContentionOutcome(d_vector=d_vector, winners=winners, ancilla_word=word)
     return outcome, views
 
 

@@ -8,6 +8,7 @@ from scipy.stats import chi2_contingency
 
 from eacsim.channel import (
     ChannelParams,
+    DistributionTrace,
     SlotTimeline,
     empirical_contention_success,
     empirical_full_connection_by_slot,
@@ -131,6 +132,7 @@ def test_connected_at():
     trace = simulate_distribution(5, 0.4, 6, split_rng(1, 0))
     assert trace.connected_at(1) == trace.connected_sets[0]
     assert trace.connected_at(100) == trace.connected_sets[-1]
+    assert DistributionTrace(5, ()).connected_at(3) == ()  # no slot has run
     with pytest.raises(ValueError):
         trace.connected_at(0)
 

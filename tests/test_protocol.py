@@ -10,7 +10,7 @@ import pytest
 
 from conftest import basis_state, force_bits, states_equal, unranked_rows
 
-from eacsim import protocol, statevector as sv
+from eacsim import encoder as enc, statevector as sv
 from eacsim.encoder import (
     SynthesisFailed,
     build_binary_encoder,
@@ -20,6 +20,7 @@ from eacsim.encoder import (
 from eacsim.protocol import (
     BellState,
     ContentionOutcome,
+    DrawnRounds,
     NodeView,
     WrongWinnerCount,
     anonymity_audit,
@@ -62,6 +63,17 @@ def test_run_contention_binary_encoder():
         outcome, _ = run_contention(spec, encoder, np.random.default_rng(seed))
         assert sum(outcome.d_vector) == 2
         assert codebook.entries[outcome.ancilla_word] == outcome.winners
+
+
+def test_run_contention_measures_data_then_ancillas(monkeypatch):
+    # one measurement a qubit, in qubit order: the n data qubits, then the ell ancillas
+    spec = DickeSpec(5, 2)
+    encoder = build_binary_encoder(spec)
+    targets, measure = [], sv.measure
+    monkeypatch.setattr(sv, "measure", lambda state, target, rng:
+                        targets.append(target) or measure(state, target, rng))
+    run_contention(spec, encoder, np.random.default_rng(0))
+    assert targets == list(range(1, spec.n + encoder.ell + 1))
 
 
 def test_run_contention_covers_all_subsets():
@@ -377,8 +389,8 @@ def test_bulk_transcript_matches_per_row_dumps(monkeypatch, n, k, runs):
     # uint8 index 255.  Written at the default chunk size, at 4 KiB and at 1-round chunks.
     spec = DickeSpec(n, k)
     want = None
-    for chunk_bytes in (protocol.FORMAT_CHUNK_BYTES, 4096, 1):
-        monkeypatch.setattr(protocol, "FORMAT_CHUNK_BYTES", chunk_bytes)
+    for chunk_bytes in (enc.FORMAT_CHUNK_BYTES, 4096, 1):
+        monkeypatch.setattr(enc, "FORMAT_CHUNK_BYTES", chunk_bytes)
         rounds = draw_rounds(spec, build_linear_encoder(spec), runs, np.random.default_rng(n + k))
         if want is None:
             _, d_bits, a_bits = rounds.rows()
@@ -446,17 +458,24 @@ def test_count_outcomes_matches_numpy(n, k):
 def test_streamed_rounds_are_the_whole_draw(monkeypatch, n, k, runs, chunk_bytes):
     # one chunk; 10-row chunks; 1-row chunks; 39-row chunks of 13 nodes (an odd int32 count)
     # and a short last one; k = 11 and k = 1 draw no loser bits.  The reference writes
-    # every round in one chunk.
+    # every round in one chunk.  The chunks counted show that the patch reaches write_rounds.
     spec = DickeSpec(n, k)
     encoder = build_linear_encoder(spec)
     whole_rng, streamed_rng = np.random.default_rng(9), np.random.default_rng(9)
-    monkeypatch.setattr(protocol, "FORMAT_CHUNK_BYTES", 1 << 40)
+    chunks, rows = [], DrawnRounds.rows
+    monkeypatch.setattr(DrawnRounds, "rows", lambda self, *s: chunks.append(s) or rows(self, *s))
+    monkeypatch.setattr(enc, "FORMAT_CHUNK_BYTES", 1 << 40)
     want = io.StringIO()
     write_rounds(draw_rounds(spec, encoder, runs, whole_rng), 4, want)
-    monkeypatch.setattr(protocol, "FORMAT_CHUNK_BYTES", chunk_bytes)
+    assert len(chunks) == 1
+    monkeypatch.setattr(enc, "FORMAT_CHUNK_BYTES", chunk_bytes)
     got = io.StringIO()
     write_rounds(draw_rounds(spec, encoder, runs, streamed_rng), 4, got)
-    assert got.getvalue() == want.getvalue()
+    assert len(chunks) - 1 == -(-runs // max(1, chunk_bytes // (5 * n + encoder.ell)))
+    got, want = got.getvalue().splitlines(keepends=True), want.getvalue().splitlines(keepends=True)
+    assert len(got) == runs == len(want)
+    mismatch = next((r for r in range(runs) if got[r] != want[r]), None)
+    assert mismatch is None, (mismatch, got[mismatch], want[mismatch])
     assert streamed_rng.bit_generator.state == whole_rng.bit_generator.state
 
 
