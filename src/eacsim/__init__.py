@@ -5,12 +5,12 @@ Modules:
 * ``states`` - contention instances (``DickeSpec``) and the order of the
   weight-k slice.
 * ``encoder`` - linear and binary contention-resolution encoders as GF(2)
-  maps realized by CNOT arrays, plus codebooks, parity recovery and the caps
-  (``CapacityError``).
+  maps realized by CNOT arrays, plus codebooks (``codebook_csv`` yields their
+  CSV bytes), parity recovery and the caps (``CapacityError``).
 * ``protocol`` - the records of a noise-free round, the anonymity audit, and
   the classical rounds ``contend`` runs: ``draw_rounds`` draws them as ranks,
-  ``DrawnRounds.rows`` builds their bits and ``write_rounds`` streams their
-  transcript.
+  ``DrawnRounds.rows`` builds their bits and ``transcript`` yields their
+  transcript's bytes.
 * ``statevector`` - the dense reference and test oracle: a minimal
   statevector simulator (H/X/Z/I, CNOT, measurement, fidelity), the Dicke
   and GHZ states, the encoder run on a register, and the reference rounds
@@ -20,7 +20,7 @@ Modules:
   distribution.
 * ``markov`` - closed-form transition/state/success probabilities and the
   absorbing threshold.
-* ``cli`` - the ``eacsim`` command-line front end.
+* ``cli`` - the ``eacsim`` command-line front end; ``_write`` is the one file sink.
 """
 
 from .statevector import (

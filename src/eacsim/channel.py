@@ -32,12 +32,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
 CONFIDENCE_LEVEL = 0.99
-_Z = NormalDist().inv_cdf(0.5 + CONFIDENCE_LEVEL / 2.0)  # two-sided normal quantile
+# NormalDist().inv_cdf(0.5 + CONFIDENCE_LEVEL / 2), the two-sided normal quantile, as a
+# literal: importing statistics (with fractions and decimal) slows every CLI start
+_Z = 2.5758293035489
 
 
 @dataclass(frozen=True)
@@ -137,13 +138,12 @@ def _check_unit(name: str, q: float) -> None:
 def _check_count(name: str, value: int) -> None:
     """Raise ValueError unless the count ``name`` = value is at least 1."""
     if value < 1:
-        raise ValueError(f"{name}={value} must be >= 1")
+        raise ValueError(f"need {name} >= 1, got {value}")
 
 
 def _check_process(n: int, q: float, M: int, trials: int) -> None:
     """Raise ValueError unless n >= 1 nodes, 0 <= q <= 1, M >= 1 slots and trials >= 1, in turn."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _check_count("n", n)
     _check_unit("q", q)
     _check_count("M", M)
     _check_count("trials", trials)

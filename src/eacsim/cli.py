@@ -15,17 +15,17 @@ Carlo row of ``reproduce`` and ``sweep``, and draw group i (in loop order)
 reads ``split_rng(seed, i)``: a group is the rows one estimator call
 serves, a figure's curve or the sweep points that differ only in k.
 ``_out_path`` places every output file: ``--out``, else the default name
-under ``--out-dir``, $EACSIM_OUT_DIR or '.' (never both flags), and ``_write``
-alone opens it; ``analytics`` without ``--out`` prints to stdout.
-``_csv`` formats every CSV table (header row, '.' decimals); files end
-lines with '\\n'.  Exit codes: 0 success, 2 usage error (a ValueError other
-than CapacityError, or an integer too large for a float), a path that
-cannot be read or written or a stdout its reader closed, 3 encoder
-synthesis failure, 4 capacity exceeded: an ``encoder.CapacityError``,
-whose docstring states the caps (``encode``'s codebook, the binary
-construction's slice rule, which ``contend --kind binary`` applies too,
-``contend``'s C(n,k) outcome count and every encoder's CNOT array), or
-arrays that cannot be allocated, e.g. 10**15 trials.
+under ``--out-dir``, $EACSIM_OUT_DIR or '.' (never both flags); ``_write``,
+the one file sink (the library yields ASCII bytes and does no I/O), opens it
+in binary mode, so files end lines with '\\n'; ``analytics`` without ``--out``
+prints to stdout.  ``_csv`` formats every CSV table (header row, '.'
+decimals).  Exit codes: 0 success, 2 usage error (a ValueError other than
+CapacityError, or an integer too large for a float), a path that cannot be
+read or written or a stdout its reader closed, 3 encoder synthesis failure, 4
+capacity exceeded: an ``encoder.CapacityError``, whose docstring states the
+caps (``encode``'s codebook, the binary construction's slice rule, which
+``contend --kind binary`` applies too, ``contend``'s C(n,k) outcome count and
+every encoder's CNOT array), or arrays that cannot be allocated, e.g. 10**15 trials.
 """
 from __future__ import annotations
 
@@ -43,14 +43,14 @@ from .encoder import (
     SynthesisFailed,
     build_binary_encoder,
     build_linear_encoder,
+    codebook_csv,
     format_circuit,
     verify_injectivity,
-    write_codebook_csv,
 )
+from .markov import DEFAULT_EPSILON
 from .states import DickeSpec
 
 DEFAULT_SEED = 0
-DEFAULT_EPSILON = 1e-5
 
 
 class UsageError(ValueError):
@@ -72,11 +72,11 @@ def _csv(header, rows) -> str:
 
 
 def _write(args, name: str | None, content) -> Path:
-    """Write ``content``, the text or a function that writes to the open stream, to
-    `_out_path` with '\\n' line ends on every platform; returns the path."""
+    """Write ``content``, the text or an iterable of its ASCII byte chunks, to `_out_path`
+    in binary mode, so lines end in '\\n' on every platform; returns the path."""
     path = _out_path(args, name)
-    with open(path, "w", newline="\n") as fh:
-        content(fh) if callable(content) else fh.write(content)
+    with open(path, "wb") as fh:
+        fh.writelines([content.encode()] if isinstance(content, str) else content)
     return path
 
 
@@ -102,7 +102,7 @@ def cmd_encode(args) -> int:
     codebook = verify_injectivity(circuit, spec)
     tag = f"{args.kind}_n{args.n}_k{args.k}"
     circuit_path = _write(args, f"encoder_{tag}.txt", format_circuit(circuit))
-    codebook_path = _write(args, f"codebook_{tag}.csv", lambda fh: write_codebook_csv(codebook, fh))
+    codebook_path = _write(args, f"codebook_{tag}.csv", codebook_csv(codebook))
     print(f"encoder: {circuit_path}")
     print(f"codebook: {codebook_path} ({len(codebook.words)} words)")
     print(f"cnots: {len(circuit.cnots)} ell: {circuit.ell} seed: {args.seed}")
@@ -118,7 +118,7 @@ def cmd_contend(args) -> int:
     circuit = _build_encoder(spec, args.kind, None)
     rounds = protocol.draw_rounds(spec, circuit, args.runs, make_rng(args.seed))
     out_path = _write(args, f"contend_n{args.n}_k{args.k}.jsonl",
-                      lambda fh: protocol.write_rounds(rounds, args.seed, fh))
+                      protocol.transcript(rounds, args.seed))
     tally = rounds.tally
     del rounds  # its ranks go before the summary's keys and floats come: a lower peak
     summary = {  # keys in sorted order: json writes them as they are, with no sorted copy

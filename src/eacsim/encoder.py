@@ -13,9 +13,10 @@ first collision a scan in slice order would meet.  The codebook holds
 C(n,k)*(k*s+ell) bytes, s bytes per winner index (1 up to n = 256); the
 verify pass admits C(n,k)*(n+ell) bytes up to SLICE_BYTES_CAP
 (CapacityError past it).  `_data_bits` and `_packed_words` also serve the
-contention sampler.  `_format_int_rows` writes the codebook CSV and
-transcripts via byte matrices.  Everything here is classical; the CNOT array
-run on a dense register is `statevector.apply_encoder`.
+contention sampler.  `_format_int_rows` formats the codebook CSV
+(`codebook_csv`) and transcripts as ASCII bytes via byte matrices, which
+`cli._write` writes.  Everything here is classical; the CNOT array run on a
+dense register is `statevector.apply_encoder`.
 
 Two constructions are provided:
 
@@ -356,11 +357,9 @@ def _format_int_rows(pieces) -> Iterator[bytes]:
         yield np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
 
 
-def write_codebook_csv(codebook: Codebook, stream) -> None:
-    """Codebook as CSV to an open text stream: one column per ancilla bit,
-    winners space-separated; written a chunk of about FORMAT_CHUNK_BYTES at a time."""
-    stream.write(",".join([f"a_{j}" for j in range(codebook.ell)] + ["winners"]) + "\n")
-    body = _format_int_rows(
+def codebook_csv(codebook: Codebook) -> Iterator[bytes]:
+    """Codebook as CSV, in ASCII chunks of about FORMAT_CHUNK_BYTES: one column per ancilla
+    bit, winners space-separated."""
+    yield b",".join([b"a_%d" % j for j in range(codebook.ell)] + [b"winners\n"])
+    yield from _format_int_rows(
         [(codebook.words, b",", (b"0", b"1")), b",", (codebook.winners, b" "), b"\n"])
-    for text in body:
-        stream.write(text.decode("ascii"))

@@ -13,6 +13,7 @@ import math
 from .channel import ChannelParams, SlotTimeline, _check_count, _check_unit
 
 EXACT_BINOM_LIMIT = 60  # integer arithmetic below, log-gamma above
+DEFAULT_EPSILON = 1e-5  # the absorbing threshold's tolerance, unless a caller gives one
 
 
 class NonPositiveHorizon(ValueError):
@@ -105,7 +106,7 @@ def success_prob_fully_noisy(k: int, params: ChannelParams) -> float:
     return (1.0 - a - b + a * b) ** k
 
 
-def absorbing_threshold(n: int, M: int, epsilon: float = 1e-5) -> float:
+def absorbing_threshold(n: int, M: int, epsilon: float = DEFAULT_EPSILON) -> float:
     """Largest failure probability below which full connection stays near-certain.
 
     The unique q with P[all n connected after M slots] = (1 - q^M)^n = 1 - epsilon,
@@ -116,8 +117,8 @@ def absorbing_threshold(n: int, M: int, epsilon: float = 1e-5) -> float:
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon={epsilon} must be in (0, 1)")
-    if n < 1 or M < 1:
-        raise ValueError("need n >= 1 and M >= 1")
+    _check_count("n", n)
+    _check_count("M", M)
     return (-math.expm1(math.log1p(-epsilon) / n)) ** (1.0 / M)
 
 

@@ -16,17 +16,16 @@ the computational basis (after the losers' Hadamards) and CNOTs only permute
 basis states, so `draw_rounds` and `sample_loser_outcomes` draw the Born
 laws without amplitudes.  `draw_rounds` keeps one int64 rank a round and
 unranks and packs each distinct outcome once; `DrawnRounds.rows` builds the
-bits of any run of rounds, and `write_rounds`, the one transcript writer
-(`cli contend` runs it), builds, draws the losers of and writes (by the
-byte-matrix formatter `encoder._format_int_rows`) a chunk of rounds at a
-time, about `encoder.FORMAT_CHUNK_BYTES` of arrays; the summary reads the
-outcomes' `Tally`.  A round's winners travel as k column indices.  The same
-rounds on a dense register, the quantum reference the tests compare against,
-are in `statevector`.
+bits of any run of rounds, and `transcript`, the one transcript formatter,
+builds, draws the losers of and formats (by `encoder._format_int_rows`) a chunk
+of rounds at a time, about `encoder.FORMAT_CHUNK_BYTES` of arrays, into the
+ASCII bytes it yields to `cli._write`; the summary reads the outcomes' `Tally`.
+A round's winners travel as k column indices.  The same rounds on a dense
+register, the quantum reference the tests compare against, are in `statevector`.
 """
 from __future__ import annotations
 
-import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -148,14 +147,15 @@ class Tally(NamedTuple):
                 .decode("ascii").splitlines())
         counts = self.counts.tolist()
         rate = {c: c / self.runs for c in set(counts)}  # one float object per distinct count
-        return dict(sorted(zip(keys, map(rate.get, counts))))
+        # an index sort: sorting (key, rate) pairs holds a tuple per key at the peak
+        return {keys[i]: rate[counts[i]] for i in sorted(range(len(keys)), key=keys.__getitem__)}
 
 
 class DrawnRounds(NamedTuple):
     """Contention rounds as `draw_rounds` holds them, one int64 a round: the (runs,) drawn
     ``ranks``, in round order; the distinct ``outcomes`` among them, ascending, with their
     ``tally`` and their `_packed_words` ``words`` (``ell`` bits each); and the ``rng`` the
-    ranks came from, which `write_rounds` draws the losers' bits from."""
+    ranks came from, which `transcript` draws the losers' bits from."""
 
     tally: Tally
     ell: int
@@ -187,7 +187,7 @@ def draw_rounds(spec: DickeSpec, encoder: EncoderCircuit, runs: int, rng) -> Dra
     each: no C(n,k)-row table, and one int64 a round.  Injectivity is
     `verify_injectivity`'s to check.  Refuses an encoder for another n and,
     before allocating, C(n,k) past 2^63 - 1, the largest int64 (CapacityError).
-    `DrawnRounds.rows` builds the rounds' bits; `write_rounds` a chunk at a time.
+    `DrawnRounds.rows` builds the rounds' bits; `transcript` a chunk at a time.
     """
     if encoder.n != spec.n:
         raise ValueError(f"encoder built for n={encoder.n}, spec has n={spec.n}")
@@ -202,8 +202,8 @@ def draw_rounds(spec: DickeSpec, encoder: EncoderCircuit, runs: int, rng) -> Dra
                        _packed_words(encoder, winners), rng)
 
 
-def write_rounds(rounds: DrawnRounds, seed, stream) -> None:
-    """JSON-lines transcript of ``rounds`` to an open text stream, a chunk of rounds at a time.
+def transcript(rounds: DrawnRounds, seed: int) -> Iterator[bytes]:
+    """JSON-lines transcript of ``rounds`` in ASCII chunks, built a chunk of rounds at a time.
 
     Row r holds the keys d_vector, ancilla_word, winners (1-based), g (null
     for winners), g_parity, bell_state and seed, in that order, as
@@ -215,10 +215,10 @@ def write_rounds(rounds: DrawnRounds, seed, stream) -> None:
     what one call would.
     """
     n, k = rounds.tally.n, rounds.tally.winners.shape[1]
-    seed_tail = f',"seed":{json.dumps(seed)}}}\n'.encode()
+    seed_tail = b',"seed":%d}\n' % seed
     bits = (b"0", b"1")
-    tails = [f'],"g_parity":{p},"bell_state":"{bell.value}"'.encode() + seed_tail
-             for p, bell in ((0, BellState.PHI_PLUS), (1, BellState.PHI_MINUS))]
+    tails = [b'],"g_parity":%d,"bell_state":"%s"' % tail + seed_tail
+             for tail in ((0, b"phi_plus"), (1, b"phi_minus"))]
     step = max(1, enc.FORMAT_CHUNK_BYTES // (5 * n + rounds.ell))
     for start in range(0, len(rounds.ranks), step):
         winners, d_bits, a_bits = rounds.rows(start, start + step)
@@ -232,5 +232,4 @@ def write_rounds(rounds: DrawnRounds, seed, stream) -> None:
         else:
             pieces.append(b',"g":null,"g_parity":null,"bell_state":null' + seed_tail)
         # in text chunks of its own: formatted whole, a chunk's token matrices outweigh its arrays
-        for text in _format_int_rows(pieces):
-            stream.write(text.decode("ascii"))
+        yield from _format_int_rows(pieces)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
+from eacsim import channel
 from eacsim.channel import (
+    CONFIDENCE_LEVEL,
     ChannelParams,
     DistributionTrace,
     SlotTimeline,
@@ -92,7 +94,7 @@ def test_process_validation(estimator, n, q, M, match):
                                                 make_rng(0)),
 ], ids=["state_distribution", "full_connection", "contention_success"])
 def test_estimators_refuse_no_trials(estimator, trials):
-    with pytest.raises(ValueError, match=f"trials={trials} must be >= 1"):
+    with pytest.raises(ValueError, match=f"^need trials >= 1, got {trials}$"):
         estimator(trials)
 
 
@@ -480,6 +482,11 @@ def test_estimator_bit_reproducible():
     e1 = empirical_contention_success(6, params, 20_000, make_rng(7))[1]
     e2 = empirical_contention_success(6, params, 20_000, make_rng(7))[1]
     assert e1 == e2
+
+
+def test_z_literal_is_the_two_sided_normal_quantile():
+    # channel writes the quantile as a literal so that importing it loads no statistics
+    assert channel._Z == NormalDist().inv_cdf(0.5 + CONFIDENCE_LEVEL / 2)
 
 
 def test_normal_ci_brackets():

@@ -1,4 +1,5 @@
 """Command-line front end: files, formats, determinism, exit codes."""
+import ast
 import csv
 import hashlib
 import json
@@ -671,7 +672,7 @@ def test_reproduce_zero_trials_is_usage_error(tmp_path, capsys, figure):
     for trials in ("0", "-1"):
         assert main(["reproduce", "--figure", figure, "--trials", trials,
                      "--out-dir", str(tmp_path)]) == 2
-        assert f"trials={trials}" in capsys.readouterr().err
+        assert f"need trials >= 1, got {trials}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []  # checked before any file is written
 
 
@@ -960,22 +961,43 @@ def test_integer_too_large_for_a_float_is_usage_error(tmp_path, monkeypatch, cap
     assert sorted(p.name for p in tmp_path.iterdir()) == (["big.cfg"] if flag == "sweep" else [])
 
 
-def test_cli_import_leaves_scipy_out():
-    # scipy is a test-only dependency: the runtime must not import it
+def cli_import_loads(module):
+    """Whether ``import eacsim.cli`` in a fresh interpreter puts ``module`` in sys.modules."""
     src = str(Path(eacsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, eacsim.cli; print('scipy' in sys.modules)"
+    code = f"import sys, eacsim.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test-only dependency: the runtime must not import it
+    assert not cli_import_loads("scipy")
 
 
 def test_cli_import_leaves_tomllib_out():
     # only sweep parses a config, so tomllib is imported there and not at start-up
-    src = str(Path(eacsim.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, eacsim.cli; print('tomllib' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert not cli_import_loads("tomllib")
+
+
+def test_cli_import_leaves_statistics_out():
+    # channel's normal quantile is a literal: statistics, with fractions and decimal, would
+    # add milliseconds to every start
+    assert not cli_import_loads("statistics")
+
+
+def test_only_cli_writes_files():
+    # the library yields text and bytes: no module but cli calls open, print or a
+    # .write/.writelines method, and in cli only _write calls open
+    for path in sorted(Path(eacsim.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for call in (node for node in ast.walk(top) if isinstance(node, ast.Call)):
+                name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                where = f"{path.name}:{call.lineno} calls {name}"
+                if path.name != "cli.py":
+                    assert name not in ("open", "print", "write", "writelines"), where
+                elif isinstance(call.func, ast.Name) and name == "open":
+                    assert getattr(top, "name", None) == "_write", where
 
 
 TRACED_RUN = """

@@ -1,7 +1,6 @@
 """Encoders: golden codebooks, injectivity, the greedy construction and its widths, gate counts,
 emission formats."""
 import functools
-import io
 import itertools
 import math
 import operator
@@ -23,12 +22,12 @@ from eacsim.encoder import (
     UnknownWord,
     build_binary_encoder,
     build_linear_encoder,
+    codebook_csv,
     decode,
     format_circuit,
     lower_bound,
     recover_last_bit_linear,
     verify_injectivity,
-    write_codebook_csv,
 )
 from eacsim.states import DickeSpec
 from eacsim.statevector import apply_encoder, dicke_state
@@ -544,16 +543,10 @@ def test_format_circuit_text():
     assert lines[1:] == ["CNOT d1 a0", "CNOT d2 a1", "CNOT d3 a2"]
 
 
-def codebook_csv(codebook):
-    buf = io.StringIO()
-    write_codebook_csv(codebook, buf)
-    return buf.getvalue()
-
-
 def test_format_codebook_csv():
     spec = DickeSpec(4, 2)
     codebook = verify_injectivity(build_linear_encoder(spec), spec)
-    lines = codebook_csv(codebook).strip().splitlines()
+    lines = b"".join(codebook_csv(codebook)).decode().strip().splitlines()
     assert lines[0] == "a_0,a_1,a_2,winners"
     assert len(lines) == 7
     assert "1,1,0,1 2" in lines
@@ -584,9 +577,9 @@ def test_codebook_csv_matches_per_entry_loop(n, k, kind, monkeypatch):
         circuit = build_binary_encoder(spec)
     codebook = verify_injectivity(circuit, spec)
     entries, want = per_entry_codebook_csv(circuit, spec)
-    assert codebook_csv(codebook) == want
+    assert b"".join(codebook_csv(codebook)).decode() == want
     # 300-byte chunks hold one row or a few, so many chunks follow the header
     monkeypatch.setattr(enc, "FORMAT_CHUNK_BYTES", 300)
-    assert codebook_csv(codebook) == want
+    assert b"".join(codebook_csv(codebook)).decode() == want
     assert list(codebook) == sorted(entries.items())
     assert codebook.entries == entries

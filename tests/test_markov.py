@@ -255,14 +255,14 @@ def test_markov_validation_errors():
         transition_prob(5, 6, 6, 0.3)
     with pytest.raises(ValueError, match=r"states must lie in 0\.\.5, got i=0, j=-1"):
         transition_prob(5, 0, -1, 0.3)
-    with pytest.raises(ValueError, match=r"m=0 must be >= 1"):
+    with pytest.raises(ValueError, match=r"^need m >= 1, got 0$"):
         state_prob(5, 2, 0.3, 0)
-    with pytest.raises(ValueError, match=r"M=0 must be >= 1"):
+    with pytest.raises(ValueError, match=r"^need M >= 1, got 0$"):
         success_prob(2, 0.3, 0)
-    with pytest.raises(ValueError, match=r"l_c=0 must be >= 1"):
+    with pytest.raises(ValueError, match=r"^need l_c >= 1, got 0$"):
         success_prob_parallel(2, 0.3, 3, 0)
-    with pytest.raises(ValueError, match=r"k=0 must be >= 1"):
+    with pytest.raises(ValueError, match=r"^need k >= 1, got 0$"):
         success_prob_fully_noisy(0, ChannelParams(q_cr=0.3, q_e=0.3, M_cr=3, M_e=3))
-    for n, m in ((0, 3), (5, 0)):
-        with pytest.raises(ValueError, match=r"need n >= 1 and M >= 1"):
+    for n, m, name in ((0, 3, "n"), (5, 0, "M")):
+        with pytest.raises(ValueError, match=rf"^need {name} >= 1, got 0$"):
             absorbing_threshold(n, m)

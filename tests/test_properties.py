@@ -2,11 +2,17 @@
 classical contention rounds (n <= 62) and their row slices, the bulk transcript (n <= 40),
 index rows in decimal, loser draws on row chunks, the noisy contention estimator against
 its argsort reference and, on tied uniforms, its partition rule, the full-connection
-estimator's certain-block test, the confidence interval and the absorbing threshold."""
+estimator's certain-block test, the confidence interval, the absorbing threshold and the
+exit code of any argv."""
 import copy
 import io
 import json
 import math
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -15,10 +21,11 @@ from conftest import encoder_matrix, unranked_rows
 
 from eacsim.channel import (ChannelParams, _connect_prob, empirical_contention_success,
                             make_rng, normal_ci)
+from eacsim.cli import main
 from eacsim.encoder import (EncoderCircuit, _format_int_rows, _packed_words,
                             build_binary_encoder, build_linear_encoder)
 from eacsim.markov import absorbing_threshold, state_prob
-from eacsim.protocol import draw_rounds, sample_loser_outcomes, write_rounds
+from eacsim.protocol import draw_rounds, sample_loser_outcomes, transcript
 from eacsim.states import DickeSpec, _slice_columns
 
 from test_channel import reference_status, sample_winner_sets
@@ -154,7 +161,7 @@ def test_rows_have_weight_k_and_word_g_d(case):
 @example((DickeSpec(13, 2), build_linear_encoder(DickeSpec(13, 2)), 40, 0), [1])  # 1-row slices
 @example((DickeSpec(6, 1), build_binary_encoder(DickeSpec(6, 1)), 37, 1), [10])  # stop 40 > 37
 def test_row_slices_are_the_whole_draw_unranked_rank_by_rank(case, sizes):
-    # `write_rounds` builds a chunk of rows at a time: consecutive slices (sizes cycled, the
+    # `transcript` builds a chunk of rows at a time: consecutive slices (sizes cycled, the
     # last stop past runs) concatenate to rows(), which unranks each drawn rank on its own
     spec, encoder, runs, seed = case
     rounds = draw_rounds(spec, encoder, runs, np.random.default_rng(seed))
@@ -176,11 +183,9 @@ def test_bulk_transcript_parses_back(case):
     rounds = draw_rounds(spec, encoder, runs, np.random.default_rng(seed))
     _, d_bits, a_bits = rounds.rows()
     g_matrix = parity = None
-    if spec.k == 2:  # the losers' bits write_rounds is about to draw
+    if spec.k == 2:  # the losers' bits transcript is about to draw
         g_matrix, parity = sample_loser_outcomes(d_bits, copy.deepcopy(rounds.rng))
-    buf = io.StringIO()
-    write_rounds(rounds, seed, buf)
-    records = [json.loads(line) for line in buf.getvalue().splitlines()]
+    records = [json.loads(line) for line in b"".join(transcript(rounds, seed)).splitlines()]
     assert len(records) == runs
     np.testing.assert_array_equal([r["d_vector"] for r in records], d_bits)
     np.testing.assert_array_equal([r["ancilla_word"] for r in records], a_bits)
@@ -219,7 +224,7 @@ def test_index_rows_are_their_numbers_in_decimal(dtype, rows, k, top, seed, sep)
 @example(rows=299, n=13, sizes=[1], seed=0)  # 1-row chunks, 13 int32 draws each
 @example(rows=301, n=61, sizes=[7, 1, 39], seed=1)  # odd chunks; odd rows * n overall
 def test_loser_draws_on_row_chunks_are_one_draw(rows, n, sizes, seed):
-    # `write_rounds` draws the losers' bits a chunk of rows at a time: consecutive chunks
+    # `transcript` draws the losers' bits a chunk of rows at a time: consecutive chunks
     # must continue one int32 stream, also where a chunk takes an odd number of draws
     d = np.random.default_rng(seed).integers(0, 2, size=(rows, n)).astype(np.uint8)
     whole_rng, chunk_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
@@ -322,3 +327,143 @@ def test_threshold_inverts_full_connection(n, M, epsilon):
     q_bar = absorbing_threshold(n, M, epsilon)
     assert abs(state_prob(n, n, q_bar, M) - (1.0 - epsilon)) < 1e-9
     assert absorbing_threshold(n + 1, M, epsilon) <= q_bar
+
+
+# ---------------------------------------------------------------- argv
+
+INTS = st.integers(-2**70, 2**70)
+
+
+def often(valid, wild):
+    """Most draws from ``valid``, about one in eight from ``wild``: with a handful of options
+    each, a fair share of the argv gets past every check."""
+    return st.sampled_from([valid] * 7 + [wild]).flatmap(lambda strategy: strategy)
+
+
+def small_or_huge(top, floor):
+    """Ints up to ``top``, where a run is quick, or from ``floor`` up, where a cap or a failed
+    allocation refuses first; between the two a run may take seconds or gigabytes."""
+    return st.integers(-2**70, top) | st.integers(floor, 2**70)
+
+
+def maybe(strategy):
+    return st.none() | strategy
+
+
+# any float, nan and infinities included
+UNIT = often(st.floats(0, 1), st.floats())
+SLOTS = often(st.integers(1, 20), INTS)
+SEED = maybe(often(st.integers(0, 2**70), INTS))
+COUNT = often(st.integers(1, 300), small_or_huge(300, 2**50))  # --runs and --trials
+
+
+def path_flag(flag):
+    """``flag`` naming a path under the example's directory, not yet there, in directories
+    not yet made, under a regular file or the directory itself; or no ``flag``."""
+    paths = st.sampled_from(["{tmp}/out", "{tmp}/new/dir/out", "{tmp}/file/out", "{tmp}"])
+    return st.just([]) | paths.map(lambda path: [f"{flag}={path}"])
+
+
+# --out, --out-dir or neither; one draw in eight gives both, which argparse refuses
+OUT_OR_DIR = often(path_flag("--out") | path_flag("--out-dir"),
+                   st.just(["--out={tmp}/out", "--out-dir={tmp}/dir"]))
+# the linear encoder's CNOT charge refuses n past 16,777,217 before C(n,k) is computed; the
+# binary encoder computes it first, so a huge n gets the linear one
+NODES = often(st.integers(2, 16), st.integers(-2**70, 1) | st.integers(16_777_218, 2**70)) \
+    .flatmap(lambda n: st.tuples(st.just(n), st.sampled_from(["linear", "binary"][:1 + (n <= 16)])))
+
+
+def flags(**options):
+    """Argv words ``--name=value`` for each drawn option; a None draw leaves the option out."""
+    return st.fixed_dictionaries(options).map(lambda drawn: [
+        f"--{name.replace('_', '-')}={value}" for name, value in drawn.items()
+        if value is not None])
+
+
+def winners(n):
+    return often(st.integers(1, max(1, n - 1)), INTS)
+
+
+@st.composite
+def encode_argv(draw):
+    n, kind = draw(NODES)
+    return ["encode", f"--n={n}", f"--kind={kind}", *draw(flags(
+        k=winners(n), ell=maybe(often(st.integers(1, 64), small_or_huge(64, 2**40))),
+        seed=SEED)), *draw(path_flag("--out-dir"))]
+
+
+@st.composite
+def contend_argv(draw):
+    n, kind = draw(NODES)
+    return ["contend", f"--n={n}", f"--kind={kind}",
+            *draw(flags(k=winners(n), runs=COUNT, seed=SEED)), *draw(OUT_OR_DIR)]
+
+
+@st.composite
+def analytics_argv(draw):
+    n = draw(often(st.integers(2, 40), st.integers(-2**70, 40)))  # a table of n + 1 rows
+    return ["analytics", f"--n={n}", *draw(flags(
+        k=winners(n), q_cr=UNIT, q_e=maybe(UNIT), M_cr=SLOTS, M_e=maybe(SLOTS),
+        epsilon=maybe(UNIT), format=maybe(st.sampled_from(["table", "csv", "json"])))),
+        *draw(path_flag("--out"))]
+
+
+def toml_value(value):
+    return f"[{', '.join(map(toml_value, value))}]" if isinstance(value, list) else repr(value)
+
+
+def grid(strategy):
+    return strategy | st.lists(strategy, min_size=1, max_size=2)
+
+
+SWEEP_CONFIG = st.fixed_dictionaries(
+    {"n": grid(often(st.integers(4, 12), small_or_huge(12, 2**50))),
+     "k": grid(often(st.integers(1, 4), INTS)),
+     "q_cr": grid(UNIT), "q_e": grid(UNIT), "M_cr": grid(SLOTS), "M_e": grid(SLOTS)},
+    optional={"trials": often(st.integers(0, 300), small_or_huge(300, 2**50)), "seed": SEED},
+).map(lambda config: "".join(f"{key} = {toml_value(v)}\n" for key, v in config.items()
+                             if v is not None))
+
+# (argv, sweep config text or None)
+CASES = st.one_of(
+    encode_argv(), contend_argv(), analytics_argv(),
+    st.tuples(flags(
+        figure=often(st.sampled_from(["fig8", "fig8l", "fig9", "fig10", "fig11"]), st.just("fig7")),
+        trials=COUNT, seed=SEED), path_flag("--out-dir"))
+    .map(lambda words: ["reproduce", *words[0], *words[1]]),
+).map(lambda argv: (argv, None)) | st.tuples(SWEEP_CONFIG, OUT_OR_DIR).map(
+    lambda case: (["sweep", "--config={tmp}/sweep.toml", *case[1]], case[0]))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(CASES)
+@example((["sweep", "--config={tmp}/sweep.toml"], None))  # no config file
+@example((["contend", "--n=8", "--k=2", f"--runs={2**50}"], None))  # no room for the ranks
+@example((["reproduce", "--figure=fig9", f"--trials={2**50}"], None))  # nor for the uniforms
+@example((["sweep", "--config={tmp}/sweep.toml"],
+          "n = 8\nk = 2\nq_cr = 0.5\nq_e = nan\nM_cr = 3\nM_e = 3\n"))
+def test_every_argv_exits_0_2_3_or_4(case):
+    # main maps every refusal to exit 2, 3 or 4 with one "error:" line; argparse's own
+    # refusals exit 2 with its usage text; nothing leaves a traceback
+    argv, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "file").write_text("")
+        if config is not None:
+            Path(tmp, "sweep.toml").write_text(config)
+        argv = [word.replace("{tmp}", tmp) for word in argv]
+        err = io.StringIO()
+        with mock.patch.dict(os.environ, {"EACSIM_OUT_DIR": tmp}), \
+                redirect_stdout(io.StringIO()), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refused the argv
+                code = exc.code
+                assert code == 2 and err.getvalue().startswith("usage: eacsim")
+                assert ": error: " in err.getvalue().splitlines()[-1], err.getvalue()
+                return
+    text = err.getvalue()
+    assert code in (0, 2, 3, 4) and "Traceback" not in text
+    if code:
+        assert text.startswith("error: ") and text.count("\n") == 1 and text.endswith("\n"), text
+    else:
+        assert text == ""

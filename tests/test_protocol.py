@@ -27,7 +27,7 @@ from eacsim.protocol import (
     build_u_d,
     draw_rounds,
     sample_loser_outcomes,
-    write_rounds,
+    transcript,
 )
 from eacsim.states import DickeSpec
 from eacsim.statevector import (
@@ -395,12 +395,10 @@ def test_bulk_transcript_matches_per_row_dumps(monkeypatch, n, k, runs):
         if want is None:
             _, d_bits, a_bits = rounds.rows()
             g_matrix = parity = None
-            if k == 2:  # the losers' bits write_rounds is about to draw
+            if k == 2:  # the losers' bits transcript is about to draw
                 g_matrix, parity = sample_loser_outcomes(d_bits, copy.deepcopy(rounds.rng))
             want = per_row_transcript(d_bits, a_bits, g_matrix, parity, 11).splitlines(True)
-        buf = io.StringIO()
-        write_rounds(rounds, 11, buf)
-        got = buf.getvalue().splitlines(keepends=True)
+        got = b"".join(transcript(rounds, 11)).decode().splitlines(keepends=True)
         assert len(got) == runs == len(want)
         mismatch = next((r for r in range(runs) if got[r] != want[r]), None)
         assert mismatch is None, (chunk_bytes, mismatch, got[mismatch], want[mismatch])
@@ -410,10 +408,8 @@ def test_bulk_transcript_matches_transcript_record():
     # a k=2 row is the per-round record of the ContentionOutcome and NodeViews it holds,
     # keys in its order
     spec = DickeSpec(5, 2)
-    buf = io.StringIO()
-    write_rounds(draw_rounds(spec, build_linear_encoder(spec), 20, np.random.default_rng(2)),
-                 2, buf)
-    lines = buf.getvalue().splitlines(keepends=True)
+    rounds = draw_rounds(spec, build_linear_encoder(spec), 20, np.random.default_rng(2))
+    lines = b"".join(transcript(rounds, 2)).decode().splitlines(keepends=True)
     assert len(lines) == 20
     for line in lines:
         row = json.loads(line)
@@ -458,21 +454,19 @@ def test_count_outcomes_matches_numpy(n, k):
 def test_streamed_rounds_are_the_whole_draw(monkeypatch, n, k, runs, chunk_bytes):
     # one chunk; 10-row chunks; 1-row chunks; 39-row chunks of 13 nodes (an odd int32 count)
     # and a short last one; k = 11 and k = 1 draw no loser bits.  The reference writes
-    # every round in one chunk.  The chunks counted show that the patch reaches write_rounds.
+    # every round in one chunk.  The chunks counted show that the patch reaches transcript.
     spec = DickeSpec(n, k)
     encoder = build_linear_encoder(spec)
     whole_rng, streamed_rng = np.random.default_rng(9), np.random.default_rng(9)
     chunks, rows = [], DrawnRounds.rows
     monkeypatch.setattr(DrawnRounds, "rows", lambda self, *s: chunks.append(s) or rows(self, *s))
     monkeypatch.setattr(enc, "FORMAT_CHUNK_BYTES", 1 << 40)
-    want = io.StringIO()
-    write_rounds(draw_rounds(spec, encoder, runs, whole_rng), 4, want)
+    want = b"".join(transcript(draw_rounds(spec, encoder, runs, whole_rng), 4))
     assert len(chunks) == 1
     monkeypatch.setattr(enc, "FORMAT_CHUNK_BYTES", chunk_bytes)
-    got = io.StringIO()
-    write_rounds(draw_rounds(spec, encoder, runs, streamed_rng), 4, got)
+    got = b"".join(transcript(draw_rounds(spec, encoder, runs, streamed_rng), 4))
     assert len(chunks) - 1 == -(-runs // max(1, chunk_bytes // (5 * n + encoder.ell)))
-    got, want = got.getvalue().splitlines(keepends=True), want.getvalue().splitlines(keepends=True)
+    got, want = got.splitlines(keepends=True), want.splitlines(keepends=True)
     assert len(got) == runs == len(want)
     mismatch = next((r for r in range(runs) if got[r] != want[r]), None)
     assert mismatch is None, (mismatch, got[mismatch], want[mismatch])
