@@ -22,11 +22,14 @@ Reproducibility: experiments seed a PCG64DXSM stream with the master seed
 private stream: the master stream jumped i times, each jump as far as
 (phi - 1)·2^128 draws, so substreams start far apart in the 2^128 period.
 The estimators take ``rng`` as any `numpy.random.Generator` and read it
-through ``rng.random`` alone: one node-major (n, trials) block of uniforms
-per process whose column t belongs to trial t, reduced over nodes, so
-results are bit-identical for a given seed and generator.  A process whose
-1 - q^m is exactly 0 or 1, which no uniform can change, draws nothing and
-leaves ``rng`` where it was.  The winners' block is always drawn.
+through ``rng.random`` alone: per process, a node-major (n, trials) block of
+uniforms whose column t belongs to trial t, drawn from the same stream a group
+of consecutive rows (about DRAW_GROUP_BYTES) at a time into one reused buffer
+and reduced over nodes, so results are bit-identical for a given seed and
+generator.  A process whose 1 - q^m is exactly 0 or 1, which no uniform can
+change, draws nothing and leaves ``rng`` where it was.  The winners' block is
+always drawn, and held whole.  A block numpy cannot allocate raises
+MemoryError naming n and trials.
 """
 from __future__ import annotations
 
@@ -36,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 CONFIDENCE_LEVEL = 0.99
+DRAW_GROUP_BYTES = 1 << 18  # uniforms drawn and reduced at a time (L2); results do not depend on it
 # NormalDist().inv_cdf(0.5 + CONFIDENCE_LEVEL / 2), the two-sided normal quantile, as a
 # literal: importing statistics (with fractions and decimal) slows every CLI start
 _Z = 2.5758293035489
@@ -117,16 +121,33 @@ def _connect_prob(q: float, M: int) -> np.ndarray:
     return 1.0 - q ** np.arange(1, M + 1)
 
 
-def _connected_by(n: int, q: float, m: int, trials: int, rng) -> np.ndarray:
-    """(n, trials) boolean connection status after slot m: one uniform per (node, trial).
+def _empty(rows: int, trials: int, n: int, dtype=float) -> np.ndarray:
+    """np.empty((rows, trials), dtype), or MemoryError naming n and trials if numpy refuses it."""
+    try:
+        return np.empty((rows, trials), dtype)
+    except (ValueError, MemoryError):  # too large to address, or to allocate
+        raise MemoryError(f"no room for {rows} x {trials} values: n={n}, trials={trials}") from None
 
-    ``rng`` is any `numpy.random.Generator`.  When 1 - q^m is exactly 0.0 or
-    1.0 every entry is known without its uniform, so nothing is drawn.
-    """
+
+def _row_groups(n: int, trials: int) -> list[slice]:
+    """Consecutive node rows, DRAW_GROUP_BYTES of float64 a group rounded up to whole rows."""
+    size = min(n, -(-DRAW_GROUP_BYTES // (8 * trials)))
+    return [slice(start, min(start + size, n)) for start in range(0, n, size)]
+
+
+def _uniform_rows(n: int, trials: int, rng):
+    """(rows, uniforms) per row group, drawn in stream order into one buffer allocated now."""
+    groups = _row_groups(n, trials)
+    buffer = _empty(groups[0].stop, trials, n)
+    return ((rows, rng.random(out=buffer[:rows.stop - rows.start])) for rows in groups)
+
+
+def _status_rows(n: int, q: float, m: int, trials: int, rng):
+    """(rows, connection status after slot m) per row group; a certain 1 - q^m draws nothing."""
     p = 1.0 - q**m
     if p in (0.0, 1.0):
-        return np.broadcast_to(p == 1.0, (n, trials))
-    return rng.random((n, trials)) < p
+        return [(slice(0, n), np.broadcast_to(p == 1.0, (n, trials)))]
+    return ((rows, uniforms < p) for rows, uniforms in _uniform_rows(n, trials, rng))
 
 
 def _check_unit(name: str, q: float) -> None:
@@ -170,7 +191,11 @@ def empirical_full_connection_by_slot(n: int, q: float, M: int, trials: int, rng
     if probs[0] in (0.0, 1.0):  # then so is each 1 - q^m (q^m <= q): each fraction is its value
         return probs
     # every node is connected by slot m iff the largest of its trial's uniforms is < 1 - q^m
-    last = np.sort(rng.random((n, trials)).max(axis=0))
+    groups = _uniform_rows(n, trials, rng)  # its buffer is the first allocation
+    last = np.zeros(trials)
+    for _, uniforms in groups:
+        np.maximum(last, uniforms.max(axis=0), out=last)
+    last.sort()
     return np.searchsorted(last, probs, side="left") / trials
 
 
@@ -180,9 +205,9 @@ def empirical_state_distribution(n: int, q: float, M: int, trials: int, rng) -> 
     ``rng`` is any `numpy.random.Generator`; a certain process draws nothing.
     """
     _check_process(n, q, M, trials)
-    connected = _connected_by(n, q, M, trials, rng)
-    counts = np.bincount(connected.sum(axis=0, dtype=np.min_scalar_type(n)), minlength=n + 1)
-    return counts / trials
+    statuses = _status_rows(n, q, M, trials, rng)
+    connected = sum(status.sum(axis=0, dtype=np.min_scalar_type(n)) for _, status in statuses)
+    return np.bincount(connected, minlength=n + 1) / trials
 
 
 def empirical_contention_success(n: int, params: ChannelParams, trials: int, rng) -> np.ndarray:
@@ -197,14 +222,19 @@ def empirical_contention_success(n: int, params: ChannelParams, trials: int, rng
     _check_process(n, params.q_cr, params.m_bar, trials)  # ChannelParams checked q and M
     m_bar = params.m_bar
     # the decision reads slot m_bar; slots past it cannot change the outcome
-    both = (_connected_by(n, params.q_cr, m_bar, trials, rng)
-            & _connected_by(n, params.q_e, m_bar, trials, rng))
-    uniforms = rng.random((n, trials))
+    both = _empty(n, trials, n, bool)
+    for rows, status in _status_rows(n, params.q_cr, m_bar, trials, rng):
+        both[rows] = status
+    for rows, status in _status_rows(n, params.q_e, m_bar, trials, rng):
+        both[rows] &= status
+    uniforms = rng.random(out=_empty(n, trials, n))
     # winners (u <= the k-th smallest, ties included) all hold both ebits iff at least k
     # nodes drew below `bad`, the smallest uniform of a node lacking one: adding `both`
     # lifts the others to [1, 2), past every uniform, so `bad` >= 1 when there is none
-    bad = (uniforms + both).min(axis=0)
-    below = (uniforms < bad).sum(axis=0, dtype=np.min_scalar_type(n))
+    bad, groups = np.full(trials, 2.0), _row_groups(n, trials)
+    for rows in groups:
+        np.minimum(bad, (uniforms[rows] + both[rows]).min(axis=0), out=bad)
+    below = sum((uniforms[rows] < bad).sum(axis=0, dtype=np.min_scalar_type(n)) for rows in groups)
     # trials with below >= k, for k = n..1: a reverse cumulative sum of the histogram
     return np.cumsum(np.bincount(below, minlength=n + 1)[:0:-1])[::-1] / trials
 

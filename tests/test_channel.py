@@ -1,5 +1,6 @@
 """Monte Carlo distribution model: traces, invariants, empirical laws."""
 import math
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
@@ -413,6 +414,63 @@ def test_estimator_draw_budget(estimator, per_node_trial):
     fresh = make_rng(12)
     fresh.random(per_node_trial * n * trials)
     assert used.bit_generator.state == fresh.bit_generator.state
+
+
+class CountingRng:
+    """A generator wrapper that counts its ``random`` calls."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def random(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.random(*args, **kwargs)
+
+
+@pytest.mark.parametrize("estimator, blocks", [
+    (lambda n, trials, rng: empirical_contention_success(
+        n, ChannelParams(q_cr=0.3, q_e=0.2, M_cr=3, M_e=4), trials, rng), 3),
+    (lambda n, trials, rng: empirical_state_distribution(n, 0.4, 3, trials, rng), 1),
+    (lambda n, trials, rng: empirical_full_connection_by_slot(n, 0.4, 5, trials, rng), 1),
+], ids=["contention_success", "state_distribution", "full_connection"])
+def test_draw_calls_are_bounded_by_bytes_not_nodes(estimator, blocks):
+    # many nodes, few trials: rows are drawn a group of DRAW_GROUP_BYTES at a time, not one
+    # row a call, so the calls per block are bounded by the block's bytes over the budget
+    n, trials = 200_000, 2
+    rng = CountingRng(make_rng(3))
+    estimator(n, trials, rng)
+    assert rng.calls <= blocks * (math.ceil(8 * n * trials / channel.DRAW_GROUP_BYTES) + 1)
+
+
+def traced_peak(call):
+    """Peak bytes traced while ``call()`` runs, after one untraced warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("estimator", [
+    lambda n, trials: empirical_state_distribution(n, 0.4, 5, trials, make_rng(0)),
+    lambda n, trials: empirical_full_connection_by_slot(n, 0.4, 5, trials, make_rng(0)),
+], ids=["state_distribution", "full_connection"])
+def test_reduced_estimators_hold_no_node_block(estimator):
+    # they keep trials-long arrays and one row-group buffer: 16x the nodes, same peak
+    trials = 20_000
+    small, large = (traced_peak(lambda: estimator(n, trials)) for n in (4, 64))
+    assert large < 1.5 * small
+
+
+def test_contention_holds_the_winners_block_and_the_status_block_only():
+    # 8 bytes a winner uniform and 1 a status bit, (n, trials) each, plus a few trials-long
+    # arrays: no float temporary of the whole block, no (n, trials) comparison
+    n, trials = 64, 20_000
+    params = ChannelParams(q_cr=0.3, q_e=0.2, M_cr=3, M_e=4)
+    peak = traced_peak(lambda: empirical_contention_success(n, params, trials, make_rng(0)))
+    assert peak <= 9 * n * trials + 6 * 8 * trials
 
 
 def reference_status(n, q, m, trials, rng):

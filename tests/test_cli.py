@@ -676,6 +676,27 @@ def test_reproduce_zero_trials_is_usage_error(tmp_path, capsys, figure):
         assert list(tmp_path.iterdir()) == []  # checked before any file is written
 
 
+@pytest.mark.parametrize("figure", ["fig8", "fig8l", "fig9", "fig10", "fig11"])
+@pytest.mark.parametrize("trials", [2**50, 2**62, 2**63])
+def test_reproduce_too_many_trials_is_capacity_error(tmp_path, capsys, figure, trials):
+    # too large to allocate (2^50), to address (2^62 doubles) or to be a dimension (2^63):
+    # each exits 4 naming the count, and writes nothing
+    assert main(["reproduce", "--figure", figure, "--trials", str(trials),
+                 "--out-dir", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"trials={trials}" in err, err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_too_many_nodes_is_capacity_error(tmp_path, capsys):
+    config = tmp_path / "sweep.toml"
+    config.write_text(f"n = {2**62}\nk = 2\nq_cr = 0.5\nq_e = 0.2\nM_cr = 3\nM_e = 3\n"
+                      "trials = 10\n")
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "sweep.csv")]) == 4
+    assert f"n={2**62}, trials=10" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_reproduce_unknown_figure():
     with pytest.raises(SystemExit) as err:
         main(["reproduce", "--figure", "fig99"])

@@ -19,7 +19,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import encoder_matrix, unranked_rows
 
+from eacsim import channel
 from eacsim.channel import (ChannelParams, _connect_prob, empirical_contention_success,
+                            empirical_full_connection_by_slot, empirical_state_distribution,
                             make_rng, normal_ci)
 from eacsim.cli import main
 from eacsim.encoder import (EncoderCircuit, _format_int_rows, _packed_words,
@@ -28,7 +30,8 @@ from eacsim.markov import absorbing_threshold, state_prob
 from eacsim.protocol import draw_rounds, sample_loser_outcomes, transcript
 from eacsim.states import DickeSpec, _slice_columns
 
-from test_channel import reference_status, sample_winner_sets
+from test_channel import (reference_contention_success, reference_full_connection_by_slot,
+                          reference_state_distribution, reference_status, sample_winner_sets)
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -261,22 +264,63 @@ def test_contention_estimator_is_the_argsort_reference(n, q_cr, q_e, m_cr, m_e, 
         assert curve[k - 1] == float(ok.mean())
 
 
-class _Blocks:
-    """A stand-in generator that hands out fixed (n, trials) blocks in order."""
-
-    def __init__(self, *blocks):
-        self._blocks = iter(blocks)
-
-    def random(self, shape):
-        block = next(self._blocks)
-        assert block.shape == shape
-        return block
+BIT_GENERATORS = [np.random.PCG64DXSM, np.random.PCG64, np.random.Philox, np.random.MT19937,
+                  np.random.SFC64]
+# q at the certain ends, in between, and within a few ulps of 1; below 2^-53, 1 - q rounds to
+# 1.0 and the full-connection reference, which tests q itself, would draw a certain block
+PROBABILITY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(2.0**-53, 1),
+                        st.floats(1 - 2.0**-50, 1))
 
 
 @PROPERTY_SETTINGS
-@given(st.integers(1, 12), st.integers(1, 40), st.integers(1, 4), st.integers(0, 2**32))
-@example(3, 1, 1, 0)  # one level: every node ties with every other
-def test_contention_rule_with_ties_is_the_partition_rule(n, trials, levels, seed):
+@given(st.integers(1, 40), st.integers(1, 3000), PROBABILITY, PROBABILITY, st.integers(1, 6),
+       st.integers(1, 6), st.integers(1, 4096), st.sampled_from(BIT_GENERATORS),
+       st.integers(0, 2**32))
+@example(40, 3000, 0.4, 0.3, 3, 4, 1, np.random.Philox, 0)  # one row a call: 3 x 40 calls
+@example(40, 3000, 0.0, 1.0, 3, 4, 1, np.random.MT19937, 1)  # only the winners' block is drawn
+@example(7, 301, 0.4, 0.3, 3, 4, channel.DRAW_GROUP_BYTES, np.random.SFC64, 2)  # one group
+def test_row_group_estimators_are_the_whole_block_references(n, trials, q, q_e, m, m_e, budget,
+                                                             bit_generator, seed):
+    # drawing a block a row group at a time reads the stream as one whole-block draw does,
+    # on any numpy generator: every estimate and the draws after it are the references'
+    params = ChannelParams(q_cr=q, q_e=q_e, M_cr=m, M_e=m_e)
+    with mock.patch.object(channel, "DRAW_GROUP_BYTES", budget):
+        for estimator, reference, args in [
+                (empirical_state_distribution, reference_state_distribution, (n, q, m, trials)),
+                (empirical_full_connection_by_slot, reference_full_connection_by_slot,
+                 (n, q, m, trials)),
+                (empirical_contention_success, reference_contention_success, (n, params, trials))]:
+            used, drawn = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+            np.testing.assert_array_equal(estimator(*args, used), reference(*args, drawn))
+            np.testing.assert_array_equal(used.random(8), drawn.random(8))
+
+
+class _Blocks:
+    """A stand-in generator that hands out the rows of fixed (n, trials) blocks in order.
+
+    ``random(out=...)`` fills ``out`` with the next ``len(out)`` rows, as a generator fills
+    it with the next doubles of its stream; a call never spans two blocks.
+    """
+
+    def __init__(self, *blocks):
+        self._blocks = iter(blocks)
+        self._block, self._start = np.empty((0, 0)), 0
+
+    def random(self, *, out):
+        if self._start == len(self._block):
+            self._block, self._start = next(self._blocks), 0
+        stop = self._start + len(out)
+        assert out.shape[1:] == self._block.shape[1:] and stop <= len(self._block)
+        out[...] = self._block[self._start:stop]
+        self._start = stop
+        return out
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 12), st.integers(1, 40), st.integers(1, 4), st.integers(0, 2**32),
+       st.integers(1, 64))
+@example(3, 1, 1, 0, 1)  # one level: every node ties with every other
+def test_contention_rule_with_ties_is_the_partition_rule(n, trials, levels, seed, budget):
     # uniforms from a few distinct values tie often, also at the k-th smallest;
     # "at least k drew below the smallest unconnected" must still read as
     # "every node with u <= the k-th smallest is connected", trial by trial, for every k
@@ -287,11 +331,12 @@ def test_contention_rule_with_ties_is_the_partition_rule(n, trials, levels, seed
         ((status.max(axis=0) == 0.25) | (uniforms > np.partition(uniforms, k - 1, axis=0)[k - 1]))
         .all(axis=0) for k in range(1, n + 1)])  # (k, trial)
     params = ChannelParams(q_cr=0.5, q_e=0.5, M_cr=1, M_e=1)  # connected iff u < 0.5
-    for t in range(trials):
+    for t in range(trials):  # a budget under 64 bytes draws up to 8 rows a call
         column = np.s_[:, t:t + 1]
         blocks = _Blocks(status[0][column], status[1][column], uniforms[column])
-        np.testing.assert_array_equal(empirical_contention_success(n, params, 1, blocks),
-                                      expected[:, t])
+        with mock.patch.object(channel, "DRAW_GROUP_BYTES", budget):
+            np.testing.assert_array_equal(empirical_contention_success(n, params, 1, blocks),
+                                          expected[:, t])
 
 
 @PROPERTY_SETTINGS
@@ -440,6 +485,8 @@ CASES = st.one_of(
 @example((["sweep", "--config={tmp}/sweep.toml"], None))  # no config file
 @example((["contend", "--n=8", "--k=2", f"--runs={2**50}"], None))  # no room for the ranks
 @example((["reproduce", "--figure=fig9", f"--trials={2**50}"], None))  # nor for the uniforms
+@example((["reproduce", "--figure=fig9", f"--trials={2**62}"], None))  # too large to address
+@example((["reproduce", "--figure=fig9", f"--trials={2**63}"], None))  # no numpy dimension
 @example((["sweep", "--config={tmp}/sweep.toml"],
           "n = 8\nk = 2\nq_cr = 0.5\nq_e = nan\nM_cr = 3\nM_e = 3\n"))
 def test_every_argv_exits_0_2_3_or_4(case):
