@@ -22,18 +22,24 @@ Reproducibility: experiments seed a PCG64DXSM stream with the master seed
 private stream: the master stream jumped i times, each jump as far as
 (phi - 1)·2^128 draws, so substreams start far apart in the 2^128 period.
 The estimators take ``rng`` as any `numpy.random.Generator` and read it
-through ``rng.random`` alone: per process, a node-major (n, trials) block of
-uniforms whose column t belongs to trial t, drawn from the same stream a group
-of consecutive rows (about DRAW_GROUP_BYTES) at a time into one reused buffer
-and reduced over nodes, so results are bit-identical for a given seed and
+through ``rng.random``, plus one save and restore of ``rng.bit_generator.state``
+per contention call: per process, a node-major (n, trials) block of uniforms
+whose column t belongs to trial t, drawn from the same stream a group of
+consecutive rows (about DRAW_GROUP_BYTES) at a time into one reused buffer and
+reduced over nodes, so results are bit-identical for a given seed and
 generator.  A process whose 1 - q^m is exactly 0 or 1, which no uniform can
 change, draws nothing and leaves ``rng`` where it was.  The winners' block is
-always drawn, and held whole.  A block numpy cannot allocate raises
-MemoryError naming n and trials.
+always drawn and never held whole: it is drawn twice from the same state, once
+for the smallest uniform of a node lacking an ebit and once to count the nodes
+below it, and ``rng`` ends after it.  A block numpy cannot allocate raises
+MemoryError naming n and trials.  `_run_draw_groups` runs independent estimator
+calls, each on its own stream, two at a time (numpy draws and reduces without
+the GIL) and returns their results in loop order.
 """
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,7 +223,10 @@ def empirical_contention_success(n: int, params: ChannelParams, trials: int, rng
     processes at the common horizon m_bar and draw one uniform per node; the k
     winners, a uniform weight-k set, hold the k smallest.  One draw serves every
     k: entry k-1 is the float a draw for that k alone would give.  ``rng`` is any
-    `numpy.random.Generator`; a certain process draws nothing, the winners' block always.
+    `numpy.random.Generator`; a certain process draws nothing.  The winners' block
+    is always drawn, a row group at a time and twice: ``rng.bit_generator.state``
+    is saved before it and restored after the first pass, so the (n, trials) status
+    block and one row group's floats are held, not the block, and ``rng`` ends after it.
     """
     _check_process(n, params.q_cr, params.m_bar, trials)  # ChannelParams checked q and M
     m_bar = params.m_bar
@@ -227,16 +236,49 @@ def empirical_contention_success(n: int, params: ChannelParams, trials: int, rng
         both[rows] = status
     for rows, status in _status_rows(n, params.q_e, m_bar, trials, rng):
         both[rows] &= status
-    uniforms = rng.random(out=_empty(n, trials, n))
     # winners (u <= the k-th smallest, ties included) all hold both ebits iff at least k
     # nodes drew below `bad`, the smallest uniform of a node lacking one: adding `both`
     # lifts the others to [1, 2), past every uniform, so `bad` >= 1 when there is none
-    bad, groups = np.full(trials, 2.0), _row_groups(n, trials)
-    for rows in groups:
-        np.minimum(bad, (uniforms[rows] + both[rows]).min(axis=0), out=bad)
-    below = sum((uniforms[rows] < bad).sum(axis=0, dtype=np.min_scalar_type(n)) for rows in groups)
+    before_winners, bad = rng.bit_generator.state, np.full(trials, 2.0)
+    for rows, uniforms in _uniform_rows(n, trials, rng):
+        np.minimum(bad, np.add(uniforms, both[rows], out=uniforms).min(axis=0), out=bad)
+    del both, uniforms  # the replay needs neither: its buffer replaces the first pass's
+    rng.bit_generator.state = before_winners  # the same uniforms again, to count those below `bad`
+    below = sum((uniforms < bad).sum(axis=0, dtype=np.min_scalar_type(n))
+                for _, uniforms in _uniform_rows(n, trials, rng))
     # trials with below >= k, for k = n..1: a reverse cumulative sum of the histogram
     return np.cumsum(np.bincount(below, minlength=n + 1)[:0:-1])[::-1] / trials
+
+
+def _run_draw_groups(call, groups) -> list:
+    """[call(i, group) for i, group in enumerate(groups)], run on this thread and one more.
+
+    Each worker takes the next group in loop order and stores its result at that group's
+    index.  After a failure no group starts; both workers end before this returns or
+    raises, and the lowest-index failure is raised, the one the serial loop would raise.
+    """
+    groups = list(groups)
+    results, failures = [None] * len(groups), {}
+    order, lock = enumerate(groups), threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                taken = None if failures else next(order, None)
+            if taken is None:
+                return
+            try:
+                results[taken[0]] = call(*taken)
+            except BaseException as exc:  # raised on the calling thread, below
+                failures[taken[0]] = exc
+
+    helper = threading.Thread(target=work)
+    helper.start()
+    work()
+    helper.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def normal_ci(p_hat: float, trials: int) -> tuple[float, float]:

@@ -13,7 +13,10 @@ the master seed defaults to 0, may be any non-negative integer, and is
 echoed in emitted metadata; one builder, ``_mc_rows``, writes every Monte
 Carlo row of ``reproduce`` and ``sweep``, and draw group i (in loop order)
 reads ``split_rng(seed, i)``: a group is the rows one estimator call
-serves, a figure's curve or the sweep points that differ only in k.
+serves, a figure's curve or the sweep points that differ only in k.  Groups
+run two at a time, on the calling thread and one more
+(``channel._run_draw_groups``), and their rows are written in loop order, so
+no byte depends on which group ends first; no thread outlives ``main``.
 ``_out_path`` places every output file: ``--out``, else the default name
 under ``--out-dir``, $EACSIM_OUT_DIR or '.' (never both flags); ``_write``,
 the one file sink (the library yields ASCII bytes and does no I/O), opens it
@@ -195,12 +198,11 @@ _MC_COLUMNS = ("estimate", "ci_low", "ci_high", "trials", "seed")
 
 def _mc_rows(grid, estimator, trials: int, seed: int) -> list[tuple]:
     """Monte Carlo rows: draw group i of ``grid`` calls ``estimator(*group, split_rng(seed, i))``,
-    and each (row prefix, estimate) pair it returns becomes one row ending in _MC_COLUMNS."""
-    rows = []
-    for index, group in enumerate(grid):
-        rows += [prefix + (estimate, *normal_ci(estimate, trials), trials, seed)
-                 for prefix, estimate in estimator(*group, split_rng(seed, index))]
-    return rows
+    two groups at a time (`channel._run_draw_groups`), and each (row prefix, estimate) pair it
+    returns becomes one row ending in _MC_COLUMNS; rows come in loop order, as a serial loop's."""
+    groups = channel._run_draw_groups(lambda i, group: estimator(*group, split_rng(seed, i)), grid)
+    return [prefix + (estimate, *normal_ci(estimate, trials), trials, seed)
+            for pairs in groups for prefix, estimate in pairs]
 
 
 def _reproduce_fig8(trials: int, seed: int) -> list[tuple]:

@@ -1,5 +1,6 @@
 """Monte Carlo distribution model: traces, invariants, empirical laws."""
 import math
+import sys
 import tracemalloc
 from statistics import NormalDist
 
@@ -417,10 +418,10 @@ def test_estimator_draw_budget(estimator, per_node_trial):
 
 
 class CountingRng:
-    """A generator wrapper that counts its ``random`` calls."""
+    """A generator wrapper that counts its ``random`` calls; its state is the generator's."""
 
     def __init__(self, rng):
-        self.rng, self.calls = rng, 0
+        self.rng, self.calls, self.bit_generator = rng, 0, rng.bit_generator
 
     def random(self, *args, **kwargs):
         self.calls += 1
@@ -429,17 +430,31 @@ class CountingRng:
 
 @pytest.mark.parametrize("estimator, blocks", [
     (lambda n, trials, rng: empirical_contention_success(
-        n, ChannelParams(q_cr=0.3, q_e=0.2, M_cr=3, M_e=4), trials, rng), 3),
+        n, ChannelParams(q_cr=0.3, q_e=0.2, M_cr=3, M_e=4), trials, rng), 4),
     (lambda n, trials, rng: empirical_state_distribution(n, 0.4, 3, trials, rng), 1),
     (lambda n, trials, rng: empirical_full_connection_by_slot(n, 0.4, 5, trials, rng), 1),
 ], ids=["contention_success", "state_distribution", "full_connection"])
 def test_draw_calls_are_bounded_by_bytes_not_nodes(estimator, blocks):
     # many nodes, few trials: rows are drawn a group of DRAW_GROUP_BYTES at a time, not one
-    # row a call, so the calls per block are bounded by the block's bytes over the budget
+    # row a call, so the calls per block are bounded by the block's bytes over the budget;
+    # contention reads its winners' block twice, so it counts as two blocks
     n, trials = 200_000, 2
     rng = CountingRng(make_rng(3))
     estimator(n, trials, rng)
     assert rng.calls <= blocks * (math.ceil(8 * n * trials / channel.DRAW_GROUP_BYTES) + 1)
+
+
+def test_draw_groups_run_once_each_and_land_in_loop_order():
+    # the two workers share one group iterator: with a thread switch every microsecond each
+    # group still runs exactly once and its result lands at its own index
+    taken, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = channel._run_draw_groups(lambda i, g: taken.append(i) or (i, g),
+                                          (x * x for x in range(2000)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [(i, i * i) for i in range(2000)] and sorted(taken) == list(range(2000))
 
 
 def traced_peak(call):
@@ -464,13 +479,14 @@ def test_reduced_estimators_hold_no_node_block(estimator):
     assert large < 1.5 * small
 
 
-def test_contention_holds_the_winners_block_and_the_status_block_only():
-    # 8 bytes a winner uniform and 1 a status bit, (n, trials) each, plus a few trials-long
-    # arrays: no float temporary of the whole block, no (n, trials) comparison
+def test_contention_holds_the_status_block_and_row_groups_only():
+    # 1 byte a status bit, (n, trials), plus one row group's float buffer and a few
+    # trials-long arrays: the winners' block is replayed, never held whole
     n, trials = 64, 20_000
     params = ChannelParams(q_cr=0.3, q_e=0.2, M_cr=3, M_e=4)
+    rows = -(-channel.DRAW_GROUP_BYTES // (8 * trials))
     peak = traced_peak(lambda: empirical_contention_success(n, params, trials, make_rng(0)))
-    assert peak <= 9 * n * trials + 6 * 8 * trials
+    assert peak <= n * trials + 8 * rows * trials + 6 * 8 * trials
 
 
 def reference_status(n, q, m, trials, rng):
@@ -488,7 +504,7 @@ def reference_state_distribution(n, q, M, trials, rng):
 def reference_full_connection_by_slot(n, q, M, trials, rng):
     """Reference that draws only an uncertain block; a certain one is its exact curve."""
     probs = 1.0 - q ** np.arange(1, M + 1)
-    if q in (0.0, 1.0):
+    if 1.0 - q in (0.0, 1.0):  # as the estimator decides it: 1 - q is 1.0 for q < 2^-53 too
         return probs
     last = np.sort(rng.random((n, trials)).max(axis=0))
     return np.searchsorted(last, probs, side="left") / trials

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -688,6 +689,37 @@ def test_reproduce_too_many_trials_is_capacity_error(tmp_path, capsys, figure, t
     assert list(tmp_path.iterdir()) == []
 
 
+def test_mc_rows_raises_the_first_failed_group_and_starts_no_later_one():
+    # groups 1 and 3 fail, 3 first (1 waits for it, so two groups run at once): the error
+    # raised is group 1's, as in a serial loop, and no group after 3 starts
+    started, three_failed = [], threading.Event()
+
+    def estimator(index, rng):
+        started.append(index)
+        if index == 3:
+            three_failed.set()
+            raise ValueError("group 3")
+        if index == 1:
+            three_failed.wait(timeout=30)
+            raise ValueError("group 1")
+        return [((index,), 0.5)]
+
+    with pytest.raises(ValueError, match="group 1"):
+        cli._mc_rows([(index,) for index in range(8)], estimator, 100, 0)
+    assert sorted(started) == [0, 1, 2, 3]
+    rows = cli._mc_rows([(index,) for index in (0, 2, 4, 5, 6)], estimator, 100, 0)
+    assert [row[0] for row in rows] == [0, 2, 4, 5, 6]  # in loop order
+
+
+@pytest.mark.parametrize("trials, code", [(200, 0), (2**62, 4)])
+def test_no_thread_outlives_main(tmp_path, trials, code):
+    # the draw groups' second worker is joined before main returns, on success and on failure
+    before = threading.active_count()
+    assert main(["reproduce", "--figure", "fig11", "--trials", str(trials),
+                 "--out-dir", str(tmp_path)]) == code
+    assert threading.active_count() == before
+
+
 def test_sweep_too_many_nodes_is_capacity_error(tmp_path, capsys):
     config = tmp_path / "sweep.toml"
     config.write_text(f"n = {2**62}\nk = 2\nq_cr = 0.5\nq_e = 0.2\nM_cr = 3\nM_e = 3\n"
@@ -982,13 +1014,18 @@ def test_integer_too_large_for_a_float_is_usage_error(tmp_path, monkeypatch, cap
     assert sorted(p.name for p in tmp_path.iterdir()) == (["big.cfg"] if flag == "sweep" else [])
 
 
-def cli_import_loads(module):
-    """Whether ``import eacsim.cli`` in a fresh interpreter puts ``module`` in sys.modules."""
+def cli_import_prints(expression):
+    """What ``expression`` prints after ``import sys, eacsim.cli`` in a fresh interpreter."""
     src = str(Path(eacsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = f"import sys, eacsim.cli; print({module!r} in sys.modules)"
+    code = f"import sys, eacsim.cli; print({expression})"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    return out.stdout.strip() == "True"
+    return out.stdout.strip()
+
+
+def cli_import_loads(module):
+    """Whether ``import eacsim.cli`` in a fresh interpreter puts ``module`` in sys.modules."""
+    return cli_import_prints(f"{module!r} in sys.modules") == "True"
 
 
 def test_cli_import_leaves_scipy_out():
@@ -1005,6 +1042,13 @@ def test_cli_import_leaves_statistics_out():
     # channel's normal quantile is a literal: statistics, with fractions and decimal, would
     # add milliseconds to every start
     assert not cli_import_loads("statistics")
+
+
+def test_cli_import_runs_no_dense_code():
+    # statevector stays in sys.modules, where the benchmark's tracer looks it up, as a lazy
+    # module: its code runs when a name is first read from it, never at CLI start-up
+    namespace = "object.__getattribute__(sys.modules['eacsim.statevector'], '__dict__')"
+    assert cli_import_prints(f"'StateVector' in {namespace}") == "False"
 
 
 def test_only_cli_writes_files():

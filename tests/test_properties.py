@@ -12,6 +12,7 @@ import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -266,9 +267,8 @@ def test_contention_estimator_is_the_argsort_reference(n, q_cr, q_e, m_cr, m_e, 
 
 BIT_GENERATORS = [np.random.PCG64DXSM, np.random.PCG64, np.random.Philox, np.random.MT19937,
                   np.random.SFC64]
-# q at the certain ends, in between, and within a few ulps of 1; below 2^-53, 1 - q rounds to
-# 1.0 and the full-connection reference, which tests q itself, would draw a certain block
-PROBABILITY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(2.0**-53, 1),
+# q at the certain ends, in between, and within a few ulps of 0 (subnormals too) and of 1
+PROBABILITY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1), st.floats(0, 2.0**-50),
                         st.floats(1 - 2.0**-50, 1))
 
 
@@ -279,6 +279,7 @@ PROBABILITY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(2.0**-53, 1),
 @example(40, 3000, 0.4, 0.3, 3, 4, 1, np.random.Philox, 0)  # one row a call: 3 x 40 calls
 @example(40, 3000, 0.0, 1.0, 3, 4, 1, np.random.MT19937, 1)  # only the winners' block is drawn
 @example(7, 301, 0.4, 0.3, 3, 4, channel.DRAW_GROUP_BYTES, np.random.SFC64, 2)  # one group
+@example(7, 301, 1e-300, 5e-324, 3, 4, 64, np.random.PCG64, 3)  # 1 - q is 1.0: no draw
 def test_row_group_estimators_are_the_whole_block_references(n, trials, q, q_e, m, m_e, budget,
                                                              bit_generator, seed):
     # drawing a block a row group at a time reads the stream as one whole-block draw does,
@@ -299,20 +300,22 @@ class _Blocks:
     """A stand-in generator that hands out the rows of fixed (n, trials) blocks in order.
 
     ``random(out=...)`` fills ``out`` with the next ``len(out)`` rows, as a generator fills
-    it with the next doubles of its stream; a call never spans two blocks.
+    it with the next doubles of its stream; a call never spans two blocks.  Its
+    ``bit_generator.state`` is the position (block, row), read and set as a generator's.
     """
 
     def __init__(self, *blocks):
-        self._blocks = iter(blocks)
-        self._block, self._start = np.empty((0, 0)), 0
+        self._blocks = blocks
+        self.bit_generator = SimpleNamespace(state=(0, 0))
 
     def random(self, *, out):
-        if self._start == len(self._block):
-            self._block, self._start = next(self._blocks), 0
-        stop = self._start + len(out)
-        assert out.shape[1:] == self._block.shape[1:] and stop <= len(self._block)
-        out[...] = self._block[self._start:stop]
-        self._start = stop
+        index, start = self.bit_generator.state
+        if start == len(self._blocks[index]):
+            index, start = index + 1, 0
+        block, stop = self._blocks[index], start + len(out)
+        assert out.shape[1:] == block.shape[1:] and stop <= len(block)
+        out[...] = block[start:stop]
+        self.bit_generator.state = (index, stop)
         return out
 
 

@@ -280,3 +280,32 @@ def test_production_modules_import_no_statevector():
                 imported.update(part for alias in node.names for part in alias.name.split("."))
         assert "statevector" not in imported, f"{name} imports statevector"
     assert eacsim.CapacityError is eacsim.encoder.CapacityError
+
+
+# every public name of the package from when it imported statevector eagerly
+PACKAGE_EXPORTS = (
+    "BellState", "CapacityError", "ChannelParams", "Codebook", "ContentionOutcome", "DickeSpec",
+    "DistributionTrace", "EncoderCircuit", "InvalidParity", "MeasurementRecord", "NodeView",
+    "NonPositiveHorizon", "NotInjective", "SlotTimeline", "StateVector", "SynthesisFailed",
+    "UnknownWord", "WrongWinnerCount", "absorbing_threshold", "anonymity_audit", "apply_1q",
+    "apply_cnot", "apply_encoder", "build_binary_encoder", "build_linear_encoder", "build_u_d",
+    "canonicalize_bell", "channel", "decode", "dicke_outcome_probability", "dicke_state",
+    "empirical_contention_success", "empirical_state_distribution", "encoder", "extract_epr",
+    "fidelity", "ghz_state", "make_rng", "markov", "measure", "protocol",
+    "recover_last_bit_linear", "run_contention", "run_round", "simulate_distribution",
+    "split_rng", "state_prob", "states", "statevector", "success_prob", "success_prob_fully_noisy",
+    "success_prob_parallel", "time_horizon", "transition_prob", "verify_injectivity",
+)
+
+
+def test_package_exports_survive_the_lazy_statevector():
+    # the dense names are read from statevector at first use; each still imports by name,
+    # through `from eacsim import *`, and is the statevector object itself
+    namespace = {}
+    exec("from eacsim import *", namespace)
+    assert sorted(eacsim.__all__) == sorted(PACKAGE_EXPORTS)
+    for name in PACKAGE_EXPORTS:
+        assert getattr(eacsim, name) is namespace[name], name
+    assert eacsim.StateVector is sv.StateVector and eacsim.statevector is sv
+    with pytest.raises(AttributeError, match="no attribute 'conditional_state'"):
+        eacsim.conditional_state  # statevector's other names are not re-exported
