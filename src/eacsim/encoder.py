@@ -330,13 +330,17 @@ def _format_int_rows(pieces) -> Iterator[bytes]:
     labels[v] for each value v of an integer matrix; or (matrix, sep),
     writing each 0-based index v of an index matrix as the number v+1.
     Tokens are sep-separated.  Each fills a fixed-width, NUL-padded slot of a
-    (rows x width) uint8 matrix; a chunk's NULs are dropped in one pass.
+    (rows x width) uint8 matrix, constant text one row broadcast down it; a
+    chunk's NULs are dropped in one pass.
     """
     rows = next(len(piece[0]) for piece in pieces if not isinstance(piece, bytes))
-    slots, width = [], 0  # (matrix, token table, separator length)
+    slots, width = [], 0  # (matrix, token table, separator length); a constant's matrix is None
     for piece in pieces:
-        if isinstance(piece, bytes):  # one token, the same on every row
-            piece = (np.zeros((rows, 1), dtype=np.uint8), b"", [piece])
+        if isinstance(piece, bytes):  # the same text on every row: its table is that row, broadcast
+            row = np.frombuffer(piece, dtype=np.uint8)
+            slots.append((None, np.broadcast_to(row, (rows, len(row))), 0))
+            width += len(row)
+            continue
         matrix, sep, *labels = piece
         if not labels:  # Python ints: uint8's largest index + 1 would wrap to 0
             indices = range(int(matrix.max()) + 1)
@@ -351,6 +355,9 @@ def _format_int_rows(pieces) -> Iterator[bytes]:
     for start in range(0, rows, step):
         parts = []
         for matrix, table, cut in slots:
+            if matrix is None:
+                parts.append(table[start : start + step])
+                continue
             tokens = table.take(matrix[start : start + step], axis=0)
             tokens[:, 0, :cut] = 0  # no separator before the first token
             parts.append(tokens.reshape(len(tokens), -1))

@@ -16,10 +16,14 @@ the computational basis (after the losers' Hadamards) and CNOTs only permute
 basis states, so `draw_rounds` and `sample_loser_outcomes` draw the Born
 laws without amplitudes.  `draw_rounds` keeps one int64 rank a round and
 unranks and packs each distinct outcome once; `DrawnRounds.rows` builds the
-bits of any run of rounds, and `transcript`, the one transcript formatter,
-builds, draws the losers of and formats (by `encoder._format_int_rows`) a chunk
-of rounds at a time, about `encoder.FORMAT_CHUNK_BYTES` of arrays, into the
-ASCII bytes it yields to `cli._write`; the summary reads the outcomes' `Tally`.
+bits of any run of rounds.  `transcript`, the one transcript formatter, draws
+the losers of and formats (by `encoder._format_int_rows`) a chunk of rounds at
+a time, about `encoder.FORMAT_CHUNK_BYTES` of arrays, into the ASCII bytes it
+yields to `cli._write`.  A row's head (d_vector, ancilla_word, winners) is a
+function of its outcome.  When outcomes repeat enough that the distinct heads
+fit in one formatter chunk, each is formatted once and a round writes its
+head's index and its own loser bits; otherwise `rows` builds a chunk's bits and
+each round's head is formatted.  The summary reads the outcomes' `Tally`.
 A round's winners travel as k column indices.  The same rounds on a dense
 register, the quantum reference the tests compare against, are in `statevector`.
 """
@@ -155,7 +159,9 @@ class DrawnRounds(NamedTuple):
     """Contention rounds as `draw_rounds` holds them, one int64 a round: the (runs,) drawn
     ``ranks``, in round order; the distinct ``outcomes`` among them, ascending, with their
     ``tally`` and their `_packed_words` ``words`` (``ell`` bits each); and the ``rng`` the
-    ranks came from, which `transcript` draws the losers' bits from."""
+    ranks came from, which `transcript` draws the losers' bits from.  `outcome_index` maps
+    rounds to those distinct outcomes: `rows` gathers their bits by it, and `transcript`
+    their formatted heads when the distinct heads fit in one formatter chunk."""
 
     tally: Tally
     ell: int
@@ -164,11 +170,16 @@ class DrawnRounds(NamedTuple):
     words: np.ndarray
     rng: np.random.Generator
 
+    def outcome_index(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Rounds ``start``..``stop`` (slice rules) as their outcomes' rows of ``outcomes``,
+        ``tally`` and ``words``."""
+        return self.outcomes.searchsorted(self.ranks[start:stop])
+
     def rows(self, start: int = 0, stop: int | None = None):
         """Rounds ``start``..``stop`` (slice rules): their (rows x k) winners as
         `states._slice_columns` gives them (0-based, ascending), and their (rows x n) data
         bits and (rows x ell) ancilla bits, both uint8.  ``rows()`` is the whole draw."""
-        index = self.outcomes.searchsorted(self.ranks[start:stop])
+        index = self.outcome_index(start, stop)
         winners = self.tally.winners[index]
         return (winners, _data_bits(self.tally.n, winners),
                 np.unpackbits(self.words[index].view(np.uint8), axis=1, count=self.ell))
@@ -210,20 +221,42 @@ def transcript(rounds: DrawnRounds, seed: int) -> Iterator[bytes]:
     ``json.dumps(..., separators=(",", ":"))`` writes them; for k != 2, ``g``,
     ``g_parity`` and ``bell_state`` are null.  A chunk holds about
     `encoder.FORMAT_CHUNK_BYTES` of round arrays, 5n + ell bytes a round (uint8
-    d and a, int32 g): `DrawnRounds.rows` builds its bits and, for k = 2,
-    `sample_loser_outcomes` draws its losers' bits; consecutive chunks draw
-    what one call would.
+    d and a, int32 g); for k = 2, `sample_loser_outcomes` draws its losers' bits,
+    and consecutive chunks draw what one call would.  A row's head, its keys up to
+    ``"winners":[...]``, depends on the outcome alone.  When the distinct outcomes'
+    heads fit in one formatter chunk (at most 46 + 2(n + ell) + k(digits of n + 1)
+    bytes each), they are formatted once and a chunk writes each round's head by
+    its `DrawnRounds.outcome_index`; otherwise `DrawnRounds.rows` builds a chunk's
+    bits and its heads are formatted round by round.
     """
     n, k = rounds.tally.n, rounds.tally.winners.shape[1]
     seed_tail = b',"seed":%d}\n' % seed
     bits = (b"0", b"1")
     tails = [b'],"g_parity":%d,"bell_state":"%s"' % tail + seed_tail
              for tail in ((0, b"phi_plus"), (1, b"phi_minus"))]
+
+    def head(winners, d_bits, a_bits):
+        return [b'{"d_vector":[', (d_bits, b",", bits), b'],"ancilla_word":[',
+                (a_bits, b",", bits), b'],"winners":[', (winners, b","), b"]"]
+
+    # a head's keys, brackets and newline; a bit and its comma; a winner's digits and comma
+    head_bytes = 46 + 2 * (n + rounds.ell) + k * (len(str(n)) + 1)
+    heads = None
+    # repeated outcomes (a few dozen at n = 8 over any number of rounds): one head each
+    if len(rounds.outcomes) * head_bytes <= enc.FORMAT_CHUNK_BYTES:
+        d_heads = _data_bits(n, rounds.tally.winners)
+        a_heads = np.unpackbits(rounds.words.view(np.uint8), axis=1, count=rounds.ell)
+        heads = b"".join(_format_int_rows(head(rounds.tally.winners, d_heads, a_heads)
+                                          + [b"\n"])).splitlines()
     step = max(1, enc.FORMAT_CHUNK_BYTES // (5 * n + rounds.ell))
     for start in range(0, len(rounds.ranks), step):
-        winners, d_bits, a_bits = rounds.rows(start, start + step)
-        pieces = [b'{"d_vector":[', (d_bits, b",", bits), b'],"ancilla_word":[',
-                  (a_bits, b",", bits), b'],"winners":[', (winners, b","), b"]"]
+        if heads is None:
+            winners, d_bits, a_bits = rounds.rows(start, start + step)
+            pieces = head(winners, d_bits, a_bits)
+        else:
+            index = rounds.outcome_index(start, start + step)
+            pieces = [(index[:, None], b"", heads)]
+            d_bits = d_heads.take(index, axis=0) if k == 2 else None
         if k == 2:
             g_matrix, parity = sample_loser_outcomes(d_bits, rounds.rng)
             # a winner's -1 picks the last label

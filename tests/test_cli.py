@@ -2,6 +2,7 @@
 import ast
 import csv
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -944,6 +945,29 @@ def test_contend_bytes_pinned(tmp_path, monkeypatch, capsys):
                                      hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
     # NEP 19 does not promise Generator streams stay the same across numpy versions
     assert digests == PINNED_CONTEND_DIGESTS, f"numpy {numpy.__version__}, new digests: {digests}"
+
+
+def benchmark_checks():
+    """The benchmark's output checker, loaded from its file: it imports nothing from eacsim."""
+    path = Path(eacsim.__file__).resolve().parents[2] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("n,k,runs", [(8, 2, 3000), (12, 3, 2000), (5, 1, 500), (300, 2, 200),
+                                      (300, 2, 300)])
+def test_contend_passes_the_benchmark_checker(tmp_path, capsys, n, k, runs):
+    # an oracle written apart from the package: its own G, winners, loser parity and Bell
+    # labels, and the summary's win rates against the transcript.  Up to (300, 2, 200) the
+    # transcript writes each distinct outcome's head from one table; at (300, 2, 300) the
+    # heads outgrow a formatter chunk and every round's head is formatted on its own.
+    argv = ["contend", "--n", str(n), "--k", str(k), "--runs", str(runs), "--seed", "7",
+            "--kind", "linear", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    opts = dict(zip(argv[1::2], argv[2::2]))
+    assert benchmark_checks().check_contend(opts, capsys.readouterr().out, tmp_path) == []
 
 
 # SHA-256 of the stdout of `analytics --n 8 --k 2 --q-cr 0.3 --q-e 0.2 --M-cr 3 --M-e 5`

@@ -450,22 +450,34 @@ def test_count_outcomes_matches_numpy(n, k):
 
 @pytest.mark.parametrize("n,k,runs,chunk_bytes", [(8, 2, 1000, 1 << 18), (8, 2, 1000, 470),
                                                   (8, 2, 7, 1), (13, 2, 999, 3003),
-                                                  (22, 11, 500, 1000), (6, 1, 301, 100)])
+                                                  (22, 11, 500, 1000), (6, 1, 301, 100),
+                                                  (8, 2, 20000, 1 << 18), (12, 3, 2000, 50000)])
 def test_streamed_rounds_are_the_whole_draw(monkeypatch, n, k, runs, chunk_bytes):
     # one chunk; 10-row chunks; 1-row chunks; 39-row chunks of 13 nodes (an odd int32 count)
-    # and a short last one; k = 11 and k = 1 draw no loser bits.  The reference writes
-    # every round in one chunk.  The chunks counted show that the patch reaches transcript.
+    # and a short last one; k = 11 and k = 1 draw no loser bits; 4 chunks of 5,577 rounds;
+    # 3 chunks of 704 rounds with null g.  The reference writes every round in one chunk,
+    # from the distinct outcomes' heads; the streamed run takes that head table in the
+    # cases below and builds every round's bits (`rows`) in the others.  The chunks
+    # counted, at the outcome index both paths take a chunk at a time, show that the
+    # patch reaches transcript.
+    head_table = (n, k, runs, chunk_bytes) in {(8, 2, 1000, 1 << 18), (8, 2, 20000, 1 << 18),
+                                               (12, 3, 2000, 50000)}
     spec = DickeSpec(n, k)
     encoder = build_linear_encoder(spec)
     whole_rng, streamed_rng = np.random.default_rng(9), np.random.default_rng(9)
-    chunks, rows = [], DrawnRounds.rows
-    monkeypatch.setattr(DrawnRounds, "rows", lambda self, *s: chunks.append(s) or rows(self, *s))
+    chunks, outcome_index, rows = [], DrawnRounds.outcome_index, DrawnRounds.rows
+    monkeypatch.setattr(DrawnRounds, "outcome_index",
+                        lambda self, *s: chunks.append(s) or outcome_index(self, *s))
+    monkeypatch.setattr(DrawnRounds, "rows",
+                        lambda self, *s: chunks.append("rows") or rows(self, *s))
     monkeypatch.setattr(enc, "FORMAT_CHUNK_BYTES", 1 << 40)
     want = b"".join(transcript(draw_rounds(spec, encoder, runs, whole_rng), 4))
     assert len(chunks) == 1
     monkeypatch.setattr(enc, "FORMAT_CHUNK_BYTES", chunk_bytes)
     got = b"".join(transcript(draw_rounds(spec, encoder, runs, streamed_rng), 4))
-    assert len(chunks) - 1 == -(-runs // max(1, chunk_bytes // (5 * n + encoder.ell)))
+    step = max(1, chunk_bytes // (5 * n + encoder.ell))
+    streamed = [(start, start + step) for start in range(0, runs, step)]
+    assert chunks[1:] == (streamed if head_table else [c for s in streamed for c in ("rows", s)])
     got, want = got.splitlines(keepends=True), want.splitlines(keepends=True)
     assert len(got) == runs == len(want)
     mismatch = next((r for r in range(runs) if got[r] != want[r]), None)
