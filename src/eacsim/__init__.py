@@ -8,9 +8,9 @@ Modules:
   maps realized by CNOT arrays, plus codebooks (``codebook_csv`` yields their
   CSV bytes), parity recovery and the caps (``CapacityError``).
 * ``protocol`` - the records of a noise-free round, the anonymity audit, and
-  the classical rounds ``contend`` runs: ``draw_rounds`` draws them as ranks,
-  ``DrawnRounds.rows`` builds their bits and ``transcript`` yields their
-  transcript's bytes.
+  the classical rounds ``contend`` runs: ``draw_rounds`` draws them and keeps
+  each as its outcome's row, ``DrawnRounds.bits`` builds outcomes' bits and
+  ``transcript`` yields their transcript's bytes.
 * ``statevector`` - the dense reference and test oracle: a minimal
   statevector simulator (H/X/Z/I, CNOT, measurement, fidelity), the Dicke
   and GHZ states, the encoder run on a register, and the reference rounds

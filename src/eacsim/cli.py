@@ -3,7 +3,7 @@
 Subcommands wrap the library: ``encode`` emits encoder circuits and
 codebooks, ``contend`` samples contention rounds classically (no
 statevector) and writes a JSON-lines transcript a chunk of rounds at a time,
-holding one int64 per round, ``analytics`` tabulates
+holding each round as its row of the distinct outcomes, ``analytics`` tabulates
 the closed-form quantities, ``reproduce`` regenerates the figure datasets
 (analytic curves plus Monte Carlo overlays with confidence intervals), and
 ``sweep`` runs a Cartesian parameter grid from a TOML config file.
@@ -123,7 +123,7 @@ def cmd_contend(args) -> int:
     out_path = _write(args, f"contend_n{args.n}_k{args.k}.jsonl",
                       protocol.transcript(rounds, args.seed))
     tally = rounds.tally
-    del rounds  # its ranks go before the summary's keys and floats come: a lower peak
+    del rounds  # its round index goes before the summary's keys and floats come: a lower peak
     summary = {  # keys in sorted order: json writes them as they are, with no sorted copy
         "k": spec.k,
         "kind": args.kind,

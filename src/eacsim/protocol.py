@@ -14,18 +14,17 @@ This module holds the records of a round (`NodeView`, `ContentionOutcome`,
 `anonymity_audit`, and it samples rounds classically: every readout is in
 the computational basis (after the losers' Hadamards) and CNOTs only permute
 basis states, so `draw_rounds` and `sample_loser_outcomes` draw the Born
-laws without amplitudes.  `draw_rounds` keeps one int64 rank a round and
-unranks and packs each distinct outcome once; `DrawnRounds.rows` builds the
-bits of any run of rounds.  `transcript`, the one transcript formatter, draws
-the losers of and formats (by `encoder._format_int_rows`) a chunk of rounds at
-a time, about `encoder.FORMAT_CHUNK_BYTES` of arrays, into the ASCII bytes it
-yields to `cli._write`.  A row's head (d_vector, ancilla_word, winners) is a
-function of its outcome.  When outcomes repeat enough that the distinct heads
-fit in one formatter chunk, each is formatted once and a round writes its
-head's index and its own loser bits; otherwise `rows` builds a chunk's bits and
-each round's head is formatted.  The summary reads the outcomes' `Tally`.
-A round's winners travel as k column indices.  The same rounds on a dense
-register, the quantum reference the tests compare against, are in `statevector`.
+laws without amplitudes.  `draw_rounds` unranks and packs each distinct
+outcome once and keeps a round as its outcome's row, `DrawnRounds.index`;
+`DrawnRounds.bits` builds the bits of any outcome rows.  `transcript`, the one
+transcript formatter, draws the losers of and formats (by
+`encoder._format_int_rows`) a chunk of rounds at a time, about
+`encoder.FORMAT_CHUNK_BYTES` of arrays, into the ASCII bytes it yields to
+`cli._write`.  A row's head (d_vector, ancilla_word, winners) is a function of
+its outcome: when no more outcomes were drawn than a chunk has rounds, each
+head is formatted once.  The summary reads the outcomes' `Tally`.  A round's
+winners travel as k column indices.  The same rounds on a dense register, the
+quantum reference the tests compare against, are in `statevector`.
 """
 from __future__ import annotations
 
@@ -37,6 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import encoder as enc
+from .channel import _check_count
 from .encoder import (CapacityError, EncoderCircuit, _data_bits, _format_int_rows, _packed_words,
                       _size)
 from .states import DickeSpec, _slice_columns
@@ -156,61 +156,64 @@ class Tally(NamedTuple):
 
 
 class DrawnRounds(NamedTuple):
-    """Contention rounds as `draw_rounds` holds them, one int64 a round: the (runs,) drawn
-    ``ranks``, in round order; the distinct ``outcomes`` among them, ascending, with their
-    ``tally`` and their `_packed_words` ``words`` (``ell`` bits each); and the ``rng`` the
-    ranks came from, which `transcript` draws the losers' bits from.  `outcome_index` maps
-    rounds to those distinct outcomes: `rows` gathers their bits by it, and `transcript`
-    their formatted heads when the distinct heads fit in one formatter chunk."""
+    """Contention rounds as `draw_rounds` holds them: the distinct outcomes' ``tally``, their
+    `_packed_words` ``words`` (``ell`` bits each) and, in round order, each round's row of
+    both, ``index`` (in the smallest unsigned dtype that holds them: one byte a round up to 256
+    outcomes); and the ``rng`` the rounds came from, which `transcript` draws the losers' bits
+    from.  `bits` builds the bits of any outcome rows."""
 
     tally: Tally
     ell: int
-    ranks: np.ndarray
-    outcomes: np.ndarray
+    index: np.ndarray
     words: np.ndarray
     rng: np.random.Generator
 
-    def outcome_index(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Rounds ``start``..``stop`` (slice rules) as their outcomes' rows of ``outcomes``,
-        ``tally`` and ``words``."""
-        return self.outcomes.searchsorted(self.ranks[start:stop])
-
-    def rows(self, start: int = 0, stop: int | None = None):
-        """Rounds ``start``..``stop`` (slice rules): their (rows x k) winners as
-        `states._slice_columns` gives them (0-based, ascending), and their (rows x n) data
-        bits and (rows x ell) ancilla bits, both uint8.  ``rows()`` is the whole draw."""
-        index = self.outcome_index(start, stop)
+    def bits(self, index):
+        """Outcome rows ``index`` (rows of ``tally`` and ``words``, an index array or a slice):
+        their (rows x k) winners as `states._slice_columns` gives them (0-based, ascending),
+        and their (rows x n) data bits and (rows x ell) ancilla bits, both uint8."""
         winners = self.tally.winners[index]
         return (winners, _data_bits(self.tally.n, winners),
                 np.unpackbits(self.words[index].view(np.uint8), axis=1, count=self.ell))
 
+    def rows(self, start: int = 0, stop: int | None = None):
+        """Rounds ``start``..``stop`` (slice rules) as `bits` gives them: ``rows()`` is all."""
+        return self.bits(self.index[start:stop])
+
 
 def draw_rounds(spec: DickeSpec, encoder: EncoderCircuit, runs: int, rng) -> DrawnRounds:
-    """``runs`` contention rounds, sampled classically and held as their ranks.
+    """``runs`` contention rounds, sampled classically and held as their outcomes' rows.
 
     Every measurement is in the computational basis and the encoder only
     permutes basis states, so a round's (d, a) outcome is one of the C(n,k)
     weight-k strings d, each with Born weight 1/C(n,k), and a = G.d mod 2.
-    Round r takes the string of rank R_r, the r-th of ``runs`` integers
-    ``rng`` draws uniformly from 0..C(n,k)-1 (numpy's bounded draw rejects,
-    so every rank is exactly equally likely).  The ranks are counted with
-    ``np.unique`` and only the distinct ones are unranked and packed, once
-    each: no C(n,k)-row table, and one int64 a round.  Injectivity is
-    `verify_injectivity`'s to check.  Refuses an encoder for another n and,
-    before allocating, C(n,k) past 2^63 - 1, the largest int64 (CapacityError).
-    `DrawnRounds.rows` builds the rounds' bits; `transcript` a chunk at a time.
+    Round r takes the string of rank R_r, the r-th of ``runs`` int64s ``rng``
+    draws uniformly from 0..C(n,k)-1 (numpy's bounded draw rejects, so every
+    rank is exactly equally likely).  Only the distinct ranks are unranked and
+    packed, once each (no C(n,k)-row table); a round keeps its rank's row among
+    them.  Injectivity is `verify_injectivity`'s to check.  Refuses ``runs`` < 1
+    and an encoder for another n (ValueError); before allocating, C(n,k) past
+    2^63 - 1, the largest int64 (CapacityError); and ranks numpy cannot allocate
+    or address (MemoryError naming runs, n and k).
     """
+    _check_count("runs", runs)
     if encoder.n != spec.n:
         raise ValueError(f"encoder built for n={encoder.n}, spec has n={spec.n}")
     if spec.num_outcomes >= 2**63:
         raise CapacityError(f"C({spec.n},{spec.k}) = {_size(spec.num_outcomes)} outcomes exceed "
                             "2^63 - 1, the largest int64")
-    ranks = rng.integers(spec.num_outcomes, size=runs, dtype=np.int64)
+    try:
+        ranks = rng.integers(spec.num_outcomes, size=runs, dtype=np.int64)
+    except (ValueError, MemoryError):  # too large to address, or to allocate
+        raise MemoryError(f"no room for the ranks: runs={runs}, n={spec.n}, k={spec.k}") from None
     # unranked and packed once, not per chunk: at large n a chunk is a round, each packing scans G
     outcomes, counts = np.unique(ranks, return_counts=True)
     winners = _slice_columns(spec.n, spec.k, outcomes)
-    return DrawnRounds(Tally(spec.n, runs, winners, counts), encoder.ell, ranks, outcomes,
-                       _packed_words(encoder, winners), rng)
+    words = _packed_words(encoder, winners)
+    index = outcomes.searchsorted(ranks)  # last: 9 MB less peak RSS at (22, 11, 10^6) than first
+    del ranks  # before the cast, whose copy is then held beside one int64 array, not two
+    return DrawnRounds(Tally(spec.n, runs, winners, counts), encoder.ell,
+                       index.astype(np.min_scalar_type(len(outcomes) - 1)), words, rng)
 
 
 def transcript(rounds: DrawnRounds, seed: int) -> Iterator[bytes]:
@@ -223,11 +226,11 @@ def transcript(rounds: DrawnRounds, seed: int) -> Iterator[bytes]:
     `encoder.FORMAT_CHUNK_BYTES` of round arrays, 5n + ell bytes a round (uint8
     d and a, int32 g); for k = 2, `sample_loser_outcomes` draws its losers' bits,
     and consecutive chunks draw what one call would.  A row's head, its keys up to
-    ``"winners":[...]``, depends on the outcome alone.  When the distinct outcomes'
-    heads fit in one formatter chunk (at most 46 + 2(n + ell) + k(digits of n + 1)
-    bytes each), they are formatted once and a chunk writes each round's head by
-    its `DrawnRounds.outcome_index`; otherwise `DrawnRounds.rows` builds a chunk's
-    bits and its heads are formatted round by round.
+    ``"winners":[...]``, depends on the outcome alone.  When there are no more
+    distinct outcomes than a chunk has rounds, their heads (``bits(slice(None))``)
+    are formatted once and a chunk writes each round's head by its row,
+    `DrawnRounds.index`; otherwise each chunk's heads are formatted from its
+    rounds' `DrawnRounds.bits`.  Both write the same bytes.
     """
     n, k = rounds.tally.n, rounds.tally.winners.shape[1]
     seed_tail = b',"seed":%d}\n' % seed
@@ -239,22 +242,18 @@ def transcript(rounds: DrawnRounds, seed: int) -> Iterator[bytes]:
         return [b'{"d_vector":[', (d_bits, b",", bits), b'],"ancilla_word":[',
                 (a_bits, b",", bits), b'],"winners":[', (winners, b","), b"]"]
 
-    # a head's keys, brackets and newline; a bit and its comma; a winner's digits and comma
-    head_bytes = 46 + 2 * (n + rounds.ell) + k * (len(str(n)) + 1)
-    heads = None
-    # repeated outcomes (a few dozen at n = 8 over any number of rounds): one head each
-    if len(rounds.outcomes) * head_bytes <= enc.FORMAT_CHUNK_BYTES:
-        d_heads = _data_bits(n, rounds.tally.winners)
-        a_heads = np.unpackbits(rounds.words.view(np.uint8), axis=1, count=rounds.ell)
-        heads = b"".join(_format_int_rows(head(rounds.tally.winners, d_heads, a_heads)
-                                          + [b"\n"])).splitlines()
     step = max(1, enc.FORMAT_CHUNK_BYTES // (5 * n + rounds.ell))
-    for start in range(0, len(rounds.ranks), step):
+    heads = None
+    # repeated outcomes (28 at n = 8 over any number of rounds): one head each, at most a chunk's
+    if len(rounds.tally.counts) <= step:
+        winners, d_heads, a_heads = rounds.bits(slice(None))
+        heads = b"".join(_format_int_rows(head(winners, d_heads, a_heads) + [b"\n"])).splitlines()
+    for start in range(0, len(rounds.index), step):
+        index = rounds.index[start : start + step]
         if heads is None:
-            winners, d_bits, a_bits = rounds.rows(start, start + step)
+            winners, d_bits, a_bits = rounds.bits(index)
             pieces = head(winners, d_bits, a_bits)
         else:
-            index = rounds.outcome_index(start, start + step)
             pieces = [(index[:, None], b"", heads)]
             d_bits = d_heads.take(index, axis=0) if k == 2 else None
         if k == 2:

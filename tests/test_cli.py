@@ -196,6 +196,18 @@ def test_contend_capacity_exit(tmp_path, capsys):
     assert [sum(json.loads(line)["d_vector"]) for line in out.read_text().splitlines()] == [33] * 3
 
 
+@pytest.mark.parametrize("runs", [2**50, 2**62, 2**63 - 1, 2**63])
+def test_contend_too_many_runs_is_capacity_error(tmp_path, capsys, runs):
+    # too large to allocate (2^50 int64 ranks), to address (2^62, 2^63 - 1) or to be a
+    # dimension (2^63): each exits 4 with one error line naming the count, and writes nothing
+    assert main(["contend", "--n", "8", "--k", "2", "--runs", str(runs),
+                 "--out-dir", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"runs={runs}, n=8, k=2" in err, err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [["--kind", "binary", "--n", "16378", "--k", "1", "--runs", "5"],
                                   ["--n", "16385", "--k", "2", "--runs", "10"]])
 def test_contend_charges_only_what_it_builds(tmp_path, argv):

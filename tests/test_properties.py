@@ -166,11 +166,13 @@ def test_rows_have_weight_k_and_word_g_d(case):
 @example((DickeSpec(6, 1), build_binary_encoder(DickeSpec(6, 1)), 37, 1), [10])  # stop 40 > 37
 def test_row_slices_are_the_whole_draw_unranked_rank_by_rank(case, sizes):
     # `transcript` builds a chunk of rows at a time: consecutive slices (sizes cycled, the
-    # last stop past runs) concatenate to rows(), which unranks each drawn rank on its own
+    # last stop past runs) concatenate to rows(), each rank a same-seeded generator draws
+    # unranked on its own
     spec, encoder, runs, seed = case
     rounds = draw_rounds(spec, encoder, runs, np.random.default_rng(seed))
     whole = rounds.rows()
-    for got, want in zip(whole, unranked_rows(encoder, spec.k, rounds.ranks), strict=True):
+    ranks = np.random.default_rng(seed).integers(spec.num_outcomes, size=runs, dtype=np.int64)
+    for got, want in zip(whole, unranked_rows(encoder, spec.k, ranks), strict=True):
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
     starts = np.cumsum([0] + sizes * runs).tolist()
@@ -487,6 +489,8 @@ CASES = st.one_of(
 @given(CASES)
 @example((["sweep", "--config={tmp}/sweep.toml"], None))  # no config file
 @example((["contend", "--n=8", "--k=2", f"--runs={2**50}"], None))  # no room for the ranks
+@example((["contend", "--n=8", "--k=2", f"--runs={2**62}"], None))  # ranks too large to address
+@example((["contend", "--n=8", "--k=2", f"--runs={2**63}"], None))  # no numpy dimension
 @example((["reproduce", "--figure=fig9", f"--trials={2**50}"], None))  # nor for the uniforms
 @example((["reproduce", "--figure=fig9", f"--trials={2**62}"], None))  # too large to address
 @example((["reproduce", "--figure=fig9", f"--trials={2**63}"], None))  # no numpy dimension

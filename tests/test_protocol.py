@@ -10,7 +10,7 @@ import pytest
 
 from conftest import basis_state, force_bits, states_equal, unranked_rows
 
-from eacsim import encoder as enc, statevector as sv
+from eacsim import encoder as enc, protocol, statevector as sv
 from eacsim.encoder import (
     SynthesisFailed,
     build_binary_encoder,
@@ -20,7 +20,6 @@ from eacsim.encoder import (
 from eacsim.protocol import (
     BellState,
     ContentionOutcome,
-    DrawnRounds,
     NodeView,
     WrongWinnerCount,
     anonymity_audit,
@@ -29,7 +28,7 @@ from eacsim.protocol import (
     sample_loser_outcomes,
     transcript,
 )
-from eacsim.states import DickeSpec
+from eacsim.states import DickeSpec, _slice_columns
 from eacsim.statevector import (
     apply_encoder,
     bell_pair,
@@ -431,15 +430,16 @@ def test_count_outcomes_matches_numpy(n, k):
     ranks = np.random.default_rng(5).integers(spec.num_outcomes, size=3000, dtype=np.int64)
     _, d_bits, a_bits = unranked_rows(encoder, k, ranks)
     rounds = draw_rounds(spec, encoder, 3000, np.random.default_rng(5))
-    np.testing.assert_array_equal(rounds.ranks, ranks)  # the same draw
-    ref_rows, index, ref_counts = np.unique(d_bits, axis=0, return_index=True, return_counts=True)
     tally = rounds.tally
+    # the same draw: each round's outcome row holds the winners its rank unranks to
+    np.testing.assert_array_equal(tally.winners[rounds.index], _slice_columns(n, k, ranks))
+    ref_rows, first, ref_counts = np.unique(d_bits, axis=0, return_index=True, return_counts=True)
     assert tally.winners.shape == (len(ref_rows), k) and tally.runs == 3000
     np.testing.assert_array_equal(tally.winners, np.nonzero(ref_rows)[1].reshape(-1, k))
     np.testing.assert_array_equal(tally.counts, ref_counts)
-    np.testing.assert_array_equal(rounds.outcomes, ranks[index])
+    np.testing.assert_array_equal(rounds.index[first], np.arange(len(ref_rows)))
     words = np.unpackbits(rounds.words.view(np.uint8), axis=1, count=encoder.ell)
-    np.testing.assert_array_equal(words, a_bits[index])
+    np.testing.assert_array_equal(words, a_bits[first])
     # integer sums over the outcomes: the float mean of the rows to the bit
     assert tally.node_win_rates().tolist() == d_bits.mean(axis=0).tolist()
     # keys in sorted() order ("1 10" before "1 2"), each with count / runs
@@ -451,33 +451,44 @@ def test_count_outcomes_matches_numpy(n, k):
 @pytest.mark.parametrize("n,k,runs,chunk_bytes", [(8, 2, 1000, 1 << 18), (8, 2, 1000, 470),
                                                   (8, 2, 7, 1), (13, 2, 999, 3003),
                                                   (22, 11, 500, 1000), (6, 1, 301, 100),
-                                                  (8, 2, 20000, 1 << 18), (12, 3, 2000, 50000)])
+                                                  (8, 2, 20000, 1 << 18), (12, 3, 2000, 50000),
+                                                  (13, 2, 999, 78 * 77), (13, 2, 999, 77 * 77),
+                                                  (6, 1, 301, 6 * 35), (6, 1, 301, 5 * 35)])
 def test_streamed_rounds_are_the_whole_draw(monkeypatch, n, k, runs, chunk_bytes):
     # one chunk; 10-row chunks; 1-row chunks; 39-row chunks of 13 nodes (an odd int32 count)
     # and a short last one; k = 11 and k = 1 draw no loser bits; 4 chunks of 5,577 rounds;
-    # 3 chunks of 704 rounds with null g.  The reference writes every round in one chunk,
-    # from the distinct outcomes' heads; the streamed run takes that head table in the
-    # cases below and builds every round's bits (`rows`) in the others.  The chunks
-    # counted, at the outcome index both paths take a chunk at a time, show that the
-    # patch reaches transcript.
+    # 3 chunks of 704 rounds with null g; all 78 outcomes of (13,2) (77 bytes a round) in
+    # chunks of 78 rounds and of 77, and the 6 of (6,1) (35 bytes) in chunks of 6 and of 5.
+    # The reference writes every round in one chunk, from the distinct outcomes' heads; the
+    # streamed run takes that head table when no more outcomes are drawn than a chunk has
+    # rounds, the cases below, and formats every round's head otherwise.  The formatter's
+    # calls, each its rows and whether it writes heads by outcome row, show that the patch
+    # reaches transcript.
     head_table = (n, k, runs, chunk_bytes) in {(8, 2, 1000, 1 << 18), (8, 2, 20000, 1 << 18),
-                                               (12, 3, 2000, 50000)}
+                                               (12, 3, 2000, 50000), (13, 2, 999, 78 * 77),
+                                               (6, 1, 301, 6 * 35)}
     spec = DickeSpec(n, k)
     encoder = build_linear_encoder(spec)
     whole_rng, streamed_rng = np.random.default_rng(9), np.random.default_rng(9)
-    chunks, outcome_index, rows = [], DrawnRounds.outcome_index, DrawnRounds.rows
-    monkeypatch.setattr(DrawnRounds, "outcome_index",
-                        lambda self, *s: chunks.append(s) or outcome_index(self, *s))
-    monkeypatch.setattr(DrawnRounds, "rows",
-                        lambda self, *s: chunks.append("rows") or rows(self, *s))
+    calls, format_int_rows = [], protocol._format_int_rows
+
+    def counted(pieces):
+        rows = next(len(piece[0]) for piece in pieces if isinstance(piece, tuple))
+        calls.append((rows, isinstance(pieces[0], tuple)))
+        return format_int_rows(pieces)
+
+    monkeypatch.setattr(protocol, "_format_int_rows", counted)
     monkeypatch.setattr(enc, "FORMAT_CHUNK_BYTES", 1 << 40)
-    want = b"".join(transcript(draw_rounds(spec, encoder, runs, whole_rng), 4))
-    assert len(chunks) == 1
+    whole = draw_rounds(spec, encoder, runs, whole_rng)
+    distinct = len(whole.tally.counts)
+    want = b"".join(transcript(whole, 4))
+    assert calls == [(distinct, False), (runs, True)]
+    calls.clear()
     monkeypatch.setattr(enc, "FORMAT_CHUNK_BYTES", chunk_bytes)
     got = b"".join(transcript(draw_rounds(spec, encoder, runs, streamed_rng), 4))
     step = max(1, chunk_bytes // (5 * n + encoder.ell))
-    streamed = [(start, start + step) for start in range(0, runs, step)]
-    assert chunks[1:] == (streamed if head_table else [c for s in streamed for c in ("rows", s)])
+    streamed = [(min(step, runs - start), head_table) for start in range(0, runs, step)]
+    assert calls == [(distinct, False)] * head_table + streamed
     got, want = got.splitlines(keepends=True), want.splitlines(keepends=True)
     assert len(got) == runs == len(want)
     mismatch = next((r for r in range(runs) if got[r] != want[r]), None)
@@ -487,16 +498,28 @@ def test_streamed_rounds_are_the_whole_draw(monkeypatch, n, k, runs, chunk_bytes
 
 @pytest.mark.parametrize("n,k", [(8, 2), (12, 5), (2, 1)])
 def test_sampler_ranks_index_the_slice_in_basis_order(n, k):
-    # rank i is the i-th weight-k string in ascending basis index, node 1 most significant
+    # rank i is the i-th weight-k string in ascending basis index, node 1 most significant;
+    # a round keeps its outcome's row in the fewest bytes: one for the 28 outcomes of (8,2),
+    # two for the 700-odd of 792 drawn at (12,5)
+    index_dtype = np.uint16 if (n, k) == (12, 5) else np.uint8
     spec = DickeSpec(n, k)
     rounds = draw_rounds(spec, build_linear_encoder(spec), 2000, np.random.default_rng(6))
-    ranks, (winners, d_bits, _) = rounds.ranks, rounds.rows()
-    assert ranks.dtype == np.int64 and ranks.shape == (2000,)
+    ranks = np.random.default_rng(6).integers(spec.num_outcomes, size=2000, dtype=np.int64)
+    winners, d_bits, _ = rounds.rows()
+    assert rounds.index.dtype == index_dtype and rounds.index.shape == (2000,)
     np.testing.assert_array_equal(winners, np.nonzero(d_bits)[1].reshape(-1, k))
     assert 0 <= ranks.min() and ranks.max() < spec.num_outcomes
     basis = [x for x in range(2**n) if bin(x).count("1") == k]
     want = (np.array(basis)[ranks][:, None] >> np.arange(n - 1, -1, -1)) & 1
     np.testing.assert_array_equal(d_bits, want)
+
+
+def test_draw_rounds_refuses_a_count_below_one():
+    # checked first, so a negative count never reaches numpy's size refusal
+    spec = DickeSpec(8, 2)
+    for runs in (0, -1):
+        with pytest.raises(ValueError, match=f"need runs >= 1, got {runs}"):
+            draw_rounds(spec, build_linear_encoder(spec), runs, np.random.default_rng(0))
 
 
 def test_run_round_k1_has_no_pair():
