@@ -3,7 +3,8 @@
 Subcommands wrap the library: ``encode`` emits encoder circuits and
 codebooks, ``contend`` samples contention rounds classically (no
 statevector) and writes a JSON-lines transcript a chunk of rounds at a time,
-holding each round as its row of the distinct outcomes, ``analytics`` tabulates
+holding each round as its row of the distinct outcomes (at small n, a
+lookup into the formatted lines any round can take), ``analytics`` tabulates
 the closed-form quantities, ``reproduce`` regenerates the figure datasets
 (analytic curves plus Monte Carlo overlays with confidence intervals), and
 ``sweep`` runs a Cartesian parameter grid from a TOML config file.

@@ -20,11 +20,12 @@ outcome once and keeps a round as its outcome's row, `DrawnRounds.index`;
 transcript formatter, draws the losers of and formats (by
 `encoder._format_int_rows`) a chunk of rounds at a time, about
 `encoder.FORMAT_CHUNK_BYTES` of arrays, into the ASCII bytes it yields to
-`cli._write`.  A row's head (d_vector, ancilla_word, winners) is a function of
-its outcome: when no more outcomes were drawn than a chunk has rounds, each
-head is formatted once.  The summary reads the outcomes' `Tally`.  A round's
-winners travel as k column indices.  The same rounds on a dense register, the
-quantum reference the tests compare against, are in `statevector`.
+`cli._write`.  A line is a function of its outcome and, for k = 2, its losers'
+bits, and its head (d_vector, ancilla_word, winners) of its outcome alone:
+when few enough are drawn, each line, or else each head, is formatted once.
+The summary reads the outcomes' `Tally`.  A round's winners travel as k
+column indices.  The same rounds on a dense register, the quantum reference
+the tests compare against, are in `statevector`.
 """
 from __future__ import annotations
 
@@ -225,12 +226,16 @@ def transcript(rounds: DrawnRounds, seed: int) -> Iterator[bytes]:
     ``g_parity`` and ``bell_state`` are null.  A chunk holds about
     `encoder.FORMAT_CHUNK_BYTES` of round arrays, 5n + ell bytes a round (uint8
     d and a, int32 g); for k = 2, `sample_loser_outcomes` draws its losers' bits,
-    and consecutive chunks draw what one call would.  A row's head, its keys up to
-    ``"winners":[...]``, depends on the outcome alone.  When there are no more
-    distinct outcomes than a chunk has rounds, their heads (``bits(slice(None))``)
-    are formatted once and a chunk writes each round's head by its row,
-    `DrawnRounds.index`; otherwise each chunk's heads are formatted from its
-    rounds' `DrawnRounds.bits`.  Both write the same bytes.
+    and consecutive chunks draw what one call would.  A row is a function of its outcome
+    and, for k = 2, its n - 2 losers' bits: of D distinct outcomes drawn, it is one of
+    D * 2^(n-2) lines for k = 2 and of D for k != 2.  When there are no more such lines
+    than rounds or than a chunk has rounds, each is formatted once and a chunk joins its
+    rounds' lines, in text slices of about `encoder.FORMAT_CHUNK_BYTES`.  Else, when there
+    are no more distinct outcomes than a chunk has rounds, each head (the keys up to
+    ``"winners":[...]``) is formatted once, as the formatter's token table, and a chunk
+    writes each round's head by its row, `DrawnRounds.index`; otherwise each chunk's heads
+    are formatted from its rounds' `DrawnRounds.bits`.  All three write the same bytes and
+    leave ``rounds.rng`` in the same state.
     """
     n, k = rounds.tally.n, rounds.tally.winners.shape[1]
     seed_tail = b',"seed":%d}\n' % seed
@@ -242,12 +247,53 @@ def transcript(rounds: DrawnRounds, seed: int) -> Iterator[bytes]:
         return [b'{"d_vector":[', (d_bits, b",", bits), b'],"ancilla_word":[',
                 (a_bits, b",", bits), b'],"winners":[', (winners, b","), b"]"]
 
+    def tail(g_matrix, parity):
+        if k != 2:
+            return [b',"g":null,"g_parity":null,"bell_state":null' + seed_tail]
+        # a winner's -1 picks the last label
+        return [b',"g":[', (g_matrix, b",", bits + (b"null",)), (parity[:, None], b"", tails)]
+
+    distinct = len(rounds.tally.counts)
     step = max(1, enc.FORMAT_CHUNK_BYTES // (5 * n + rounds.ell))
+    losers = 2 ** (n - 2) if k == 2 else 1  # the loser bits a round can draw
+    if distinct * losers <= min(len(rounds.index), step):
+        # every line a round can take, each formatted once (1,792 at n = 8, k = 2), in slot
+        # (o << n) + v for outcome row o and g bits v (node i + 1's at bit i); o for k != 2
+        def slot(index, g_matrix):
+            if k != 2:
+                return index
+            return index.astype(np.int64) << n | (g_matrix == 1) @ (1 << np.arange(n))
+
+        row = np.arange(distinct).repeat(losers)
+        winners, d_bits, a_bits = rounds.bits(row)
+        g_matrix = parity = None
+        if k == 2:
+            p = np.arange(losers)[:, None] >> np.arange(n - 2) & 1  # each loser bits pattern
+            g_matrix = np.full(d_bits.shape, -1, dtype=np.int32)
+            g_matrix[d_bits == 0] = np.tile(p.ravel(), distinct)
+            parity = np.tile(p.sum(axis=1) % 2, distinct)
+        lines = [line for text in _format_int_rows(head(winners, d_bits, a_bits)
+                                                   + tail(g_matrix, parity))
+                 for line in text.splitlines(keepends=True)]
+        text_step = max(1, enc.FORMAT_CHUNK_BYTES // max(map(len, lines)))
+        table = np.empty(distinct << n if k == 2 else distinct, dtype=object)
+        table[slot(row, g_matrix)] = lines
+        d_heads = d_bits[::losers]
+        for start in range(0, len(rounds.index), step):
+            index = rounds.index[start : start + step]
+            if k == 2:
+                g_matrix, _ = sample_loser_outcomes(d_heads.take(index, axis=0), rounds.rng)
+            text = table.take(slot(index, g_matrix))
+            for cut in range(0, len(text), text_step):  # text chunks of about FORMAT_CHUNK_BYTES
+                yield b"".join(text[cut : cut + text_step].tolist())
+        return
     heads = None
-    # repeated outcomes (28 at n = 8 over any number of rounds): one head each, at most a chunk's
-    if len(rounds.tally.counts) <= step:
+    # k = 2, more lines than fit (66 outcomes at n = 12 over 1,000 rounds): one head each,
+    # at most a chunk's
+    if distinct <= step:
         winners, d_heads, a_heads = rounds.bits(slice(None))
-        heads = b"".join(_format_int_rows(head(winners, d_heads, a_heads) + [b"\n"])).splitlines()
+        heads = np.array(b"".join(_format_int_rows(head(winners, d_heads, a_heads) + [b"\n"]))
+                         .splitlines())  # the formatter's token table, built once
     for start in range(0, len(rounds.index), step):
         index = rounds.index[start : start + step]
         if heads is None:
@@ -255,13 +301,9 @@ def transcript(rounds: DrawnRounds, seed: int) -> Iterator[bytes]:
             pieces = head(winners, d_bits, a_bits)
         else:
             pieces = [(index[:, None], b"", heads)]
-            d_bits = d_heads.take(index, axis=0) if k == 2 else None
+            d_bits = d_heads.take(index, axis=0)
+        g_matrix = parity = None
         if k == 2:
             g_matrix, parity = sample_loser_outcomes(d_bits, rounds.rng)
-            # a winner's -1 picks the last label
-            pieces += [b',"g":[', (g_matrix, b",", bits + (b"null",)),
-                       (parity[:, None], b"", tails)]
-        else:
-            pieces.append(b',"g":null,"g_parity":null,"bell_state":null' + seed_tail)
         # in text chunks of its own: formatted whole, a chunk's token matrices outweigh its arrays
-        yield from _format_int_rows(pieces)
+        yield from _format_int_rows(pieces + tail(g_matrix, parity))

@@ -944,6 +944,14 @@ PINNED_CONTEND_DIGESTS = {
                                "b57a10cb4d26742f7728de295a45eb0bda3ffa2254c9c90b9ef7f4574809626e"),
     ("linear", 200000, 2, 3): ("b33e49fe35b449c217b0197779b41a8158137847c6eaa77d62a647473799f9c5",
                                "cf16049a681c49943423847d0c52235871d499890a4443272f00c52db6a938eb"),
+    # each line a round can take formatted once: 4,608 at (9,2) and 56 at (8,3) with null g;
+    # at 4,000 runs (9,2) has more lines than rounds and writes from its 36 heads
+    ("linear", 9, 2, 5000): ("e0b20853553d9b6037be947a3d63e083058efd7d6a05a7693c2c729f8fd9e09a",
+                             "02cbf40bef679a96cf2c8ba011a66bf19bcb884e6cae17e7d315556c79bc64c6"),
+    ("linear", 9, 2, 4000): ("bd616e4fc29c71e40ee6f1e427e1b9b4b69577efacbfedd6334623023867a591",
+                             "53ecd3d84e94aa3258c73bc01e09fb1ff3ad8da6c4fc4a454d6bf3d16684b343"),
+    ("linear", 8, 3, 20000): ("4494da1c81e5b84123ec932227205ff796016df1baf9d82f414b204a737ca87e",
+                              "d0cde563f6eccf8b834335781050c7372e72932bac742154cd35bc8b5d7cbb4a"),
 }
 
 

@@ -380,12 +380,17 @@ def per_row_transcript(d_bits, a_bits, g_matrix, parity, seed):
 
 @pytest.mark.parametrize("n,k,runs", [(4, 2, 300), (5, 3, 300), (12, 2, 20_000), (11, 4, 500),
                                       (120, 2, 300), (22, 11, 3000), (2, 1, 5),
-                                      (256, 255, 40)])
+                                      (256, 255, 40), (9, 2, 5000), (9, 2, 4000),
+                                      (8, 3, 3000), (3, 2, 50)])
 def test_bulk_transcript_matches_per_row_dumps(monkeypatch, n, k, runs):
     # k=3 and k=4 have null g; n >= 10 has two-digit winners, n=120 three-digit ones
     # (and ell = 119); 20k rows span several chunks; at (22,11) nearly every row is
     # distinct; (2,1) has one ancilla; at (256,255) nearly every row names node 256,
-    # uint8 index 255.  Written at the default chunk size, at 4 KiB and at 1-round chunks.
+    # uint8 index 255.  At the default chunk size (9,2,5000) writes from its table of all
+    # 36 * 128 = 4,608 lines a round can take (no more than 5,000 runs or a chunk's 4,946
+    # rounds), (9,2,4000) from its 36 heads (fewer runs than lines), (8,3,3000) from its
+    # 56 lines with null g and (3,2,50) from 6 lines of one loser each.  Written at the
+    # default chunk size, at 4 KiB and at 1-round chunks.
     spec = DickeSpec(n, k)
     want = None
     for chunk_bytes in (enc.FORMAT_CHUNK_BYTES, 4096, 1):
@@ -453,20 +458,26 @@ def test_count_outcomes_matches_numpy(n, k):
                                                   (22, 11, 500, 1000), (6, 1, 301, 100),
                                                   (8, 2, 20000, 1 << 18), (12, 3, 2000, 50000),
                                                   (13, 2, 999, 78 * 77), (13, 2, 999, 77 * 77),
-                                                  (6, 1, 301, 6 * 35), (6, 1, 301, 5 * 35)])
+                                                  (6, 1, 301, 6 * 35), (6, 1, 301, 5 * 35),
+                                                  (8, 2, 20000, 1792 * 47),
+                                                  (8, 2, 20000, 1791 * 47)])
 def test_streamed_rounds_are_the_whole_draw(monkeypatch, n, k, runs, chunk_bytes):
     # one chunk; 10-row chunks; 1-row chunks; 39-row chunks of 13 nodes (an odd int32 count)
     # and a short last one; k = 11 and k = 1 draw no loser bits; 4 chunks of 5,577 rounds;
     # 3 chunks of 704 rounds with null g; all 78 outcomes of (13,2) (77 bytes a round) in
-    # chunks of 78 rounds and of 77, and the 6 of (6,1) (35 bytes) in chunks of 6 and of 5.
-    # The reference writes every round in one chunk, from the distinct outcomes' heads; the
-    # streamed run takes that head table when no more outcomes are drawn than a chunk has
-    # rounds, the cases below, and formats every round's head otherwise.  The formatter's
-    # calls, each its rows and whether it writes heads by outcome row, show that the patch
-    # reaches transcript.
-    head_table = (n, k, runs, chunk_bytes) in {(8, 2, 1000, 1 << 18), (8, 2, 20000, 1 << 18),
-                                               (12, 3, 2000, 50000), (13, 2, 999, 78 * 77),
-                                               (6, 1, 301, 6 * 35)}
+    # chunks of 78 rounds and of 77, and the 6 of (6,1) (35 bytes) in chunks of 6 and of 5;
+    # the 28 * 64 = 1,792 lines of (8,2) (47 bytes a round) in chunks of 1,792 and of 1,791.
+    # The reference writes every round in one chunk: from its table of every line a round can
+    # take when that table holds no more lines than there are rounds (k != 2, and (8,2) at
+    # 20,000 rounds), else from the distinct outcomes' heads.  The streamed run takes the line
+    # table when it holds no more lines than a chunk has rounds too (row_table), the head table
+    # when no more outcomes are drawn than a chunk has rounds (head_table), and formats every
+    # round's head otherwise.  The formatter's calls, each its rows and whether it writes heads
+    # by outcome row, show that the patch reaches transcript.
+    row_table = (n, k, runs, chunk_bytes) in {(8, 2, 20000, 1 << 18), (12, 3, 2000, 50000),
+                                              (6, 1, 301, 6 * 35), (8, 2, 20000, 1792 * 47)}
+    head_table = (n, k, runs, chunk_bytes) in {(8, 2, 1000, 1 << 18), (13, 2, 999, 78 * 77),
+                                               (8, 2, 20000, 1791 * 47)}
     spec = DickeSpec(n, k)
     encoder = build_linear_encoder(spec)
     whole_rng, streamed_rng = np.random.default_rng(9), np.random.default_rng(9)
@@ -481,19 +492,24 @@ def test_streamed_rounds_are_the_whole_draw(monkeypatch, n, k, runs, chunk_bytes
     monkeypatch.setattr(enc, "FORMAT_CHUNK_BYTES", 1 << 40)
     whole = draw_rounds(spec, encoder, runs, whole_rng)
     distinct = len(whole.tally.counts)
+    lines = distinct * 2 ** (n - 2) if k == 2 else distinct
     want = b"".join(transcript(whole, 4))
-    assert calls == [(distinct, False), (runs, True)]
+    whole_lines = k != 2 or (n, runs) == (8, 20000)
+    assert calls == ([(lines, False)] if whole_lines else [(distinct, False), (runs, True)])
     calls.clear()
     monkeypatch.setattr(enc, "FORMAT_CHUNK_BYTES", chunk_bytes)
-    got = b"".join(transcript(draw_rounds(spec, encoder, runs, streamed_rng), 4))
+    chunks = list(transcript(draw_rounds(spec, encoder, runs, streamed_rng), 4))
+    got = b"".join(chunks)
     step = max(1, chunk_bytes // (5 * n + encoder.ell))
     streamed = [(min(step, runs - start), head_table) for start in range(0, runs, step)]
-    assert calls == [(distinct, False)] * head_table + streamed
+    assert calls == ([(lines, False)] if row_table else [(distinct, False)] * head_table + streamed)
     got, want = got.splitlines(keepends=True), want.splitlines(keepends=True)
     assert len(got) == runs == len(want)
     mismatch = next((r for r in range(runs) if got[r] != want[r]), None)
     assert mismatch is None, (mismatch, got[mismatch], want[mismatch])
     assert streamed_rng.bit_generator.state == whole_rng.bit_generator.state
+    # every path yields text chunks of at most chunk_bytes, or of one longer line
+    assert max(map(len, chunks)) <= max(chunk_bytes, max(map(len, want)))
 
 
 @pytest.mark.parametrize("n,k", [(8, 2), (12, 5), (2, 1)])
