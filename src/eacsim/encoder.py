@@ -329,9 +329,7 @@ def _format_int_rows(pieces) -> Iterator[bytes]:
     A piece is constant text (bytes); or (matrix, sep, labels), writing
     labels[v] for each value v of an integer matrix; or (matrix, sep),
     writing each 0-based index v of an index matrix as the number v+1.
-    Tokens are sep-separated; labels given as an np.bytes_ array hold their
-    sep already and are the token table as they are, built once by a caller
-    that formats many chunks.  Each fills a fixed-width, NUL-padded slot of a
+    Tokens are sep-separated.  Each fills a fixed-width, NUL-padded slot of a
     (rows x width) uint8 matrix, constant text one row broadcast down it; a
     chunk's NULs are dropped in one pass.
     """
@@ -350,9 +348,7 @@ def _format_int_rows(pieces) -> Iterator[bytes]:
                 indices, inverse = np.unique(matrix, return_inverse=True)
                 indices, matrix = indices.tolist(), inverse.reshape(matrix.shape)
             labels = [[b"%d" % (v + 1) for v in indices]]
-        table = labels[0]
-        if not isinstance(table, np.ndarray):
-            table = np.array([sep + label for label in table])
+        table = np.array([sep + label for label in labels[0]])
         slots.append((matrix, table.view(np.uint8).reshape(len(table), -1), len(sep)))
         width += matrix.shape[1] * table.itemsize
     step = max(1, FORMAT_CHUNK_BYTES // width)

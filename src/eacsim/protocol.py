@@ -21,8 +21,9 @@ transcript formatter, draws the losers of and formats (by
 `encoder._format_int_rows`) a chunk of rounds at a time, about
 `encoder.FORMAT_CHUNK_BYTES` of arrays, into the ASCII bytes it yields to
 `cli._write`.  A line is a function of its outcome and, for k = 2, its losers'
-bits, and its head (d_vector, ancilla_word, winners) of its outcome alone:
-when few enough are drawn, each line, or else each head, is formatted once.
+bits: when few enough lines can be drawn, each is formatted once and a round
+is a lookup of its line; else each chunk's rounds are formatted from their
+`DrawnRounds.rows`.
 The summary reads the outcomes' `Tally`.  A round's winners travel as k
 column indices.  The same rounds on a dense register, the quantum reference
 the tests compare against, are in `statevector`.
@@ -115,18 +116,18 @@ def anonymity_audit(views: list[NodeView]) -> bool:
     return True
 
 
-def sample_loser_outcomes(d_matrix: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
+def sample_loser_outcomes(d_matrix: np.ndarray, rng) -> np.ndarray:
     """Vectorized Hadamard-basis loser outcomes for k = 2 rounds.
 
     Every loser branch of the rotated GHZ state has equal probability 1/2^(n-2),
     so loser bits are i.i.d. fair coin flips: one int32 (an int64 draw's bits and
     stream use) per entry of the (runs x n) ``d_matrix``, then winners are set to
-    -1 in place.  Returns that g matrix and the (runs,) parity vector.  Calls on
-    consecutive row chunks of one matrix draw what one call draws.
+    -1 in place.  Returns that g matrix; the parity of a row's 1s names the Bell
+    state.  Calls on consecutive row chunks of one matrix draw what one call draws.
     """
     g = rng.integers(0, 2, size=d_matrix.shape, dtype=np.int32)
     g[d_matrix != 0] = -1
-    return g, (g == 1).sum(axis=1) % 2
+    return g
 
 
 class Tally(NamedTuple):
@@ -229,13 +230,10 @@ def transcript(rounds: DrawnRounds, seed: int) -> Iterator[bytes]:
     and consecutive chunks draw what one call would.  A row is a function of its outcome
     and, for k = 2, its n - 2 losers' bits: of D distinct outcomes drawn, it is one of
     D * 2^(n-2) lines for k = 2 and of D for k != 2.  When there are no more such lines
-    than rounds or than a chunk has rounds, each is formatted once and a chunk joins its
-    rounds' lines, in text slices of about `encoder.FORMAT_CHUNK_BYTES`.  Else, when there
-    are no more distinct outcomes than a chunk has rounds, each head (the keys up to
-    ``"winners":[...]``) is formatted once, as the formatter's token table, and a chunk
-    writes each round's head by its row, `DrawnRounds.index`; otherwise each chunk's heads
-    are formatted from its rounds' `DrawnRounds.bits`.  All three write the same bytes and
-    leave ``rounds.rng`` in the same state.
+    than rounds or than a chunk has rounds, each is formatted once and each chunk of about
+    `encoder.FORMAT_CHUNK_BYTES` of text draws its rounds' losers and joins their lines;
+    otherwise each chunk's rows are formatted from its rounds' `DrawnRounds.rows`.  Both
+    write the same bytes and leave ``rounds.rng`` in the same state.
     """
     n, k = rounds.tally.n, rounds.tally.winners.shape[1]
     seed_tail = b',"seed":%d}\n' % seed
@@ -243,15 +241,15 @@ def transcript(rounds: DrawnRounds, seed: int) -> Iterator[bytes]:
     tails = [b'],"g_parity":%d,"bell_state":"%s"' % tail + seed_tail
              for tail in ((0, b"phi_plus"), (1, b"phi_minus"))]
 
-    def head(winners, d_bits, a_bits):
-        return [b'{"d_vector":[', (d_bits, b",", bits), b'],"ancilla_word":[',
+    def pieces(winners, d_bits, a_bits, g_matrix):
+        head = [b'{"d_vector":[', (d_bits, b",", bits), b'],"ancilla_word":[',
                 (a_bits, b",", bits), b'],"winners":[', (winners, b","), b"]"]
-
-    def tail(g_matrix, parity):
         if k != 2:
-            return [b',"g":null,"g_parity":null,"bell_state":null' + seed_tail]
+            return head + [b',"g":null,"g_parity":null,"bell_state":null' + seed_tail]
+        parity = (g_matrix == 1).sum(axis=1) % 2  # the Bell state's label
         # a winner's -1 picks the last label
-        return [b',"g":[', (g_matrix, b",", bits + (b"null",)), (parity[:, None], b"", tails)]
+        return head + [b',"g":[', (g_matrix, b",", bits + (b"null",)),
+                       (parity[:, None], b"", tails)]
 
     distinct = len(rounds.tally.counts)
     step = max(1, enc.FORMAT_CHUNK_BYTES // (5 * n + rounds.ell))
@@ -266,44 +264,25 @@ def transcript(rounds: DrawnRounds, seed: int) -> Iterator[bytes]:
 
         row = np.arange(distinct).repeat(losers)
         winners, d_bits, a_bits = rounds.bits(row)
-        g_matrix = parity = None
+        g_matrix = None
         if k == 2:
             p = np.arange(losers)[:, None] >> np.arange(n - 2) & 1  # each loser bits pattern
             g_matrix = np.full(d_bits.shape, -1, dtype=np.int32)
             g_matrix[d_bits == 0] = np.tile(p.ravel(), distinct)
-            parity = np.tile(p.sum(axis=1) % 2, distinct)
-        lines = [line for text in _format_int_rows(head(winners, d_bits, a_bits)
-                                                   + tail(g_matrix, parity))
+        lines = [line for text in _format_int_rows(pieces(winners, d_bits, a_bits, g_matrix))
                  for line in text.splitlines(keepends=True)]
-        text_step = max(1, enc.FORMAT_CHUNK_BYTES // max(map(len, lines)))
         table = np.empty(distinct << n if k == 2 else distinct, dtype=object)
         table[slot(row, g_matrix)] = lines
-        d_heads = d_bits[::losers]
-        for start in range(0, len(rounds.index), step):
-            index = rounds.index[start : start + step]
+        d_outcomes = d_bits[::losers]
+        text_step = max(1, enc.FORMAT_CHUNK_BYTES // max(map(len, lines)))
+        for start in range(0, len(rounds.index), text_step):
+            index = rounds.index[start : start + text_step]
             if k == 2:
-                g_matrix, _ = sample_loser_outcomes(d_heads.take(index, axis=0), rounds.rng)
-            text = table.take(slot(index, g_matrix))
-            for cut in range(0, len(text), text_step):  # text chunks of about FORMAT_CHUNK_BYTES
-                yield b"".join(text[cut : cut + text_step].tolist())
+                g_matrix = sample_loser_outcomes(d_outcomes.take(index, axis=0), rounds.rng)
+            yield b"".join(table.take(slot(index, g_matrix)).tolist())
         return
-    heads = None
-    # k = 2, more lines than fit (66 outcomes at n = 12 over 1,000 rounds): one head each,
-    # at most a chunk's
-    if distinct <= step:
-        winners, d_heads, a_heads = rounds.bits(slice(None))
-        heads = np.array(b"".join(_format_int_rows(head(winners, d_heads, a_heads) + [b"\n"]))
-                         .splitlines())  # the formatter's token table, built once
     for start in range(0, len(rounds.index), step):
-        index = rounds.index[start : start + step]
-        if heads is None:
-            winners, d_bits, a_bits = rounds.bits(index)
-            pieces = head(winners, d_bits, a_bits)
-        else:
-            pieces = [(index[:, None], b"", heads)]
-            d_bits = d_heads.take(index, axis=0)
-        g_matrix = parity = None
-        if k == 2:
-            g_matrix, parity = sample_loser_outcomes(d_bits, rounds.rng)
+        winners, d_bits, a_bits = rounds.rows(start, start + step)
+        g_matrix = sample_loser_outcomes(d_bits, rounds.rng) if k == 2 else None
         # in text chunks of its own: formatted whole, a chunk's token matrices outweigh its arrays
-        yield from _format_int_rows(pieces + tail(g_matrix, parity))
+        yield from _format_int_rows(pieces(winners, d_bits, a_bits, g_matrix))

@@ -945,13 +945,18 @@ PINNED_CONTEND_DIGESTS = {
     ("linear", 200000, 2, 3): ("b33e49fe35b449c217b0197779b41a8158137847c6eaa77d62a647473799f9c5",
                                "cf16049a681c49943423847d0c52235871d499890a4443272f00c52db6a938eb"),
     # each line a round can take formatted once: 4,608 at (9,2) and 56 at (8,3) with null g;
-    # at 4,000 runs (9,2) has more lines than rounds and writes from its 36 heads
+    # at 4,000 runs (9,2) has more lines than rounds and formats every round
     ("linear", 9, 2, 5000): ("e0b20853553d9b6037be947a3d63e083058efd7d6a05a7693c2c729f8fd9e09a",
                              "02cbf40bef679a96cf2c8ba011a66bf19bcb884e6cae17e7d315556c79bc64c6"),
     ("linear", 9, 2, 4000): ("bd616e4fc29c71e40ee6f1e427e1b9b4b69577efacbfedd6334623023867a591",
                              "53ecd3d84e94aa3258c73bc01e09fb1ff3ad8da6c4fc4a454d6bf3d16684b343"),
     ("linear", 8, 3, 20000): ("4494da1c81e5b84123ec932227205ff796016df1baf9d82f414b204a737ca87e",
                               "d0cde563f6eccf8b834335781050c7372e72932bac742154cd35bc8b5d7cbb4a"),
+    # more lines than rounds, a few distinct outcomes: 3 and 2 chunks formatted round by round
+    ("linear", 40, 2, 3000): ("e061ba53accdc22ad1268e39c044a15aed680f879d9179e19a6deb9f59bbf9be",
+                              "7527b7b6d393245cb12dea0768712101481997bcf970123e3107166a73c04c45"),
+    ("linear", 12, 2, 5000): ("e4658541ac3088016e71435e888a0c4f88b5225c99ae982e0fddccaae3301927",
+                              "9b88888b0ea519c26b18d3e5e976c418799db40b9a97ac0f0b6d7e3e4559a065"),
 }
 
 
@@ -980,9 +985,9 @@ def benchmark_checks():
                                       (300, 2, 300)])
 def test_contend_passes_the_benchmark_checker(tmp_path, capsys, n, k, runs):
     # an oracle written apart from the package: its own G, winners, loser parity and Bell
-    # labels, and the summary's win rates against the transcript.  Up to (300, 2, 200) the
-    # transcript writes each distinct outcome's head from one table; at (300, 2, 300) the
-    # heads outgrow a formatter chunk and every round's head is formatted on its own.
+    # labels, and the summary's win rates against the transcript.  Up to (12, 3, 2000) the
+    # transcript writes from its table of every line a round can take; at n = 300 there are
+    # more such lines than rounds, and it formats every round, 145 rounds a chunk.
     argv = ["contend", "--n", str(n), "--k", str(k), "--runs", str(runs), "--seed", "7",
             "--kind", "linear", "--out-dir", str(tmp_path)]
     assert main(argv) == 0

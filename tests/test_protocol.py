@@ -305,17 +305,16 @@ def test_winner_subset_uniformity_chi_square(n, k):
 
 def test_loser_sampler_marks_winners():
     d = np.array([[1, 1, 0, 0], [0, 1, 0, 1]])
-    g, parity = sample_loser_outcomes(d, np.random.default_rng(0))
+    g = sample_loser_outcomes(d, np.random.default_rng(0))
+    assert g.shape == d.shape
     assert (g[d == 1] == -1).all()
     assert ((g[d == 0] == 0) | (g[d == 0] == 1)).all()
-    expected = np.where(g > 0, g, 0).sum(axis=1) % 2
-    assert (parity == expected).all()
 
 
 def test_loser_parity_is_balanced():
     # branch law: every loser string equally likely, so parity is a fair coin
     d = np.tile([1, 1, 0, 0, 0], (20_000, 1))
-    _, parity = sample_loser_outcomes(d, np.random.default_rng(3))
+    parity = sample_loser_outcomes(d, np.random.default_rng(3)).clip(0).sum(axis=1) % 2
     sigma = math.sqrt(0.25 / len(parity))
     assert abs(parity.mean() - 0.5) < 3 * sigma
 
@@ -388,9 +387,9 @@ def test_bulk_transcript_matches_per_row_dumps(monkeypatch, n, k, runs):
     # distinct; (2,1) has one ancilla; at (256,255) nearly every row names node 256,
     # uint8 index 255.  At the default chunk size (9,2,5000) writes from its table of all
     # 36 * 128 = 4,608 lines a round can take (no more than 5,000 runs or a chunk's 4,946
-    # rounds), (9,2,4000) from its 36 heads (fewer runs than lines), (8,3,3000) from its
-    # 56 lines with null g and (3,2,50) from 6 lines of one loser each.  Written at the
-    # default chunk size, at 4 KiB and at 1-round chunks.
+    # rounds), (9,2,4000) formats every round (fewer runs than lines), (8,3,3000) writes
+    # from its 56 lines with null g and (3,2,50) from 6 lines of one loser each.  Written at
+    # the default chunk size, at 4 KiB and at 1-round chunks.
     spec = DickeSpec(n, k)
     want = None
     for chunk_bytes in (enc.FORMAT_CHUNK_BYTES, 4096, 1):
@@ -400,7 +399,8 @@ def test_bulk_transcript_matches_per_row_dumps(monkeypatch, n, k, runs):
             _, d_bits, a_bits = rounds.rows()
             g_matrix = parity = None
             if k == 2:  # the losers' bits transcript is about to draw
-                g_matrix, parity = sample_loser_outcomes(d_bits, copy.deepcopy(rounds.rng))
+                g_matrix = sample_loser_outcomes(d_bits, copy.deepcopy(rounds.rng))
+                parity = g_matrix.clip(0).sum(axis=1) % 2
             want = per_row_transcript(d_bits, a_bits, g_matrix, parity, 11).splitlines(True)
         got = b"".join(transcript(rounds, 11)).decode().splitlines(keepends=True)
         assert len(got) == runs == len(want)
@@ -457,35 +457,29 @@ def test_count_outcomes_matches_numpy(n, k):
                                                   (8, 2, 7, 1), (13, 2, 999, 3003),
                                                   (22, 11, 500, 1000), (6, 1, 301, 100),
                                                   (8, 2, 20000, 1 << 18), (12, 3, 2000, 50000),
-                                                  (13, 2, 999, 78 * 77), (13, 2, 999, 77 * 77),
                                                   (6, 1, 301, 6 * 35), (6, 1, 301, 5 * 35),
                                                   (8, 2, 20000, 1792 * 47),
                                                   (8, 2, 20000, 1791 * 47)])
 def test_streamed_rounds_are_the_whole_draw(monkeypatch, n, k, runs, chunk_bytes):
     # one chunk; 10-row chunks; 1-row chunks; 39-row chunks of 13 nodes (an odd int32 count)
     # and a short last one; k = 11 and k = 1 draw no loser bits; 4 chunks of 5,577 rounds;
-    # 3 chunks of 704 rounds with null g; all 78 outcomes of (13,2) (77 bytes a round) in
-    # chunks of 78 rounds and of 77, and the 6 of (6,1) (35 bytes) in chunks of 6 and of 5;
-    # the 28 * 64 = 1,792 lines of (8,2) (47 bytes a round) in chunks of 1,792 and of 1,791.
-    # The reference writes every round in one chunk: from its table of every line a round can
-    # take when that table holds no more lines than there are rounds (k != 2, and (8,2) at
-    # 20,000 rounds), else from the distinct outcomes' heads.  The streamed run takes the line
-    # table when it holds no more lines than a chunk has rounds too (row_table), the head table
-    # when no more outcomes are drawn than a chunk has rounds (head_table), and formats every
-    # round's head otherwise.  The formatter's calls, each its rows and whether it writes heads
-    # by outcome row, show that the patch reaches transcript.
+    # 3 chunks of 704 rounds with null g; the 6 outcomes of (6,1) (35 bytes a round) in
+    # chunks of 6 and of 5; the 28 * 64 = 1,792 lines of (8,2) (47 bytes a round) in chunks
+    # of 1,792 and of 1,791.  The reference writes every round in one chunk: from its table
+    # of every line a round can take when that table holds no more lines than there are
+    # rounds (k != 2, and (8,2) at 20,000 rounds), else formatting every round.  The
+    # streamed run takes the line table when it holds no more lines than a chunk has rounds
+    # too (row_table), and formats each chunk's rounds otherwise.  The formatter's calls,
+    # each its rows, show that the patch reaches transcript.
     row_table = (n, k, runs, chunk_bytes) in {(8, 2, 20000, 1 << 18), (12, 3, 2000, 50000),
                                               (6, 1, 301, 6 * 35), (8, 2, 20000, 1792 * 47)}
-    head_table = (n, k, runs, chunk_bytes) in {(8, 2, 1000, 1 << 18), (13, 2, 999, 78 * 77),
-                                               (8, 2, 20000, 1791 * 47)}
     spec = DickeSpec(n, k)
     encoder = build_linear_encoder(spec)
     whole_rng, streamed_rng = np.random.default_rng(9), np.random.default_rng(9)
     calls, format_int_rows = [], protocol._format_int_rows
 
     def counted(pieces):
-        rows = next(len(piece[0]) for piece in pieces if isinstance(piece, tuple))
-        calls.append((rows, isinstance(pieces[0], tuple)))
+        calls.append(next(len(piece[0]) for piece in pieces if isinstance(piece, tuple)))
         return format_int_rows(pieces)
 
     monkeypatch.setattr(protocol, "_format_int_rows", counted)
@@ -495,14 +489,13 @@ def test_streamed_rounds_are_the_whole_draw(monkeypatch, n, k, runs, chunk_bytes
     lines = distinct * 2 ** (n - 2) if k == 2 else distinct
     want = b"".join(transcript(whole, 4))
     whole_lines = k != 2 or (n, runs) == (8, 20000)
-    assert calls == ([(lines, False)] if whole_lines else [(distinct, False), (runs, True)])
+    assert calls == ([lines] if whole_lines else [runs])
     calls.clear()
     monkeypatch.setattr(enc, "FORMAT_CHUNK_BYTES", chunk_bytes)
     chunks = list(transcript(draw_rounds(spec, encoder, runs, streamed_rng), 4))
     got = b"".join(chunks)
     step = max(1, chunk_bytes // (5 * n + encoder.ell))
-    streamed = [(min(step, runs - start), head_table) for start in range(0, runs, step)]
-    assert calls == ([(lines, False)] if row_table else [(distinct, False)] * head_table + streamed)
+    assert calls == ([lines] if row_table else [min(step, runs - s) for s in range(0, runs, step)])
     got, want = got.splitlines(keepends=True), want.splitlines(keepends=True)
     assert len(got) == runs == len(want)
     mismatch = next((r for r in range(runs) if got[r] != want[r]), None)
@@ -510,6 +503,10 @@ def test_streamed_rounds_are_the_whole_draw(monkeypatch, n, k, runs, chunk_bytes
     assert streamed_rng.bit_generator.state == whole_rng.bit_generator.state
     # every path yields text chunks of at most chunk_bytes, or of one longer line
     assert max(map(len, chunks)) <= max(chunk_bytes, max(map(len, want)))
+    if row_table:  # as many lines as the longest fits in chunk_bytes, drawn a chunk at a time
+        text_step = max(1, chunk_bytes // max(map(len, want)))
+        assert [c.count(b"\n") for c in chunks] == [min(text_step, runs - s)
+                                                    for s in range(0, runs, text_step)]
 
 
 @pytest.mark.parametrize("n,k", [(8, 2), (12, 5), (2, 1)])
