@@ -14,16 +14,16 @@ This module holds the records of a round (`NodeView`, `ContentionOutcome`,
 `anonymity_audit`, and it samples rounds classically: every readout is in
 the computational basis (after the losers' Hadamards) and CNOTs only permute
 basis states, so `draw_rounds` and `sample_loser_outcomes` draw the Born
-laws without amplitudes.  `draw_rounds` unranks and packs each distinct
-outcome once and keeps a round as its outcome's row, `DrawnRounds.index`;
-`DrawnRounds.bits` builds the bits of any outcome rows.  `transcript`, the one
-transcript formatter, draws the losers of and formats (by
-`encoder._format_int_rows`) a chunk of rounds at a time, about
-`encoder.FORMAT_CHUNK_BYTES` of arrays, into the ASCII bytes it yields to
-`cli._write`.  A line is a function of its outcome and, for k = 2, its losers'
-bits: when few enough lines can be drawn, each is formatted once and a round
-is a lookup of its line; else each chunk's rounds are formatted from their
-`DrawnRounds.rows`.
+laws without amplitudes.  `draw_rounds` counts the ranks (sorts them when
+outcomes outnumber rounds), unranks and packs each distinct outcome once and
+keeps a round as its outcome's row, `DrawnRounds.index`; `DrawnRounds.bits`
+builds the bits of any outcome rows.  `transcript`, the one transcript
+formatter, draws the losers of and formats (by `encoder._format_int_rows`) a
+chunk of rounds at a time, about `encoder.FORMAT_CHUNK_BYTES` of arrays, into
+the ASCII bytes it yields to `cli._write`.  A line is a function of its
+outcome and, for k = 2, its losers' bits: when few enough lines can be drawn,
+each is formatted once and a round is a lookup of its line; else each chunk's
+rounds are formatted from their `DrawnRounds.rows`.
 The summary reads the outcomes' `Tally`.  A round's winners travel as k
 column indices.  The same rounds on a dense register, the quantum reference
 the tests compare against, are in `statevector`.
@@ -121,12 +121,13 @@ def sample_loser_outcomes(d_matrix: np.ndarray, rng) -> np.ndarray:
 
     Every loser branch of the rotated GHZ state has equal probability 1/2^(n-2),
     so loser bits are i.i.d. fair coin flips: one int32 (an int64 draw's bits and
-    stream use) per entry of the (runs x n) ``d_matrix``, then winners are set to
-    -1 in place.  Returns that g matrix; the parity of a row's 1s names the Bell
-    state.  Calls on consecutive row chunks of one matrix draw what one call draws.
+    stream use) per entry of the (runs x n) ``d_matrix``, then winners are ORed
+    with -1 in place, which makes them -1.  Returns that g matrix; the parity of a
+    row's 1s names the Bell state.  Calls on consecutive row chunks of one matrix
+    draw what one call draws.
     """
     g = rng.integers(0, 2, size=d_matrix.shape, dtype=np.int32)
-    g[d_matrix != 0] = -1
+    g |= -(d_matrix != 0).view(np.int8)  # -1, all ones, at a winner; 0 keeps a loser's bit
     return g
 
 
@@ -191,12 +192,15 @@ def draw_rounds(spec: DickeSpec, encoder: EncoderCircuit, runs: int, rng) -> Dra
     weight-k strings d, each with Born weight 1/C(n,k), and a = G.d mod 2.
     Round r takes the string of rank R_r, the r-th of ``runs`` int64s ``rng``
     draws uniformly from 0..C(n,k)-1 (numpy's bounded draw rejects, so every
-    rank is exactly equally likely).  Only the distinct ranks are unranked and
-    packed, once each (no C(n,k)-row table); a round keeps its rank's row among
-    them.  Injectivity is `verify_injectivity`'s to check.  Refuses ``runs`` < 1
-    and an encoder for another n (ValueError); before allocating, C(n,k) past
-    2^63 - 1, the largest int64 (CapacityError); and ranks numpy cannot allocate
-    or address (MemoryError naming runs, n and k).
+    rank is exactly equally likely).  When C(n,k) <= ``runs`` the ranks are
+    counted in a table of C(n,k) counts, no longer than the ranks, and a round's
+    row is the number of distinct drawn ranks below its own; otherwise the
+    distinct ranks are found by a sort.  Only the distinct ranks are unranked and
+    packed, once each; a round keeps its rank's row among them.  Injectivity is
+    `verify_injectivity`'s to check.  Refuses ``runs`` < 1 and an encoder for
+    another n (ValueError); before allocating, C(n,k) past 2^63 - 1, the largest
+    int64 (CapacityError); and ranks numpy cannot allocate or address
+    (MemoryError naming runs, n and k).
     """
     _check_count("runs", runs)
     if encoder.n != spec.n:
@@ -208,14 +212,25 @@ def draw_rounds(spec: DickeSpec, encoder: EncoderCircuit, runs: int, rng) -> Dra
         ranks = rng.integers(spec.num_outcomes, size=runs, dtype=np.int64)
     except (ValueError, MemoryError):  # too large to address, or to allocate
         raise MemoryError(f"no room for the ranks: runs={runs}, n={spec.n}, k={spec.k}") from None
+    counted = spec.num_outcomes <= runs  # a count per outcome, no longer than the ranks: no sort
+    if counted:
+        counts = np.bincount(ranks, minlength=spec.num_outcomes)
+        outcomes = np.flatnonzero(counts)
+    else:
+        outcomes, counts = np.unique(ranks, return_counts=True)
     # unranked and packed once, not per chunk: at large n a chunk is a round, each packing scans G
-    outcomes, counts = np.unique(ranks, return_counts=True)
     winners = _slice_columns(spec.n, spec.k, outcomes)
     words = _packed_words(encoder, winners)
-    index = outcomes.searchsorted(ranks)  # last: 9 MB less peak RSS at (22, 11, 10^6) than first
-    del ranks  # before the cast, whose copy is then held beside one int64 array, not two
+    # the index last: taken before unranking, (22, 11, 10^6) read 213 MB max RSS, not 198 MB
+    dtype = np.min_scalar_type(len(outcomes) - 1)
+    if counted:  # a drawn rank's row: how many distinct drawn ranks are below it
+        index = (np.cumsum(counts > 0) - 1).astype(dtype).take(ranks)
+        counts = counts[outcomes]
+    else:
+        index = outcomes.searchsorted(ranks)
+    del ranks  # before the sort path's cast, whose copy is then held beside one int64 array
     return DrawnRounds(Tally(spec.n, runs, winners, counts), encoder.ell,
-                       index.astype(np.min_scalar_type(len(outcomes) - 1)), words, rng)
+                       index.astype(dtype, copy=False), words, rng)
 
 
 def transcript(rounds: DrawnRounds, seed: int) -> Iterator[bytes]:

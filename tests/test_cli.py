@@ -957,6 +957,16 @@ PINNED_CONTEND_DIGESTS = {
                               "7527b7b6d393245cb12dea0768712101481997bcf970123e3107166a73c04c45"),
     ("linear", 12, 2, 5000): ("e4658541ac3088016e71435e888a0c4f88b5225c99ae982e0fddccaae3301927",
                               "9b88888b0ea519c26b18d3e5e976c418799db40b9a97ac0f0b6d7e3e4559a065"),
+    # ranks counted at C(8,2) = 28 rounds and sorted at 27; all 256 outcomes of (256,1) drawn
+    # (a one-byte round index) and all 257 of (257,1) (two bytes)
+    ("linear", 8, 2, 28): ("5e08ef8cd97724d00b46cd3d6531ca83526e08806987565af220d7fbe20127db",
+                           "a3528e18b345068a69748e29168dd36f729a4746b4b3fe87c564e92675f1d859"),
+    ("linear", 8, 2, 27): ("cc0c7c47c84cbfdf6c56947b5b1bb97cee47b5f93a1cfad501e14ca00b608190",
+                           "f833c10c71cb612eeb9c22c38fa035128641050c164359aeeebd28522366ab51"),
+    ("binary", 256, 1, 5000): ("59dfbc332ae0878abcf1b96cf099bb63a85c7a40c642ffedee37ace3b7db1482",
+                               "1937cb22530d339c5894ec65192cc86e0188c34ffdcb1694dfe2309fe68a2fea"),
+    ("binary", 257, 1, 5000): ("5f7344696de3d371c81dbdee6ac79e8e1b251fd944fb09c313fee1ba1c3ee651",
+                               "22a0a98630c85ca39aaada300f8ffea6c0f2b50dad26701f2384351ee9ab6ca0"),
 }
 
 

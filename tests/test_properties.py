@@ -1,9 +1,9 @@
 """Property tests: the weight-k slice unranker, the encoder rows packed from CNOT lists, the
 classical contention rounds (n <= 62) and their row slices, the bulk transcript (n <= 40),
-index rows in decimal, loser draws on row chunks, the noisy contention estimator against
-its argsort reference and, on tied uniforms, its partition rule, the full-connection
-estimator's certain-block test, the confidence interval, the absorbing threshold and the
-exit code of any argv."""
+index rows in decimal, loser draws on row chunks, the three Generator draws as transforms of
+the raw PCG64DXSM stream, the noisy contention estimator against its argsort reference and,
+on tied uniforms, its partition rule, the full-connection estimator's certain-block test,
+the confidence interval, the absorbing threshold and the exit code of any argv."""
 import copy
 import io
 import json
@@ -241,6 +241,85 @@ def test_loser_draws_on_row_chunks_are_one_draw(rows, n, sizes, seed):
               for a, b in zip(starts, starts[1:]) if a < rows]
     np.testing.assert_array_equal(np.concatenate(chunks), g)
     assert chunk_rng.bit_generator.state == whole_rng.bit_generator.state
+
+
+class RawStream:
+    """A PCG64DXSM stream as numpy's draws read it: 64-bit words, or 32-bit halves, low half
+    first, a word's high half kept for the next 32-bit read.  ``rejected`` counts the
+    bounded draws thrown away."""
+
+    def __init__(self, seed, jumps):
+        self.source = np.random.PCG64DXSM(seed).jumped(jumps)
+        self.high = None
+        self.rejected = 0
+
+    def word(self):
+        return int(self.source.random_raw())
+
+    def half(self):
+        if self.high is not None:
+            half, self.high = self.high, None
+            return half
+        word = self.word()
+        self.high = word >> 32
+        return word & 0xFFFFFFFF
+
+    def below(self, c):
+        """Lemire's draw below ``c`` (ACM TOMACS 29(1), 2019): x * c >> b from b-bit words x,
+        b = 32 up to c = 2^32 and 64 above, redrawn while the low b bits of x * c fall below
+        (2^b - c) mod c."""
+        bits, draw = (32, self.half) if c <= 1 << 32 else (64, self.word)
+        while (m := draw() * c) % (1 << bits) < (1 << bits) % c:
+            self.rejected += 1
+        return m >> bits
+
+
+def replay(seed, jumps, calls):
+    """Makes ``calls`` on a `make_rng`-type Generator and checks each result, and the bit
+    generator's state after it, against `RawStream`; returns the draws the ranks rejected."""
+    rng = np.random.Generator(np.random.PCG64DXSM(seed).jumped(jumps))
+    raw = RawStream(seed, jumps)
+    for method, size, c in calls:
+        if method == "bits":  # the losers' bits: a half's top bit (Lemire at c = 2 never rejects)
+            got = rng.integers(0, 2, size=size, dtype=np.int32)
+            want = [raw.half() >> 31 for _ in range(size)]
+        elif method == "ranks":
+            got = rng.integers(c, size=size, dtype=np.int64)
+            want = [raw.below(c) for _ in range(size)]
+        else:  # the channel's uniforms
+            got = rng.random(out=np.empty(size))
+            want = [(raw.word() >> 11) * 2.0**-53 for _ in range(size)]
+        assert got.tolist() == want, method
+        state = rng.bit_generator.state
+        assert state["state"] == raw.source.state["state"], method
+        assert (state["has_uint32"], state["uinteger"] if state["has_uint32"] else None) == (
+            int(raw.high is not None), raw.high), method
+    return raw.rejected
+
+
+COUNTS = st.one_of(st.integers(2, (1 << 32) - 1), st.integers((1 << 32) + 1, (1 << 63) - 1),
+                   # 28 and 66: (8,2) and (12,2); a quarter of the draws rejected at 3 * 2^30
+                   # and at 2^62 + 1; 2^32 takes a half as it is
+                   st.sampled_from([28, 66, 705_432, 3 << 30, (1 << 32) - 5, 1 << 32,
+                                    (1 << 32) + 1, (1 << 62) + 1, (1 << 62) + 12_345]))
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2),
+       st.lists(st.tuples(st.sampled_from(["bits", "ranks", "floats"]), st.integers(0, 9), COUNTS),
+                min_size=1, max_size=8))
+@example(5, 0, [("ranks", 3, 28), ("bits", 7, 2), ("ranks", 1, 28), ("bits", 5, 2)])  # odd, mixed
+def test_generator_draws_are_fixed_transforms_of_the_raw_stream(seed, jumps, calls):
+    # the pinned digests rest on these three methods: NEP 19 keeps a bit generator's stream
+    # across numpy versions, not what Generator methods make of it.  Ranks and losers' bits
+    # share the kept half, so calls of odd sizes interleave through it
+    replay(seed, jumps, calls)
+
+
+def test_raw_stream_replay_covers_rejections():
+    # both Lemire widths reject here, where a quarter of the draws fall in the biased zone
+    assert replay(0, 0, [("ranks", 200, 3 << 30), ("bits", 1, 2)]) > 0
+    assert replay(1, 0, [("bits", 3, 2), ("ranks", 200, (1 << 62) + 1)]) > 0
 
 
 @PROPERTY_SETTINGS

@@ -3,6 +3,7 @@ import copy
 import json
 import io
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -427,19 +428,34 @@ def test_bulk_transcript_matches_transcript_record():
         assert line == expected.getvalue()
 
 
-@pytest.mark.parametrize("n,k", [(8, 2), (22, 11), (120, 2), (2, 1)])
-def test_count_outcomes_matches_numpy(n, k):
-    # at (22,11) nearly every draw is distinct; (2,1) has two outcomes
+@pytest.mark.parametrize("kind,n,k,runs", [*(pytest.param("linear", n, k, 3000, id=f"{n}-{k}")
+                                             for n, k in [(8, 2), (22, 11), (120, 2), (2, 1)]),
+                                           ("linear", 8, 2, 27), ("linear", 8, 2, 28),
+                                           ("linear", 8, 2, 29), ("binary", 256, 1, 5000),
+                                           ("binary", 257, 1, 5000)])
+def test_count_outcomes_matches_numpy(monkeypatch, kind, n, k, runs):
+    # at (22,11) nearly every draw is distinct; (2,1) has two outcomes.  The ranks are counted
+    # when C(n,k) <= runs, else sorted: (8,2) has C = 28 outcomes, drawn at C - 1, C and C + 1
+    # rounds; (256,1) draws all 256 outcomes (a one-byte index) and (257,1) all 257 (two bytes)
     spec = DickeSpec(n, k)
-    encoder = build_linear_encoder(spec)
-    ranks = np.random.default_rng(5).integers(spec.num_outcomes, size=3000, dtype=np.int64)
+    encoder = build_linear_encoder(spec) if kind == "linear" else build_binary_encoder(spec)
+    rng = np.random.default_rng(5)
+    ranks = rng.integers(spec.num_outcomes, size=runs, dtype=np.int64)
     _, d_bits, a_bits = unranked_rows(encoder, k, ranks)
-    rounds = draw_rounds(spec, encoder, 3000, np.random.default_rng(5))
+    sorts, unique = [], np.unique
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "unique", lambda *args, **kw: sorts.append(1) or unique(*args, **kw))
+        rounds = draw_rounds(spec, encoder, runs, np.random.default_rng(5))
+    assert bool(sorts) == (spec.num_outcomes > runs)  # both paths give the same rounds
+    assert rounds.rng.bit_generator.state == rng.bit_generator.state  # the ranks' draw alone
     tally = rounds.tally
     # the same draw: each round's outcome row holds the winners its rank unranks to
     np.testing.assert_array_equal(tally.winners[rounds.index], _slice_columns(n, k, ranks))
     ref_rows, first, ref_counts = np.unique(d_bits, axis=0, return_index=True, return_counts=True)
-    assert tally.winners.shape == (len(ref_rows), k) and tally.runs == 3000
+    assert tally.winners.shape == (len(ref_rows), k) and tally.runs == runs
+    assert rounds.index.dtype == np.min_scalar_type(len(ref_rows) - 1)
+    if kind == "binary":
+        assert len(ref_rows) == n  # every outcome drawn
     np.testing.assert_array_equal(tally.winners, np.nonzero(ref_rows)[1].reshape(-1, k))
     np.testing.assert_array_equal(tally.counts, ref_counts)
     np.testing.assert_array_equal(rounds.index[first], np.arange(len(ref_rows)))
@@ -448,9 +464,24 @@ def test_count_outcomes_matches_numpy(n, k):
     # integer sums over the outcomes: the float mean of the rows to the bit
     assert tally.node_win_rates().tolist() == d_bits.mean(axis=0).tolist()
     # keys in sorted() order ("1 10" before "1 2"), each with count / runs
-    rates = {" ".join(str(i + 1) for i in np.flatnonzero(row)): int(c) / 3000
+    rates = {" ".join(str(i + 1) for i in np.flatnonzero(row)): int(c) / runs
              for row, c in zip(ref_rows, ref_counts)}
     assert list(tally.subset_rates().items()) == sorted(rates.items())
+
+
+def test_counted_rounds_hold_one_byte_a_round():
+    # tracemalloc counts bytes, not time: the 8 MB of int64 ranks and the 1 MB uint8 index of
+    # 10^6 rounds of (8,2), under 12 MB; an int64 index over all rounds would add 8 MB more
+    spec = DickeSpec(8, 2)
+    encoder = build_linear_encoder(spec)
+    draw_rounds(spec, encoder, 1000, np.random.default_rng(0))  # warm-up, untraced
+    tracemalloc.start()
+    try:
+        draw_rounds(spec, encoder, 10**6, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 @pytest.mark.parametrize("n,k,runs,chunk_bytes", [(8, 2, 1000, 1 << 18), (8, 2, 1000, 470),
