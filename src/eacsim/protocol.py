@@ -14,16 +14,20 @@ This module holds the records of a round (`NodeView`, `ContentionOutcome`,
 `anonymity_audit`, and it samples rounds classically: every readout is in
 the computational basis (after the losers' Hadamards) and CNOTs only permute
 basis states, so `draw_rounds` and `sample_loser_outcomes` draw the Born
-laws without amplitudes.  `draw_rounds` counts the ranks (sorts them when
-outcomes outnumber rounds), unranks and packs each distinct outcome once and
-keeps a round as its outcome's row, `DrawnRounds.index`; `DrawnRounds.bits`
-builds the bits of any outcome rows.  `transcript`, the one transcript
+laws without amplitudes.  A loser's bit comes from `_fair_bits`: the top bit
+of a 32-bit half of the bit generator's raw words, the bits (and the state
+after them) that numpy's ``integers(0, 2, dtype=int32)`` draws.
+`draw_rounds` counts the ranks (sorts them when outcomes outnumber rounds),
+unranks and packs each distinct outcome once and keeps a round as its
+outcome's row, `DrawnRounds.index`; `DrawnRounds.bits` builds the bits of any
+outcome rows.  `transcript`, the one transcript
 formatter, draws the losers of and formats (by `encoder._format_int_rows`) a
 chunk of rounds at a time, about `encoder.FORMAT_CHUNK_BYTES` of arrays, into
 the ASCII bytes it yields to `cli._write`.  A line is a function of its
 outcome and, for k = 2, its losers' bits: when few enough lines can be drawn,
-each is formatted once and a round is a lookup of its line; else each chunk's
-rounds are formatted from their `DrawnRounds.rows`.
+each is formatted once and a round is a lookup of its line by its outcome row
+and the n fair bits it draws, masked to its losers'; else each chunk's rounds
+are formatted from their `DrawnRounds.rows` and `sample_loser_outcomes`.
 The summary reads the outcomes' `Tally`.  A round's winners travel as k
 column indices.  The same rounds on a dense register, the quantum reference
 the tests compare against, are in `statevector`.
@@ -116,17 +120,47 @@ def anonymity_audit(views: list[NodeView]) -> bool:
     return True
 
 
+def _fair_bits(rng, count: int) -> np.ndarray:
+    """What ``rng.integers(0, 2, size=count, dtype=np.int32)`` draws, as uint32 0s and 1s,
+    taken from the bit generator's raw 64-bit words: a fair bit is the top bit of a 32-bit
+    half, low half first (Lemire's draw at range 2 never rejects), and the state is left as
+    numpy leaves it.  A half the state keeps gives the first bit; an odd remainder keeps the
+    last word's high half, and ``uinteger`` holds that half also once it is spent.  Refuses
+    (TypeError) a bit generator that keeps no 32-bit half, MT19937 among them."""
+    source = rng.bit_generator
+    if not isinstance(source, (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
+                               np.random.SFC64)):
+        raise TypeError("fair bits are drawn from a PCG64, PCG64DXSM, Philox or SFC64 bit "
+                        f"generator, not {type(source).__name__}")
+    bits = np.empty(count, dtype=np.uint32)
+    if count == 0:
+        return bits
+    state = source.state
+    kept = state["has_uint32"]
+    if kept:
+        bits[0] = state["uinteger"] >> 31
+    rest = count - kept
+    if rest:
+        words = source.random_raw((rest + 1) // 2)
+        np.right_shift(words.astype("<u8", copy=False).view("<u4")[:rest], 31, out=bits[kept:])
+        state = source.state
+        state["uinteger"] = int(words[-1] >> 32)
+    state["has_uint32"] = rest % 2
+    source.state = state
+    return bits
+
+
 def sample_loser_outcomes(d_matrix: np.ndarray, rng) -> np.ndarray:
     """Vectorized Hadamard-basis loser outcomes for k = 2 rounds.
 
     Every loser branch of the rotated GHZ state has equal probability 1/2^(n-2),
-    so loser bits are i.i.d. fair coin flips: one int32 (an int64 draw's bits and
-    stream use) per entry of the (runs x n) ``d_matrix``, then winners are ORed
-    with -1 in place, which makes them -1.  Returns that g matrix; the parity of a
-    row's 1s names the Bell state.  Calls on consecutive row chunks of one matrix
-    draw what one call draws.
+    so loser bits are i.i.d. fair coin flips: one `_fair_bits` bit (a 32-bit half
+    of the raw stream) per entry of the (runs x n) ``d_matrix``, then winners are
+    ORed with -1 in place, which makes them -1.  Returns that int32 g matrix; the
+    parity of a row's 1s names the Bell state.  Calls on consecutive row chunks of
+    one matrix draw what one call draws.
     """
-    g = rng.integers(0, 2, size=d_matrix.shape, dtype=np.int32)
+    g = _fair_bits(rng, d_matrix.size).view(np.int32).reshape(d_matrix.shape)
     g |= -(d_matrix != 0).view(np.int8)  # -1, all ones, at a winner; 0 keeps a loser's bit
     return g
 
@@ -246,9 +280,12 @@ def transcript(rounds: DrawnRounds, seed: int) -> Iterator[bytes]:
     and, for k = 2, its n - 2 losers' bits: of D distinct outcomes drawn, it is one of
     D * 2^(n-2) lines for k = 2 and of D for k != 2.  When there are no more such lines
     than rounds or than a chunk has rounds, each is formatted once and each chunk of about
-    `encoder.FORMAT_CHUNK_BYTES` of text draws its rounds' losers and joins their lines;
-    otherwise each chunk's rows are formatted from its rounds' `DrawnRounds.rows`.  Both
-    write the same bytes and leave ``rounds.rng`` in the same state.
+    `encoder.FORMAT_CHUNK_BYTES` of text joins its rounds' lines, for k = 2 looked up by
+    outcome row and the n `_fair_bits` a round draws, ANDed with its outcome's loser mask
+    (no g matrix); otherwise each chunk's rows are formatted from its rounds'
+    `DrawnRounds.rows`.  Both write the same bytes and leave ``rounds.rng`` in the same
+    state.  For k = 2, both refuse a bit generator that keeps no 32-bit half, such as
+    MT19937, with a TypeError before the first chunk.
     """
     n, k = rounds.tally.n, rounds.tally.winners.shape[1]
     seed_tail = b',"seed":%d}\n' % seed
@@ -271,12 +308,7 @@ def transcript(rounds: DrawnRounds, seed: int) -> Iterator[bytes]:
     losers = 2 ** (n - 2) if k == 2 else 1  # the loser bits a round can draw
     if distinct * losers <= min(len(rounds.index), step):
         # every line a round can take, each formatted once (1,792 at n = 8, k = 2), in slot
-        # (o << n) + v for outcome row o and g bits v (node i + 1's at bit i); o for k != 2
-        def slot(index, g_matrix):
-            if k != 2:
-                return index
-            return index.astype(np.int64) << n | (g_matrix == 1) @ (1 << np.arange(n))
-
+        # (o << n) + v for outcome row o and loser bits v (node i + 1's at bit i); o for k != 2
         row = np.arange(distinct).repeat(losers)
         winners, d_bits, a_bits = rounds.bits(row)
         g_matrix = None
@@ -284,17 +316,21 @@ def transcript(rounds: DrawnRounds, seed: int) -> Iterator[bytes]:
             p = np.arange(losers)[:, None] >> np.arange(n - 2) & 1  # each loser bits pattern
             g_matrix = np.full(d_bits.shape, -1, dtype=np.int32)
             g_matrix[d_bits == 0] = np.tile(p.ravel(), distinct)
+            place = 1 << np.arange(n, dtype=np.uint32)
+            row = row << n | (g_matrix == 1) @ place
+            loser_mask = (d_bits[::losers] == 0) @ place  # an outcome's losers' bits
         lines = [line for text in _format_int_rows(pieces(winners, d_bits, a_bits, g_matrix))
                  for line in text.splitlines(keepends=True)]
         table = np.empty(distinct << n if k == 2 else distinct, dtype=object)
-        table[slot(row, g_matrix)] = lines
-        d_outcomes = d_bits[::losers]
+        table[row] = lines
         text_step = max(1, enc.FORMAT_CHUNK_BYTES // max(map(len, lines)))
         for start in range(0, len(rounds.index), text_step):
             index = rounds.index[start : start + text_step]
-            if k == 2:
-                g_matrix = sample_loser_outcomes(d_outcomes.take(index, axis=0), rounds.rng)
-            yield b"".join(table.take(slot(index, g_matrix)).tolist())
+            if k == 2:  # n bits a round, as sample_loser_outcomes draws; its losers' are kept
+                g_bits = _fair_bits(rounds.rng, len(index) * n).reshape(-1, n)
+                # a slot is below distinct << n <= 4 * step, so uint32 holds it
+                index = index.astype(np.uint32) << n | g_bits @ place & loser_mask.take(index)
+            yield b"".join(table.take(index).tolist())
         return
     for start in range(0, len(rounds.index), step):
         winners, d_bits, a_bits = rounds.rows(start, start + step)

@@ -918,6 +918,22 @@ def test_output_bytes_pinned(tmp_path, capsys):
     assert digests == PINNED_DIGESTS, f"numpy {numpy.__version__}, new digests: {digests}"
 
 
+def test_csv_numpy_floats_are_their_float_repr(tmp_path, capsys, monkeypatch):
+    # the pinned CSV bytes rest on str(np.float64); Python specifies repr(float) as the
+    # shortest round-trip digits, so the two must agree on every numpy float written
+    written, csv_text = [], cli._csv
+
+    def spy(header, rows):
+        rows = list(rows)
+        written.extend(v for row in rows for v in row if isinstance(v, numpy.floating))
+        return csv_text(header, rows)
+
+    monkeypatch.setattr(cli, "_csv", spy)
+    test_output_bytes_pinned(tmp_path, capsys)
+    assert written
+    assert [str(v) for v in written] == [repr(float(v)) for v in written]
+
+
 # SHA-256 of the transcript and of the stdout summary of `contend --seed 5 --out t.jsonl`
 PINNED_CONTEND_DIGESTS = {
     ("linear", 8, 2, 2000): ("14967820b3e9e4bfd5e33f7e84c04c789202354393beb377d716b22fdac462a9",
@@ -967,6 +983,12 @@ PINNED_CONTEND_DIGESTS = {
                                "1937cb22530d339c5894ec65192cc86e0188c34ffdcb1694dfe2309fe68a2fea"),
     ("binary", 257, 1, 5000): ("5f7344696de3d371c81dbdee6ac79e8e1b251fd944fb09c313fee1ba1c3ee651",
                                "22a0a98630c85ca39aaada300f8ffea6c0f2b50dad26701f2384351ee9ab6ca0"),
+    # loser bits from the raw words: the line table at an odd n, whose text chunks of 7 bits a
+    # round start on and off a kept half; formatting each chunk's rounds at an odd n * runs
+    ("linear", 7, 2, 30001): ("f9caf1d439c1b5d42faf5c7f2f64044c28fb6eb9d586cd70c7760c3777625a5f",
+                              "2a662da04402c765e777c0260e8a8ae11953c6113d89d285292eca26eaadb4c4"),
+    ("linear", 13, 2, 999): ("3f6092239c722064632f11c346261f08e98603e06538771d92de6a2befb38355",
+                             "2096bafdfcfbb0f3ec63790cdc4162bc44985547e61d56cbfe0e71b66b205e2e"),
 }
 
 

@@ -1,7 +1,8 @@
 """Property tests: the weight-k slice unranker, the encoder rows packed from CNOT lists, the
 classical contention rounds (n <= 62) and their row slices, the bulk transcript (n <= 40),
-index rows in decimal, loser draws on row chunks, the three Generator draws as transforms of
-the raw PCG64DXSM stream, the noisy contention estimator against its argsort reference and,
+index rows in decimal, loser draws on row chunks, the three Generator draws and the package's
+fair bits as transforms of the raw PCG64DXSM stream, the fair bits as numpy's loser draw on
+four bit generators, the noisy contention estimator against its argsort reference and,
 on tied uniforms, its partition rule, the full-connection estimator's certain-block test,
 the confidence interval, the absorbing threshold and the exit code of any argv."""
 import copy
@@ -28,7 +29,7 @@ from eacsim.cli import main
 from eacsim.encoder import (EncoderCircuit, _format_int_rows, _packed_words,
                             build_binary_encoder, build_linear_encoder)
 from eacsim.markov import absorbing_threshold, state_prob
-from eacsim.protocol import draw_rounds, sample_loser_outcomes, transcript
+from eacsim.protocol import _fair_bits, draw_rounds, sample_loser_outcomes, transcript
 from eacsim.states import DickeSpec, _slice_columns
 
 from test_channel import (reference_contention_success, reference_full_connection_by_slot,
@@ -280,8 +281,9 @@ def replay(seed, jumps, calls):
     rng = np.random.Generator(np.random.PCG64DXSM(seed).jumped(jumps))
     raw = RawStream(seed, jumps)
     for method, size, c in calls:
-        if method == "bits":  # the losers' bits: a half's top bit (Lemire at c = 2 never rejects)
-            got = rng.integers(0, 2, size=size, dtype=np.int32)
+        if method in ("bits", "fair_bits"):  # a half's top bit (Lemire at c = 2 never rejects)
+            got = (rng.integers(0, 2, size=size, dtype=np.int32) if method == "bits"
+                   else _fair_bits(rng, size))
             want = [raw.half() >> 31 for _ in range(size)]
         elif method == "ranks":
             got = rng.integers(c, size=size, dtype=np.int64)
@@ -306,13 +308,17 @@ COUNTS = st.one_of(st.integers(2, (1 << 32) - 1), st.integers((1 << 32) + 1, (1 
 
 @PROPERTY_SETTINGS
 @given(st.integers(0, 2**64 - 1), st.integers(0, 2),
-       st.lists(st.tuples(st.sampled_from(["bits", "ranks", "floats"]), st.integers(0, 9), COUNTS),
+       st.lists(st.tuples(st.sampled_from(["bits", "fair_bits", "ranks", "floats"]),
+                          st.integers(0, 9), COUNTS),
                 min_size=1, max_size=8))
 @example(5, 0, [("ranks", 3, 28), ("bits", 7, 2), ("ranks", 1, 28), ("bits", 5, 2)])  # odd, mixed
+@example(6, 1, [("ranks", 1, 28), ("fair_bits", 4, 2), ("bits", 3, 2), ("fair_bits", 1, 2),
+                ("fair_bits", 0, 2), ("floats", 1, 2), ("fair_bits", 3, 2)])
 def test_generator_draws_are_fixed_transforms_of_the_raw_stream(seed, jumps, calls):
-    # the pinned digests rest on these three methods: NEP 19 keeps a bit generator's stream
-    # across numpy versions, not what Generator methods make of it.  Ranks and losers' bits
-    # share the kept half, so calls of odd sizes interleave through it
+    # the pinned digests rest on these draws: NEP 19 keeps a bit generator's stream across
+    # numpy versions, not what Generator methods make of it.  Ranks and losers' bits share
+    # the kept half, so calls of odd sizes interleave through it; "fair_bits" is the
+    # package's own transform, the one the transcripts draw their losers' bits by
     replay(seed, jumps, calls)
 
 
@@ -320,6 +326,34 @@ def test_raw_stream_replay_covers_rejections():
     # both Lemire widths reject here, where a quarter of the draws fall in the biased zone
     assert replay(0, 0, [("ranks", 200, 3 << 30), ("bits", 1, 2)]) > 0
     assert replay(1, 0, [("bits", 3, 2), ("ranks", 200, (1 << 62) + 1)]) > 0
+
+
+FAIR_BIT_GENERATORS = [np.random.PCG64DXSM, np.random.PCG64, np.random.Philox, np.random.SFC64]
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(FAIR_BIT_GENERATORS), st.integers(0, 2**64 - 1),
+       st.lists(st.tuples(st.sampled_from(["fair_bits", "ranks"]),
+                          st.one_of(st.sampled_from([0, 1]), st.integers(0, 40))),
+                min_size=1, max_size=8))
+# a kept half alone; none; a kept half then one word, both halves spent (uinteger stale)
+@example(np.random.Philox, 3, [("ranks", 1), ("fair_bits", 1), ("fair_bits", 0),
+                               ("ranks", 1), ("fair_bits", 3), ("fair_bits", 6)])
+@example(np.random.SFC64, 4, [("fair_bits", 7), ("ranks", 2), ("fair_bits", 1), ("ranks", 3),
+                              ("fair_bits", 2)])
+def test_fair_bits_are_numpys_loser_draw(bit_generator, seed, calls):
+    # the same bits as rng.integers(0, 2, dtype=int32) and the same state after them, in full:
+    # Philox and SFC64 hold arrays, and a spent half's uinteger is compared too
+    ours, numpys = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+    for method, count in calls:
+        if method == "ranks":  # (8,2)'s 28 outcomes: 32-bit halves, through the kept one
+            for rng in (ours, numpys):
+                rng.integers(28, size=count, dtype=np.int64)
+        else:
+            got = _fair_bits(ours, count)
+            assert got.dtype == np.uint32
+            np.testing.assert_array_equal(got, numpys.integers(0, 2, size=count, dtype=np.int32))
+        np.testing.assert_equal(ours.bit_generator.state, numpys.bit_generator.state)
 
 
 @PROPERTY_SETTINGS

@@ -320,6 +320,40 @@ def test_loser_parity_is_balanced():
     assert abs(parity.mean() - 0.5) < 3 * sigma
 
 
+NO_KEPT_HALF = "a PCG64, PCG64DXSM, Philox or SFC64 bit generator, not MT19937"
+
+
+@pytest.mark.parametrize("n,runs", [(8, 2000), (13, 999)])
+def test_loser_bits_refuse_a_generator_without_a_kept_half(n, runs):
+    # MT19937 keeps no 32-bit half in its state, so the raw words cannot give numpy's bits;
+    # the transcript refuses before its first byte, from its line table at (8, 2000) and
+    # formatting each chunk's rounds at (13, 999)
+    mt = np.random.Generator(np.random.MT19937(0))
+    with pytest.raises(TypeError, match=NO_KEPT_HALF):
+        protocol._fair_bits(mt, 0)
+    with pytest.raises(TypeError, match=NO_KEPT_HALF):
+        sample_loser_outcomes(np.ones((1, n)), mt)
+    spec = DickeSpec(n, 2)
+    chunks = transcript(draw_rounds(spec, build_linear_encoder(spec), runs, mt), 0)
+    with pytest.raises(TypeError, match=NO_KEPT_HALF):
+        next(chunks)
+
+
+@pytest.mark.parametrize("n,k,runs", [(8, 3, 2000), (300, 3, 400)])
+def test_rounds_without_loser_bits_take_any_generator(n, k, runs):
+    # k != 2 draws no loser bits: MT19937's rounds write the bytes the same rounds write with
+    # any generator, and leave its state as it was; from the line table at (8, 3) and
+    # formatting each chunk's rounds at (300, 3)
+    spec = DickeSpec(n, k)
+    mt = np.random.Generator(np.random.MT19937(0))
+    rounds = draw_rounds(spec, build_linear_encoder(spec), runs, mt)
+    state = mt.bit_generator.state
+    got = b"".join(transcript(rounds, 0))
+    np.testing.assert_equal(mt.bit_generator.state, state)
+    assert got == b"".join(transcript(rounds._replace(rng=np.random.default_rng(1)), 0))
+    assert got.count(b"\n") == runs == got.count(b'"g":null')
+
+
 # ---------------------------------------------------------------- transcripts
 
 def transcript_record(outcome, views, seed):
