@@ -394,21 +394,26 @@ def _add_out_options(parser) -> None:
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The ``eacsim`` parser.  Every subcommand is registered with its name and help line,
-    so usage, top-level help and errors read the same; given ``argv``, only the subcommands
-    it names get their options (argparse builds a help formatter, probing the terminal, for
-    each option it adds)."""
+    """The ``eacsim`` parser.  Without ``argv``, or when ``argv[0]`` names no subcommand, every
+    subcommand is registered with its name and help line, so usage, top-level help and errors
+    read the same, and only those ``argv`` names anywhere get their options (argparse builds a
+    help formatter, probing the terminal, for each option it adds).  When ``argv[0]`` names one,
+    argparse hands it every later word: only it is registered, under a usage line naming all."""
     parser = argparse.ArgumentParser(
         prog="eacsim",
         description="Entanglement access control: protocol simulation and noise analytics.",
     )
     parser.set_defaults(out=None, out_dir=None)  # read by `_out_path`; commands add the flags
-    sub = parser.add_subparsers(dest="command", required=True)
+    names = "{encode,contend,analytics,reproduce,sweep}"
+    named = argv[0] if argv and argv[0] in names[1:-1].split(",") else None
+    # only for one: a metavar renames the command in the "required" and "invalid choice" errors
+    sub = parser.add_subparsers(dest="command", required=True, metavar=named and names)
 
     def add(name, text, func):
-        p = sub.add_parser(name, help=text)
-        p.set_defaults(func=func)
-        return p if argv is None or name in argv else None
+        if named in (None, name):
+            p = sub.add_parser(name, help=text)
+            p.set_defaults(func=func)
+            return p if argv is None or name in argv else None
 
     if p := add("encode", "emit an encoder circuit and its codebook", cmd_encode):
         p.add_argument("--n", type=int, required=True)
@@ -452,8 +457,9 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run the subcommand ``argv`` (default sys.argv[1:]) names and return its exit code.
-    The parser has the options of only the subcommands ``argv`` names; argparse runs the
-    first word that names one, if it runs any."""
+    The parser registers only the subcommand ``argv[0]`` names, if it names one, else every
+    subcommand with the options of only those ``argv`` names; argparse runs the first word
+    that names one, if it runs any."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv).parse_args(argv)
     try:

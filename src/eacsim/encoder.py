@@ -7,9 +7,10 @@ encoder is a = G.d mod 2, where d is the data measurement outcome.  Encoder
 design therefore reduces to finding G injective on the weight-k slice of
 {0,1}^n, which `verify_injectivity` checks while it builds the word ->
 winner-subset bijection the orchestrator decodes (the codebook).  It packs
-the words of the slice, rows in the order of `states._slice_columns`, once
-and sorts them once: the stable sort gives the codebook's order and the
-first collision a scan in slice order would meet.  The codebook holds
+the words of the slice, which `states._slice_columns` enumerates whole in
+ascending basis-index order, once and sorts them once: the stable sort gives
+the codebook's order and the first collision a scan in slice order would
+meet.  The codebook holds
 C(n,k)*(k*s+ell) bytes, s bytes per winner index (1 up to n = 256); the
 verify pass admits C(n,k)*(n+ell) bytes up to SLICE_BYTES_CAP
 (CapacityError past it).  `_data_bits` and `_packed_words` also serve the
@@ -287,8 +288,10 @@ def verify_injectivity(circuit: EncoderCircuit, spec: DickeSpec) -> Codebook:
     if collision is not None:
         d1, d2 = _data_bits(spec.n, columns[list(collision)]).tolist()
         raise NotInjective(tuple(d1), tuple(d2))
-    words = np.unpackbits(packed[order].view(np.uint8), axis=1, count=circuit.ell)
-    return Codebook(n=spec.n, k=spec.k, ell=circuit.ell, words=words, winners=columns[order])
+    winners, packed = columns[order], packed[order]
+    del columns, order  # the slice-order arrays go before the words come: a lower peak
+    words = np.unpackbits(packed.view(np.uint8), axis=1, count=circuit.ell)
+    return Codebook(n=spec.n, k=spec.k, ell=circuit.ell, words=words, winners=winners)
 
 
 def decode(codebook: Codebook, word) -> tuple[int, ...]:

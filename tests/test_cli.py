@@ -497,6 +497,8 @@ def _parse_outcome(capsys, argv=None):
     ["encode", "--k", "2"], ["analytics", "--n", "8", "--k", "2"], ["reproduce"],
     ["contend", "--n", "8", "--k", "2", "--runs", "3", "--bogus"],
     ["sweep", "--config", "c.toml", "extra"],
+    ["contend", "--n", "8", "--k", "2", "--runs", "3", "encode"],  # extra words name a subcommand
+    ["reproduce", "--figure", "fig99"], ["sweep", "--config"],
     ["contend", "--n", "8", "--k", "2", "--runs", "3", "--out", "t", "--out-dir", "d"],
     ["sweep", "--config", "c.toml", "--out-dir", "d", "--out", "t"],
     ["analytics", "--out-dir", "d"],
@@ -525,11 +527,39 @@ def test_console_script_path_runs_a_command(monkeypatch, capsys):
     assert _parse_outcome(capsys) == want
 
 
+_USAGE = "usage: eacsim [-h] {encode,contend,analytics,reproduce,sweep} ...\neacsim: error: "
+_CHOICES = ("encode", "contend", "analytics", "reproduce", "sweep")
+
+
+@pytest.mark.parametrize("argv,err", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus' (choose from {})"),
+    (["contend", "--n", "8", "--k", "2", "--runs", "3", "encode"], "unrecognized arguments: encode"),
+    (["sweep", "--config", "c.toml", "extra"], "unrecognized arguments: extra"),
+], ids=repr)
+def test_parser_texts_are_pinned(tmp_path, monkeypatch, capsys, argv, err):
+    # `main` and the full `build_parser()` could change a text together; these are argparse's
+    # own texts for the five subcommands, whose choices later Pythons may list without quotes
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "100")
+    code, out, got = _parse_outcome(capsys, argv)
+    assert (code, out) == (2, "")
+    assert got in {_USAGE + err.format(", ".join(map(f, _CHOICES))) + "\n" for f in (repr, str)}
+
+
 def test_parser_adds_only_the_options_of_named_subcommands(capsys):
+    def registered(parser):
+        sub, = (a for a in parser._actions if isinstance(a, cli.argparse._SubParsersAction))
+        return list(sub.choices)
+
+    for name in _CHOICES:  # argparse hands every word after argv[0] to the subcommand it names
+        assert registered(cli.build_parser([name, "-h"])) == [name]
+    for argv in (None, [], ["bogus", "encode"], ["-h"], ["--bogus", "contend"]):
+        assert registered(cli.build_parser(argv)) == list(_CHOICES)
     argv = ["contend", "--n", "8", "--k", "2", "--runs", "3"]
     assert cli.build_parser(argv).parse_args(argv).runs == 3
-    with pytest.raises(SystemExit):
-        cli.build_parser(["encode"]).parse_args(argv)
+    with pytest.raises(SystemExit):  # the all-five parser gives options only to those named
+        cli.build_parser(["-h", "encode"]).parse_args(argv)
     assert "unrecognized arguments: --n 8 --k 2 --runs 3" in capsys.readouterr().err
 
 

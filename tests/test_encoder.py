@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import operator
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -299,6 +300,20 @@ def test_all_zero_matrix_not_injective():
         verify_injectivity(circuit, DickeSpec(4, 2))
     assert sum(err.value.d1) == 2 and sum(err.value.d2) == 2
     assert err.value.d1 != err.value.d2
+
+
+def test_verify_frees_the_slice_order_arrays_before_the_words():
+    # the codebook is C(n,k) (k + ell) bytes; holding the slice-order columns and packed words
+    # while the words are unpacked took 1.9x that at (20, 10), freeing them first 1.52x
+    spec = DickeSpec(20, 10)
+    circuit = build_linear_encoder(spec)
+    tracemalloc.start()
+    try:
+        codebook = verify_injectivity(circuit, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.7 * (codebook.words.nbytes + codebook.winners.nbytes)
 
 
 def matrix_cnots(g):

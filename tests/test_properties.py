@@ -48,6 +48,7 @@ def test_slice_unranker_is_the_ascending_weight_k_slice(nk):
     for col in columns.T:
         bits[np.arange(len(bits)), col] = 1
     assert columns.shape == (len(bits), k) and (bits.sum(axis=1) == k).all()
+    assert columns.dtype == np.min_scalar_type(n - 1)
     # packed big-endian bytes compare as the bitstrings do, also past 64 bits
     rows = [row.tobytes() for row in np.packbits(bits, axis=1)]
     assert all(a < b for a, b in zip(rows, rows[1:]))  # strictly ascending, hence distinct

@@ -1,5 +1,6 @@
 """Dicke/W/GHZ construction: supports, amplitudes, marginals."""
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -129,6 +130,28 @@ def test_unranker_is_exact_below_the_int64_cap(n, k):
     ranks += np.random.default_rng(n).integers(count, size=200, dtype=np.int64).tolist()
     got = _slice_columns(n, k, np.array(ranks, dtype=np.int64)).tolist()
     assert got == [unrank(n, k, rank) for rank in ranks]
+
+
+@pytest.mark.parametrize("n,k", [(257, 1), (300, 2), (9, 1), (6, 6), (22, 11)])
+def test_slice_enumeration_is_the_unranker_at_every_rank(n, k):
+    # the whole slice is enumerated, ranks are unranked: one order, one dtype (uint16 past 256)
+    count = math.comb(n, k)
+    got = _slice_columns(n, k)
+    assert got.dtype == np.min_scalar_type(n - 1) and got.shape == (count, k)
+    np.testing.assert_array_equal(got, _slice_columns(n, k, np.arange(count)))
+
+
+@pytest.mark.parametrize("n,k", [(22, 11), (60, 58)])
+def test_slice_enumeration_holds_about_its_output(n, k):
+    # C(n,k) k bytes of columns, and a level before it; building every j-subset of all n
+    # columns instead would hold C(40, 20) rows at (40, 38)
+    tracemalloc.start()
+    try:
+        _slice_columns(n, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * math.comb(n, k) * k
 
 
 def test_index_bits_round_trip():
