@@ -12,12 +12,14 @@ the closed-form quantities, ``reproduce`` regenerates the figure datasets
 Conventions: output is deterministic for a given (command, flags, seed);
 the master seed defaults to 0, may be any non-negative integer, and is
 echoed in emitted metadata; one builder, ``_mc_rows``, writes every Monte
-Carlo row of ``reproduce`` and ``sweep``, and draw group i (in loop order)
-reads ``split_rng(seed, i)``: a group is the rows one estimator call
-serves, a figure's curve or the sweep points that differ only in k.  Groups
-run two at a time, on the calling thread and one more
-(``channel._run_draw_groups``), and their rows are written in loop order, so
-no byte depends on which group ends first; no thread outlives ``main``.
+Carlo row of ``reproduce`` and ``sweep``, each from the analytic row it
+overlays (that row's leading columns, then the estimate) and in that row's
+order.  Draw groups are numbered by first appearance among the analytic rows
+a figure or sweep overlays, and group i reads ``split_rng(seed, i)``: a
+group is the rows one estimator call serves, a figure's curve or the sweep
+points that differ only in k.  Groups run two at a time, on the calling
+thread and one more (``channel._run_draw_groups``), so no byte depends on
+which group ends first; no thread outlives ``main``.
 ``_out_path`` places every output file: ``--out``, else the default name
 under ``--out-dir``, $EACSIM_OUT_DIR or '.' (never both flags); ``_write``,
 the one file sink (the library yields ASCII bytes and does no I/O), opens it
@@ -71,7 +73,8 @@ def _out_path(args, name: str | None) -> Path:
 
 def _csv(header, rows) -> str:
     """CSV text of a table: the header row, then one line per row; a field is str(v),
-    for a float (numpy's too) its shortest round-trip digits, or empty for None."""
+    for a float (a Python float, never numpy's) its shortest round-trip digits, or empty
+    for None."""
     return "".join(",".join("" if v is None else str(v) for v in row) + "\n" for row in (header, *rows))
 
 
@@ -197,13 +200,18 @@ FIG11_QE = (0.0, 0.1, 0.3, 0.5, 0.7)
 _MC_COLUMNS = ("estimate", "ci_low", "ci_high", "trials", "seed")
 
 
-def _mc_rows(grid, estimator, trials: int, seed: int) -> list[tuple]:
-    """Monte Carlo rows: draw group i of ``grid`` calls ``estimator(*group, split_rng(seed, i))``,
-    two groups at a time (`channel._run_draw_groups`), and each (row prefix, estimate) pair it
-    returns becomes one row ending in _MC_COLUMNS; rows come in loop order, as a serial loop's."""
-    groups = channel._run_draw_groups(lambda i, group: estimator(*group, split_rng(seed, i)), grid)
-    return [prefix + (estimate, *normal_ci(estimate, trials), trials, seed)
-            for pairs in groups for prefix, estimate in pairs]
+def _mc_rows(rows, width: int, pick, estimator, trials: int, seed: int) -> list[tuple]:
+    """The Monte Carlo overlay of analytic ``rows``.  ``pick(*row)`` is (key, index) for a row
+    the overlay draws, else falsy; key i, numbered by first appearance in row order, is drawn
+    once, ``estimator(*key, trials, split_rng(seed, i))``, two keys at a time
+    (`channel._run_draw_groups`).  Each picked row, in row order, becomes its first ``width``
+    columns, the float at ``index`` of its key's curve, then that estimate's _MC_COLUMNS."""
+    picked = [(row[:width], *p) for row in rows if (p := pick(*row))]
+    keys = dict.fromkeys(key for _, key, _ in picked)
+    curves = dict(zip(keys, channel._run_draw_groups(
+        lambda i, key: estimator(*key, trials, split_rng(seed, i)), keys)))
+    return [prefix + (est := float(curves[key][index]), *normal_ci(est, trials), trials, seed)
+            for prefix, key, index in picked]
 
 
 def _reproduce_fig8(trials: int, seed: int) -> list[tuple]:
@@ -216,11 +224,9 @@ def _reproduce_fig8(trials: int, seed: int) -> list[tuple]:
          markov.absorbing_threshold(max(FIG8_N), m, DEFAULT_EPSILON))
         for m in FIG8_M
     ]
-    mc_rows = sorted(_mc_rows(
-        itertools.product((10, 20), FIG8_MC_Q),
-        lambda n, q, rng: zip([(3, n, q), (20, n, q)], channel.empirical_full_connection_by_slot(
-            n, q, 20, trials, rng)[[2, 19]]),
-        trials, seed), key=lambda row: row[0])  # M outermost, as in fig8.csv (a stable sort)
+    mc_rows = _mc_rows(  # one draw per (n, q) serves M = 3 and M = 20
+        rows, 3, lambda m, n, q, *_: m in (3, 20) and n in (10, 20) and q in FIG8_MC_Q
+        and ((n, q, 20), m - 1), channel.empirical_full_connection_by_slot, trials, seed)
     return [("fig8.csv", ("M", "n", "q", "p_full", "p_one_shot"), rows),
             ("fig8_thresholds.csv", ("M", "epsilon", "n", "q_bar"), thr_rows),
             ("fig8_mc.csv", ("M", "n", "q") + _MC_COLUMNS, mc_rows)]
@@ -229,11 +235,8 @@ def _reproduce_fig8(trials: int, seed: int) -> list[tuple]:
 def _reproduce_fig8l(trials: int, seed: int) -> list[tuple]:
     n, slots = 10, range(1, FIG8L_M_MAX + 1)
     rows = [(n, q, m, markov.state_prob(n, n, q, m)) for q in FIG8L_Q for m in slots]
-    mc_rows = _mc_rows(
-        itertools.product((0.2, 0.4)),
-        lambda q, rng: zip([(n, q, m) for m in slots], channel.empirical_full_connection_by_slot(
-            n, q, FIG8L_M_MAX, trials, rng)),
-        trials, seed)
+    mc_rows = _mc_rows(rows, 3, lambda n, q, m, _: q in (0.2, 0.4) and ((n, q, FIG8L_M_MAX), m - 1),
+                       channel.empirical_full_connection_by_slot, trials, seed)
     return [("fig8l.csv", ("n", "q", "m", "p_full"), rows),
             ("fig8l_mc.csv", ("n", "q", "m") + _MC_COLUMNS, mc_rows)]
 
@@ -242,10 +245,8 @@ def _reproduce_fig9(trials: int, seed: int) -> list[tuple]:
     n, m = 10, 3
     rows = [(n, m, q, k, markov.success_prob(k, q, m)) for q in FIG9_Q for k in range(1, n + 1)]
     mc_rows = _mc_rows(
-        [(ChannelParams(q_cr=q, q_e=0.0, M_cr=m, M_e=m),) for q in FIG9_Q],
-        lambda p, rng: zip([(n, m, p.q_cr, k) for k in range(1, n + 1)],
-                           channel.empirical_contention_success(n, p, trials, rng)),
-        trials, seed)
+        rows, 4, lambda n, m, q, k, _: ((n, ChannelParams(q_cr=q, q_e=0.0, M_cr=m, M_e=m)), k - 1),
+        channel.empirical_contention_success, trials, seed)
     return [("fig9.csv", ("n", "M", "q", "k", "p_s"), rows),
             ("fig9_mc.csv", ("n", "M", "q", "k") + _MC_COLUMNS, mc_rows)]
 
@@ -256,11 +257,8 @@ def _reproduce_fig10(trials: int, seed: int) -> list[tuple]:
         (m, n, q, j, markov.state_prob(n, j, q, m))
         for n in FIG10_N for q in FIG10_Q for j in range(n + 1)
     ]
-    mc_rows = _mc_rows(
-        itertools.product((5, 10), (0.3, 0.7)),
-        lambda n, q, rng: zip([(m, n, q, j) for j in range(n + 1)],
-                              channel.empirical_state_distribution(n, q, m, trials, rng)),
-        trials, seed)
+    mc_rows = _mc_rows(rows, 4, lambda m, n, q, j, _: n in (5, 10) and q in (0.3, 0.7)
+                       and ((n, q, m), j), channel.empirical_state_distribution, trials, seed)
     return [("fig10.csv", ("M", "n", "q", "j", "p_state"), rows),
             ("fig10_mc.csv", ("M", "n", "q", "j") + _MC_COLUMNS, mc_rows)]
 
@@ -275,11 +273,9 @@ def _reproduce_fig11(trials: int, seed: int) -> list[tuple]:
                 for k in range(1, n + 1):
                     rows.append((n, m, q_cr, q_e, k, markov.success_prob_fully_noisy(k, params)))
     mc_rows = _mc_rows(
-        [(ChannelParams(q_cr=q_cr, q_e=q_e, M_cr=m, M_e=m),)
-         for m in (3, 10) for q_cr in (0.3, 0.7) for q_e in (0.0, 0.3, 0.7)],
-        lambda p, rng: zip([(n, p.M_cr, p.q_cr, p.q_e, k) for k in (2, 4, 6, 8)],
-                           channel.empirical_contention_success(n, p, trials, rng)[1::2]),
-        trials, seed)
+        rows, 5, lambda n, m, q_cr, q_e, k, _: q_cr in (0.3, 0.7) and q_e in (0.0, 0.3, 0.7)
+        and k % 2 == 0 and ((n, ChannelParams(q_cr=q_cr, q_e=q_e, M_cr=m, M_e=m)), k - 1),
+        channel.empirical_contention_success, trials, seed)
     return [("fig11.csv", ("n", "M", "q_cr", "q_e", "k", "p_s"), rows),
             ("fig11_mc.csv", ("n", "M", "q_cr", "q_e", "k") + _MC_COLUMNS, mc_rows)]
 
@@ -356,22 +352,17 @@ def sweep_rows(config: dict) -> list[tuple]:
     grids = [config[key] if isinstance(config[key], list) else [config[key]]
              for key in _GRID_KEYS]
     trials, seed = config["trials"], config["seed"]
-    points, groups = [], {}  # (n, params) -> grid positions of the points that differ only in k
-    for i, (n, k, q_cr, q_e, m_cr, m_e) in enumerate(itertools.product(*grids)):
+    rows = []  # each point, then its params: (n, params) keys the draw group of its k curve
+    for n, k, q_cr, q_e, m_cr, m_e in itertools.product(*grids):
         if not 1 <= k <= n:
             raise UsageError(f"grid point has k={k} outside 1..n={n}")
         params = ChannelParams(q_cr=q_cr, q_e=q_e, M_cr=m_cr, M_e=m_e)
-        points.append((n, k, q_cr, q_e, params.m_bar, markov.success_prob_fully_noisy(k, params)))
-        groups.setdefault((n, params), []).append(i)
+        rows.append((n, k, q_cr, q_e, params.m_bar, markov.success_prob_fully_noisy(k, params),
+                     params))
     if trials == 0:  # analytic only
-        return [prefix + (None, None, None, trials, seed) for prefix in points]
-
-    def group_rows(key, members, rng):
-        curve = channel.empirical_contention_success(*key, trials, rng)
-        return [((i, *points[i]), curve[points[i][1] - 1]) for i in members]
-
-    rows = _mc_rows(groups.items(), group_rows, trials, seed)
-    return [row[1:] for row in sorted(rows)]  # grid order; drop the grid position
+        return [row[:6] + (None, None, None, trials, seed) for row in rows]
+    return _mc_rows(rows, 6, lambda n, k, q_cr, q_e, m, p_s, params: ((n, params), k - 1),
+                    channel.empirical_contention_success, trials, seed)
 
 
 def cmd_sweep(args) -> int:

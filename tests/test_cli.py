@@ -669,6 +669,21 @@ def test_reproduce_row_recomputed_from_its_substream(tmp_path, figure, index, gr
     assert (tmp_path / f"{figure}_mc.csv").read_text().splitlines()[1 + index] == line
 
 
+@pytest.mark.parametrize("figure", ["fig8", "fig8l", "fig9", "fig10", "fig11"])
+def test_reproduce_mc_rows_overlay_analytic_rows_in_order(tmp_path, figure):
+    # each Monte Carlo row is drawn over an analytic row: its leading fields are that row's,
+    # byte for byte, and the Monte Carlo rows follow the analytic CSV's order
+    assert main(["reproduce", "--figure", figure, "--trials", "50",
+                 "--out-dir", str(tmp_path)]) == 0
+    mc = [line.split(",") for line in (tmp_path / f"{figure}_mc.csv").read_text().splitlines()]
+    width = mc[0].index("estimate")
+    analytic = iter((tmp_path / f"{figure}.csv").read_text().splitlines())
+    for fields in mc:  # the header first: the leading column names are the analytic CSV's
+        prefix = ",".join(fields[:width]) + ","
+        assert any(line.startswith(prefix) for line in analytic), prefix
+    assert len(mc) > 1
+
+
 def test_reproduce_mc_curves_non_increasing_in_k(tmp_path):
     # the rows of one curve share a draw, so a trial that serves k winners serves fewer too
     for figure in ("fig9", "fig11"):
@@ -737,7 +752,7 @@ def test_mc_rows_raises_the_first_failed_group_and_starts_no_later_one():
     # raised is group 1's, as in a serial loop, and no group after 3 starts
     started, three_failed = [], threading.Event()
 
-    def estimator(index, rng):
+    def estimator(index, trials, rng):
         started.append(index)
         if index == 3:
             three_failed.set()
@@ -745,13 +760,16 @@ def test_mc_rows_raises_the_first_failed_group_and_starts_no_later_one():
         if index == 1:
             three_failed.wait(timeout=30)
             raise ValueError("group 1")
-        return [((index,), 0.5)]
+        return [0.5]
+
+    def mc_rows(indices):  # row (index,) is drawn alone, as group key (index,)
+        rows = [(index,) for index in indices]
+        return cli._mc_rows(rows, 1, lambda index: ((index,), 0), estimator, 100, 0)
 
     with pytest.raises(ValueError, match="group 1"):
-        cli._mc_rows([(index,) for index in range(8)], estimator, 100, 0)
+        mc_rows(range(8))
     assert sorted(started) == [0, 1, 2, 3]
-    rows = cli._mc_rows([(index,) for index in (0, 2, 4, 5, 6)], estimator, 100, 0)
-    assert [row[0] for row in rows] == [0, 2, 4, 5, 6]  # in loop order
+    assert [row[0] for row in mc_rows((0, 2, 4, 5, 6))] == [0, 2, 4, 5, 6]  # in row order
 
 
 @pytest.mark.parametrize("trials, code", [(200, 0), (2**62, 4)])
@@ -820,6 +838,20 @@ def test_sweep_row_recomputed_from_its_substream(tmp_path):
     point = (8, 2, 0.3, 0.0, 3, success_prob_fully_noisy(2, params))
     line = ",".join(map(str, point + (est, *normal_ci(est, trials), trials, seed)))
     assert (tmp_path / "out.csv").read_text().splitlines()[1 + 3] == line
+
+
+def test_sweep_repeated_grid_value_shares_one_draw(tmp_path):
+    # k = [2, 2] is two grid points of one draw group, the first: two equal rows from substream 0
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG.replace("k = [1, 2, 3]", "k = [2, 2]").replace("q_cr = [0.1, 0.3]",
+                                                                            "q_cr = 0.3"))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 0
+    trials, seed = 4000, 2
+    params = ChannelParams(q_cr=0.3, q_e=0.0, M_cr=3, M_e=3)
+    est = float(empirical_contention_success(8, params, trials, split_rng(seed, 0))[1])
+    point = (8, 2, 0.3, 0.0, 3, success_prob_fully_noisy(2, params))
+    line = ",".join(map(str, point + (est, *normal_ci(est, trials), trials, seed)))
+    assert (tmp_path / "out.csv").read_text().splitlines()[1:] == [line, line]
 
 
 def test_sweep_single_point_matches_analytics(tmp_path):
@@ -948,20 +980,21 @@ def test_output_bytes_pinned(tmp_path, capsys):
     assert digests == PINNED_DIGESTS, f"numpy {numpy.__version__}, new digests: {digests}"
 
 
-def test_csv_numpy_floats_are_their_float_repr(tmp_path, capsys, monkeypatch):
-    # the pinned CSV bytes rest on str(np.float64); Python specifies repr(float) as the
-    # shortest round-trip digits, so the two must agree on every numpy float written
+def test_csv_writes_only_python_floats(tmp_path, capsys, monkeypatch):
+    # every float `_csv` writes into the pinned outputs is a Python float, whose str is its
+    # repr, the shortest round-trip digits by Python's specification: no byte rests on
+    # str(np.float64)
     written, csv_text = [], cli._csv
 
     def spy(header, rows):
         rows = list(rows)
-        written.extend(v for row in rows for v in row if isinstance(v, numpy.floating))
+        written.extend(v for row in rows for v in row if isinstance(v, (float, numpy.floating)))
         return csv_text(header, rows)
 
     monkeypatch.setattr(cli, "_csv", spy)
     test_output_bytes_pinned(tmp_path, capsys)
     assert written
-    assert [str(v) for v in written] == [repr(float(v)) for v in written]
+    assert {type(v) for v in written} == {float}
 
 
 # SHA-256 of the transcript and of the stdout summary of `contend --seed 5 --out t.jsonl`
