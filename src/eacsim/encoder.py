@@ -9,15 +9,17 @@ design therefore reduces to finding G injective on the weight-k slice of
 winner-subset bijection the orchestrator decodes (the codebook).  It packs
 the words of the slice, which `states._slice_columns` enumerates whole in
 ascending basis-index order, once and sorts them once: the stable sort gives
-the codebook's order and the first collision a scan in slice order would
-meet.  The codebook holds
-C(n,k)*(k*s+ell) bytes, s bytes per winner index (1 up to n = 256); the
-verify pass admits C(n,k)*(n+ell) bytes up to SLICE_BYTES_CAP
-(CapacityError past it).  `_data_bits` and `_packed_words` also serve the
-contention sampler.  `_format_int_rows` formats the codebook CSV
-(`codebook_csv`) and transcripts as ASCII bytes via byte matrices, which
-`cli._write` writes.  Everything here is classical; the CNOT array run on a
-dense register is `statevector.apply_encoder`.
+the codebook's order, and the sorted words the first collision a scan in
+slice order would meet.  The codebook holds C(n,k)*(k*s+ell) bytes, s bytes
+per winner index (1 up to n = 256); the verify pass admits C(n,k)*(n+ell)
+bytes up to SLICE_BYTES_CAP (CapacityError past it).  Beside the slice and
+the codebook, its scratch is the packed words, their order and one sorted
+copy of the words, 8 bytes a row each up to ell = 64, and FORMAT_CHUNK_BYTES
+to pack them in.  `_data_bits` and `_packed_words` also serve the contention
+sampler.  `_format_int_rows` formats the codebook CSV (`codebook_csv`) and
+transcripts as ASCII bytes via byte matrices, which `cli._write` writes.
+Everything here is classical; the CNOT array run on a dense register is
+`statevector.apply_encoder`.
 
 Two constructions are provided:
 
@@ -153,10 +155,13 @@ def _packed_words(circuit: EncoderCircuit, columns: np.ndarray) -> np.ndarray:
     Row i-1 gets one bit per CNOT(i, j), a repeat cancelling.  All n rows are packed when
     the picks could cover them, n <= rows * k, as on the whole slice `verify_injectivity`
     checks; past that only the picked rows, through a slot table, so a few rounds of a
-    linear n up to 16,777,217 pack a few rows."""
+    linear n up to 16,777,217 pack a few rows.  The words are filled a block of rows at a
+    time through about FORMAT_CHUNK_BYTES of scratch, an intp index and a gathered word a
+    row, reused by every block: beyond the words returned, G's packed rows and the slot
+    table, nothing grows with the rows."""
     row, target = circuit.cnots.T
     row = row - 1  # packed-table row of each gate; all n rows, column i at row i
-    count, place = circuit.n, lambda col: col
+    count, slot = circuit.n, None
     if circuit.n > columns.size:
         picked = np.zeros(circuit.n, dtype=bool)
         for col in columns.T:
@@ -164,13 +169,27 @@ def _packed_words(circuit: EncoderCircuit, columns: np.ndarray) -> np.ndarray:
         slot = np.cumsum(picked) - 1  # slot[i]: picked column i's row in the packed table
         keep = picked[row]
         row, target = slot[row[keep]], target[keep]
-        count, place = slot[-1] + 1, slot.take
-    packed = np.zeros((count, 8 * -(-circuit.ell // 64)), dtype=np.uint8)
+        count = slot[-1] + 1
+    blocks = -(-circuit.ell // 64)
+    packed = np.zeros((count, 8 * blocks), dtype=np.uint8)
     np.bitwise_xor.at(packed, (row, target // 8), (128 >> target % 8).astype(np.uint8))
     rows = packed.view(np.uint64)
-    words = rows.take(place(columns[:, 0]), axis=0)
-    for col in columns.T[1:]:
-        words ^= rows.take(place(col), axis=0)
+    words = np.empty((len(columns), blocks), dtype=np.uint64)
+    step = max(1, FORMAT_CHUNK_BYTES // (8 + 8 * blocks))
+    index = np.empty(min(step, len(columns)), dtype=np.intp)
+    gathered = np.empty((len(index), blocks), dtype=np.uint64)
+    for start in range(0, len(columns), step):
+        block = words[start : start + step]
+        at, got = index[: len(block)], gathered[: len(block)]
+        for j, col in enumerate(columns[start : start + step].T):
+            # indices in range by construction; mode="raise" would copy ``out`` on every call
+            if slot is None:
+                at[...] = col
+            else:
+                slot.take(col, out=at, mode="clip")
+            rows.take(at, axis=0, out=got if j else block, mode="clip")
+            if j:
+                block ^= got
     return words
 
 
@@ -181,21 +200,15 @@ def _data_bits(n: int, columns: np.ndarray) -> np.ndarray:
     return bits
 
 
-def _word_order(words: np.ndarray) -> tuple[np.ndarray, tuple[int, int] | None]:
-    """Stable order of packed words by word, a_0 most significant; and the first collision.
-
-    The collision is the pair of rows (i, j), i < j, a scan in row order would
-    first find sharing a word: j the smallest row repeating an earlier word
-    and i that word's first row; None when all rows differ.
-    """
+def _word_order(words: np.ndarray) -> np.ndarray:
+    """Stable order of packed words by word, a_0 most significant: equal words keep ascending
+    rows.  Words of one block (ell <= 64) sort on one native key, the block byte-swapped, a
+    row's 8 bytes of scratch besides the order; wider words go through np.lexsort on a
+    big-endian copy of every block."""
+    if words.shape[1] == 1:
+        return np.argsort(words[:, 0].byteswap(), kind="stable")
     keys = words.view(">u8").astype(np.uint64)  # block byte 0, bits a_0..a_7, most significant
-    order = np.lexsort(keys.T[::-1])  # stable: equal words keep ascending rows
-    ordered = keys[order]
-    same = np.flatnonzero((ordered[1:] == ordered[:-1]).all(axis=1)) + 1
-    if not same.size:
-        return order, None
-    pos = same[np.argmin(order[same])]
-    return order, (int(order[pos - 1]), int(order[pos]))
+    return np.lexsort(keys.T[::-1])
 
 
 def lower_bound(n: int, k: int) -> int:
@@ -276,7 +289,12 @@ def verify_injectivity(circuit: EncoderCircuit, spec: DickeSpec) -> Codebook:
 
     Returns the codebook; raises NotInjective naming the first colliding pair
     in slice order, and CapacityError when C(n,k) x (n+ell) bytes, the
-    admission rule, would exceed SLICE_BYTES_CAP.
+    admission rule, would exceed SLICE_BYTES_CAP.  The pair is (i, j), j the
+    smallest slice row repeating an earlier word and i that word's first row,
+    read off the sorted words, where a stable sort leaves i just before j.
+    Besides the slice and the codebook, the pass holds the packed words, their
+    order and one sorted copy of the words (8 bytes a row each up to ell = 64)
+    and `_packed_words`' FORMAT_CHUNK_BYTES of scratch.
     """
     if circuit.n != spec.n:
         raise ValueError(f"circuit built for n={circuit.n}, spec has n={spec.n}")
@@ -284,11 +302,14 @@ def verify_injectivity(circuit: EncoderCircuit, spec: DickeSpec) -> Codebook:
                  spec.num_outcomes * (spec.n + circuit.ell))
     columns = states._slice_columns(spec.n, spec.k)
     packed = _packed_words(circuit, columns)
-    order, collision = _word_order(packed)
-    if collision is not None:
-        d1, d2 = _data_bits(spec.n, columns[list(collision)]).tolist()
+    order = _word_order(packed)
+    packed = packed.take(order, axis=0)  # take: a third of a fancy index's time
+    same = np.flatnonzero((packed[1:] == packed[:-1]).all(axis=1)) + 1
+    if same.size:
+        pos = same[np.argmin(order[same])]
+        d1, d2 = _data_bits(spec.n, columns[order[[pos - 1, pos]]]).tolist()
         raise NotInjective(tuple(d1), tuple(d2))
-    winners, packed = columns[order], packed[order]
+    winners = columns.take(order, axis=0)
     del columns, order  # the slice-order arrays go before the words come: a lower peak
     words = np.unpackbits(packed.view(np.uint8), axis=1, count=circuit.ell)
     return Codebook(n=spec.n, k=spec.k, ell=circuit.ell, words=words, winners=winners)

@@ -9,11 +9,12 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (cnot_count_bound, encode_word, encoder_matrix, index_bits,
                       outcome_probability, weight_k_indices)
 
-from eacsim import encoder as enc, statevector as sv
+from eacsim import encoder as enc, states, statevector as sv
 from eacsim.encoder import (
     Codebook,
     EncoderCircuit,
@@ -304,7 +305,8 @@ def test_all_zero_matrix_not_injective():
 
 def test_verify_frees_the_slice_order_arrays_before_the_words():
     # the codebook is C(n,k) (k + ell) bytes; holding the slice-order columns and packed words
-    # while the words are unpacked took 1.9x that at (20, 10), freeing them first 1.52x
+    # while the words are unpacked took 1.9x that at (20, 10), freeing them first 1.52x, and
+    # packing in blocks, one sort key and no second sorted copy of the keys 1.28x
     spec = DickeSpec(20, 10)
     circuit = build_linear_encoder(spec)
     tracemalloc.start()
@@ -313,7 +315,64 @@ def test_verify_frees_the_slice_order_arrays_before_the_words():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.7 * (codebook.words.nbytes + codebook.winners.nbytes)
+    assert peak < 1.4 * (codebook.words.nbytes + codebook.winners.nbytes)
+
+
+def xor_reference(circuit, columns):
+    """Each row's packed word on its own: the XOR of the packed rows of G.T its columns pick,
+    zero-padded to whole uint64 blocks."""
+    rows = np.packbits(encoder_matrix(circuit).T, axis=1)
+    want = np.zeros((len(columns), 8 * -(-circuit.ell // 64)), dtype=np.uint8)
+    want[:, : rows.shape[1]] = np.bitwise_xor.reduce(rows[columns.astype(np.intp)], axis=1)
+    return want
+
+
+@pytest.mark.parametrize("kind,n,k,block", [
+    ("linear", 18, 9, None),  # the default block: 16,384 rows of one uint64 word
+    ("linear", 70, 2, 100),  # ell = 69: two uint64 blocks a word
+    ("binary", 24, 3, 100),
+    ("linear", 1000, 2, 2),  # n > rows * k: only the picked rows, through the slot table
+])
+def test_packed_words_in_blocks_match_a_per_row_reference(monkeypatch, kind, n, k, block):
+    spec = DickeSpec(n, k)
+    circuit = (build_linear_encoder if kind == "linear" else build_binary_encoder)(spec)
+    row_bytes = 8 + 8 * -(-circuit.ell // 64)  # an intp index and a gathered word
+    if block is None:
+        block = enc.FORMAT_CHUNK_BYTES // row_bytes
+    else:
+        monkeypatch.setattr(enc, "FORMAT_CHUNK_BYTES", block * row_bytes)
+    rng = np.random.default_rng(n)
+    for rows in (block - 1, block, block + 1):
+        columns = states._slice_columns(n, k, rng.choice(math.comb(n, k), rows, replace=False))
+        assert (n > columns.size) == (n == 1000)
+        np.testing.assert_array_equal(enc._packed_words(circuit, columns).view(np.uint8),
+                                      xor_reference(circuit, columns))
+
+
+def test_packed_words_hold_their_output_and_one_block_of_scratch():
+    # linear (20, 10): 1.48 MB of words; packing a column of the whole slice at a time took 3.0x
+    # that, a block of rows at a time 1.18x
+    spec = DickeSpec(20, 10)
+    circuit = build_linear_encoder(spec)
+    columns = states._slice_columns(spec.n, spec.k)
+    tracemalloc.start()
+    try:
+        words = enc._packed_words(circuit, columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < words.nbytes + 2 * enc.FORMAT_CHUNK_BYTES
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12, unique=True),
+       st.lists(st.integers(0, 11), min_size=1, max_size=300))
+@example([1, 256, 2**56, 2**63 + 1, 0], [4, 3, 2, 1, 0, 0, 1, 2, 3, 4, 3])  # byte order decides
+def test_one_key_word_order_is_the_lexsort_of_big_endian_keys(pool, picks):
+    # a pool of at most 12 words drawn for up to 300 rows: most rows repeat an earlier word
+    words = np.array([pool[i % len(pool)] for i in picks], dtype=np.uint64)[:, None]
+    want = np.lexsort(words.view(">u8").astype(np.uint64).T[::-1])
+    np.testing.assert_array_equal(enc._word_order(words), want)
 
 
 def matrix_cnots(g):
@@ -359,6 +418,21 @@ def test_collision_matches_sequential_scan():
                 verify_injectivity(circuit, DickeSpec(n, k))
             assert (err.value.d1, err.value.d2) == expected
     assert found > 20
+
+
+@pytest.mark.parametrize("n,k,ell,seed", [(8, 3, 5, 0), (8, 2, 3, 1), (9, 4, 64, 2),
+                                         (9, 4, 70, 3), (12, 6, 9, 4)])
+def test_not_injective_pair_is_the_sequential_scans(n, k, ell, seed):
+    # G's first and last columns are equal, so {0} | S and {n-1} | S share a word; at ell = 3
+    # and 9 many outcomes share each word, so the sorted words hold runs of three or more
+    g = np.random.default_rng(seed).integers(0, 2, size=(ell, n), dtype=np.uint8)
+    g[:, n - 1] = g[:, 0]
+    expected = scan_for_collision(g, n, k)
+    assert expected is not None
+    circuit = EncoderCircuit(n=n, k=k, ell=ell, cnots=matrix_cnots(g), kind="binary")
+    with pytest.raises(NotInjective) as err:
+        verify_injectivity(circuit, DickeSpec(n, k))
+    assert (err.value.d1, err.value.d2) == expected
 
 
 @pytest.mark.parametrize("n,k", [(5, 2), (9, 4), (12, 11), (13, 1), (14, 7)])
