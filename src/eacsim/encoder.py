@@ -13,10 +13,11 @@ the codebook's order, and the sorted words the first collision a scan in
 slice order would meet.  The codebook holds C(n,k)*(k*s+ell) bytes, s bytes
 per winner index (1 up to n = 256); the verify pass admits C(n,k)*(n+ell)
 bytes up to SLICE_BYTES_CAP (CapacityError past it).  Beside the slice and
-the codebook, its scratch is the packed words, their order and one sorted
-copy of the words, 8 bytes a row each up to ell = 64, and FORMAT_CHUNK_BYTES
-to pack them in.  `_data_bits` and `_packed_words` also serve the contention
-sampler.  `_format_int_rows` formats the codebook CSV (`codebook_csv`) and
+the codebook, its scratch is the packed words, their order and either the
+sort's big-endian key copy or, after it, one sorted copy of the words, 8
+bytes a row each up to ell = 64, and FORMAT_CHUNK_BYTES to pack them in.
+`_data_bits` and `_packed_words` also serve the contention sampler.
+`_format_int_rows` formats the codebook CSV (`codebook_csv`) and
 transcripts as ASCII bytes via byte matrices, which `cli._write` writes.
 Everything here is classical; the CNOT array run on a dense register is
 `statevector.apply_encoder`.
@@ -202,11 +203,8 @@ def _data_bits(n: int, columns: np.ndarray) -> np.ndarray:
 
 def _word_order(words: np.ndarray) -> np.ndarray:
     """Stable order of packed words by word, a_0 most significant: equal words keep ascending
-    rows.  Words of one block (ell <= 64) sort on one native key, the block byte-swapped, a
-    row's 8 bytes of scratch besides the order; wider words go through np.lexsort on a
-    big-endian copy of every block."""
-    if words.shape[1] == 1:
-        return np.argsort(words[:, 0].byteswap(), kind="stable")
+    rows.  np.lexsort sorts a big-endian copy of every block, 8 bytes a row a block of
+    scratch besides the order."""
     keys = words.view(">u8").astype(np.uint64)  # block byte 0, bits a_0..a_7, most significant
     return np.lexsort(keys.T[::-1])
 
@@ -293,8 +291,9 @@ def verify_injectivity(circuit: EncoderCircuit, spec: DickeSpec) -> Codebook:
     smallest slice row repeating an earlier word and i that word's first row,
     read off the sorted words, where a stable sort leaves i just before j.
     Besides the slice and the codebook, the pass holds the packed words, their
-    order and one sorted copy of the words (8 bytes a row each up to ell = 64)
-    and `_packed_words`' FORMAT_CHUNK_BYTES of scratch.
+    order and either `_word_order`'s key copy or one sorted copy of the words
+    (8 bytes a row each up to ell = 64) and `_packed_words`' FORMAT_CHUNK_BYTES
+    of scratch.
     """
     if circuit.n != spec.n:
         raise ValueError(f"circuit built for n={circuit.n}, spec has n={spec.n}")
